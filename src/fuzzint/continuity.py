@@ -20,8 +20,10 @@ least operator.
 ``verify_initiality`` checks the defining universal property extensionally:
 a morphism from any bounded test space is continuous into the lift exactly
 when all composites are continuous.  The quantifier over test interiors is
-discharged exactly by a least-constrained-operator argument (see
-``_least_dominating``), and can also be run by literal enumeration.
+discharged exactly by a least-constrained-operator argument in
+``initiality_violation``, the one kernel that both ``verify_initiality``
+and the ``initiality`` search call.  A literal enumeration over test
+interiors lives in the test suite as its oracle.
 """
 
 from __future__ import annotations
@@ -30,8 +32,16 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import GroundMismatch, NotContinuous, PropertyPreconditionFailed
-from .interior import InteriorMap, discrete, is_fully_productive, is_idempotent, least
-from .powerset import FuzzySet, Ground, GroundMorphism, Verdict, vb_backward, vb_right_adjoint
+from .interior import InteriorMap, is_fully_productive, is_idempotent, least
+from .powerset import (
+    FuzzySet,
+    Ground,
+    GroundMorphism,
+    Verdict,
+    all_morphisms,
+    vb_backward,
+    vb_right_adjoint,
+)
 
 
 @dataclass(frozen=True)
@@ -154,44 +164,7 @@ def initial_from_source(s: StructuredSource) -> InteriorMap:
     return InteriorMap.from_rule(ground, rule, validate=True)
 
 
-def literal_meet_source_rule(s: StructuredSource):
-    """The uncorrected pointwise-meet lift, kept as a rule for the polarity
-    regression: it passes the interior axioms but loses continuity of the
-    source morphisms on heterogeneous targets."""
-    per_arm = [initial_interior(g, space) for g, space in s.arms]
-    ground = s.domain
-    if not per_arm:
-        return discrete(ground).apply_values
-
-    def rule(u):
-        return ground.meet_values(i.apply_values(u) for i in per_arm)
-
-    return rule
-
-
 # -- initiality verification ----------------------------------------------------
-
-def _least_dominating(ground: Ground, constraints) -> dict:
-    """Table of the least interior map i with i(w) >= c for all (w, c).
-
-    Requires c <= w for each pair (true for every constraint produced by a
-    continuity condition).  The map sends w to the join of the qualifying
-    lower bounds plus the least operator's value; it is contractive,
-    monotone and fixes top, and every interior map satisfying the
-    constraints dominates it pointwise.
-    """
-    lat = ground.lattice
-    top = (lat.top,) * len(ground.points)
-    bot = (lat.bottom,) * len(ground.points)
-    table = {}
-    for w in ground.all_value_tuples():
-        lower = [c for wc, c in constraints if ground.leq_values(wc, w)]
-        if w == top:
-            table[w] = top
-        else:
-            table[w] = ground.join_values(lower) if lower else bot
-    return table
-
 
 def continuity_constraints(g: GroundMorphism, target: VBSpace):
     """(backward(v), backward(interior(v))) pairs; an interior i on the
@@ -204,101 +177,118 @@ def continuity_constraints(g: GroundMorphism, target: VBSpace):
     return pairs
 
 
-def verify_initiality(
-    s: StructuredSource,
-    lift: InteriorMap,
-    *,
-    test_grounds,
-    operator_mode: str = "reduced",
-    max_operators: int | None = None,
-) -> Verdict:
+def backward_table(g: GroundMorphism) -> dict:
+    """Backward along ``g`` of every value tuple on its codomain."""
+    return {u: vb_backward(g, FuzzySet(g.cod, u)).values for u in g.cod.all_value_tuples()}
+
+
+class Arm:
+    """One arm (g, target space) of a structured source, prepared for
+    initiality checks.
+
+    ``constraints`` are the arm's continuity constraints.  ``floor``
+    memoises, per test morphism, the constraints transported along it and
+    the least test interior above them; the memo lives as long as the arm.
+    """
+
+    __slots__ = ("morphism", "constraints", "_floors")
+
+    def __init__(self, g: GroundMorphism, target: VBSpace):
+        self.morphism = g
+        self.constraints = tuple(continuity_constraints(g, target))
+        self._floors = {}
+
+    def floor(self, g_test: GroundMorphism, bw: dict):
+        """(least test interior table, transported pairs) along ``g_test``,
+        whose backward table is ``bw``."""
+        if g_test not in self._floors:
+            moved = tuple((bw[w], bw[c]) for w, c in self.constraints)
+            self._floors[g_test] = (_least_above(g_test.dom, moved), moved)
+        return self._floors[g_test]
+
+
+def _least_above(ground: Ground, pairs) -> dict:
+    """Table of the least interior map i on the ground with c <= i(w) for
+    every pair (w, c).
+
+    Each c must lie below its w, as in every continuity constraint.  The
+    map sends top to top and any other w to the join of the c whose w lies
+    below it; it is contractive and monotone, and every interior map
+    satisfying the constraints dominates it pointwise.
+    """
+    top = (ground.lattice.top,) * len(ground.points)
+    table = {}
+    for w in ground.all_value_tuples():
+        lower = [c for wc, c in pairs if ground.leq_values(wc, w)]
+        table[w] = top if w == top else ground.join_values(lower)
+    return table
+
+
+def initiality_violation(g_test: GroundMorphism, bw: dict, lift_pairs, arms) -> dict | None:
+    """Decide the universal property of a lift at one test morphism.
+
+    ``g_test`` runs from a test ground into the source domain and ``bw``
+    is its backward table; ``lift_pairs`` are the (u, lift(u)) pairs on the
+    domain and ``arms`` the source's prepared arms.  The test morphism must be continuous into the
+    lift, at a test interior, exactly when every composite through an arm
+    is.  The interiors making a family of morphisms continuous form a
+    principal filter, so each direction is decided at the least element of
+    the opposite filter: the join of the arms' floors ("only-if"), and the
+    least interior above the transported lift pairs ("if").  Returns the
+    first violation, or None.
+    """
+    z = g_test.dom
+    floors = [arm.floor(g_test, bw) for arm in arms]
+    tables = [table for table, _ in floors] or [_least_above(z, ())]
+    hard = tables[0]
+    if len(tables) > 1:
+        hard = {w: z.join_values(t[w] for t in tables) for w in hard}
+    for u, lu in lift_pairs:
+        w, c = bw[u], bw[lu]
+        if not z.leq_values(c, hard[w]):
+            return _violation(g_test, "only-if", w, c, hard[w])
+    easy = _least_above(z, [(bw[u], bw[lu]) for u, lu in lift_pairs])
+    for _, moved in floors:
+        for w, c in moved:
+            if not z.leq_values(c, easy[w]):
+                return _violation(g_test, "if", w, c, easy[w])
+    return None
+
+
+def _violation(g_test: GroundMorphism, direction: str, w, c, at_w) -> dict:
+    z = g_test.dom
+    name = lambda vals: {x: z.lattice.name(v) for x, v in zip(z.points, vals)}
+    return {
+        "test_points": list(z.points),
+        "morphism": g_test.describe(),
+        "direction": direction,
+        "violation": {"w": name(w), "required": name(c), "interior_at_w": name(at_w)},
+    }
+
+
+def verify_initiality(s: StructuredSource, lift: InteriorMap, *, test_grounds) -> Verdict:
     """Check the universal property of ``lift`` extensionally.
 
     For every test ground in ``test_grounds``, every morphism (g, psi) from
     it into the source domain, and every interior on the test ground, the
     morphism must be continuous into (domain, lift) exactly when all the
-    composites through the source arms are continuous.
-
-    ``operator_mode`` "reduced" discharges the quantifier over test
-    interiors exactly: the interiors making a fixed family of morphisms
-    continuous form a principal filter, so each direction of the
-    equivalence needs checking only at the least element of the opposite
-    filter.  Mode "enumerate" runs the literal stream of interior maps
-    instead (optionally capped at ``max_operators``).
+    composites through the source arms are continuous.  Each test morphism
+    is decided by ``initiality_violation``; ``checked`` counts the
+    directions decided.
     """
-    from .powerset import all_morphisms  # local import to avoid cycle at load
-    from .search import enumerate_interior_maps
-
     if lift.ground != s.domain:
         raise GroundMismatch("lift lives on a different ground")
-    lift_pairs = [(uv, lift.apply_values(uv)) for uv in s.domain.all_value_tuples()]
-    arm_pairs = [continuity_constraints(g, space) for g, space in s.arms]
+    arms = [Arm(g, space) for g, space in s.arms]
+    lift_pairs = [(u, lift.apply_values(u)) for u in s.domain.all_value_tuples()]
     checked = 0
     for z_ground in test_grounds:
         for g in all_morphisms(z_ground, s.domain):
-            # transport the constraint pairs along backward of (g, psi)
-            bw = lambda vals: vb_backward(g, FuzzySet(s.domain, vals)).values
-            lift_c = [(bw(w), bw(c)) for w, c in lift_pairs]
-            arms_c = [(bw(w), bw(c)) for pairs in arm_pairs for w, c in pairs]
-            if operator_mode == "reduced":
-                candidates = [
-                    ("hard", _least_dominating(z_ground, arms_c)),
-                    ("easy", _least_dominating(z_ground, lift_c)),
-                ]
-                for direction, table in candidates:
-                    checked += 1
-                    if direction == "hard":
-                        # composites continuous at this interior; is g continuous?
-                        bad = _first_violation(z_ground, table, lift_c)
-                        if bad is not None:
-                            return _initiality_witness(z_ground, g, "only-if", bad, checked)
-                    else:
-                        bad = _first_violation(z_ground, table, arms_c)
-                        if bad is not None:
-                            return _initiality_witness(z_ground, g, "if", bad, checked)
-            elif operator_mode == "enumerate":
-                stream = enumerate_interior_maps(z_ground)
-                for k, i_z in enumerate(stream):
-                    if max_operators is not None and k >= max_operators:
-                        break
-                    checked += 1
-                    table = i_z.table()
-                    g_cont = _first_violation(z_ground, table, lift_c) is None
-                    comp_cont = _first_violation(z_ground, table, arms_c) is None
-                    if g_cont != comp_cont:
-                        direction = "if" if g_cont else "only-if"
-                        bad = {"interior_signature": list(i_z.signature())}
-                        return _initiality_witness(z_ground, g, direction, bad, checked)
-            else:
-                raise ValueError(f"unknown operator mode {operator_mode!r}")
+            bad = initiality_violation(g, backward_table(g), lift_pairs, arms)
+            if bad is not None:
+                checked += 1 if bad["direction"] == "only-if" else 2
+                return Verdict(ok=False, prop="initiality", witness=bad, checked=checked)
+            checked += 2
     return Verdict(ok=True, prop="initiality", witness=None, checked=checked)
-
-
-def _first_violation(ground: Ground, interior_table: dict, pairs) -> dict | None:
-    lat = ground.lattice
-    for w, c in pairs:
-        if not ground.leq_values(c, interior_table[w]):
-            name = lambda vals: {x: lat.name(v) for x, v in zip(ground.points, vals)}
-            return {
-                "w": name(w),
-                "required": name(c),
-                "interior_at_w": name(interior_table[w]),
-            }
-    return None
-
-
-def _initiality_witness(z_ground, g, direction, bad, checked) -> Verdict:
-    return Verdict(
-        ok=False,
-        prop="initiality",
-        witness={
-            "test_points": list(z_ground.points),
-            "morphism": g.describe(),
-            "direction": direction,
-            "violation": bad,
-        },
-        checked=checked,
-    )
 
 
 def meet_interchange_report(g: GroundMorphism, max_family: int = 3) -> Verdict:

@@ -119,25 +119,6 @@ class FiniteLattice:
                 return (self.elements[a], self.elements[b], self.elements[c])
         return None
 
-    def check_frame_laws_subsets(self) -> tuple | None:
-        """Direct subset-by-subset frame law check (both laws).
-
-        Exponential in the carrier; used to cross-validate the triple scan
-        on small instances.  Returns a (subset, element, law) witness or None.
-        """
-        n = len(self.elements)
-        idx = range(n)
-        for mask in range(1 << n):
-            members = [i for i in idx if mask >> i & 1]
-            j = self.join_i(members)
-            m = self.meet_i(members)
-            for a in idx:
-                if self.meet2[j][a] != self.join_i(self.meet2[i][a] for i in members):
-                    return (tuple(self.elements[i] for i in members), self.elements[a], "meet-over-join")
-                if self.join2[m][a] != self.meet_i(self.join2[i][a] for i in members):
-                    return (tuple(self.elements[i] for i in members), self.elements[a], "join-over-meet")
-        return None
-
 
 def _lub(leq, candidates, i, j):
     """Least upper bound of i and j given the order table, or None."""

@@ -26,10 +26,6 @@ from .errors import (
 )
 from .monoid import CQML
 
-#: vb_forward enumerates candidate outputs directly below this powerset
-#: size and switches to the pointwise fiber formula above it.
-FORWARD_ENUMERATION_LIMIT = 4096
-
 
 @dataclass(frozen=True)
 class Ground:
@@ -409,32 +405,20 @@ def vb_backward(g: GroundMorphism, b: FuzzySet) -> FuzzySet:
     )
 
 
-def vb_forward(
-    g: GroundMorphism, a: FuzzySet, *, enumeration_limit: int = FORWARD_ENUMERATION_LIMIT
-) -> FuzzySet:
+def vb_forward(g: GroundMorphism, a: FuzzySet) -> FuzzySet:
     """(f, phi)^-> : the meet of all b whose phi_op lift dominates the image.
 
-    Computed by direct enumeration of candidates over M^Y while that stays
-    below ``enumeration_limit``, otherwise pointwise as star_phi of the
-    fiber join (the two agree; tests cross-check them).
+    The condition on b is pointwise, so the meet is taken pointwise: star_phi
+    of the join of a over each fiber (tests cross-check this against the
+    meet over all candidates).
     """
     if a.ground != g.dom:
         raise CarrierMismatch("fuzzy set ground differs from the morphism domain")
     l_lat = g.dom.lattice
-    m_ground = g.cod
-    fibers = [
-        [x for x in range(len(g.f)) if g.f[x] == y] for y in range(len(m_ground.points))
-    ]
+    fibers = [[x for x in range(len(g.f)) if g.f[x] == y] for y in range(len(g.cod.points))]
     image = [l_lat.join_i(a.values[x] for x in fib) for fib in fibers]
-    if m_ground.set_count() <= enumeration_limit:
-        qualifying = (
-            cand
-            for cand in m_ground.all_value_tuples()
-            if all(l_lat.leq[image[y]][g.phi_op[cand[y]]] for y in range(len(cand)))
-        )
-        return FuzzySet(m_ground, m_ground.meet_values(qualifying))
     star = _star_phi_table(g)
-    return FuzzySet(m_ground, tuple(star[v] for v in image))
+    return FuzzySet(g.cod, tuple(star[v] for v in image))
 
 
 def vb_right_adjoint(g: GroundMorphism, u: FuzzySet, *, verify: bool = False) -> FuzzySet:

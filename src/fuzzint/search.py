@@ -17,13 +17,15 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 from itertools import combinations
 
 from .continuity import (
+    Arm,
     VBSpace,
+    backward_table,
     compose,
     initial_interior,
+    initiality_violation,
     is_continuous,
     is_open_morphism,
     meet_interchange_report,
@@ -40,7 +42,7 @@ from .interior import (
 )
 from .lattice import diamond_lattice, pentagon_lattice
 from .monoid import builtin_chain, godel_tensor, join_tensor
-from .powerset import FuzzySet, Ground, GroundMorphism, all_morphisms, vb_backward
+from .powerset import Ground, GroundMorphism, all_morphisms, vb_backward
 from . import io as fio
 
 CHUNK = 256
@@ -97,7 +99,6 @@ def bounds_from_env(text: str | None, base: SearchBounds | None = None) -> Searc
     return replace(bounds, **updates)
 
 
-@lru_cache(maxsize=None)
 def builtin_algebra(name: str):
     """Resolve a named algebra: c2, godel<n>, lukasiewicz<n>, diamond-meet,
     diamond-join, pentagon-meet."""
@@ -193,23 +194,16 @@ def count_interior_maps(ground: Ground, bounds: SearchBounds | None = None) -> i
     return sum(1 for _ in enumerate_interior_maps(ground, bounds))
 
 
-@lru_cache(maxsize=None)
-def _sampled_signatures(ground: Ground, cap: int, max_tables: int) -> tuple:
-    maps = list(enumerate_interior_maps(ground, SearchBounds(max_tables=max_tables)))
-    if len(maps) <= cap:
-        chosen = maps
-    else:
-        idx = sorted({round(k * (len(maps) - 1) / (cap - 1)) for k in range(cap)})
-        chosen = [maps[i] for i in idx]
-    return tuple(i.signature() for i in chosen)
-
-
 def interior_sample(ground: Ground, bounds: SearchBounds):
     """Deterministic spread of interior maps on the ground: the full stream
     when it fits the sample budget, else an even stride that always keeps
     the least (first) and discrete (last) maps."""
-    sigs = _sampled_signatures(ground, bounds.operator_sample, bounds.max_tables)
-    return [_map_from_signature(ground, sig) for sig in sigs]
+    maps = list(enumerate_interior_maps(ground, bounds))
+    cap = bounds.operator_sample
+    if len(maps) <= cap:
+        return maps
+    idx = sorted({round(k * (len(maps) - 1) / (cap - 1)) for k in range(cap)})
+    return [maps[i] for i in idx]
 
 
 def _map_from_signature(ground: Ground, sig) -> InteriorMap:
@@ -217,24 +211,57 @@ def _map_from_signature(ground: Ground, sig) -> InteriorMap:
     return InteriorMap.from_table(ground, table.items(), validate=False)
 
 
+# ---------------------------------------------------------- search context
+
+class SearchContext:
+    """One search's grounds, deadline and memos.
+
+    Built once per search, and once per pool worker; everything it
+    memoises is dropped with it, so nothing is cached across searches.
+    """
+
+    def __init__(self, bounds: SearchBounds):
+        self.bounds = bounds
+        self.deadline = time.monotonic() + bounds.time_budget
+        self.grounds = grounds_within(bounds)
+        self._samples: dict = {}
+        self._arms: dict = {}
+        self._tests: dict = {}
+
+    def expire(self, checked: int = 0) -> None:
+        """Raise once the time budget is spent."""
+        if time.monotonic() > self.deadline:
+            raise BoundsExceeded(
+                f"time budget {self.bounds.time_budget}s exhausted after {checked} cases"
+            )
+
+    def sample(self, ground: Ground) -> list:
+        if ground not in self._samples:
+            self._samples[ground] = interior_sample(ground, self.bounds)
+        return self._samples[ground]
+
+    def arm(self, g: GroundMorphism, sig) -> tuple:
+        """The prepared arm and the table of its initial interior."""
+        key = (g, sig)
+        if key not in self._arms:
+            target = VBSpace(g.cod, _map_from_signature(g.cod, sig))
+            self._arms[key] = (Arm(g, target), initial_interior(g, target).table())
+        return self._arms[key]
+
+    def test_morphisms(self, dom: Ground) -> list:
+        """Every morphism from a test ground into ``dom``, with its
+        backward table."""
+        if dom not in self._tests:
+            self._tests[dom] = [
+                (g, backward_table(g)) for z in self.grounds for g in all_morphisms(z, dom)
+            ]
+        return self._tests[dom]
+
+
 # ------------------------------------------------------- case serialization
 
-_GROUND_DOCS: dict = {}
-
-
-def _ground_doc(ground: Ground) -> dict:
-    if ground not in _GROUND_DOCS:
-        _GROUND_DOCS[ground] = fio.ground_to_json(ground)
-    return _GROUND_DOCS[ground]
-
-
-@lru_cache(maxsize=None)
-def _ground_from_key(key: str) -> Ground:
-    return fio.ground_from_json(json.loads(key))
-
-
 def _case_ground(part) -> Ground:
-    return _ground_from_key(json.dumps(part, sort_keys=True))
+    return fio.ground_from_json(part)
 
 
 def _morphism_doc(g: GroundMorphism) -> dict:
@@ -264,29 +291,32 @@ def strip_objects(case: dict) -> dict:
 
 # ------------------------------------------------------------- properties
 #
-# Generators yield lean cases carrying live objects under underscore keys;
-# the matching describer turns a case into a standalone JSON instance when
-# a witness bundle is produced.  Checkers accept either form, so replayed
-# bundles go through the exact same code path.
+# Generators take the search context and yield lean cases carrying live
+# objects under underscore keys; the matching describer turns a case into
+# a standalone JSON instance when a witness bundle is produced.  Checkers
+# take a case and the context and accept either form, so replayed bundles
+# go through the exact same code path.
 
-def _gen_literal_trivial(bounds: SearchBounds):
-    for ground in grounds_within(bounds):
+def _gen_literal_trivial(ctx: SearchContext):
+    for ground in ctx.grounds:
         yield {"_ground": ground}
 
 
 def _describe_literal_trivial(case: dict) -> dict:
-    return {"ground": _ground_doc(case["_ground"])} if "_ground" in case else strip_objects(case)
+    if "_ground" not in case:
+        return strip_objects(case)
+    return {"ground": fio.ground_to_json(case["_ground"])}
 
 
-def _check_literal_trivial(case: dict):
+def _check_literal_trivial(case: dict, ctx: SearchContext):
     ground = case["_ground"] if "_ground" in case else _case_ground(case["ground"])
     verdict = check_interior_axioms(ground, literal_trivial_rule(ground))
     return None if verdict.ok else verdict.witness
 
 
-def _gen_operator_lattice(bounds: SearchBounds):
-    for ground in grounds_within(bounds):
-        sigs = [i.signature() for i in enumerate_interior_maps(ground, bounds)]
+def _gen_operator_lattice(ctx: SearchContext):
+    for ground in ctx.grounds:
+        sigs = [i.signature() for i in enumerate_interior_maps(ground, ctx.bounds)]
         if 2 ** len(sigs) <= 4096:
             for mask in range(1, 2 ** len(sigs)):
                 members = [sigs[k] for k in range(len(sigs)) if mask >> k & 1]
@@ -303,12 +333,12 @@ def _describe_operator_lattice(case: dict) -> dict:
     ground = case["_ground"]
     return {
         "kind": case["kind"],
-        "ground": _ground_doc(ground),
+        "ground": fio.ground_to_json(ground),
         "members": [_interior_doc(ground, s) for s in case["_members"]],
     }
 
 
-def _check_operator_lattice(case: dict):
+def _check_operator_lattice(case: dict, ctx: SearchContext):
     if "_ground" in case:
         ground, members = case["_ground"], case["_members"]
     else:
@@ -327,20 +357,19 @@ def _check_operator_lattice(case: dict):
     return None
 
 
-def _continuous_legs(bounds: SearchBounds, open_mode: bool):
+def _continuous_legs(ctx: SearchContext, open_mode: bool):
     """All (morphism, src space, dst space) passing the chosen test, grouped
     by source space for composition joins."""
-    grounds = grounds_within(bounds)
     test = is_open_morphism if open_mode else is_continuous
+    spaces = {ground: [VBSpace(ground, i) for i in ctx.sample(ground)] for ground in ctx.grounds}
     by_source: dict = {}
     order = []
-    for dom in grounds:
-        dom_spaces = [VBSpace(dom, i) for i in interior_sample(dom, bounds)]
-        for cod in grounds:
-            cod_spaces = [VBSpace(cod, i) for i in interior_sample(cod, bounds)]
+    for dom in ctx.grounds:
+        for cod in ctx.grounds:
             for g in all_morphisms(dom, cod):
-                for src in dom_spaces:
-                    for dst in cod_spaces:
+                for src in spaces[dom]:
+                    for dst in spaces[cod]:
+                        ctx.expire()
                         if test(g, src, dst):
                             key = _space_key(src)
                             if key not in by_source:
@@ -354,8 +383,8 @@ def _space_key(space: VBSpace):
     return (space.ground, space.interior.signature())
 
 
-def _gen_composition(bounds: SearchBounds, open_mode: bool):
-    by_source, order = _continuous_legs(bounds, open_mode)
+def _gen_composition(ctx: SearchContext, open_mode: bool):
+    by_source, order = _continuous_legs(ctx, open_mode)
     for key in order:
         for g1, src, mid in by_source[key]:
             for g2, _, dst in by_source.get(_space_key(mid), ()):
@@ -378,7 +407,7 @@ def _describe_composition(case: dict) -> dict:
     }
 
 
-def _check_composition(case: dict):
+def _check_composition(case: dict, ctx: SearchContext):
     if "_legs" in case:
         g1, src, mid, g2, dst = case["_legs"]
     else:
@@ -392,8 +421,8 @@ def _check_composition(case: dict):
     return None if verdict.ok else verdict.witness
 
 
-def _gen_open_preimage(bounds: SearchBounds):
-    by_source, order = _continuous_legs(bounds, open_mode=False)
+def _gen_open_preimage(ctx: SearchContext):
+    by_source, order = _continuous_legs(ctx, open_mode=False)
     for key in order:
         for g, src, dst in by_source[key]:
             for v in sorted(open_sets(dst.interior), key=lambda s: s.values):
@@ -412,7 +441,7 @@ def _describe_open_preimage(case: dict) -> dict:
     }
 
 
-def _check_open_preimage(case: dict):
+def _check_open_preimage(case: dict, ctx: SearchContext):
     if "_data" in case:
         g, src, dst, v = case["_data"]
     else:
@@ -427,20 +456,20 @@ def _check_open_preimage(case: dict):
 
 # -- structured sources -------------------------------------------------------
 
-def _arm_family(bounds: SearchBounds, dom: Ground):
+def _arm_family(ctx: SearchContext, dom: Ground):
     """Every (morphism, target interior signature) arm out of a domain."""
     arms = []
-    for cod in grounds_within(bounds):
-        sample = interior_sample(cod, bounds)
+    for cod in ctx.grounds:
+        sample = ctx.sample(cod)
         for g in all_morphisms(dom, cod):
             for i_cod in sample:
                 arms.append((g, i_cod.signature()))
     return arms
 
 
-def _gen_sources(bounds: SearchBounds, min_arms: int):
-    for dom in grounds_within(bounds):
-        arms = _arm_family(bounds, dom)
+def _gen_sources(ctx: SearchContext, min_arms: int):
+    for dom in ctx.grounds:
+        arms = _arm_family(ctx, dom)
         if min_arms <= 1:
             for arm in arms:
                 yield {"_domain": dom, "_arms": [arm]}
@@ -452,7 +481,7 @@ def _describe_source(case: dict) -> dict:
     if "_domain" not in case:
         return strip_objects(case)
     return {
-        "domain": _ground_doc(case["_domain"]),
+        "domain": fio.ground_to_json(case["_domain"]),
         "arms": [
             {"morphism": _morphism_doc(g), "interior": _interior_doc(g.cod, sig)}
             for g, sig in case["_arms"]
@@ -460,182 +489,77 @@ def _describe_source(case: dict) -> dict:
     }
 
 
-def _case_source(case: dict):
+def _case_source(case: dict, ctx: SearchContext):
+    """The source domain and its arms, each an (Arm, initial table) pair."""
     if "_arms" in case:
-        return case["_domain"], case["_arms"]
-    dom = _case_ground(case["domain"])
-    arms = [
-        (_case_morphism(arm["morphism"]), _case_interior_sig(arm["interior"]))
-        for arm in case["arms"]
-    ]
-    return dom, arms
+        dom, arms = case["_domain"], case["_arms"]
+    else:
+        dom = _case_ground(case["domain"])
+        arms = [
+            (_case_morphism(arm["morphism"]), _case_interior_sig(arm["interior"]))
+            for arm in case["arms"]
+        ]
+    return dom, [ctx.arm(g, sig) for g, sig in arms]
 
 
-# per-process caches for the structured-source engine
-_ARM_CACHE: dict = {}
-_TEST_CACHE: dict = {}
-_LEAST_CACHE: dict = {}
-_FLOOR_CACHE: dict = {}
-
-
-def _arm_tables(g: GroundMorphism, sig):
-    """Initial interior table of the arm plus its continuity constraints.
-
-    The constraints are the (backward(v), backward(interior(v))) pairs; an
-    interior map i on the domain makes the arm continuous iff c <= i(w)
-    for every pair (w, c).
-    """
-    key = (g, sig)
-    if key not in _ARM_CACHE:
-        target = VBSpace(g.cod, _map_from_signature(g.cod, sig))
-        ihat = initial_interior(g, target)
-        pairs = []
-        for v in g.cod.all_value_tuples():
-            w = vb_backward(g, FuzzySet(g.cod, v)).values
-            c = vb_backward(g, FuzzySet(g.cod, target.interior.apply_values(v))).values
-            pairs.append((w, c))
-        _ARM_CACHE[key] = (ihat.table(), tuple(pairs))
-    return _ARM_CACHE[key]
-
-
-def _test_morphisms(z_ground: Ground, dom: Ground):
-    """Morphisms out of a test ground with their backward-transport tables."""
-    key = (z_ground, dom)
-    if key not in _TEST_CACHE:
-        out = []
-        for g in all_morphisms(z_ground, dom):
-            bw = {
-                u: vb_backward(g, FuzzySet(dom, u)).values
-                for u in dom.all_value_tuples()
-            }
-            out.append((g, bw))
-        _TEST_CACHE[key] = out
-    return _TEST_CACHE[key]
-
-
-def _least_table(ground: Ground) -> dict:
-    if ground not in _LEAST_CACHE:
-        _LEAST_CACHE[ground] = least(ground).table()
-    return _LEAST_CACHE[ground]
-
-
-def _transported_floor(z_ground: Ground, g_test: GroundMorphism, bw, pairs):
-    """Least interior table on the test ground dominating constraints
-    transported backward along the test morphism."""
-    key = (pairs, z_ground, g_test)
-    if key not in _FLOOR_CACHE:
-        moved = tuple((bw[w], bw[c]) for w, c in pairs)
-        table = dict(_least_table(z_ground))
-        for w in table:
-            lower = [c for wc, c in moved if z_ground.leq_values(wc, w)]
-            if lower:
-                table[w] = z_ground.join_values([table[w], *lower])
-        _FLOOR_CACHE[key] = (table, moved)
-    return _FLOOR_CACHE[key]
-
-
-def _check_initiality(case: dict, bounds: SearchBounds):
-    """Join-form lift: axioms, arm continuity, and the universal property.
-
-    The quantifier over test interiors is discharged exactly: for a fixed
-    family of continuity constraints the satisfying interiors form a
-    principal filter, so each direction of the equivalence is decided at
-    the least element of the opposite filter.
-    """
-    dom, arms = _case_source(case)
-    arm_data = [_arm_tables(g, sig) for g, sig in arms]
-    tuples = list(dom.all_value_tuples())
-    least_dom = _least_table(dom)
-    lift = {}
-    for u in tuples:
-        images = [ihat[u] for ihat, _ in arm_data]
-        lift[u] = dom.join_values(images) if images else least_dom[u]
-    verdict = check_interior_axioms(dom, lift.__getitem__)
-    if not verdict.ok:
-        return {"stage": "axioms", **verdict.witness}
-    for index, ((g, _), (_, pairs)) in enumerate(zip(arms, arm_data)):
-        for w, c in pairs:
+def _lost_arm(dom: Ground, arms, lift: dict, shown: str | None = None):
+    """Witness of the first arm the lift table fails to keep continuous;
+    ``shown`` names an extra key carrying the lift's value there."""
+    for index, (arm, _) in enumerate(arms):
+        for w, c in arm.constraints:
             if not dom.leq_values(c, lift[w]):
-                return {
+                witness = {
                     "stage": "arm-continuity",
                     "arm_index": index,
-                    "arm": g.describe(),
+                    "arm": arm.morphism.describe(),
                     "w": _named(dom, w),
                     "required": _named(dom, c),
                 }
-    lift_pairs = tuple((u, lift[u]) for u in tuples)
-    for z_ground in grounds_within(bounds):
-        for g_test, bw in _test_morphisms(z_ground, dom):
-            t_b = dict(_least_table(z_ground))
-            moved_arm_pairs = []
-            for _, pairs in arm_data:
-                table, moved = _transported_floor(z_ground, g_test, bw, pairs)
-                moved_arm_pairs.extend(moved)
-                for w in t_b:
-                    t_b[w] = z_ground.join_values([t_b[w], table[w]])
-            # hard direction: t_b is the least test interior making every
-            # composite continuous; the test morphism must then be
-            # continuous into the lift
-            for u, lu in lift_pairs:
-                if not z_ground.leq_values(bw[lu], t_b[bw[u]]):
-                    return {
-                        "stage": "initiality",
-                        "direction": "only-if",
-                        "test_points": list(z_ground.points),
-                        "morphism": g_test.describe(),
-                        "u": _named(dom, u),
-                    }
-            # easy direction: at the least test interior making the test
-            # morphism continuous into the lift, every composite must be
-            # continuous
-            t_a = dict(_least_table(z_ground))
-            for u, lu in lift_pairs:
-                wu, cu = bw[u], bw[lu]
-                for w in t_a:
-                    if z_ground.leq_values(wu, w):
-                        t_a[w] = z_ground.join_values([t_a[w], cu])
-            for w, c in moved_arm_pairs:
-                if not z_ground.leq_values(c, t_a[w]):
-                    return {
-                        "stage": "initiality",
-                        "direction": "if",
-                        "test_points": list(z_ground.points),
-                        "morphism": g_test.describe(),
-                        "w": _named(z_ground, w),
-                    }
+                if shown:
+                    witness[shown] = _named(dom, lift[w])
+                return witness
     return None
 
 
-def _check_literal_meet_lift(case: dict):
+def _check_initiality(case: dict, ctx: SearchContext):
+    """Join-form lift: axioms, arm continuity, and the universal property,
+    decided per test morphism by ``initiality_violation``."""
+    dom, arms = _case_source(case, ctx)
+    tables = [initial for _, initial in arms] or [least(dom).table()]
+    lift = {u: dom.join_values(t[u] for t in tables) for u in dom.all_value_tuples()}
+    verdict = check_interior_axioms(dom, lift.__getitem__)
+    if not verdict.ok:
+        return {"stage": "axioms", **verdict.witness}
+    lost = _lost_arm(dom, arms, lift)
+    if lost is not None:
+        return lost
+    lift_pairs = tuple(lift.items())
+    prepared = [arm for arm, _ in arms]
+    for g_test, bw in ctx.test_morphisms(dom):
+        bad = initiality_violation(g_test, bw, lift_pairs, prepared)
+        if bad is not None:
+            return {"stage": "initiality", **bad}
+    return None
+
+
+def _check_literal_meet_lift(case: dict, ctx: SearchContext):
     """The meet-form lift satisfies the axioms but must keep every arm
     continuous to qualify as a lift; report the first arm it loses."""
-    dom, arms = _case_source(case)
-    arm_data = [_arm_tables(g, sig) for g, sig in arms]
+    dom, arms = _case_source(case, ctx)
     meet_lift = {
-        u: dom.meet_values([ihat[u] for ihat, _ in arm_data])
+        u: dom.meet_values([initial[u] for _, initial in arms])
         for u in dom.all_value_tuples()
     }
     verdict = check_interior_axioms(dom, meet_lift.__getitem__)
     if not verdict.ok:
         return {"stage": "axioms", **verdict.witness}
-    for index, ((g, _), (_, pairs)) in enumerate(zip(arms, arm_data)):
-        for w, c in pairs:
-            if not dom.leq_values(c, meet_lift[w]):
-                return {
-                    "stage": "arm-continuity",
-                    "arm_index": index,
-                    "arm": g.describe(),
-                    "w": _named(dom, w),
-                    "required": _named(dom, c),
-                    "meet_lift_at_w": _named(dom, meet_lift[w]),
-                }
-    return None
+    return _lost_arm(dom, arms, meet_lift, shown="meet_lift_at_w")
 
 
-def _gen_preservation(bounds: SearchBounds, predicate):
-    for dom in grounds_within(bounds):
-        for cod in grounds_within(bounds):
-            for i_cod in interior_sample(cod, bounds):
+def _gen_preservation(ctx: SearchContext, predicate):
+    for dom in ctx.grounds:
+        for cod in ctx.grounds:
+            for i_cod in ctx.sample(cod):
                 if not predicate(i_cod):
                     continue
                 sig = i_cod.signature()
@@ -662,10 +586,9 @@ def _check_preservation(case: dict, predicate):
     return None if verdict.ok else verdict.witness
 
 
-def _gen_meet_interchange(bounds: SearchBounds):
-    grounds = grounds_within(bounds)
-    for dom in grounds:
-        for cod in grounds:
+def _gen_meet_interchange(ctx: SearchContext):
+    for dom in ctx.grounds:
+        for cod in ctx.grounds:
             for g in all_morphisms(dom, cod):
                 yield {"_morphism": g}
 
@@ -676,7 +599,7 @@ def _describe_meet_interchange(case: dict) -> dict:
     return {"morphism": _morphism_doc(case["_morphism"])}
 
 
-def _check_meet_interchange(case: dict):
+def _check_meet_interchange(case: dict, ctx: SearchContext):
     g = case["_morphism"] if "_morphism" in case else _case_morphism(case["morphism"])
     verdict = meet_interchange_report(g, max_family=2)
     return None if verdict.ok else verdict.witness
@@ -694,30 +617,30 @@ PROPERTIES = {
         _describe_operator_lattice,
     ),
     "composition-continuous": (
-        lambda b: _gen_composition(b, open_mode=False),
+        lambda ctx: _gen_composition(ctx, open_mode=False),
         _check_composition,
         _describe_composition,
     ),
     "composition-open": (
-        lambda b: _gen_composition(b, open_mode=True),
+        lambda ctx: _gen_composition(ctx, open_mode=True),
         _check_composition,
         _describe_composition,
     ),
     "open-preimage": (_gen_open_preimage, _check_open_preimage, _describe_open_preimage),
-    "initiality": (lambda b: _gen_sources(b, min_arms=1), None, _describe_source),
+    "initiality": (lambda ctx: _gen_sources(ctx, min_arms=1), _check_initiality, _describe_source),
     "literal-meet-source-lift": (
-        lambda b: _gen_sources(b, min_arms=2),
+        lambda ctx: _gen_sources(ctx, min_arms=2),
         _check_literal_meet_lift,
         _describe_source,
     ),
     "preservation-idempotent": (
-        lambda b: _gen_preservation(b, is_idempotent),
-        lambda case: _check_preservation(case, is_idempotent),
+        lambda ctx: _gen_preservation(ctx, is_idempotent),
+        lambda case, ctx: _check_preservation(case, is_idempotent),
         _describe_preservation,
     ),
     "preservation-fully-productive": (
-        lambda b: _gen_preservation(b, is_fully_productive),
-        lambda case: _check_preservation(case, is_fully_productive),
+        lambda ctx: _gen_preservation(ctx, is_fully_productive),
+        lambda case, ctx: _check_preservation(case, is_fully_productive),
         _describe_preservation,
     ),
     "meet-interchange": (
@@ -750,10 +673,10 @@ class SearchResult:
         }
 
 
-def checker_for(name: str, bounds: SearchBounds):
-    if name == "initiality":
-        return lambda case: _check_initiality(case, bounds)
-    return PROPERTIES[name][1]
+def checker_for(name: str, context: SearchContext):
+    """The per-case checker of a property, bound to one search's context."""
+    check = PROPERTIES[name][1]
+    return lambda case: check(case, context)
 
 
 def search(
@@ -767,26 +690,22 @@ def search(
 
     Returns the count of clean instances, or the first counterexample as a
     standalone witness bundle (optionally written to ``out``).  Exceeding
-    the time budget raises rather than returning a false all-clear.
+    the time budget, while generating cases or checking them, raises
+    rather than returning a false all-clear.
     """
     if prop not in PROPERTIES:
         raise UnknownProperty(prop, tuple(PROPERTIES))
-    bounds = bounds or SearchBounds()
-    generate = PROPERTIES[prop][0]
-    check = checker_for(prop, bounds)
-    start = time.monotonic()
-    cases = generate(bounds)
+    ctx = SearchContext(bounds or SearchBounds())
+    cases = PROPERTIES[prop][0](ctx)
     if workers > 1:
-        witness, checked = _parallel_scan(prop, bounds, cases, workers, start)
+        witness, checked = _parallel_scan(prop, ctx, cases, workers)
     else:
+        check = checker_for(prop, ctx)
         witness = None
         checked = 0
         for case in cases:
+            ctx.expire(checked)
             checked += 1
-            if checked % CHUNK == 0 and time.monotonic() - start > bounds.time_budget:
-                raise BoundsExceeded(
-                    f"time budget {bounds.time_budget}s exhausted after {checked} cases"
-                )
             found = check(case)
             if found is not None:
                 witness = _bundle(prop, case, found)
@@ -800,10 +719,10 @@ def search(
     return result
 
 
-def _parallel_scan(prop, bounds, cases, workers, start):
+def _parallel_scan(prop, ctx, cases, workers):
     import multiprocessing as mp
 
-    ctx = mp.get_context("fork")
+    mp_ctx = mp.get_context("fork")
     submitted: list = []
 
     def chunk_stream():
@@ -819,12 +738,9 @@ def _parallel_scan(prop, bounds, cases, workers, start):
             yield buf
 
     checked = 0
-    with ctx.Pool(workers, initializer=_pool_init, initargs=(prop, bounds)) as pool:
+    with mp_ctx.Pool(workers, initializer=_pool_init, initargs=(prop, ctx.bounds)) as pool:
         for index, results in enumerate(pool.imap(_pool_check, chunk_stream())):
-            if time.monotonic() - start > bounds.time_budget:
-                raise BoundsExceeded(
-                    f"time budget {bounds.time_budget}s exhausted after {checked} cases"
-                )
+            ctx.expire(checked)
             for case, found in zip(submitted[index], results):
                 checked += 1
                 if found is not None:
@@ -836,7 +752,7 @@ _POOL_STATE: dict = {}
 
 
 def _pool_init(prop, bounds):
-    _POOL_STATE["check"] = checker_for(prop, bounds)
+    _POOL_STATE["check"] = checker_for(prop, SearchContext(bounds))
 
 
 def _pool_check(chunk):
@@ -859,7 +775,7 @@ def replay(bundle: dict) -> SearchResult:
     prop = bundle["property"]
     if prop not in PROPERTIES:
         raise UnknownProperty(prop, tuple(PROPERTIES))
-    check = checker_for(prop, SearchBounds())
+    check = checker_for(prop, SearchContext(SearchBounds()))
     found = check(bundle["case"])
     if found is None:
         return SearchResult(prop=prop, status="no-counterexample", instances=1, bundle=None)

@@ -79,3 +79,66 @@ def naive_glb(lat, subset):
     maxs = [l for l in lbs if all(lat.leq[v][l] for v in lbs)]
     assert len(maxs) == 1
     return maxs[0]
+
+
+def frame_law_subset_witness(lat):
+    """Direct subset-by-subset frame law check, both laws (oracle).
+
+    Exponential in the carrier; cross-validates the triple scan of
+    ``FiniteLattice.frame_law_witness`` on small instances.  Returns a
+    (subset, element, law) witness or None.
+    """
+    n = len(lat.elements)
+    idx = range(n)
+    for mask in range(1 << n):
+        members = [i for i in idx if mask >> i & 1]
+        j = lat.join_i(members)
+        m = lat.meet_i(members)
+        for a in idx:
+            if lat.meet2[j][a] != lat.join_i(lat.meet2[i][a] for i in members):
+                return (tuple(lat.elements[i] for i in members), lat.elements[a], "meet-over-join")
+            if lat.join2[m][a] != lat.meet_i(lat.join2[i][a] for i in members):
+                return (tuple(lat.elements[i] for i in members), lat.elements[a], "join-over-meet")
+    return None
+
+
+def naive_vb_forward(g, a) -> tuple:
+    """Forward image as the meet of every candidate over M^Y whose phi_op
+    lift dominates the fiber joins of ``a`` (oracle)."""
+    l_lat = g.dom.lattice
+    image = [
+        l_lat.join_i(a.values[x] for x in range(len(g.f)) if g.f[x] == y)
+        for y in range(len(g.cod.points))
+    ]
+    qualifying = (
+        cand
+        for cand in g.cod.all_value_tuples()
+        if all(l_lat.leq[image[y]][g.phi_op[cand[y]]] for y in range(len(cand)))
+    )
+    return g.cod.meet_values(qualifying)
+
+
+def naive_verify_initiality(s, lift, test_grounds) -> str | None:
+    """The universal property of ``lift`` by literal enumeration (oracle).
+
+    Every test morphism into the source domain, at every interior map on
+    its test ground, must be continuous into the lift exactly when every
+    composite through the source arms is continuous.  Returns the failing
+    direction ("if" or "only-if"), or None.
+    """
+    from fuzzint.continuity import VBSpace, compose, is_continuous
+    from fuzzint.powerset import all_morphisms
+    from fuzzint.search import enumerate_interior_maps
+
+    lifted = VBSpace(s.domain, lift)
+    for z_ground in test_grounds:
+        test_spaces = [VBSpace(z_ground, i) for i in enumerate_interior_maps(z_ground)]
+        for g in all_morphisms(z_ground, s.domain):
+            for test_space in test_spaces:
+                g_cont = is_continuous(g, test_space, lifted).ok
+                comp_cont = all(
+                    is_continuous(compose(arm, g), test_space, space).ok for arm, space in s.arms
+                )
+                if g_cont != comp_cont:
+                    return "if" if g_cont else "only-if"
+    return None

@@ -42,6 +42,10 @@ GOLDEN_CASES = {
         0,
         ["tables", "collapse_morphism.json", "--which", "powerset-op", "--op", "backward"],
     ),
+    "tables_forward.txt": (
+        0,
+        ["tables", "collapse_morphism.json", "--which", "powerset-op", "--op", "forward"],
+    ),
     "tables_right_adjoint.txt": (
         0,
         ["tables", "collapse_morphism.json", "--which", "powerset-op", "--op", "right-adjoint"],

@@ -1,7 +1,8 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from conftest import naive_verify_initiality
 from fuzzint.continuity import (
     StructuredSource,
     VBSpace,
@@ -11,7 +12,6 @@ from fuzzint.continuity import (
     initial_interior,
     is_continuous,
     is_open_morphism,
-    literal_meet_source_rule,
     meet_interchange_report,
     preimage_of_open_is_open,
     preserves_full_productivity_check,
@@ -28,7 +28,17 @@ from fuzzint.powerset import (
     vb_backward,
     validate_ground_morphism,
 )
-from fuzzint.search import SearchBounds, enumerate_interior_maps, grounds_within
+from fuzzint.search import (
+    PROPERTIES,
+    SearchBounds,
+    SearchContext,
+    builtin_algebra,
+    checker_for,
+    enumerate_interior_maps,
+    grounds_within,
+    interior_sample,
+    search,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +48,14 @@ def small_bounds():
 
 def spaces_on(ground):
     return [VBSpace(ground, i) for i in enumerate_interior_maps(ground)]
+
+
+def meet_lift(s):
+    """The uncorrected pointwise-meet lift of a nonempty source."""
+    per_arm = [initial_interior(g, space) for g, space in s.arms]
+    return InteriorMap.from_rule(
+        s.domain, lambda u: s.domain.meet_values(i.apply_values(u) for i in per_arm)
+    )
 
 
 # -- continuity and openness -----------------------------------------------------
@@ -234,7 +252,7 @@ def test_literal_meet_rule_loses_arm_continuity(one_point_c3):
     disc = VBSpace(one_point_c3, discrete(one_point_c3))
     low = VBSpace(one_point_c3, least(one_point_c3))
     s = StructuredSource(domain=one_point_c3, arms=((g, disc), (g, low)))
-    meet_map = InteriorMap.from_rule(one_point_c3, literal_meet_source_rule(s))
+    meet_map = meet_lift(s)
     # the meet passes the interior axioms but the arm into the discrete
     # space stops being continuous
     assert check_interior_axioms(one_point_c3, meet_map).ok
@@ -281,18 +299,64 @@ def test_verify_initiality_vacuous_without_test_objects(one_point_c3):
     assert verify_initiality(s, discrete(one_point_c3), test_grounds=[])
 
 
-def test_reduced_mode_agrees_with_enumeration(one_point_c3, one_point_c2):
-    test_grounds = [one_point_c2, one_point_c3]
-    g = identity_morphism(one_point_c3)
-    candidates = list(enumerate_interior_maps(one_point_c3))
-    for target in spaces_on(one_point_c3):
-        s = StructuredSource(domain=one_point_c3, arms=((g, target),))
-        for lift in candidates:
-            reduced = verify_initiality(s, lift, test_grounds=test_grounds)
-            literal = verify_initiality(
-                s, lift, test_grounds=test_grounds, operator_mode="enumerate"
-            )
-            assert reduced.ok == literal.ok
+def test_reduced_mode_agrees_with_enumeration():
+    """The principal-filter kernel against literal enumeration of test
+    interiors, on one- and two-arm sources over 1- and 2-point domains,
+    for the join lift and the wrong ones: discrete, least and meet."""
+    c2, godel3, luk3 = (builtin_algebra(n) for n in ("c2", "godel3", "lukasiewicz3"))
+    one = lambda alg: Ground(("p1",), alg)
+    two = lambda alg: Ground(("p1", "p2"), alg)
+    settings = [
+        # (domain, arm codomains, test grounds)
+        (one(godel3), [one(c2), one(godel3)], [one(c2), one(godel3)]),
+        (one(luk3), [one(c2), one(luk3)], [one(c2), one(luk3)]),
+        (two(c2), [one(c2), two(c2)], [one(c2), two(c2)]),
+        (two(luk3), [one(luk3)], [one(c2), one(luk3)]),
+    ]
+    sample = SearchBounds(operator_sample=3)
+    seen = set()
+    for dom, cods, test_grounds in settings:
+        arms = [
+            (g, VBSpace(cod, i))
+            for cod in cods
+            for g in all_morphisms(dom, cod)
+            for i in interior_sample(cod, sample)
+        ]
+        sources = [(a,) for a in arms] + list(combinations(arms, 2))
+        for arm_pairs in sources:
+            s = StructuredSource(domain=dom, arms=arm_pairs)
+            lifts = {
+                "join": initial_from_source(s),
+                "meet": meet_lift(s),
+                "discrete": discrete(dom),
+                "least": least(dom),
+            }
+            for name, lift in lifts.items():
+                reduced = verify_initiality(s, lift, test_grounds=test_grounds)
+                literal = naive_verify_initiality(s, lift, test_grounds)
+                assert reduced.ok == (literal is None), (name, s)
+                if name == "join":
+                    assert reduced.ok
+                seen.add((len(arm_pairs), reduced.ok))
+    assert seen == {(1, True), (1, False), (2, True), (2, False)}
+
+
+def test_search_checker_agrees_with_verify_initiality():
+    bounds = SearchBounds(max_carrier=1)
+    ctx = SearchContext(bounds)
+    generate, _, _ = PROPERTIES["initiality"]
+    check = checker_for("initiality", ctx)
+    cases = 0
+    for case in generate(ctx):
+        cases += 1
+        arms = tuple(
+            (g, VBSpace(g.cod, InteriorMap.from_table(g.cod, zip(g.cod.all_value_tuples(), sig))))
+            for g, sig in case["_arms"]
+        )
+        s = StructuredSource(domain=case["_domain"], arms=arms)
+        verdict = verify_initiality(s, initial_from_source(s), test_grounds=grounds_within(bounds))
+        assert (check(case) is None) == verdict.ok
+    assert cases == search("initiality", bounds).instances
 
 
 def test_continuity_constraints_characterize(one_point_c3):

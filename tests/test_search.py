@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 from itertools import product
 
 import pytest
@@ -187,6 +189,38 @@ def test_operator_lattice_search_clean_small():
 def test_time_budget_enforced():
     with pytest.raises(BoundsExceeded):
         search("operator-lattice-closure", SearchBounds(time_budget=1e-9))
+
+
+def test_time_budget_bounds_case_generation():
+    # building every continuous leg of this suite takes several seconds;
+    # the budget must stop it there, not after the legs are built
+    bounds = SearchBounds(
+        time_budget=0.5, operator_sample=40, algebras=("c2", "godel3", "lukasiewicz3")
+    )
+    start = time.monotonic()
+    with pytest.raises(BoundsExceeded):
+        search("composition-continuous", bounds)
+    assert time.monotonic() - start < 2.0
+
+
+def test_no_module_level_caches_after_search():
+    search("initiality", SearchBounds(max_carrier=1))
+    search("composition-continuous", SearchBounds(max_carrier=1))
+    registries = {("search", "PROPERTIES"), ("cli", "PROPERTIES"), ("io", "LOADERS")}
+    held = []
+    for name, module in sorted(sys.modules.items()):
+        if name != "fuzzint" and not name.startswith("fuzzint."):
+            continue
+        short = name.rpartition(".")[2]
+        for attr, value in vars(module).items():
+            if attr.startswith("__") or (short, attr) in registries:
+                continue
+            if attr == "_POOL_STATE":
+                assert value == {}  # filled only inside pool workers
+                continue
+            if isinstance(value, dict) or hasattr(value, "cache_info"):
+                held.append(f"{name}.{attr}")
+    assert held == []
 
 
 def test_worker_determinism():
