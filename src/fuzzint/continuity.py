@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import GroundMismatch, NotContinuous, PropertyPreconditionFailed
-from .interior import InteriorMap, is_fully_productive, is_idempotent, least
+from .interior import InteriorMap, is_fully_productive, is_idempotent, join_interiors, least
 from .powerset import (
     FuzzySet,
     Ground,
@@ -156,12 +156,7 @@ def initial_from_source(s: StructuredSource) -> InteriorMap:
     per_arm = [initial_interior(g, space) for g, space in s.arms]
     if not per_arm:
         return least(s.domain)
-    ground = s.domain
-
-    def rule(u):
-        return ground.join_values(i.apply_values(u) for i in per_arm)
-
-    return InteriorMap.from_rule(ground, rule, validate=True)
+    return join_interiors(per_arm)
 
 
 # -- initiality verification ----------------------------------------------------

@@ -6,6 +6,12 @@ complete lattice under the pointwise order; the identity is the largest
 element and the corrected least element sends everything except top to
 bottom.
 
+A map is stored as one tuple of positions in the ground's powerset index:
+entry a is the position of the image of the a-th value tuple.  That tuple
+is the map's identity (its signature), and every check and lattice
+operation here works on positions; value tuples are read and written only
+at the API's edge.
+
 The least operator deliberately deviates from the traditional display that
 maps every nonzero set to top: that version is not contractive (witness any
 u strictly between the bounds), and a regression test keeps the corrected
@@ -16,18 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    GroundMismatch,
-    GroundTooLarge,
-    NotGLGround,
-    TopMissingFromTopology,
-)
+from .errors import CarrierMismatch, GroundMismatch, NotGLGround, TopMissingFromTopology
 from .monoid import GLMonoid
 from .powerset import FuzzySet, Ground, Verdict, powerset
-
-#: Tables are materialized below this powerset size; above it, maps stay
-#: rule-backed and exhaustive predicates refuse to run.
-MATERIALIZATION_LIMIT = 4096
 
 #: Full subset enumeration limit for the fully-productive predicate.
 FULL_SUBSET_LIMIT = 4096
@@ -37,28 +34,23 @@ class InteriorMap:
     """A total map L^X -> L^X satisfying contraction, monotonicity and
     preservation of the constant-top set.
 
-    Backed by a materialized table when the powerset is small enough,
-    otherwise by the defining rule.
+    ``images[a]`` is the index position of the image of the a-th value
+    tuple of the ground; the constructor trusts it, ``from_table`` and
+    ``from_rule`` check the axioms unless told not to.
     """
 
-    __slots__ = ("ground", "_table", "_rule", "_sig")
+    __slots__ = ("ground", "images")
 
-    def __init__(self, ground: Ground, table=None, rule=None):
+    def __init__(self, ground: Ground, images: tuple[int, ...]):
         self.ground = ground
-        self._table = table
-        self._rule = rule
-        self._sig = None
+        self.images = images
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_table(cls, ground: Ground, mapping, *, validate: bool = True) -> "InteriorMap":
-        table = {}
-        for u, iu in mapping.items() if hasattr(mapping, "items") else mapping:
-            uv = u.values if isinstance(u, FuzzySet) else tuple(u)
-            iv = iu.values if isinstance(iu, FuzzySet) else tuple(iu)
-            table[uv] = iv
-        imap = cls(ground, table=table)
+        """From {u: i(u)} or (u, i(u)) pairs of value tuples or fuzzy sets."""
+        imap = cls(ground, tuple(_positions(ground, _value_table(mapping).__getitem__)))
         if validate:
             verdict = check_interior_axioms(ground, imap)
             if not verdict:
@@ -66,25 +58,17 @@ class InteriorMap:
         return imap
 
     @classmethod
-    def from_rule(
-        cls,
-        ground: Ground,
-        rule,
-        *,
-        validate: bool = True,
-        limit: int = MATERIALIZATION_LIMIT,
-    ) -> "InteriorMap":
-        if ground.set_count() <= limit:
-            table = {u: tuple(rule(u)) for u in ground.all_value_tuples()}
-            return cls.from_table(ground, table.items(), validate=validate)
-        return cls(ground, rule=rule)
+    def from_rule(cls, ground: Ground, rule, *, validate: bool = True) -> "InteriorMap":
+        """From a function on value tuples, called once per tuple in order."""
+        return cls.from_table(
+            ground, ((u, tuple(rule(u))) for u in ground.all_value_tuples()), validate=validate
+        )
 
     # -- evaluation ---------------------------------------------------------
 
     def apply_values(self, values: tuple) -> tuple:
-        if self._table is not None:
-            return self._table[values]
-        return tuple(self._rule(values))
+        index = self.ground.index
+        return index.values[self.images[index.position[values]]]
 
     def apply(self, u: FuzzySet) -> FuzzySet:
         if u.ground != self.ground:
@@ -94,85 +78,105 @@ class InteriorMap:
     __call__ = apply
 
     def table(self) -> dict:
-        if self._table is None:
-            if self.ground.set_count() > MATERIALIZATION_LIMIT:
-                raise GroundTooLarge(self.ground.set_count(), MATERIALIZATION_LIMIT)
-            self._table = {u: tuple(self._rule(u)) for u in self.ground.all_value_tuples()}
-        return self._table
+        values = self.ground.index.values
+        return {u: values[i] for u, i in zip(values, self.images)}
 
     def signature(self) -> tuple:
-        """Images in lexicographic input order; canonical identity."""
-        if self._sig is None:
-            self._sig = tuple(self.apply_values(u) for u in self.ground.all_value_tuples())
-        return self._sig
+        """Image positions in index order; the map's canonical identity."""
+        return self.images
 
     def __eq__(self, other):
         if not isinstance(other, InteriorMap):
             return NotImplemented
-        return self.ground == other.ground and self.signature() == other.signature()
+        return self.ground == other.ground and self.images == other.images
 
     def __hash__(self):
-        return hash(self.signature())
+        return hash(self.images)
 
     def __repr__(self):
         return f"InteriorMap(ground={len(self.ground.points)} points, {len(self.ground.lattice)} values)"
 
 
-# -- axiom checking ----------------------------------------------------------
-
-def _as_rule(ground: Ground, candidate):
-    if isinstance(candidate, InteriorMap):
-        return candidate.apply_values
-    if callable(candidate):
-        return lambda u: tuple(candidate(u))
+def _value_table(mapping) -> dict:
     table = {}
-    for u, iu in candidate.items() if hasattr(candidate, "items") else candidate:
+    for u, iu in mapping.items() if hasattr(mapping, "items") else mapping:
         uv = u.values if isinstance(u, FuzzySet) else tuple(u)
         iv = iu.values if isinstance(iu, FuzzySet) else tuple(iu)
         table[uv] = iv
-    return table.__getitem__
+    return table
+
+
+# -- axiom checking ----------------------------------------------------------
+
+def _positions(ground: Ground, image_of):
+    """Index positions of ``image_of(u)`` for the value tuples u in index
+    order, produced lazily: a rule runs only as far as it is consumed."""
+    position = ground.index.position
+    for u in ground.index.values:
+        image = image_of(u)
+        if image not in position:
+            raise CarrierMismatch(f"image {image} of {u} is not a value tuple on this ground")
+        yield position[image]
+
+
+def _image_positions(ground: Ground, candidate):
+    if isinstance(candidate, InteriorMap):
+        if candidate.ground != ground:
+            raise GroundMismatch("interior map lives on a different ground")
+        return iter(candidate.images)
+    if callable(candidate):
+        return _positions(ground, lambda u: tuple(candidate(u)))
+    return _positions(ground, _value_table(candidate).__getitem__)
 
 
 def check_interior_axioms(ground: Ground, candidate) -> Verdict:
     """First violated axiom with witness, scanning contraction, then the
-    top condition, then monotonicity over all pairs."""
-    rule = _as_rule(ground, candidate)
-    lat = ground.lattice
-    checked = 0
-    images = {}
-    for u in ground.all_value_tuples():
-        images[u] = rule(u)
-        checked += 1
-        if not ground.leq_values(images[u], u):
-            return Verdict(
-                ok=False,
-                prop="interior-axioms",
-                witness={"axiom": "I1", "u": _name_values(ground, u), "image": _name_values(ground, images[u])},
-                checked=checked,
-            )
-    top = (lat.top,) * len(ground.points)
+    top condition, then monotonicity over all pairs.
+
+    ``candidate`` is an InteriorMap, a rule on value tuples, or a table.
+    Monotonicity holds exactly when it holds along every cover edge of
+    L^X, so only the edges are tested; a failing map is then scanned pair
+    by pair for the first violating (u, v), and ``checked`` counts the
+    pairs that scan reaches (all N^2 of them when the map passes).
+    """
+    index = ground.index
+    down = index.down
+
+    def fail(axiom, checked, **at):
+        named = {key: _name_values(ground, index.values[a]) for key, a in at.items()}
+        return Verdict(ok=False, prop="interior-axioms", witness={"axiom": axiom, **named}, checked=checked)
+
+    images = []
+    for a, image in enumerate(_image_positions(ground, candidate)):
+        images.append(image)
+        if not down[a] >> image & 1:
+            return fail("I1", a + 1, u=a, image=image)
+    n = len(images)
+    top = n - 1  # the last position in a linear extension
     if images[top] != top:
-        return Verdict(
-            ok=False,
-            prop="interior-axioms",
-            witness={"axiom": "I3", "image": _name_values(ground, images[top])},
-            checked=checked,
-        )
-    for u, iu in images.items():
-        for v, iv in images.items():
-            checked += 1
-            if ground.leq_values(u, v) and not ground.leq_values(iu, iv):
-                return Verdict(
-                    ok=False,
-                    prop="interior-axioms",
-                    witness={
-                        "axiom": "I2",
-                        "u": _name_values(ground, u),
-                        "v": _name_values(ground, v),
-                    },
-                    checked=checked,
-                )
-    return Verdict(ok=True, prop="interior-axioms", witness=None, checked=checked)
+        return fail("I3", n, image=images[top])
+    for a, covers in enumerate(index.covers):
+        below = down[images[a]]
+        for c in covers:
+            if not below >> images[c] & 1:
+                u, v = _first_unordered_pair(index, images)
+                return fail("I2", n + u * n + v + 1, u=u, v=v)
+    return Verdict(ok=True, prop="interior-axioms", witness=None, checked=n + n * n)
+
+
+def _first_unordered_pair(index, images: list) -> tuple[int, int]:
+    """The first positions (a, b) of a non-monotone map, in index order and
+    b ascending within a, with a below b but images[a] not below images[b]."""
+    up = index.up
+    for a, image in enumerate(images):
+        rest = up[a]
+        while rest:
+            low = rest & -rest
+            b = low.bit_length() - 1
+            if not up[image] >> images[b] & 1:
+                return a, b
+            rest ^= low
+    raise AssertionError("a cover edge failed but no pair does")
 
 
 def _name_values(ground: Ground, values: tuple) -> dict:
@@ -184,17 +188,15 @@ def _name_values(ground: Ground, values: tuple) -> dict:
 
 def discrete(ground: Ground) -> InteriorMap:
     """The identity: the largest interior map on the ground."""
-    return InteriorMap.from_rule(ground, lambda u: u, validate=False)
+    return InteriorMap(ground, tuple(range(ground.set_count())))
 
 
 def least(ground: Ground) -> InteriorMap:
     """The smallest interior map: top stays top, everything else drops to
     bottom.  (Sending every nonzero set to top instead would break
     contraction.)"""
-    lat = ground.lattice
-    top = (lat.top,) * len(ground.points)
-    bot = (lat.bottom,) * len(ground.points)
-    return InteriorMap.from_rule(ground, lambda u: top if u == top else bot, validate=False)
+    top = ground.set_count() - 1
+    return InteriorMap(ground, (0,) * top + (top,))
 
 
 def literal_trivial_rule(ground: Ground):
@@ -232,56 +234,50 @@ def _combine(family, how: str) -> InteriorMap:
     for i in family[1:]:
         if i.ground != ground:
             raise GroundMismatch("family members live on different grounds")
-    fold = ground.join_values if how == "join" else ground.meet_values
-
-    def rule(u):
-        return fold(i.apply_values(u) for i in family)
-
-    return InteriorMap.from_rule(ground, rule, validate=True)
+    index = ground.index
+    fold = index.join if how == "join" else index.meet
+    combined = InteriorMap(ground, tuple(fold(column) for column in zip(*(i.images for i in family))))
+    verdict = check_interior_axioms(ground, combined)
+    if not verdict:
+        raise ValueError(f"not an interior map: {verdict.witness}")
+    return combined
 
 
 # -- derived predicates -------------------------------------------------------
 
-def _require_bounded(i: InteriorMap) -> None:
-    if i.ground.set_count() > MATERIALIZATION_LIMIT:
-        raise GroundTooLarge(i.ground.set_count(), MATERIALIZATION_LIMIT)
-
-
 def is_idempotent(i: InteriorMap) -> Verdict:
-    _require_bounded(i)
-    checked = 0
-    for u in i.ground.all_value_tuples():
-        checked += 1
-        iu = i.apply_values(u)
-        if i.apply_values(iu) != iu:
+    values = i.ground.index.values
+    images = i.images
+    for a, image in enumerate(images):
+        if images[image] != image:
             return Verdict(
                 ok=False,
                 prop="idempotent",
-                witness={"u": _name_values(i.ground, u)},
-                checked=checked,
+                witness={"u": _name_values(i.ground, values[a])},
+                checked=a + 1,
             )
-    return Verdict(ok=True, prop="idempotent", witness=None, checked=checked)
+    return Verdict(ok=True, prop="idempotent", witness=None, checked=len(images))
 
 
 def is_productive(i: InteriorMap) -> Verdict:
     """Binary meets pass through the map."""
-    _require_bounded(i)
     ground = i.ground
-    checked = 0
-    tuples = list(ground.all_value_tuples())
-    for u in tuples:
-        iu = i.apply_values(u)
-        for v in tuples:
-            checked += 1
-            m = ground.meet_values((u, v))
-            if i.apply_values(m) != ground.meet_values((iu, i.apply_values(v))):
+    index = ground.index
+    images = i.images
+    n = len(images)
+    for a in range(n):
+        for b in range(n):
+            if images[index.meet((a, b))] != index.meet((images[a], images[b])):
                 return Verdict(
                     ok=False,
                     prop="productive",
-                    witness={"u": _name_values(ground, u), "v": _name_values(ground, v)},
-                    checked=checked,
+                    witness={
+                        "u": _name_values(ground, index.values[a]),
+                        "v": _name_values(ground, index.values[b]),
+                    },
+                    checked=a * n + b + 1,
                 )
-    return Verdict(ok=True, prop="productive", witness=None, checked=checked)
+    return Verdict(ok=True, prop="productive", witness=None, checked=n * n)
 
 
 def is_fully_productive(i: InteriorMap) -> Verdict:
@@ -292,23 +288,22 @@ def is_fully_productive(i: InteriorMap) -> Verdict:
     family decide the property (finite meets fold from binary ones, and the
     empty meet is the top condition).
     """
-    _require_bounded(i)
     ground = i.ground
-    tuples = list(ground.all_value_tuples())
-    if 2 ** len(tuples) > FULL_SUBSET_LIMIT:
+    index = ground.index
+    images = i.images
+    if 2 ** len(images) > FULL_SUBSET_LIMIT:
         binary = is_productive(i)
         if not binary:
             return Verdict(False, "fully-productive", binary.witness, binary.checked)
         return Verdict(True, "fully-productive", None, binary.checked)
     checked = 0
-    for family in powerset(tuples):
+    for family in powerset(range(len(images))):
         checked += 1
-        m = ground.meet_values(family)
-        if i.apply_values(m) != ground.meet_values(i.apply_values(u) for u in family):
+        if images[index.meet(family)] != index.meet(images[a] for a in family):
             return Verdict(
                 ok=False,
                 prop="fully-productive",
-                witness={"family": [_name_values(ground, u) for u in family]},
+                witness={"family": [_name_values(ground, index.values[a]) for a in family]},
                 checked=checked,
             )
     return Verdict(ok=True, prop="fully-productive", witness=None, checked=checked)
@@ -316,10 +311,8 @@ def is_fully_productive(i: InteriorMap) -> Verdict:
 
 def open_sets(i: InteriorMap) -> frozenset:
     """Fixed points of the map; always contains both constants."""
-    _require_bounded(i)
-    return frozenset(
-        FuzzySet(i.ground, u) for u in i.ground.all_value_tuples() if i.apply_values(u) == u
-    )
+    values = i.ground.index.values
+    return frozenset(FuzzySet(i.ground, values[a]) for a, image in enumerate(i.images) if image == a)
 
 
 # -- topologies ---------------------------------------------------------------

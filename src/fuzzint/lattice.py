@@ -45,9 +45,12 @@ class FiniteLattice:
     distributive: bool
     distributivity_witness: tuple[str, str, str] | None
     _index: dict = field(default=None, init=False, repr=False, compare=False)
+    #: Every index, listed in a linear extension of the order.
+    ascending: tuple[int, ...] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
+        object.__setattr__(self, "ascending", _linear_extension(self.leq))
         object.__setattr__(self, "_hash", hash((self.elements, self.leq)))
 
     def __hash__(self):
@@ -118,6 +121,21 @@ class FiniteLattice:
             if self.meet2[self.join2[a][b]][c] != self.join2[self.meet2[a][c]][self.meet2[b][c]]:
                 return (self.elements[a], self.elements[b], self.elements[c])
         return None
+
+
+def _linear_extension(leq) -> tuple[int, ...]:
+    """Indices ordered so that each follows every element below it.
+
+    The smallest index whose lower elements are all listed comes next, so
+    an index order that already extends the order is kept as it is.
+    """
+    order: list[int] = []
+    rest = list(range(len(leq)))
+    while rest:
+        a = next(a for a in rest if not any(leq[b][a] for b in rest if b != a))
+        order.append(a)
+        rest.remove(a)
+    return tuple(order)
 
 
 def _lub(leq, candidates, i, j):

@@ -14,17 +14,23 @@ finite instance and returns a witness pair if it fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, product
 
 from .errors import (
     AdjointConditionFailed,
     CarrierMismatch,
+    GroundTooLarge,
     JoinNotPreserved,
     TensorNotPreserved,
     TopNotPreserved,
     UnknownElement,
 )
 from .monoid import CQML
+
+#: Largest fuzzy powerset a ground indexes; exhaustive checks on interior
+#: maps refuse larger grounds.
+MATERIALIZATION_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,11 @@ class Ground:
         if not isinstance(other, Ground):
             return NotImplemented
         return self.points == other.points and self.algebra == other.algebra
+
+    @cached_property
+    def index(self) -> "PowersetIndex":
+        """The positions of L^X, built on first use."""
+        return PowersetIndex(self)
 
     @property
     def lattice(self):
@@ -85,8 +96,9 @@ class Ground:
         return FuzzySet(self, (self.lattice.bottom,) * len(self.points))
 
     def all_value_tuples(self):
-        """All of L^X in lexicographic index order (a linear extension)."""
-        return product(range(len(self.lattice)), repeat=len(self.points))
+        """All of L^X, lexicographically over ``lattice.ascending``: a
+        linear extension of the pointwise order."""
+        return product(self.lattice.ascending, repeat=len(self.points))
 
     def all_sets(self):
         for vals in self.all_value_tuples():
@@ -109,6 +121,73 @@ class Ground:
         for t in tuples:
             acc = [m2[a][b] for a, b in zip(acc, t)]
         return tuple(acc)
+
+
+class PowersetIndex:
+    """L^X as the positions 0..N-1 of its value tuples.
+
+    ``values`` lists the tuples in the order of ``Ground.all_value_tuples``
+    and ``position`` inverts it.  ``up[a]`` and ``down[a]`` are bitmasks
+    of the positions above and below position a, and ``covers[a]`` holds
+    its lower covers: one lattice cover step down in one coordinate.  The
+    order is a linear extension, so the least of a set of upper bounds has
+    the lowest position: a join is the lowest set bit of the AND of the
+    upsets, and a meet the highest set bit of the AND of the downsets.
+    """
+
+    __slots__ = ("values", "position", "up", "down", "covers")
+
+    def __init__(self, ground: Ground):
+        size = ground.set_count()
+        if size > MATERIALIZATION_LIMIT:
+            raise GroundTooLarge(size, MATERIALIZATION_LIMIT)
+        leq = ground.lattice.leq
+        span = range(len(leq))
+        width = range(len(ground.points))
+        self.values = tuple(ground.all_value_tuples())
+        self.position = {u: a for a, u in enumerate(self.values)}
+        full = (1 << size) - 1
+
+        def bitmasks(related):
+            # per position a: the positions b with related(a_k, b_k) at every k
+            per_coordinate = [
+                [int("".join("1" if related(x, u[k]) else "0" for u in reversed(self.values)), 2) for x in span]
+                for k in width
+            ]
+            masks = []
+            for u in self.values:
+                mask = full
+                for k in width:
+                    mask &= per_coordinate[k][u[k]]
+                masks.append(mask)
+            return masks
+
+        self.up = bitmasks(lambda x, y: leq[x][y])
+        self.down = bitmasks(lambda x, y: leq[y][x])
+        lower_covers = [
+            [c for c in span if c != x and leq[c][x] and not any(
+                d not in (c, x) and leq[c][d] and leq[d][x] for d in span
+            )]
+            for x in span
+        ]
+        self.covers = [
+            tuple(self.position[u[:k] + (c,) + u[k + 1:]] for k in width for c in lower_covers[u[k]])
+            for u in self.values
+        ]
+
+    def join(self, elements) -> int:
+        """Position of the join of a family of positions; bottom when empty."""
+        common = self.up[0]
+        for a in elements:
+            common &= self.up[a]
+        return (common & -common).bit_length() - 1
+
+    def meet(self, elements) -> int:
+        """Position of the meet of a family of positions; top when empty."""
+        common = self.down[-1]
+        for a in elements:
+            common &= self.down[a]
+        return common.bit_length() - 1
 
 
 @dataclass(frozen=True)

@@ -54,11 +54,12 @@ CHUNK = 256
 class SearchBounds:
     """Budget for the enumeration suites.
 
-    ``max_tables`` caps the a-priori estimate of interior tables on any
-    single ground (the product of downset sizes); ``operator_sample`` is
-    how many interior maps per ground the cross-product suites combine
-    (the least and discrete maps are always in the sample, the rest is an
-    even stride through the full enumeration).
+    ``max_tables`` caps the interior maps streamed on any single ground:
+    the enumeration raises as soon as it would yield one more.
+    ``operator_sample`` is how many interior maps per ground the
+    cross-product suites combine (the least and discrete maps are always
+    in the sample, the rest is an even stride through the full
+    enumeration).
     """
 
     max_carrier: int = 2
@@ -130,64 +131,48 @@ def grounds_within(bounds: SearchBounds):
 
 # ------------------------------------------------- interior map enumeration
 
-def estimate_operator_tables(ground: Ground) -> int:
-    """Product of downset sizes: the contraction-constrained table space."""
-    tuples = list(ground.all_value_tuples())
-    top = tuples[-1]
-    total = 1
-    for u in tuples:
-        if u == top:
-            continue
-        total *= sum(1 for v in tuples if ground.leq_values(v, u))
-    return total
-
-
 def enumerate_interior_maps(ground: Ground, bounds: SearchBounds | None = None):
     """Stream every interior map on the ground exactly once.
 
-    Tables are generated over the lexicographic linear extension of L^X
-    with candidates constrained between the join of already-assigned
-    predecessors and the argument itself, so monotonicity violations prune
-    whole suffixes.  Order is deterministic.
+    Images are assigned position by position along the ground's index, a
+    linear extension of L^X.  The candidates for an argument lie below it
+    and above the images already given to its lower covers (the AND of
+    their upsets is the upset of their join), so a monotonicity violation
+    prunes its whole suffix; the top stays fixed.  Order is deterministic:
+    depth first, ascending candidate positions.  Yielding more than
+    ``bounds.max_tables`` maps raises ``BoundsExceeded``.
     """
-    bounds = bounds or SearchBounds()
-    estimate = estimate_operator_tables(ground)
-    if estimate > bounds.max_tables:
-        raise BoundsExceeded(
-            f"estimated {estimate} candidate tables on this ground, budget {bounds.max_tables}"
-        )
-    tuples = list(ground.all_value_tuples())
-    n = len(tuples)
-    top = tuples[-1]
-    downs = {u: [v for v in tuples if ground.leq_values(v, u)] for u in tuples}
-    preds = [
-        [j for j in range(i) if ground.leq_values(tuples[j], tuples[i])]
-        for i in range(n)
-    ]
-    assign: list = [None] * n
-
-    def emit():
-        table = {tuples[i]: assign[i] for i in range(n)}
-        return InteriorMap.from_table(ground, table.items(), validate=False)
-
-    def backtrack(i):
-        if i == n:
-            yield emit()
-            return
-        u = tuples[i]
-        if u == top:
-            assign[i] = top
-            yield from backtrack(i + 1)
-            assign[i] = None
-            return
-        lower = ground.join_values(assign[j] for j in preds[i])
-        for w in downs[u]:
-            if ground.leq_values(lower, w):
-                assign[i] = w
-                yield from backtrack(i + 1)
-        assign[i] = None
-
-    yield from backtrack(0)
+    cap = (bounds or SearchBounds()).max_tables
+    index = ground.index
+    up, down, covers = index.up, index.down, index.covers
+    top = len(index.values) - 1
+    assign = [0] * (top + 1)
+    pending = [0] * (top + 1)  # untried candidates per position, as a bitmask
+    pending[0] = down[0]
+    emitted = 0
+    i = 0
+    while i >= 0:
+        options = pending[i]
+        if not options:
+            i -= 1
+            continue
+        low = options & -options
+        pending[i] = options ^ low
+        assign[i] = low.bit_length() - 1
+        if i < top:
+            i += 1
+            if i == top:
+                pending[i] = 1 << top
+                continue
+            options = down[i]
+            for c in covers[i]:
+                options &= up[assign[c]]
+            pending[i] = options
+            continue
+        if emitted == cap:
+            raise BoundsExceeded(f"more than {cap} interior maps on this ground")
+        emitted += 1
+        yield InteriorMap(ground, tuple(assign))
 
 
 def count_interior_maps(ground: Ground, bounds: SearchBounds | None = None) -> int:
@@ -204,11 +189,6 @@ def interior_sample(ground: Ground, bounds: SearchBounds):
         return maps
     idx = sorted({round(k * (len(maps) - 1) / (cap - 1)) for k in range(cap)})
     return [maps[i] for i in idx]
-
-
-def _map_from_signature(ground: Ground, sig) -> InteriorMap:
-    table = dict(zip(ground.all_value_tuples(), (tuple(v) for v in sig)))
-    return InteriorMap.from_table(ground, table.items(), validate=False)
 
 
 # ---------------------------------------------------------- search context
@@ -244,7 +224,7 @@ class SearchContext:
         """The prepared arm and the table of its initial interior."""
         key = (g, sig)
         if key not in self._arms:
-            target = VBSpace(g.cod, _map_from_signature(g.cod, sig))
+            target = VBSpace(g.cod, InteriorMap(g.cod, sig))
             self._arms[key] = (Arm(g, target), initial_interior(g, target).table())
         return self._arms[key]
 
@@ -273,7 +253,7 @@ def _case_morphism(part) -> GroundMorphism:
 
 
 def _interior_doc(ground: Ground, sig) -> dict:
-    return fio.interior_to_json(_map_from_signature(ground, sig))
+    return fio.interior_to_json(InteriorMap(ground, sig))
 
 
 def _case_interior_sig(part) -> tuple:
@@ -344,14 +324,10 @@ def _check_operator_lattice(case: dict, ctx: SearchContext):
     else:
         ground = _case_ground(case["ground"])
         members = [_case_interior_sig(m) for m in case["members"]]
-    maps = [_map_from_signature(ground, sig) for sig in members]
-    for how in ("join", "meet"):
-        fold = ground.join_values if how == "join" else ground.meet_values
-
-        def rule(u):
-            return fold(i.apply_values(u) for i in maps)
-
-        verdict = check_interior_axioms(ground, rule)
+    index = ground.index
+    for how, fold in (("join", index.join), ("meet", index.meet)):
+        combined = InteriorMap(ground, tuple(fold(column) for column in zip(*members)))
+        verdict = check_interior_axioms(ground, combined)
         if not verdict.ok:
             return {"operation": how, **verdict.witness}
     return None
@@ -414,8 +390,8 @@ def _check_composition(case: dict, ctx: SearchContext):
         g1 = _case_morphism(case["first"])
         g2 = _case_morphism(case["second"])
         sigs = [_case_interior_sig(s) for s in case["interiors"]]
-        src = VBSpace(g1.dom, _map_from_signature(g1.dom, sigs[0]))
-        dst = VBSpace(g2.cod, _map_from_signature(g2.cod, sigs[2]))
+        src = VBSpace(g1.dom, InteriorMap(g1.dom, sigs[0]))
+        dst = VBSpace(g2.cod, InteriorMap(g2.cod, sigs[2]))
     test = is_open_morphism if case["open"] else is_continuous
     verdict = test(compose(g2, g1), src, dst)
     return None if verdict.ok else verdict.witness
@@ -446,7 +422,7 @@ def _check_open_preimage(case: dict, ctx: SearchContext):
         g, src, dst, v = case["_data"]
     else:
         g = _case_morphism(case["morphism"])
-        src = VBSpace(g.dom, _map_from_signature(g.dom, _case_interior_sig(case["src"])))
+        src = VBSpace(g.dom, InteriorMap(g.dom, _case_interior_sig(case["src"])))
         v = fio.fuzzyset_from_json(case["v"])
     w = vb_backward(g, v)
     if src.interior.apply_values(w.values) != w.values:
@@ -580,7 +556,7 @@ def _check_preservation(case: dict, predicate):
     else:
         g = _case_morphism(case["morphism"])
         sig = _case_interior_sig(case["interior"])
-    target = VBSpace(g.cod, _map_from_signature(g.cod, sig))
+    target = VBSpace(g.cod, InteriorMap(g.cod, sig))
     lifted = initial_interior(g, target)
     verdict = predicate(lifted)
     return None if verdict.ok else verdict.witness

@@ -142,3 +142,69 @@ def naive_verify_initiality(s, lift, test_grounds) -> str | None:
                 if g_cont != comp_cont:
                     return "if" if g_cont else "only-if"
     return None
+
+
+def naive_check_interior_axioms(ground, candidate):
+    """The interior axioms over value tuples, monotonicity by a scan of all
+    N^2 pairs in index order (oracle for the cover-edge check)."""
+    from fuzzint.interior import InteriorMap
+    from fuzzint.powerset import FuzzySet, Verdict
+
+    if isinstance(candidate, InteriorMap):
+        rule = candidate.apply_values
+    elif callable(candidate):
+        rule = lambda u: tuple(candidate(u))  # noqa: E731
+    else:
+        table = {}
+        for u, iu in candidate.items() if hasattr(candidate, "items") else candidate:
+            uv = u.values if isinstance(u, FuzzySet) else tuple(u)
+            table[uv] = iu.values if isinstance(iu, FuzzySet) else tuple(iu)
+        rule = table.__getitem__
+    name = lambda vals: {x: ground.lattice.name(v) for x, v in zip(ground.points, vals)}  # noqa: E731
+    checked = 0
+    images = {}
+    for u in ground.all_value_tuples():
+        images[u] = rule(u)
+        checked += 1
+        if not ground.leq_values(images[u], u):
+            witness = {"axiom": "I1", "u": name(u), "image": name(images[u])}
+            return Verdict(False, "interior-axioms", witness, checked)
+    top = (ground.lattice.top,) * len(ground.points)
+    if images[top] != top:
+        return Verdict(False, "interior-axioms", {"axiom": "I3", "image": name(images[top])}, checked)
+    for u, iu in images.items():
+        for v, iv in images.items():
+            checked += 1
+            if ground.leq_values(u, v) and not ground.leq_values(iu, iv):
+                witness = {"axiom": "I2", "u": name(u), "v": name(v)}
+                return Verdict(False, "interior-axioms", witness, checked)
+    return Verdict(True, "interior-axioms", None, checked)
+
+
+def naive_enumerate_interior_maps(ground):
+    """Interior maps by backtracking over value tuples: candidates below the
+    argument and above the join of every assigned predecessor, in index
+    order.  Yields each map's images as value tuples (oracle)."""
+    tuples = list(ground.all_value_tuples())
+    n = len(tuples)
+    top = tuples[-1]
+    downs = {u: [v for v in tuples if ground.leq_values(v, u)] for u in tuples}
+    preds = [[j for j in range(i) if ground.leq_values(tuples[j], tuples[i])] for i in range(n)]
+    assign = [None] * n
+
+    def backtrack(i):
+        if i == n:
+            yield tuple(assign)
+            return
+        u = tuples[i]
+        if u == top:
+            assign[i] = top
+            yield from backtrack(i + 1)
+            return
+        lower = ground.join_values(assign[j] for j in preds[i])
+        for w in downs[u]:
+            if ground.leq_values(lower, w):
+                assign[i] = w
+                yield from backtrack(i + 1)
+
+    yield from backtrack(0)

@@ -1,6 +1,6 @@
 import pytest
 
-from fuzzint.errors import GroundMismatch, NotGLGround, TopMissingFromTopology
+from fuzzint.errors import CarrierMismatch, GroundMismatch, NotGLGround, TopMissingFromTopology
 from fuzzint.interior import (
     InteriorMap,
     check_interior_axioms,
@@ -61,6 +61,14 @@ def test_top_violation(one_point_c3):
     verdict = check_interior_axioms(one_point_c3, table)
     assert not verdict.ok
     assert verdict.witness["axiom"] == "I3"
+
+
+def test_image_outside_the_powerset_rejected(one_point_c3):
+    table = {(0,): (0,), (1,): (0, 0), (2,): (2,)}
+    with pytest.raises(CarrierMismatch):
+        InteriorMap.from_table(one_point_c3, table)
+    with pytest.raises(CarrierMismatch):
+        check_interior_axioms(one_point_c3, table)
 
 
 # -- discrete / least / literal trivial ------------------------------------------
