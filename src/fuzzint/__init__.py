@@ -63,7 +63,6 @@ from .search import (
     count_interior_maps,
     enumerate_interior_maps,
     replay,
-    search,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,6 +17,11 @@ operator, which is not continuous into the discrete target).  A regression
 property keeps that corrected polarity honest, mirroring the corrected
 least operator.
 
+Every check here works on powerset index positions: an interior map is a
+tuple of image positions, a morphism's backward operator another
+(``GroundMorphism.backward``), and the order is one downset bitmask per
+position.  Value tuples and element names appear only in witnesses.
+
 ``verify_initiality`` checks the defining universal property extensionally:
 a morphism from any bounded test space is continuous into the lift exactly
 when all composites are continuous.  The quantifier over test interiors is
@@ -39,8 +44,7 @@ from .powerset import (
     GroundMorphism,
     Verdict,
     all_morphisms,
-    vb_backward,
-    vb_right_adjoint,
+    right_adjoint_values,
 )
 
 
@@ -76,39 +80,36 @@ class StructuredSource:
 def is_continuous(g: GroundMorphism, src: VBSpace, dst: VBSpace) -> Verdict:
     """Backward of the target interior below the source interior of backward,
     for every fuzzy set on the codomain."""
-    _check_ends(g, src, dst)
-    checked = 0
-    for v in dst.ground.all_sets():
-        checked += 1
-        lhs = vb_backward(g, dst.interior.apply(v))
-        rhs = src.interior.apply(vb_backward(g, v))
-        if not lhs.leq(rhs):
-            return Verdict(
-                ok=False,
-                prop="continuity",
-                witness={"v": v.as_dict(), "lhs": lhs.as_dict(), "rhs": rhs.as_dict()},
-                checked=checked,
-            )
-    return Verdict(ok=True, prop="continuity", witness=None, checked=checked)
+    return _scan(g, src, dst, "continuity")
 
 
 def is_open_morphism(g: GroundMorphism, src: VBSpace, dst: VBSpace) -> Verdict:
     """The reverse inequality: source interior of backward below backward of
     the target interior."""
+    return _scan(g, src, dst, "openness")
+
+
+def _scan(g: GroundMorphism, src: VBSpace, dst: VBSpace, prop: str) -> Verdict:
+    """The first codomain position b at which backward(dst(b)) and
+    src(backward(b)) are out of order: the first below the second for
+    continuity, the second below the first for openness."""
     _check_ends(g, src, dst)
-    checked = 0
-    for v in dst.ground.all_sets():
-        checked += 1
-        lhs = src.interior.apply(vb_backward(g, v))
-        rhs = vb_backward(g, dst.interior.apply(v))
-        if not lhs.leq(rhs):
-            return Verdict(
-                ok=False,
-                prop="openness",
-                witness={"v": v.as_dict(), "lhs": lhs.as_dict(), "rhs": rhs.as_dict()},
-                checked=checked,
-            )
-    return Verdict(ok=True, prop="openness", witness=None, checked=checked)
+    bw, inner, outer = g.backward, src.interior.images, dst.interior.images
+    down = g.dom.index.down
+    reverse = prop == "openness"
+    for b, image in enumerate(outer):
+        lhs, rhs = bw[image], inner[bw[b]]
+        if reverse:
+            lhs, rhs = rhs, lhs
+        if not down[rhs] >> lhs & 1:
+            values = g.dom.index.values
+            witness = {
+                "v": g.cod.named(g.cod.index.values[b]),
+                "lhs": g.dom.named(values[lhs]),
+                "rhs": g.dom.named(values[rhs]),
+            }
+            return Verdict(ok=False, prop=prop, witness=witness, checked=b + 1)
+    return Verdict(ok=True, prop=prop, witness=None, checked=len(outer))
 
 
 def _check_ends(g: GroundMorphism, src: VBSpace, dst: VBSpace) -> None:
@@ -141,13 +142,10 @@ def initial_interior(g: GroundMorphism, target: VBSpace) -> InteriorMap:
     """
     if g.cod != target.ground:
         raise GroundMismatch("morphism codomain differs from the target space")
-    ground = g.dom
-
-    def rule(u):
-        lifted = vb_right_adjoint(g, FuzzySet(ground, u))
-        return vb_backward(g, target.interior.apply(lifted)).values
-
-    return InteriorMap.from_rule(ground, rule, validate=True)
+    position = g.cod.index.position
+    bw, images = g.backward, target.interior.images
+    ra = [position[right_adjoint_values(g, u)] for u in g.dom.index.values]
+    return InteriorMap(g.dom, tuple(bw[images[b]] for b in ra)).validated()
 
 
 def initial_from_source(s: StructuredSource) -> InteriorMap:
@@ -161,29 +159,22 @@ def initial_from_source(s: StructuredSource) -> InteriorMap:
 
 # -- initiality verification ----------------------------------------------------
 
-def continuity_constraints(g: GroundMorphism, target: VBSpace):
-    """(backward(v), backward(interior(v))) pairs; an interior i on the
-    domain makes g continuous into the target iff i dominates them all."""
-    pairs = []
-    for v in target.ground.all_sets():
-        w = vb_backward(g, v)
-        c = vb_backward(g, target.interior.apply(v))
-        pairs.append((w.values, c.values))
-    return pairs
-
-
-def backward_table(g: GroundMorphism) -> dict:
-    """Backward along ``g`` of every value tuple on its codomain."""
-    return {u: vb_backward(g, FuzzySet(g.cod, u)).values for u in g.cod.all_value_tuples()}
+def continuity_constraints(g: GroundMorphism, target: VBSpace) -> list:
+    """(backward(v), backward(interior(v))) position pairs on the domain,
+    one per codomain position v; an interior i on the domain makes g
+    continuous into the target iff c <= i(w) for every pair (w, c)."""
+    bw = g.backward
+    return [(bw[v], bw[image]) for v, image in enumerate(target.interior.images)]
 
 
 class Arm:
     """One arm (g, target space) of a structured source, prepared for
     initiality checks.
 
-    ``constraints`` are the arm's continuity constraints.  ``floor``
-    memoises, per test morphism, the constraints transported along it and
-    the least test interior above them; the memo lives as long as the arm.
+    ``constraints`` are the arm's continuity constraints, as position
+    pairs.  ``floor`` memoises, per test morphism, the constraints
+    transported along it and the least test interior above them; the memo
+    lives as long as the arm.
     """
 
     __slots__ = ("morphism", "constraints", "_floors")
@@ -193,71 +184,78 @@ class Arm:
         self.constraints = tuple(continuity_constraints(g, target))
         self._floors = {}
 
-    def floor(self, g_test: GroundMorphism, bw: dict):
-        """(least test interior table, transported pairs) along ``g_test``,
-        whose backward table is ``bw``."""
+    def floor(self, g_test: GroundMorphism):
+        """(least test interior images, transported pairs) along
+        ``g_test``, all as positions on its domain."""
         if g_test not in self._floors:
+            bw = g_test.backward
             moved = tuple((bw[w], bw[c]) for w, c in self.constraints)
             self._floors[g_test] = (_least_above(g_test.dom, moved), moved)
         return self._floors[g_test]
 
 
-def _least_above(ground: Ground, pairs) -> dict:
-    """Table of the least interior map i on the ground with c <= i(w) for
-    every pair (w, c).
+def _least_above(ground: Ground, pairs) -> tuple:
+    """Images of the least interior map i with c <= i(w) for every
+    position pair (w, c).
 
     Each c must lie below its w, as in every continuity constraint.  The
     map sends top to top and any other w to the join of the c whose w lies
     below it; it is contractive and monotone, and every interior map
     satisfying the constraints dominates it pointwise.
     """
-    top = (ground.lattice.top,) * len(ground.points)
-    table = {}
-    for w in ground.all_value_tuples():
-        lower = [c for wc, c in pairs if ground.leq_values(wc, w)]
-        table[w] = top if w == top else ground.join_values(lower)
-    return table
+    index = ground.index
+    up = index.up
+    top = len(up) - 1
+    return tuple(index.join(c for w, c in pairs if up[w] >> a & 1) for a in range(top)) + (top,)
 
 
-def initiality_violation(g_test: GroundMorphism, bw: dict, lift_pairs, arms) -> dict | None:
+def initiality_violation(g_test: GroundMorphism, lift_pairs, arms) -> dict | None:
     """Decide the universal property of a lift at one test morphism.
 
-    ``g_test`` runs from a test ground into the source domain and ``bw``
-    is its backward table; ``lift_pairs`` are the (u, lift(u)) pairs on the
-    domain and ``arms`` the source's prepared arms.  The test morphism must be continuous into the
-    lift, at a test interior, exactly when every composite through an arm
-    is.  The interiors making a family of morphisms continuous form a
-    principal filter, so each direction is decided at the least element of
-    the opposite filter: the join of the arms' floors ("only-if"), and the
-    least interior above the transported lift pairs ("if").  Returns the
-    first violation, or None.
+    ``g_test`` runs from a test ground into the source domain;
+    ``lift_pairs`` are the (u, lift(u)) position pairs on the domain and
+    ``arms`` the source's prepared arms.  The test morphism must be
+    continuous into the lift, at a test interior, exactly when every
+    composite through an arm is.  The interiors making a family of
+    morphisms continuous form a principal filter, so each direction is
+    decided at the least element of the opposite filter: the join of the
+    arms' floors ("only-if"), and the least interior above the transported
+    lift pairs ("if").  Everything is transported along
+    ``g_test.backward`` and compared as positions on the test ground.
+    Returns the first violation, or None.
     """
     z = g_test.dom
-    floors = [arm.floor(g_test, bw) for arm in arms]
+    index = z.index
+    down, bw = index.down, g_test.backward
+    floors = [arm.floor(g_test) for arm in arms]
     tables = [table for table, _ in floors] or [_least_above(z, ())]
     hard = tables[0]
     if len(tables) > 1:
-        hard = {w: z.join_values(t[w] for t in tables) for w in hard}
+        hard = tuple(index.join(column) for column in zip(*tables))
     for u, lu in lift_pairs:
         w, c = bw[u], bw[lu]
-        if not z.leq_values(c, hard[w]):
+        if not down[hard[w]] >> c & 1:
             return _violation(g_test, "only-if", w, c, hard[w])
     easy = _least_above(z, [(bw[u], bw[lu]) for u, lu in lift_pairs])
     for _, moved in floors:
         for w, c in moved:
-            if not z.leq_values(c, easy[w]):
+            if not down[easy[w]] >> c & 1:
                 return _violation(g_test, "if", w, c, easy[w])
     return None
 
 
-def _violation(g_test: GroundMorphism, direction: str, w, c, at_w) -> dict:
+def _violation(g_test: GroundMorphism, direction: str, w: int, c: int, at_w: int) -> dict:
     z = g_test.dom
-    name = lambda vals: {x: z.lattice.name(v) for x, v in zip(z.points, vals)}
+    values = z.index.values
     return {
         "test_points": list(z.points),
         "morphism": g_test.describe(),
         "direction": direction,
-        "violation": {"w": name(w), "required": name(c), "interior_at_w": name(at_w)},
+        "violation": {
+            "w": z.named(values[w]),
+            "required": z.named(values[c]),
+            "interior_at_w": z.named(values[at_w]),
+        },
     }
 
 
@@ -274,11 +272,11 @@ def verify_initiality(s: StructuredSource, lift: InteriorMap, *, test_grounds) -
     if lift.ground != s.domain:
         raise GroundMismatch("lift lives on a different ground")
     arms = [Arm(g, space) for g, space in s.arms]
-    lift_pairs = [(u, lift.apply_values(u)) for u in s.domain.all_value_tuples()]
+    lift_pairs = tuple(enumerate(lift.images))
     checked = 0
     for z_ground in test_grounds:
         for g in all_morphisms(z_ground, s.domain):
-            bad = initiality_violation(g, backward_table(g), lift_pairs, arms)
+            bad = initiality_violation(g, lift_pairs, arms)
             if bad is not None:
                 checked += 1 if bad["direction"] == "only-if" else 2
                 return Verdict(ok=False, prop="initiality", witness=bad, checked=checked)
@@ -292,21 +290,22 @@ def meet_interchange_report(g: GroundMorphism, max_family: int = 3) -> Verdict:
     Join preservation of phi_op is an axiom, meet preservation is not; this
     probe reports the first failing family of fuzzy sets, if any.
     """
-    cod_sets = list(g.cod.all_sets())
+    dom, cod = g.dom.index, g.cod.index
+    bw = g.backward
     checked = 0
     for size in range(max_family + 1):
-        for family in product(cod_sets, repeat=size):
+        for family in product(range(len(cod.values)), repeat=size):
             checked += 1
-            lhs = vb_backward(g, FuzzySet(g.cod, g.cod.meet_values(b.values for b in family)))
-            rhs_vals = g.dom.meet_values(vb_backward(g, b).values for b in family)
-            if lhs.values != rhs_vals:
+            lhs = bw[cod.meet(family)]
+            rhs = dom.meet(bw[b] for b in family)
+            if lhs != rhs:
                 return Verdict(
                     ok=False,
                     prop="meet-interchange",
                     witness={
-                        "family": [b.as_dict() for b in family],
-                        "backward_of_meet": lhs.as_dict(),
-                        "meet_of_backwards": dict(zip(g.dom.points, rhs_vals)),
+                        "family": [g.cod.named(cod.values[b]) for b in family],
+                        "backward_of_meet": g.dom.named(dom.values[lhs]),
+                        "meet_of_backwards": dict(zip(g.dom.points, dom.values[rhs])),
                     },
                     checked=checked,
                 )
@@ -340,13 +339,16 @@ def preimage_of_open_is_open(g: GroundMorphism, src: VBSpace, dst: VBSpace, v: F
     cont = is_continuous(g, src, dst)
     if not cont:
         raise NotContinuous(cont.witness)
-    if dst.interior.apply(v).values != v.values:
+    if v.ground != dst.ground:
+        raise GroundMismatch("fuzzy set belongs to a different ground")
+    b = dst.ground.index.position[v.values]
+    if dst.interior.images[b] != b:
         raise PropertyPreconditionFailed("openness of v", v.as_dict())
-    w = vb_backward(g, v)
-    ok = src.interior.apply(w).values == w.values
+    w = g.backward[b]
+    ok = src.interior.images[w] == w
     return Verdict(
         ok=ok,
         prop="open-preimage",
-        witness=None if ok else {"v": v.as_dict(), "preimage": w.as_dict()},
+        witness=None if ok else {"v": v.as_dict(), "preimage": g.dom.named(g.dom.index.values[w])},
         checked=1,
     )

@@ -51,11 +51,7 @@ class InteriorMap:
     def from_table(cls, ground: Ground, mapping, *, validate: bool = True) -> "InteriorMap":
         """From {u: i(u)} or (u, i(u)) pairs of value tuples or fuzzy sets."""
         imap = cls(ground, tuple(_positions(ground, _value_table(mapping).__getitem__)))
-        if validate:
-            verdict = check_interior_axioms(ground, imap)
-            if not verdict:
-                raise ValueError(f"not an interior map: {verdict.witness}")
-        return imap
+        return imap.validated() if validate else imap
 
     @classmethod
     def from_rule(cls, ground: Ground, rule, *, validate: bool = True) -> "InteriorMap":
@@ -63,6 +59,13 @@ class InteriorMap:
         return cls.from_table(
             ground, ((u, tuple(rule(u))) for u in ground.all_value_tuples()), validate=validate
         )
+
+    def validated(self) -> "InteriorMap":
+        """This map, once it passes the axiom check; else ValueError."""
+        verdict = check_interior_axioms(self.ground, self)
+        if not verdict:
+            raise ValueError(f"not an interior map: {verdict.witness}")
+        return self
 
     # -- evaluation ---------------------------------------------------------
 
@@ -143,7 +146,7 @@ def check_interior_axioms(ground: Ground, candidate) -> Verdict:
     down = index.down
 
     def fail(axiom, checked, **at):
-        named = {key: _name_values(ground, index.values[a]) for key, a in at.items()}
+        named = {key: ground.named(index.values[a]) for key, a in at.items()}
         return Verdict(ok=False, prop="interior-axioms", witness={"axiom": axiom, **named}, checked=checked)
 
     images = []
@@ -177,11 +180,6 @@ def _first_unordered_pair(index, images: list) -> tuple[int, int]:
                 return a, b
             rest ^= low
     raise AssertionError("a cover edge failed but no pair does")
-
-
-def _name_values(ground: Ground, values: tuple) -> dict:
-    lat = ground.lattice
-    return {x: lat.name(v) for x, v in zip(ground.points, values)}
 
 
 # -- the operator lattice ----------------------------------------------------
@@ -236,11 +234,7 @@ def _combine(family, how: str) -> InteriorMap:
             raise GroundMismatch("family members live on different grounds")
     index = ground.index
     fold = index.join if how == "join" else index.meet
-    combined = InteriorMap(ground, tuple(fold(column) for column in zip(*(i.images for i in family))))
-    verdict = check_interior_axioms(ground, combined)
-    if not verdict:
-        raise ValueError(f"not an interior map: {verdict.witness}")
-    return combined
+    return InteriorMap(ground, tuple(fold(column) for column in zip(*(i.images for i in family)))).validated()
 
 
 # -- derived predicates -------------------------------------------------------
@@ -253,7 +247,7 @@ def is_idempotent(i: InteriorMap) -> Verdict:
             return Verdict(
                 ok=False,
                 prop="idempotent",
-                witness={"u": _name_values(i.ground, values[a])},
+                witness={"u": i.ground.named(values[a])},
                 checked=a + 1,
             )
     return Verdict(ok=True, prop="idempotent", witness=None, checked=len(images))
@@ -272,8 +266,8 @@ def is_productive(i: InteriorMap) -> Verdict:
                     ok=False,
                     prop="productive",
                     witness={
-                        "u": _name_values(ground, index.values[a]),
-                        "v": _name_values(ground, index.values[b]),
+                        "u": ground.named(index.values[a]),
+                        "v": ground.named(index.values[b]),
                     },
                     checked=a * n + b + 1,
                 )
@@ -303,7 +297,7 @@ def is_fully_productive(i: InteriorMap) -> Verdict:
             return Verdict(
                 ok=False,
                 prop="fully-productive",
-                witness={"family": [_name_values(ground, index.values[a]) for a in family]},
+                witness={"family": [ground.named(index.values[a]) for a in family]},
                 checked=checked,
             )
     return Verdict(ok=True, prop="fully-productive", witness=None, checked=checked)

@@ -73,6 +73,11 @@ class Ground:
         except ValueError:
             raise UnknownElement(x) from None
 
+    def named(self, values) -> dict[str, str]:
+        """{point: element name} of a value tuple."""
+        name = self.lattice.name
+        return {x: name(v) for x, v in zip(self.points, values)}
+
     def fuzzy(self, values) -> "FuzzySet":
         """Build a fuzzy set from {point: element} or an element sequence."""
         lat = self.lattice
@@ -210,8 +215,7 @@ class FuzzySet:
         return self.ground.lattice.name(self.values[self.ground.point_index(x)])
 
     def as_dict(self) -> dict[str, str]:
-        lat = self.ground.lattice
-        return {x: lat.name(v) for x, v in zip(self.ground.points, self.values)}
+        return self.ground.named(self.values)
 
     def leq(self, other: "FuzzySet") -> bool:
         if self.ground != other.ground:
@@ -225,8 +229,7 @@ class FuzzySet:
         return FuzzySet(self.ground, self.ground.meet_values((self.values, other.values)))
 
     def __repr__(self):
-        lat = self.ground.lattice
-        body = ", ".join(f"{x}:{lat.name(v)}" for x, v in zip(self.ground.points, self.values))
+        body = ", ".join(f"{x}:{name}" for x, name in self.as_dict().items())
         return f"FuzzySet({body})"
 
 
@@ -332,6 +335,13 @@ class GroundMorphism:
             and self.f == other.f
             and self.phi_op == other.phi_op
         )
+
+    @cached_property
+    def backward(self) -> tuple[int, ...]:
+        """The backward operator on index positions: entry b is the domain
+        position of ``vb_backward`` of codomain position b."""
+        position, phi_op, f = self.dom.index.position, self.phi_op, self.f
+        return tuple(position[tuple(phi_op[v[y]] for y in f)] for v in self.cod.index.values)
 
     @property
     def point_map(self) -> PointMap:
@@ -510,16 +520,7 @@ def vb_right_adjoint(g: GroundMorphism, u: FuzzySet, *, verify: bool = False) ->
     """
     if u.ground != g.dom:
         raise CarrierMismatch("fuzzy set ground differs from the morphism domain")
-    l_lat, m_lat = g.dom.lattice, g.cod.lattice
-    vals = []
-    for y in range(len(g.cod.points)):
-        fiber_meet = l_lat.meet_i(u.values[x] for x in range(len(g.f)) if g.f[x] == y)
-        vals.append(
-            m_lat.join_i(
-                b for b in range(len(m_lat)) if l_lat.leq[g.phi_op[b]][fiber_meet]
-            )
-        )
-    result = FuzzySet(g.cod, tuple(vals))
+    result = FuzzySet(g.cod, right_adjoint_values(g, u.values))
     if verify:
         for v in g.cod.all_sets():
             if vb_backward(g, v).leq(u) != v.leq(result):
@@ -527,6 +528,20 @@ def vb_right_adjoint(g: GroundMorphism, u: FuzzySet, *, verify: bool = False) ->
                     {"v": v.as_dict(), "u": u.as_dict(), "right_adjoint": result.as_dict()}
                 )
     return result
+
+
+def right_adjoint_values(g: GroundMorphism, values: tuple) -> tuple:
+    """The value tuple of ``vb_right_adjoint`` at a domain value tuple."""
+    l_lat, m_lat = g.dom.lattice, g.cod.lattice
+    vals = []
+    for y in range(len(g.cod.points)):
+        fiber_meet = l_lat.meet_i(values[x] for x in range(len(g.f)) if g.f[x] == y)
+        vals.append(
+            m_lat.join_i(
+                b for b in range(len(m_lat)) if l_lat.leq[g.phi_op[b]][fiber_meet]
+            )
+        )
+    return tuple(vals)
 
 
 # --------------------------------------------------- adjunction checking

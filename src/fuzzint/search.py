@@ -22,7 +22,6 @@ from itertools import combinations
 from .continuity import (
     Arm,
     VBSpace,
-    backward_table,
     compose,
     initial_interior,
     initiality_violation,
@@ -30,7 +29,7 @@ from .continuity import (
     is_open_morphism,
     meet_interchange_report,
 )
-from .errors import BoundsExceeded, MalformedBundle, UnknownProperty
+from .errors import BoundsExceeded, CarrierMismatch, MalformedBundle, UnknownProperty
 from .interior import (
     InteriorMap,
     check_interior_axioms,
@@ -42,7 +41,7 @@ from .interior import (
 )
 from .lattice import diamond_lattice, pentagon_lattice
 from .monoid import builtin_chain, godel_tensor, join_tensor
-from .powerset import Ground, GroundMorphism, all_morphisms, vb_backward
+from .powerset import Ground, GroundMorphism, all_morphisms
 from . import io as fio
 
 CHUNK = 256
@@ -221,36 +220,24 @@ class SearchContext:
         return self._samples[ground]
 
     def arm(self, g: GroundMorphism, sig) -> tuple:
-        """The prepared arm and the table of its initial interior."""
+        """The prepared arm and the image positions of its initial
+        interior."""
         key = (g, sig)
         if key not in self._arms:
             target = VBSpace(g.cod, InteriorMap(g.cod, sig))
-            self._arms[key] = (Arm(g, target), initial_interior(g, target).table())
+            self._arms[key] = (Arm(g, target), initial_interior(g, target).images)
         return self._arms[key]
 
     def test_morphisms(self, dom: Ground) -> list:
-        """Every morphism from a test ground into ``dom``, with its
-        backward table."""
+        """Every morphism from a test ground into ``dom``.  Each one
+        computes its backward positions on first use and keeps them, so
+        they are built once per search."""
         if dom not in self._tests:
-            self._tests[dom] = [
-                (g, backward_table(g)) for z in self.grounds for g in all_morphisms(z, dom)
-            ]
+            self._tests[dom] = [g for z in self.grounds for g in all_morphisms(z, dom)]
         return self._tests[dom]
 
 
 # ------------------------------------------------------- case serialization
-
-def _case_ground(part) -> Ground:
-    return fio.ground_from_json(part)
-
-
-def _morphism_doc(g: GroundMorphism) -> dict:
-    return fio.morphism_to_json(g)
-
-
-def _case_morphism(part) -> GroundMorphism:
-    return fio.morphism_from_json(part)
-
 
 def _interior_doc(ground: Ground, sig) -> dict:
     return fio.interior_to_json(InteriorMap(ground, sig))
@@ -258,11 +245,6 @@ def _interior_doc(ground: Ground, sig) -> dict:
 
 def _case_interior_sig(part) -> tuple:
     return fio.interior_from_json(part).signature()
-
-
-def _named(ground: Ground, values) -> dict:
-    lat = ground.lattice
-    return {x: lat.name(v) for x, v in zip(ground.points, values)}
 
 
 def strip_objects(case: dict) -> dict:
@@ -289,7 +271,7 @@ def _describe_literal_trivial(case: dict) -> dict:
 
 
 def _check_literal_trivial(case: dict, ctx: SearchContext):
-    ground = case["_ground"] if "_ground" in case else _case_ground(case["ground"])
+    ground = case["_ground"] if "_ground" in case else fio.ground_from_json(case["ground"])
     verdict = check_interior_axioms(ground, literal_trivial_rule(ground))
     return None if verdict.ok else verdict.witness
 
@@ -322,7 +304,7 @@ def _check_operator_lattice(case: dict, ctx: SearchContext):
     if "_ground" in case:
         ground, members = case["_ground"], case["_members"]
     else:
-        ground = _case_ground(case["ground"])
+        ground = fio.ground_from_json(case["ground"])
         members = [_case_interior_sig(m) for m in case["members"]]
     index = ground.index
     for how, fold in (("join", index.join), ("meet", index.meet)):
@@ -373,8 +355,8 @@ def _describe_composition(case: dict) -> dict:
     g1, src, mid, g2, dst = case["_legs"]
     return {
         "open": case["open"],
-        "first": _morphism_doc(g1),
-        "second": _morphism_doc(g2),
+        "first": fio.morphism_to_json(g1),
+        "second": fio.morphism_to_json(g2),
         "interiors": [
             fio.interior_to_json(src.interior),
             fio.interior_to_json(mid.interior),
@@ -387,8 +369,8 @@ def _check_composition(case: dict, ctx: SearchContext):
     if "_legs" in case:
         g1, src, mid, g2, dst = case["_legs"]
     else:
-        g1 = _case_morphism(case["first"])
-        g2 = _case_morphism(case["second"])
+        g1 = fio.morphism_from_json(case["first"])
+        g2 = fio.morphism_from_json(case["second"])
         sigs = [_case_interior_sig(s) for s in case["interiors"]]
         src = VBSpace(g1.dom, InteriorMap(g1.dom, sigs[0]))
         dst = VBSpace(g2.cod, InteriorMap(g2.cod, sigs[2]))
@@ -410,7 +392,7 @@ def _describe_open_preimage(case: dict) -> dict:
         return strip_objects(case)
     g, src, dst, v = case["_data"]
     return {
-        "morphism": _morphism_doc(g),
+        "morphism": fio.morphism_to_json(g),
         "src": fio.interior_to_json(src.interior),
         "dst": fio.interior_to_json(dst.interior),
         "v": fio.fuzzyset_to_json(v),
@@ -421,12 +403,14 @@ def _check_open_preimage(case: dict, ctx: SearchContext):
     if "_data" in case:
         g, src, dst, v = case["_data"]
     else:
-        g = _case_morphism(case["morphism"])
+        g = fio.morphism_from_json(case["morphism"])
         src = VBSpace(g.dom, InteriorMap(g.dom, _case_interior_sig(case["src"])))
         v = fio.fuzzyset_from_json(case["v"])
-    w = vb_backward(g, v)
-    if src.interior.apply_values(w.values) != w.values:
-        return {"v": v.as_dict(), "preimage": w.as_dict()}
+    if v.ground != g.cod:
+        raise CarrierMismatch("fuzzy set ground differs from the morphism codomain")
+    w = g.backward[g.cod.index.position[v.values]]
+    if src.interior.images[w] != w:
+        return {"v": v.as_dict(), "preimage": g.dom.named(g.dom.index.values[w])}
     return None
 
 
@@ -459,40 +443,42 @@ def _describe_source(case: dict) -> dict:
     return {
         "domain": fio.ground_to_json(case["_domain"]),
         "arms": [
-            {"morphism": _morphism_doc(g), "interior": _interior_doc(g.cod, sig)}
+            {"morphism": fio.morphism_to_json(g), "interior": _interior_doc(g.cod, sig)}
             for g, sig in case["_arms"]
         ],
     }
 
 
 def _case_source(case: dict, ctx: SearchContext):
-    """The source domain and its arms, each an (Arm, initial table) pair."""
+    """The source domain and its arms, each an (Arm, initial images) pair."""
     if "_arms" in case:
         dom, arms = case["_domain"], case["_arms"]
     else:
-        dom = _case_ground(case["domain"])
+        dom = fio.ground_from_json(case["domain"])
         arms = [
-            (_case_morphism(arm["morphism"]), _case_interior_sig(arm["interior"]))
+            (fio.morphism_from_json(arm["morphism"]), _case_interior_sig(arm["interior"]))
             for arm in case["arms"]
         ]
     return dom, [ctx.arm(g, sig) for g, sig in arms]
 
 
-def _lost_arm(dom: Ground, arms, lift: dict, shown: str | None = None):
-    """Witness of the first arm the lift table fails to keep continuous;
-    ``shown`` names an extra key carrying the lift's value there."""
+def _lost_arm(dom: Ground, arms, images: tuple, shown: str | None = None):
+    """Witness of the first arm the lift with these image positions fails
+    to keep continuous; ``shown`` names an extra key carrying the lift's
+    value there."""
+    down, values = dom.index.down, dom.index.values
     for index, (arm, _) in enumerate(arms):
         for w, c in arm.constraints:
-            if not dom.leq_values(c, lift[w]):
+            if not down[images[w]] >> c & 1:
                 witness = {
                     "stage": "arm-continuity",
                     "arm_index": index,
                     "arm": arm.morphism.describe(),
-                    "w": _named(dom, w),
-                    "required": _named(dom, c),
+                    "w": dom.named(values[w]),
+                    "required": dom.named(values[c]),
                 }
                 if shown:
-                    witness[shown] = _named(dom, lift[w])
+                    witness[shown] = dom.named(values[images[w]])
                 return witness
     return None
 
@@ -501,18 +487,18 @@ def _check_initiality(case: dict, ctx: SearchContext):
     """Join-form lift: axioms, arm continuity, and the universal property,
     decided per test morphism by ``initiality_violation``."""
     dom, arms = _case_source(case, ctx)
-    tables = [initial for _, initial in arms] or [least(dom).table()]
-    lift = {u: dom.join_values(t[u] for t in tables) for u in dom.all_value_tuples()}
-    verdict = check_interior_axioms(dom, lift.__getitem__)
+    columns = [initial for _, initial in arms] or [least(dom).images]
+    lift = InteriorMap(dom, tuple(map(dom.index.join, zip(*columns))))
+    verdict = check_interior_axioms(dom, lift)
     if not verdict.ok:
         return {"stage": "axioms", **verdict.witness}
-    lost = _lost_arm(dom, arms, lift)
+    lost = _lost_arm(dom, arms, lift.images)
     if lost is not None:
         return lost
-    lift_pairs = tuple(lift.items())
+    lift_pairs = tuple(enumerate(lift.images))
     prepared = [arm for arm, _ in arms]
-    for g_test, bw in ctx.test_morphisms(dom):
-        bad = initiality_violation(g_test, bw, lift_pairs, prepared)
+    for g_test in ctx.test_morphisms(dom):
+        bad = initiality_violation(g_test, lift_pairs, prepared)
         if bad is not None:
             return {"stage": "initiality", **bad}
     return None
@@ -522,14 +508,13 @@ def _check_literal_meet_lift(case: dict, ctx: SearchContext):
     """The meet-form lift satisfies the axioms but must keep every arm
     continuous to qualify as a lift; report the first arm it loses."""
     dom, arms = _case_source(case, ctx)
-    meet_lift = {
-        u: dom.meet_values([initial[u] for _, initial in arms])
-        for u in dom.all_value_tuples()
-    }
-    verdict = check_interior_axioms(dom, meet_lift.__getitem__)
+    top = dom.set_count() - 1
+    columns = [initial for _, initial in arms] or [(top,) * (top + 1)]  # the empty meet
+    meet_lift = InteriorMap(dom, tuple(map(dom.index.meet, zip(*columns))))
+    verdict = check_interior_axioms(dom, meet_lift)
     if not verdict.ok:
         return {"stage": "axioms", **verdict.witness}
-    return _lost_arm(dom, arms, meet_lift, shown="meet_lift_at_w")
+    return _lost_arm(dom, arms, meet_lift.images, shown="meet_lift_at_w")
 
 
 def _gen_preservation(ctx: SearchContext, predicate):
@@ -547,14 +532,14 @@ def _describe_preservation(case: dict) -> dict:
     if "_data" not in case:
         return strip_objects(case)
     g, sig = case["_data"]
-    return {"morphism": _morphism_doc(g), "interior": _interior_doc(g.cod, sig)}
+    return {"morphism": fio.morphism_to_json(g), "interior": _interior_doc(g.cod, sig)}
 
 
 def _check_preservation(case: dict, predicate):
     if "_data" in case:
         g, sig = case["_data"]
     else:
-        g = _case_morphism(case["morphism"])
+        g = fio.morphism_from_json(case["morphism"])
         sig = _case_interior_sig(case["interior"])
     target = VBSpace(g.cod, InteriorMap(g.cod, sig))
     lifted = initial_interior(g, target)
@@ -572,11 +557,11 @@ def _gen_meet_interchange(ctx: SearchContext):
 def _describe_meet_interchange(case: dict) -> dict:
     if "_morphism" not in case:
         return strip_objects(case)
-    return {"morphism": _morphism_doc(case["_morphism"])}
+    return {"morphism": fio.morphism_to_json(case["_morphism"])}
 
 
 def _check_meet_interchange(case: dict, ctx: SearchContext):
-    g = case["_morphism"] if "_morphism" in case else _case_morphism(case["morphism"])
+    g = case["_morphism"] if "_morphism" in case else fio.morphism_from_json(case["morphism"])
     verdict = meet_interchange_report(g, max_family=2)
     return None if verdict.ok else verdict.witness
 

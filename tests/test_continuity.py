@@ -366,12 +366,13 @@ def test_search_checker_agrees_with_verify_initiality():
 
 def test_continuity_constraints_characterize(one_point_c3):
     g = identity_morphism(one_point_c3)
+    values = one_point_c3.index.values
     for target in spaces_on(one_point_c3):
         pairs = continuity_constraints(g, target)
         for candidate in enumerate_interior_maps(one_point_c3):
             expected = is_continuous(g, VBSpace(one_point_c3, candidate), target).ok
             derived = all(
-                one_point_c3.leq_values(c, candidate.apply_values(w)) for w, c in pairs
+                one_point_c3.leq_values(values[c], candidate.apply_values(values[w])) for w, c in pairs
             )
             assert expected == derived
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import sys
 import time
@@ -281,3 +282,13 @@ def test_replay_rejects_garbage():
         replay({"property": "initiality"})
     with pytest.raises(MalformedBundle):
         replay("not a bundle")
+
+
+def test_search_submodule_not_shadowed_by_the_function():
+    import fuzzint
+    import fuzzint.search as module
+
+    assert inspect.ismodule(module)
+    assert fuzzint.search is module
+    assert inspect.isfunction(module.search)
+    assert module.search is search
