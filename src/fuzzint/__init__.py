@@ -47,7 +47,6 @@ from .interior import (
 )
 from .continuity import (
     StructuredSource,
-    VBSpace,
     compose,
     initial_from_source,
     initial_interior,

@@ -1,10 +1,13 @@
 """Command-line front door.
 
-Subcommands: validate, tables, check, search, examples.  Exit codes are 0
-for a clean verdict, 1 for a property failure (with the first witness in
-the report), 2 for unreadable or ill-formed input.  Output is deterministic
-for fixed inputs and flags: rows are sorted and no timestamps are printed.
-The FUZZINT_BOUNDS environment variable overrides default search bounds.
+Subcommands: validate, tables, check, search, replay, examples.  Exit
+codes are 0 for a clean verdict; 1 for a property failure or for an input
+that parses but breaks a definition, with the first witness in the report;
+2 for unreadable input (missing file, JSON syntax, missing key, unknown
+property).  Output is deterministic for fixed inputs and flags: rows are
+sorted and no timestamps are printed.  The FUZZINT_BOUNDS environment
+variable overrides default search bounds; only the commands that search
+read it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import io as fio
 from .continuity import initial_from_source, is_continuous, is_open_morphism, verify_initiality
@@ -27,7 +30,7 @@ from .gallery import (
     lsc_interior,
     validate_topology,
 )
-from .interior import check_interior_axioms, closure_from_topology, interior_from_topology, literal_trivial_rule
+from .interior import check_interior_axioms, closure_from_topology, interior_from_topology, literal_trivial
 from .monoid import GLMonoid, builtin_chain
 from .powerset import Ground, vb_backward, vb_forward, vb_right_adjoint
 from .search import (
@@ -126,32 +129,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclass(frozen=True)
-class WorkspaceConfig:
-    """Resolved invocation context: the instance files in play, effective
-    bounds (defaults, then FUZZINT_BOUNDS, then flags), output target and
-    report format."""
-
-    files: tuple
-    bounds: SearchBounds
-    out: str | None
-    json_format: bool
-
-    @classmethod
-    def from_args(cls, args) -> "WorkspaceConfig":
-        files = tuple(getattr(args, "files", None) or ())
-        for path in files:
-            if not os.path.exists(path):
-                raise ParseError(f"no such file: {path}")
-        return cls(
-            files=files,
-            bounds=_bounds(args),
-            out=getattr(args, "out", None),
-            json_format=bool(getattr(args, "json", False)),
-        )
-
-
 def _bounds(args) -> SearchBounds:
+    """Effective search bounds: defaults, then FUZZINT_BOUNDS, then flags.
+    Only the commands that search read them."""
     bounds = bounds_from_env(os.environ.get("FUZZINT_BOUNDS"))
     updates = {}
     if getattr(args, "max_x", None) is not None:
@@ -256,32 +236,31 @@ def cmd_tables(args) -> int:
 # -------------------------------------------------------------------- check
 
 def cmd_check(args) -> int:
-    prop = args.prop
-    ws = WorkspaceConfig.from_args(args)
+    prop, files = args.prop, args.files
     if prop in ("continuity", "openness"):
-        if len(ws.files) != 3:
+        if len(files) != 3:
             raise ParseError(f"{prop} needs MORPHISM SRC_SPACE DST_SPACE files")
-        g = fio.morphism_from_json(fio.load_json(ws.files[0]))
-        src = fio.space_from_json(fio.load_json(ws.files[1]))
-        dst = fio.space_from_json(fio.load_json(ws.files[2]))
+        g = fio.morphism_from_json(fio.load_json(files[0]))
+        src = fio.space_from_json(fio.load_json(files[1]))
+        dst = fio.space_from_json(fio.load_json(files[2]))
         verdict = (is_continuous if prop == "continuity" else is_open_morphism)(g, src, dst)
         return _print_verdict(args, verdict.to_json())
     if prop == "initiality":
-        if len(ws.files) != 1:
+        if len(files) != 1:
             raise ParseError("initiality needs one SOURCE file")
-        source = fio.source_from_json(fio.load_json(ws.files[0]))
+        source = fio.source_from_json(fio.load_json(files[0]))
         lift = initial_from_source(source)
-        verdict = verify_initiality(source, lift, test_grounds=grounds_within(ws.bounds))
+        verdict = verify_initiality(source, lift, test_grounds=grounds_within(_bounds(args)))
         return _print_verdict(args, verdict.to_json())
     if prop == "trivial-literal":
         ground = Ground(points=("p1",), algebra=builtin_algebra("godel3"))
-        verdict = check_interior_axioms(ground, literal_trivial_rule(ground))
+        verdict = check_interior_axioms(literal_trivial(ground))
         report = verdict.to_json()
         report["property"] = "literal-trivial-interior"
         report["note"] = TRIVIAL_NOTE
         return _print_verdict(args, report)
     if prop in PROPERTIES:
-        result = search(prop, ws.bounds)
+        result = search(prop, _bounds(args))
         report = result.to_json()
         return _print_verdict(args, report, ok=result.ok)
     raise UnknownProperty(prop, ("continuity", "openness", "initiality", "trivial-literal") + tuple(PROPERTIES))
@@ -308,8 +287,7 @@ def _print_verdict(args, report: dict, ok: bool | None = None) -> int:
 # ------------------------------------------------------------------- search
 
 def cmd_search(args) -> int:
-    ws = WorkspaceConfig.from_args(args)
-    result = search(args.prop, ws.bounds, workers=args.workers, out=ws.out)
+    result = search(args.prop, _bounds(args), workers=args.workers, out=args.out)
     if args.json:
         print(json.dumps(result.to_json(), sort_keys=True))
     else:
@@ -386,7 +364,6 @@ def _example3_report() -> dict:
 
 
 def cmd_examples(args) -> int:
-    ws = WorkspaceConfig.from_args(args)
     reports = {}
     if args.which in ("1", "all"):
         reports["example1"] = _example1_report()
@@ -402,10 +379,10 @@ def cmd_examples(args) -> int:
         ok = ok and reports["example2"]["axioms_ok"]
     if "example3" in reports:
         ok = ok and reports["example3"]["closures"]["extensional"]["extensive"]
-    if ws.out:
-        os.makedirs(ws.out, exist_ok=True)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
         for name, report in reports.items():
-            with open(os.path.join(ws.out, f"{name}.json"), "w") as fh:
+            with open(os.path.join(args.out, f"{name}.json"), "w") as fh:
                 json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
     if args.json:

@@ -17,8 +17,9 @@ operator, which is not continuous into the discrete target).  A regression
 property keeps that corrected polarity honest, mirroring the corrected
 least operator.
 
-Every check here works on powerset index positions: an interior map is a
-tuple of image positions, a morphism's backward operator another
+A structured space is an ``InteriorMap``: its ground and its interior in
+one object.  Every check here works on powerset index positions: a map's
+images are a tuple of image positions, a morphism's backward operator another
 (``GroundMorphism.backward``), and the order is one downset bitmask per
 position.  Value tuples and element names appear only in witnesses.
 
@@ -49,52 +50,40 @@ from .powerset import (
 
 
 @dataclass(frozen=True)
-class VBSpace:
-    """A ground together with an interior map on it."""
-
-    ground: Ground
-    interior: InteriorMap
-
-    def __post_init__(self):
-        if self.interior.ground != self.ground:
-            raise GroundMismatch("interior map lives on a different ground")
-
-
-@dataclass(frozen=True)
 class StructuredSource:
     """A domain ground with a family of morphisms into structured spaces."""
 
     domain: Ground
-    arms: tuple  # of (GroundMorphism, VBSpace)
+    arms: tuple  # of (GroundMorphism, InteriorMap)
 
     def __post_init__(self):
-        for g, space in self.arms:
+        for g, target in self.arms:
             if g.dom != self.domain:
                 raise GroundMismatch("arm morphism does not start at the source domain")
-            if g.cod != space.ground:
+            if g.cod != target.ground:
                 raise GroundMismatch("arm morphism does not end at its space")
 
 
 # -- continuity and openness --------------------------------------------------
 
-def is_continuous(g: GroundMorphism, src: VBSpace, dst: VBSpace) -> Verdict:
+def is_continuous(g: GroundMorphism, src: InteriorMap, dst: InteriorMap) -> Verdict:
     """Backward of the target interior below the source interior of backward,
     for every fuzzy set on the codomain."""
     return _scan(g, src, dst, "continuity")
 
 
-def is_open_morphism(g: GroundMorphism, src: VBSpace, dst: VBSpace) -> Verdict:
+def is_open_morphism(g: GroundMorphism, src: InteriorMap, dst: InteriorMap) -> Verdict:
     """The reverse inequality: source interior of backward below backward of
     the target interior."""
     return _scan(g, src, dst, "openness")
 
 
-def _scan(g: GroundMorphism, src: VBSpace, dst: VBSpace, prop: str) -> Verdict:
+def _scan(g: GroundMorphism, src: InteriorMap, dst: InteriorMap, prop: str) -> Verdict:
     """The first codomain position b at which backward(dst(b)) and
     src(backward(b)) are out of order: the first below the second for
     continuity, the second below the first for openness."""
     _check_ends(g, src, dst)
-    bw, inner, outer = g.backward, src.interior.images, dst.interior.images
+    bw, inner, outer = g.backward, src.images, dst.images
     down = g.dom.index.down
     reverse = prop == "openness"
     for b, image in enumerate(outer):
@@ -112,7 +101,7 @@ def _scan(g: GroundMorphism, src: VBSpace, dst: VBSpace, prop: str) -> Verdict:
     return Verdict(ok=True, prop=prop, witness=None, checked=len(outer))
 
 
-def _check_ends(g: GroundMorphism, src: VBSpace, dst: VBSpace) -> None:
+def _check_ends(g: GroundMorphism, src: InteriorMap, dst: InteriorMap) -> None:
     if g.dom != src.ground:
         raise GroundMismatch("morphism domain differs from the source space")
     if g.cod != dst.ground:
@@ -134,7 +123,7 @@ def compose(g2: GroundMorphism, g1: GroundMorphism) -> GroundMorphism:
 
 # -- initial structures ---------------------------------------------------------
 
-def initial_interior(g: GroundMorphism, target: VBSpace) -> InteriorMap:
+def initial_interior(g: GroundMorphism, target: InteriorMap) -> InteriorMap:
     """Backward after the target interior after the right adjoint.
 
     This is the least interior map on the domain of ``g`` making ``g``
@@ -143,7 +132,7 @@ def initial_interior(g: GroundMorphism, target: VBSpace) -> InteriorMap:
     if g.cod != target.ground:
         raise GroundMismatch("morphism codomain differs from the target space")
     position = g.cod.index.position
-    bw, images = g.backward, target.interior.images
+    bw, images = g.backward, target.images
     ra = [position[right_adjoint_values(g, u)] for u in g.dom.index.values]
     return InteriorMap(g.dom, tuple(bw[images[b]] for b in ra)).validated()
 
@@ -151,7 +140,7 @@ def initial_interior(g: GroundMorphism, target: VBSpace) -> InteriorMap:
 def initial_from_source(s: StructuredSource) -> InteriorMap:
     """The joint initial structure: pointwise join of the per-arm initial
     interiors; the empty source yields the least operator (empty join)."""
-    per_arm = [initial_interior(g, space) for g, space in s.arms]
+    per_arm = [initial_interior(g, target) for g, target in s.arms]
     if not per_arm:
         return least(s.domain)
     return join_interiors(per_arm)
@@ -159,16 +148,16 @@ def initial_from_source(s: StructuredSource) -> InteriorMap:
 
 # -- initiality verification ----------------------------------------------------
 
-def continuity_constraints(g: GroundMorphism, target: VBSpace) -> list:
+def continuity_constraints(g: GroundMorphism, target: InteriorMap) -> list:
     """(backward(v), backward(interior(v))) position pairs on the domain,
     one per codomain position v; an interior i on the domain makes g
     continuous into the target iff c <= i(w) for every pair (w, c)."""
     bw = g.backward
-    return [(bw[v], bw[image]) for v, image in enumerate(target.interior.images)]
+    return [(bw[v], bw[image]) for v, image in enumerate(target.images)]
 
 
 class Arm:
-    """One arm (g, target space) of a structured source, prepared for
+    """One arm (g, target interior) of a structured source, prepared for
     initiality checks.
 
     ``constraints`` are the arm's continuity constraints, as position
@@ -179,7 +168,7 @@ class Arm:
 
     __slots__ = ("morphism", "constraints", "_floors")
 
-    def __init__(self, g: GroundMorphism, target: VBSpace):
+    def __init__(self, g: GroundMorphism, target: InteriorMap):
         self.morphism = g
         self.constraints = tuple(continuity_constraints(g, target))
         self._floors = {}
@@ -271,7 +260,7 @@ def verify_initiality(s: StructuredSource, lift: InteriorMap, *, test_grounds) -
     """
     if lift.ground != s.domain:
         raise GroundMismatch("lift lives on a different ground")
-    arms = [Arm(g, space) for g, space in s.arms]
+    arms = [Arm(g, target) for g, target in s.arms]
     lift_pairs = tuple(enumerate(lift.images))
     checked = 0
     for z_ground in test_grounds:
@@ -305,7 +294,7 @@ def meet_interchange_report(g: GroundMorphism, max_family: int = 3) -> Verdict:
                     witness={
                         "family": [g.cod.named(cod.values[b]) for b in family],
                         "backward_of_meet": g.dom.named(dom.values[lhs]),
-                        "meet_of_backwards": dict(zip(g.dom.points, dom.values[rhs])),
+                        "meet_of_backwards": g.dom.named(dom.values[rhs]),
                     },
                     checked=checked,
                 )
@@ -314,9 +303,9 @@ def meet_interchange_report(g: GroundMorphism, max_family: int = 3) -> Verdict:
 
 # -- preservation of operator properties -------------------------------------
 
-def preserves_idempotency_check(g: GroundMorphism, target: VBSpace) -> Verdict:
+def preserves_idempotency_check(g: GroundMorphism, target: InteriorMap) -> Verdict:
     """Initial interiors of idempotent targets are idempotent."""
-    precondition = is_idempotent(target.interior)
+    precondition = is_idempotent(target)
     if not precondition:
         raise PropertyPreconditionFailed("idempotency", precondition.witness)
     lifted = initial_interior(g, target)
@@ -324,9 +313,9 @@ def preserves_idempotency_check(g: GroundMorphism, target: VBSpace) -> Verdict:
     return Verdict(verdict.ok, "preserves-idempotency", verdict.witness, verdict.checked)
 
 
-def preserves_full_productivity_check(g: GroundMorphism, target: VBSpace) -> Verdict:
+def preserves_full_productivity_check(g: GroundMorphism, target: InteriorMap) -> Verdict:
     """Initial interiors of fully productive targets are fully productive."""
-    precondition = is_fully_productive(target.interior)
+    precondition = is_fully_productive(target)
     if not precondition:
         raise PropertyPreconditionFailed("full productivity", precondition.witness)
     lifted = initial_interior(g, target)
@@ -334,7 +323,7 @@ def preserves_full_productivity_check(g: GroundMorphism, target: VBSpace) -> Ver
     return Verdict(verdict.ok, "preserves-full-productivity", verdict.witness, verdict.checked)
 
 
-def preimage_of_open_is_open(g: GroundMorphism, src: VBSpace, dst: VBSpace, v: FuzzySet) -> Verdict:
+def preimage_of_open_is_open(g: GroundMorphism, src: InteriorMap, dst: InteriorMap, v: FuzzySet) -> Verdict:
     """Backward images of open sets along continuous morphisms are open."""
     cont = is_continuous(g, src, dst)
     if not cont:
@@ -342,10 +331,10 @@ def preimage_of_open_is_open(g: GroundMorphism, src: VBSpace, dst: VBSpace, v: F
     if v.ground != dst.ground:
         raise GroundMismatch("fuzzy set belongs to a different ground")
     b = dst.ground.index.position[v.values]
-    if dst.interior.images[b] != b:
+    if dst.images[b] != b:
         raise PropertyPreconditionFailed("openness of v", v.as_dict())
     w = g.backward[b]
-    ok = src.interior.images[w] == w
+    ok = src.images[w] == w
     return Verdict(
         ok=ok,
         prop="open-preimage",

@@ -179,16 +179,16 @@ class GroundMismatch(MorphismError):
         super().__init__(f"ground mismatch: {detail}")
 
 
-class AdjointConditionFailed(MorphismError):
-    def __init__(self, witness: dict):
-        self.witness = witness
-        super().__init__(f"Galois condition violated: {witness}")
-
-
 # ------------------------------------------------------ interior operators
 
 class InteriorError(FuzzintError):
     pass
+
+
+class NotAnInteriorMap(InteriorError):
+    def __init__(self, witness: dict):
+        self.witness = witness
+        super().__init__(f"not an interior map: {witness}")
 
 
 class GroundTooLarge(InteriorError):

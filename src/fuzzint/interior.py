@@ -8,9 +8,9 @@ bottom.
 
 A map is stored as one tuple of positions in the ground's powerset index:
 entry a is the position of the image of the a-th value tuple.  That tuple
-is the map's identity (its signature), and every check and lattice
-operation here works on positions; value tuples are read and written only
-at the API's edge.
+is the map's identity, and every check and lattice operation here works on
+positions; value tuples are read and written only at the API's edge.  A
+map carries its ground, so it is also the space (X, L, I).
 
 The least operator deliberately deviates from the traditional display that
 maps every nonzero set to top: that version is not contractive (witness any
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CarrierMismatch, GroundMismatch, NotGLGround, TopMissingFromTopology
+from .errors import CarrierMismatch, GroundMismatch, NotAnInteriorMap, NotGLGround, TopMissingFromTopology
 from .monoid import GLMonoid
 from .powerset import FuzzySet, Ground, Verdict, powerset
 
@@ -32,11 +32,12 @@ FULL_SUBSET_LIMIT = 4096
 
 class InteriorMap:
     """A total map L^X -> L^X satisfying contraction, monotonicity and
-    preservation of the constant-top set.
+    preservation of the constant-top set: with its ground, a fuzzy
+    interior space (X, L, I).
 
     ``images[a]`` is the index position of the image of the a-th value
     tuple of the ground; the constructor trusts it, ``from_table`` and
-    ``from_rule`` check the axioms unless told not to.
+    ``from_rule`` check the axioms.
     """
 
     __slots__ = ("ground", "images")
@@ -48,23 +49,34 @@ class InteriorMap:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_table(cls, ground: Ground, mapping, *, validate: bool = True) -> "InteriorMap":
-        """From {u: i(u)} or (u, i(u)) pairs of value tuples or fuzzy sets."""
-        imap = cls(ground, tuple(_positions(ground, _value_table(mapping).__getitem__)))
-        return imap.validated() if validate else imap
+    def from_table(cls, ground: Ground, mapping) -> "InteriorMap":
+        """From {u: i(u)} or (u, i(u)) pairs of value tuples or fuzzy sets,
+        one row per fuzzy set on the ground."""
+        table = _value_table(mapping)
+        index = ground.index
+        position = index.position
+        for u in table:
+            if u not in position:
+                raise CarrierMismatch(f"row {u} is not a value tuple on this ground")
+        images = []
+        for u in index.values:
+            if u not in table:
+                raise CarrierMismatch(f"no row for {u}")
+            if table[u] not in position:
+                raise CarrierMismatch(f"image {table[u]} of {u} is not a value tuple on this ground")
+            images.append(position[table[u]])
+        return cls(ground, tuple(images)).validated()
 
     @classmethod
-    def from_rule(cls, ground: Ground, rule, *, validate: bool = True) -> "InteriorMap":
+    def from_rule(cls, ground: Ground, rule) -> "InteriorMap":
         """From a function on value tuples, called once per tuple in order."""
-        return cls.from_table(
-            ground, ((u, tuple(rule(u))) for u in ground.all_value_tuples()), validate=validate
-        )
+        return cls.from_table(ground, [(u, tuple(rule(u))) for u in ground.index.values])
 
     def validated(self) -> "InteriorMap":
-        """This map, once it passes the axiom check; else ValueError."""
-        verdict = check_interior_axioms(self.ground, self)
+        """This map, once it passes the axiom check; else NotAnInteriorMap."""
+        verdict = check_interior_axioms(self)
         if not verdict:
-            raise ValueError(f"not an interior map: {verdict.witness}")
+            raise NotAnInteriorMap(verdict.witness)
         return self
 
     # -- evaluation ---------------------------------------------------------
@@ -83,10 +95,6 @@ class InteriorMap:
     def table(self) -> dict:
         values = self.ground.index.values
         return {u: values[i] for u, i in zip(values, self.images)}
-
-    def signature(self) -> tuple:
-        """Image positions in index order; the map's canonical identity."""
-        return self.images
 
     def __eq__(self, other):
         if not isinstance(other, InteriorMap):
@@ -111,37 +119,17 @@ def _value_table(mapping) -> dict:
 
 # -- axiom checking ----------------------------------------------------------
 
-def _positions(ground: Ground, image_of):
-    """Index positions of ``image_of(u)`` for the value tuples u in index
-    order, produced lazily: a rule runs only as far as it is consumed."""
-    position = ground.index.position
-    for u in ground.index.values:
-        image = image_of(u)
-        if image not in position:
-            raise CarrierMismatch(f"image {image} of {u} is not a value tuple on this ground")
-        yield position[image]
-
-
-def _image_positions(ground: Ground, candidate):
-    if isinstance(candidate, InteriorMap):
-        if candidate.ground != ground:
-            raise GroundMismatch("interior map lives on a different ground")
-        return iter(candidate.images)
-    if callable(candidate):
-        return _positions(ground, lambda u: tuple(candidate(u)))
-    return _positions(ground, _value_table(candidate).__getitem__)
-
-
-def check_interior_axioms(ground: Ground, candidate) -> Verdict:
+def check_interior_axioms(i: InteriorMap) -> Verdict:
     """First violated axiom with witness, scanning contraction, then the
     top condition, then monotonicity over all pairs.
 
-    ``candidate`` is an InteriorMap, a rule on value tuples, or a table.
-    Monotonicity holds exactly when it holds along every cover edge of
-    L^X, so only the edges are tested; a failing map is then scanned pair
-    by pair for the first violating (u, v), and ``checked`` counts the
-    pairs that scan reaches (all N^2 of them when the map passes).
+    ``i`` need not be validated.  Monotonicity holds exactly when it holds
+    along every cover edge of L^X, so only the edges are tested; a failing
+    map is then scanned pair by pair for the first violating (u, v), and
+    ``checked`` counts the pairs that scan reaches (all N^2 of them when
+    the map passes).
     """
+    ground, images = i.ground, i.images
     index = ground.index
     down = index.down
 
@@ -149,9 +137,7 @@ def check_interior_axioms(ground: Ground, candidate) -> Verdict:
         named = {key: ground.named(index.values[a]) for key, a in at.items()}
         return Verdict(ok=False, prop="interior-axioms", witness={"axiom": axiom, **named}, checked=checked)
 
-    images = []
-    for a, image in enumerate(_image_positions(ground, candidate)):
-        images.append(image)
+    for a, image in enumerate(images):
         if not down[a] >> image & 1:
             return fail("I1", a + 1, u=a, image=image)
     n = len(images)
@@ -167,7 +153,7 @@ def check_interior_axioms(ground: Ground, candidate) -> Verdict:
     return Verdict(ok=True, prop="interior-axioms", witness=None, checked=n + n * n)
 
 
-def _first_unordered_pair(index, images: list) -> tuple[int, int]:
+def _first_unordered_pair(index, images: tuple) -> tuple[int, int]:
     """The first positions (a, b) of a non-monotone map, in index order and
     b ascending within a, with a below b but images[a] not below images[b]."""
     up = index.up
@@ -197,21 +183,15 @@ def least(ground: Ground) -> InteriorMap:
     return InteriorMap(ground, (0,) * top + (top,))
 
 
-def literal_trivial_rule(ground: Ground):
+def literal_trivial(ground: Ground) -> InteriorMap:
     """The uncorrected trivial operator: nonzero sets to top, zero to zero.
 
-    Kept as a rule (not an InteriorMap) because it fails contraction on any
-    carrier with an element strictly between the bounds; the regression
-    suite checks exactly that.
+    Built without validation because it fails contraction on any carrier
+    with an element strictly between the bounds; the regression suite
+    checks exactly that.
     """
-    lat = ground.lattice
-    top = (lat.top,) * len(ground.points)
-    bot = (lat.bottom,) * len(ground.points)
-
-    def rule(u):
-        return bot if u == bot else top
-
-    return rule
+    top = ground.set_count() - 1
+    return InteriorMap(ground, (0,) + (top,) * top)
 
 
 def join_interiors(family) -> InteriorMap:
@@ -347,7 +327,7 @@ def interior_from_topology(t: LTopology) -> InteriorMap:
     def rule(u):
         return ground.join_values(v for v in t.opens if ground.leq_values(v, u))
 
-    return InteriorMap.from_rule(ground, rule, validate=True)
+    return InteriorMap.from_rule(ground, rule)
 
 
 def closure_from_topology(t: LTopology, m: GLMonoid, mode: str = "extensional") -> dict:

@@ -24,9 +24,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .continuity import StructuredSource, VBSpace
+from .continuity import StructuredSource
 from .errors import ParseError
-from .interior import InteriorMap, LTopology, discrete, least, ltopology
+from .interior import InteriorMap, LTopology, discrete, interior_from_topology, least, ltopology
 from .lattice import FiniteLattice, validate_lattice
 from .monoid import CQML, builtin_chain, validate_cqml, validate_gl
 from .powerset import FuzzySet, Ground, GroundMorphism, validate_ground_morphism
@@ -182,13 +182,17 @@ def interior_from_json(doc, base: Path | None = None) -> InteriorMap:
     doc, base = _resolve(doc, base)
     try:
         ground = ground_from_json(doc["ground"], base)
-        lat = ground.lattice
-        table = {}
-        for u, iu in doc["table"]:
-            table[tuple(lat.index(v) for v in u)] = tuple(lat.index(v) for v in iu)
-        return InteriorMap.from_table(ground, table, validate=True)
+        rows = doc["table"]
     except KeyError as exc:
         raise ParseError(f"interior file missing key {exc}")
+    return _table_interior(ground, rows)
+
+
+def _table_interior(ground: Ground, rows) -> InteriorMap:
+    lat = ground.lattice
+    return InteriorMap.from_table(
+        ground, [(tuple(lat.index(v) for v in u), tuple(lat.index(v) for v in iu)) for u, iu in rows]
+    )
 
 
 def interior_to_json(i: InteriorMap) -> dict:
@@ -219,7 +223,8 @@ def topology_to_json(t: LTopology) -> dict:
     }
 
 
-def space_from_json(doc, base: Path | None = None) -> VBSpace:
+def space_from_json(doc, base: Path | None = None) -> InteriorMap:
+    """A space is its interior map, which carries the ground."""
     doc, base = _resolve(doc, base)
     try:
         ground = ground_from_json(doc["ground"], base)
@@ -227,29 +232,20 @@ def space_from_json(doc, base: Path | None = None) -> VBSpace:
     except KeyError as exc:
         raise ParseError(f"space file missing key {exc}")
     if body == "discrete":
-        interior = discrete(ground)
-    elif body == "least":
-        interior = least(ground)
-    elif isinstance(body, dict) and "opens" in body:
+        return discrete(ground)
+    if body == "least":
+        return least(ground)
+    if isinstance(body, dict) and "opens" in body:
         lat = ground.lattice
         opens = [tuple(lat.index(v) for v in row) for row in body["opens"]]
-        from .interior import interior_from_topology
-
-        interior = interior_from_topology(ltopology(ground, opens))
-    elif isinstance(body, dict) and "table" in body:
-        lat = ground.lattice
-        table = {
-            tuple(lat.index(v) for v in u): tuple(lat.index(v) for v in iu)
-            for u, iu in body["table"]
-        }
-        interior = InteriorMap.from_table(ground, table, validate=True)
-    else:
-        raise ParseError(f"unrecognized interior value {body!r}")
-    return VBSpace(ground=ground, interior=interior)
+        return interior_from_topology(ltopology(ground, opens))
+    if isinstance(body, dict) and "table" in body:
+        return _table_interior(ground, body["table"])
+    raise ParseError(f"unrecognized interior value {body!r}")
 
 
-def space_to_json(s: VBSpace) -> dict:
-    body = interior_to_json(s.interior)
+def space_to_json(s: InteriorMap) -> dict:
+    body = interior_to_json(s)
     return {"ground": body["ground"], "interior": {"table": body["table"]}}
 
 
@@ -260,8 +256,7 @@ def source_from_json(doc, base: Path | None = None) -> StructuredSource:
         arms = []
         for arm in doc["arms"]:
             g = morphism_from_json(arm["morphism"], base)
-            space = space_from_json(arm["space"], base)
-            arms.append((g, space))
+            arms.append((g, space_from_json(arm["space"], base)))
     except KeyError as exc:
         raise ParseError(f"source file missing key {exc}")
     return StructuredSource(domain=domain, arms=tuple(arms))
@@ -271,8 +266,8 @@ def source_to_json(s: StructuredSource) -> dict:
     return {
         "domain": ground_to_json(s.domain),
         "arms": [
-            {"morphism": morphism_to_json(g), "space": space_to_json(space)}
-            for g, space in s.arms
+            {"morphism": morphism_to_json(g), "space": space_to_json(target)}
+            for g, target in s.arms
         ],
     }
 

@@ -18,7 +18,6 @@ from functools import cached_property
 from itertools import chain, combinations, product
 
 from .errors import (
-    AdjointConditionFailed,
     CarrierMismatch,
     GroundTooLarge,
     JoinNotPreserved,
@@ -510,24 +509,16 @@ def vb_forward(g: GroundMorphism, a: FuzzySet) -> FuzzySet:
     return FuzzySet(g.cod, tuple(star[v] for v in image))
 
 
-def vb_right_adjoint(g: GroundMorphism, u: FuzzySet, *, verify: bool = False) -> FuzzySet:
+def vb_right_adjoint(g: GroundMorphism, u: FuzzySet) -> FuzzySet:
     """(f, phi)_* : right adjoint of the backward operator.
 
     Value at y is the join of every beta whose phi_op image sits below the
-    meet of u over the fiber of y (top on empty fibers).  With
-    ``verify=True`` the defining Galois condition is checked against every
-    v in M^Y and a violation raises with the witness.
+    meet of u over the fiber of y (top on empty fibers).
+    ``verify_powerset_adjunction`` checks the Galois condition.
     """
     if u.ground != g.dom:
         raise CarrierMismatch("fuzzy set ground differs from the morphism domain")
-    result = FuzzySet(g.cod, right_adjoint_values(g, u.values))
-    if verify:
-        for v in g.cod.all_sets():
-            if vb_backward(g, v).leq(u) != v.leq(result):
-                raise AdjointConditionFailed(
-                    {"v": v.as_dict(), "u": u.as_dict(), "right_adjoint": result.as_dict()}
-                )
-    return result
+    return FuzzySet(g.cod, right_adjoint_values(g, u.values))
 
 
 def right_adjoint_values(g: GroundMorphism, values: tuple) -> tuple:

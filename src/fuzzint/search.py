@@ -21,7 +21,6 @@ from itertools import combinations
 
 from .continuity import (
     Arm,
-    VBSpace,
     compose,
     initial_interior,
     initiality_violation,
@@ -36,7 +35,7 @@ from .interior import (
     is_fully_productive,
     is_idempotent,
     least,
-    literal_trivial_rule,
+    literal_trivial,
     open_sets,
 )
 from .lattice import diamond_lattice, pentagon_lattice
@@ -219,12 +218,11 @@ class SearchContext:
             self._samples[ground] = interior_sample(ground, self.bounds)
         return self._samples[ground]
 
-    def arm(self, g: GroundMorphism, sig) -> tuple:
+    def arm(self, g: GroundMorphism, target: InteriorMap) -> tuple:
         """The prepared arm and the image positions of its initial
         interior."""
-        key = (g, sig)
+        key = (g, target)
         if key not in self._arms:
-            target = VBSpace(g.cod, InteriorMap(g.cod, sig))
             self._arms[key] = (Arm(g, target), initial_interior(g, target).images)
         return self._arms[key]
 
@@ -237,27 +235,14 @@ class SearchContext:
         return self._tests[dom]
 
 
-# ------------------------------------------------------- case serialization
-
-def _interior_doc(ground: Ground, sig) -> dict:
-    return fio.interior_to_json(InteriorMap(ground, sig))
-
-
-def _case_interior_sig(part) -> tuple:
-    return fio.interior_from_json(part).signature()
-
-
-def strip_objects(case: dict) -> dict:
-    return {k: v for k, v in case.items() if not k.startswith("_")}
-
-
 # ------------------------------------------------------------- properties
 #
 # Generators take the search context and yield lean cases carrying live
-# objects under underscore keys; the matching describer turns a case into
-# a standalone JSON instance when a witness bundle is produced.  Checkers
-# take a case and the context and accept either form, so replayed bundles
-# go through the exact same code path.
+# objects (grounds, morphisms, interior maps) under underscore keys; the
+# matching describer turns such a case into a standalone JSON instance
+# when a witness bundle is produced.  Checkers take a case and the context
+# and accept either form, so replayed bundles go through the exact same
+# code path.
 
 def _gen_literal_trivial(ctx: SearchContext):
     for ground in ctx.grounds:
@@ -265,38 +250,33 @@ def _gen_literal_trivial(ctx: SearchContext):
 
 
 def _describe_literal_trivial(case: dict) -> dict:
-    if "_ground" not in case:
-        return strip_objects(case)
     return {"ground": fio.ground_to_json(case["_ground"])}
 
 
 def _check_literal_trivial(case: dict, ctx: SearchContext):
     ground = case["_ground"] if "_ground" in case else fio.ground_from_json(case["ground"])
-    verdict = check_interior_axioms(ground, literal_trivial_rule(ground))
+    verdict = check_interior_axioms(literal_trivial(ground))
     return None if verdict.ok else verdict.witness
 
 
 def _gen_operator_lattice(ctx: SearchContext):
     for ground in ctx.grounds:
-        sigs = [i.signature() for i in enumerate_interior_maps(ground, ctx.bounds)]
-        if 2 ** len(sigs) <= 4096:
-            for mask in range(1, 2 ** len(sigs)):
-                members = [sigs[k] for k in range(len(sigs)) if mask >> k & 1]
+        maps = list(enumerate_interior_maps(ground, ctx.bounds))
+        if 2 ** len(maps) <= 4096:
+            for mask in range(1, 2 ** len(maps)):
+                members = [maps[k] for k in range(len(maps)) if mask >> k & 1]
                 yield {"kind": "subset", "_ground": ground, "_members": members}
         else:
-            for a, b in combinations(range(len(sigs)), 2):
-                yield {"kind": "pair", "_ground": ground, "_members": [sigs[a], sigs[b]]}
-            yield {"kind": "full", "_ground": ground, "_members": sigs}
+            for a, b in combinations(maps, 2):
+                yield {"kind": "pair", "_ground": ground, "_members": [a, b]}
+            yield {"kind": "full", "_ground": ground, "_members": maps}
 
 
 def _describe_operator_lattice(case: dict) -> dict:
-    if "_ground" not in case:
-        return strip_objects(case)
-    ground = case["_ground"]
     return {
         "kind": case["kind"],
-        "ground": fio.ground_to_json(ground),
-        "members": [_interior_doc(ground, s) for s in case["_members"]],
+        "ground": fio.ground_to_json(case["_ground"]),
+        "members": [fio.interior_to_json(i) for i in case["_members"]],
     }
 
 
@@ -305,63 +285,48 @@ def _check_operator_lattice(case: dict, ctx: SearchContext):
         ground, members = case["_ground"], case["_members"]
     else:
         ground = fio.ground_from_json(case["ground"])
-        members = [_case_interior_sig(m) for m in case["members"]]
+        members = [fio.interior_from_json(m) for m in case["members"]]
     index = ground.index
     for how, fold in (("join", index.join), ("meet", index.meet)):
-        combined = InteriorMap(ground, tuple(fold(column) for column in zip(*members)))
-        verdict = check_interior_axioms(ground, combined)
+        combined = InteriorMap(ground, tuple(fold(column) for column in zip(*(i.images for i in members))))
+        verdict = check_interior_axioms(combined)
         if not verdict.ok:
             return {"operation": how, **verdict.witness}
     return None
 
 
-def _continuous_legs(ctx: SearchContext, open_mode: bool):
-    """All (morphism, src space, dst space) passing the chosen test, grouped
-    by source space for composition joins."""
+def _continuous_legs(ctx: SearchContext, open_mode: bool) -> dict:
+    """All (morphism, src map, dst map) passing the chosen test, grouped
+    by source map, in the order each source first passes, for
+    composition joins."""
     test = is_open_morphism if open_mode else is_continuous
-    spaces = {ground: [VBSpace(ground, i) for i in ctx.sample(ground)] for ground in ctx.grounds}
     by_source: dict = {}
-    order = []
     for dom in ctx.grounds:
         for cod in ctx.grounds:
             for g in all_morphisms(dom, cod):
-                for src in spaces[dom]:
-                    for dst in spaces[cod]:
+                for src in ctx.sample(dom):
+                    for dst in ctx.sample(cod):
                         ctx.expire()
                         if test(g, src, dst):
-                            key = _space_key(src)
-                            if key not in by_source:
-                                by_source[key] = []
-                                order.append(key)
-                            by_source[key].append((g, src, dst))
-    return by_source, order
-
-
-def _space_key(space: VBSpace):
-    return (space.ground, space.interior.signature())
+                            by_source.setdefault(src, []).append((g, src, dst))
+    return by_source
 
 
 def _gen_composition(ctx: SearchContext, open_mode: bool):
-    by_source, order = _continuous_legs(ctx, open_mode)
-    for key in order:
-        for g1, src, mid in by_source[key]:
-            for g2, _, dst in by_source.get(_space_key(mid), ()):
+    by_source = _continuous_legs(ctx, open_mode)
+    for legs in by_source.values():
+        for g1, src, mid in legs:
+            for g2, _, dst in by_source.get(mid, ()):
                 yield {"open": open_mode, "_legs": (g1, src, mid, g2, dst)}
 
 
 def _describe_composition(case: dict) -> dict:
-    if "_legs" not in case:
-        return strip_objects(case)
     g1, src, mid, g2, dst = case["_legs"]
     return {
         "open": case["open"],
         "first": fio.morphism_to_json(g1),
         "second": fio.morphism_to_json(g2),
-        "interiors": [
-            fio.interior_to_json(src.interior),
-            fio.interior_to_json(mid.interior),
-            fio.interior_to_json(dst.interior),
-        ],
+        "interiors": [fio.interior_to_json(i) for i in (src, mid, dst)],
     }
 
 
@@ -371,30 +336,25 @@ def _check_composition(case: dict, ctx: SearchContext):
     else:
         g1 = fio.morphism_from_json(case["first"])
         g2 = fio.morphism_from_json(case["second"])
-        sigs = [_case_interior_sig(s) for s in case["interiors"]]
-        src = VBSpace(g1.dom, InteriorMap(g1.dom, sigs[0]))
-        dst = VBSpace(g2.cod, InteriorMap(g2.cod, sigs[2]))
+        src, _, dst = (fio.interior_from_json(i) for i in case["interiors"])
     test = is_open_morphism if case["open"] else is_continuous
     verdict = test(compose(g2, g1), src, dst)
     return None if verdict.ok else verdict.witness
 
 
 def _gen_open_preimage(ctx: SearchContext):
-    by_source, order = _continuous_legs(ctx, open_mode=False)
-    for key in order:
-        for g, src, dst in by_source[key]:
-            for v in sorted(open_sets(dst.interior), key=lambda s: s.values):
+    for legs in _continuous_legs(ctx, open_mode=False).values():
+        for g, src, dst in legs:
+            for v in sorted(open_sets(dst), key=lambda s: s.values):
                 yield {"_data": (g, src, dst, v)}
 
 
 def _describe_open_preimage(case: dict) -> dict:
-    if "_data" not in case:
-        return strip_objects(case)
     g, src, dst, v = case["_data"]
     return {
         "morphism": fio.morphism_to_json(g),
-        "src": fio.interior_to_json(src.interior),
-        "dst": fio.interior_to_json(dst.interior),
+        "src": fio.interior_to_json(src),
+        "dst": fio.interior_to_json(dst),
         "v": fio.fuzzyset_to_json(v),
     }
 
@@ -404,12 +364,12 @@ def _check_open_preimage(case: dict, ctx: SearchContext):
         g, src, dst, v = case["_data"]
     else:
         g = fio.morphism_from_json(case["morphism"])
-        src = VBSpace(g.dom, InteriorMap(g.dom, _case_interior_sig(case["src"])))
+        src = fio.interior_from_json(case["src"])
         v = fio.fuzzyset_from_json(case["v"])
     if v.ground != g.cod:
         raise CarrierMismatch("fuzzy set ground differs from the morphism codomain")
     w = g.backward[g.cod.index.position[v.values]]
-    if src.interior.images[w] != w:
+    if src.images[w] != w:
         return {"v": v.as_dict(), "preimage": g.dom.named(g.dom.index.values[w])}
     return None
 
@@ -417,14 +377,8 @@ def _check_open_preimage(case: dict, ctx: SearchContext):
 # -- structured sources -------------------------------------------------------
 
 def _arm_family(ctx: SearchContext, dom: Ground):
-    """Every (morphism, target interior signature) arm out of a domain."""
-    arms = []
-    for cod in ctx.grounds:
-        sample = ctx.sample(cod)
-        for g in all_morphisms(dom, cod):
-            for i_cod in sample:
-                arms.append((g, i_cod.signature()))
-    return arms
+    """Every (morphism, target interior) arm out of a domain."""
+    return [(g, target) for cod in ctx.grounds for g in all_morphisms(dom, cod) for target in ctx.sample(cod)]
 
 
 def _gen_sources(ctx: SearchContext, min_arms: int):
@@ -438,13 +392,11 @@ def _gen_sources(ctx: SearchContext, min_arms: int):
 
 
 def _describe_source(case: dict) -> dict:
-    if "_domain" not in case:
-        return strip_objects(case)
     return {
         "domain": fio.ground_to_json(case["_domain"]),
         "arms": [
-            {"morphism": fio.morphism_to_json(g), "interior": _interior_doc(g.cod, sig)}
-            for g, sig in case["_arms"]
+            {"morphism": fio.morphism_to_json(g), "interior": fio.interior_to_json(target)}
+            for g, target in case["_arms"]
         ],
     }
 
@@ -456,10 +408,10 @@ def _case_source(case: dict, ctx: SearchContext):
     else:
         dom = fio.ground_from_json(case["domain"])
         arms = [
-            (fio.morphism_from_json(arm["morphism"]), _case_interior_sig(arm["interior"]))
+            (fio.morphism_from_json(arm["morphism"]), fio.interior_from_json(arm["interior"]))
             for arm in case["arms"]
         ]
-    return dom, [ctx.arm(g, sig) for g, sig in arms]
+    return dom, [ctx.arm(g, target) for g, target in arms]
 
 
 def _lost_arm(dom: Ground, arms, images: tuple, shown: str | None = None):
@@ -489,7 +441,7 @@ def _check_initiality(case: dict, ctx: SearchContext):
     dom, arms = _case_source(case, ctx)
     columns = [initial for _, initial in arms] or [least(dom).images]
     lift = InteriorMap(dom, tuple(map(dom.index.join, zip(*columns))))
-    verdict = check_interior_axioms(dom, lift)
+    verdict = check_interior_axioms(lift)
     if not verdict.ok:
         return {"stage": "axioms", **verdict.witness}
     lost = _lost_arm(dom, arms, lift.images)
@@ -511,7 +463,7 @@ def _check_literal_meet_lift(case: dict, ctx: SearchContext):
     top = dom.set_count() - 1
     columns = [initial for _, initial in arms] or [(top,) * (top + 1)]  # the empty meet
     meet_lift = InteriorMap(dom, tuple(map(dom.index.meet, zip(*columns))))
-    verdict = check_interior_axioms(dom, meet_lift)
+    verdict = check_interior_axioms(meet_lift)
     if not verdict.ok:
         return {"stage": "axioms", **verdict.witness}
     return _lost_arm(dom, arms, meet_lift.images, shown="meet_lift_at_w")
@@ -520,28 +472,24 @@ def _check_literal_meet_lift(case: dict, ctx: SearchContext):
 def _gen_preservation(ctx: SearchContext, predicate):
     for dom in ctx.grounds:
         for cod in ctx.grounds:
-            for i_cod in ctx.sample(cod):
-                if not predicate(i_cod):
+            for target in ctx.sample(cod):
+                if not predicate(target):
                     continue
-                sig = i_cod.signature()
                 for g in all_morphisms(dom, cod):
-                    yield {"_data": (g, sig)}
+                    yield {"_data": (g, target)}
 
 
 def _describe_preservation(case: dict) -> dict:
-    if "_data" not in case:
-        return strip_objects(case)
-    g, sig = case["_data"]
-    return {"morphism": fio.morphism_to_json(g), "interior": _interior_doc(g.cod, sig)}
+    g, target = case["_data"]
+    return {"morphism": fio.morphism_to_json(g), "interior": fio.interior_to_json(target)}
 
 
 def _check_preservation(case: dict, predicate):
     if "_data" in case:
-        g, sig = case["_data"]
+        g, target = case["_data"]
     else:
         g = fio.morphism_from_json(case["morphism"])
-        sig = _case_interior_sig(case["interior"])
-    target = VBSpace(g.cod, InteriorMap(g.cod, sig))
+        target = fio.interior_from_json(case["interior"])
     lifted = initial_interior(g, target)
     verdict = predicate(lifted)
     return None if verdict.ok else verdict.witness
@@ -555,8 +503,6 @@ def _gen_meet_interchange(ctx: SearchContext):
 
 
 def _describe_meet_interchange(case: dict) -> dict:
-    if "_morphism" not in case:
-        return strip_objects(case)
     return {"morphism": fio.morphism_to_json(case["_morphism"])}
 
 

@@ -128,8 +128,8 @@ def naive_is_continuous(g, src, dst):
     checked = 0
     for v in dst.ground.all_sets():
         checked += 1
-        lhs = vb_backward(g, dst.interior.apply(v))
-        rhs = src.interior.apply(vb_backward(g, v))
+        lhs = vb_backward(g, dst.apply(v))
+        rhs = src.apply(vb_backward(g, v))
         if not lhs.leq(rhs):
             witness = {"v": v.as_dict(), "lhs": lhs.as_dict(), "rhs": rhs.as_dict()}
             return Verdict(False, "continuity", witness, checked)
@@ -144,8 +144,8 @@ def naive_is_open_morphism(g, src, dst):
     checked = 0
     for v in dst.ground.all_sets():
         checked += 1
-        lhs = src.interior.apply(vb_backward(g, v))
-        rhs = vb_backward(g, dst.interior.apply(v))
+        lhs = src.apply(vb_backward(g, v))
+        rhs = vb_backward(g, dst.apply(v))
         if not lhs.leq(rhs):
             witness = {"v": v.as_dict(), "lhs": lhs.as_dict(), "rhs": rhs.as_dict()}
             return Verdict(False, "openness", witness, checked)
@@ -160,9 +160,9 @@ def naive_initial_interior(g, target):
 
     def rule(u):
         lifted = vb_right_adjoint(g, FuzzySet(g.dom, u))
-        return vb_backward(g, target.interior.apply(lifted)).values
+        return vb_backward(g, target.apply(lifted)).values
 
-    return InteriorMap.from_rule(g.dom, rule, validate=True)
+    return InteriorMap.from_rule(g.dom, rule)
 
 
 def naive_meet_interchange_report(g, max_family=3):
@@ -181,7 +181,7 @@ def naive_meet_interchange_report(g, max_family=3):
                 witness = {
                     "family": [b.as_dict() for b in family],
                     "backward_of_meet": lhs.as_dict(),
-                    "meet_of_backwards": dict(zip(g.dom.points, rhs_vals)),
+                    "meet_of_backwards": g.dom.named(rhs_vals),
                 }
                 return Verdict(False, "meet-interchange", witness, checked)
     return Verdict(True, "meet-interchange", None, checked)
@@ -195,40 +195,41 @@ def naive_verify_initiality(s, lift, test_grounds) -> str | None:
     composite through the source arms is continuous.  Returns the failing
     direction ("if" or "only-if"), or None.
     """
-    from fuzzint.continuity import VBSpace, compose
+    from fuzzint.continuity import compose
     from fuzzint.powerset import all_morphisms
     from fuzzint.search import enumerate_interior_maps
 
-    lifted = VBSpace(s.domain, lift)
     for z_ground in test_grounds:
-        test_spaces = [VBSpace(z_ground, i) for i in enumerate_interior_maps(z_ground)]
+        test_spaces = list(enumerate_interior_maps(z_ground))
         for g in all_morphisms(z_ground, s.domain):
             for test_space in test_spaces:
-                g_cont = naive_is_continuous(g, test_space, lifted).ok
+                g_cont = naive_is_continuous(g, test_space, lift).ok
                 comp_cont = all(
-                    naive_is_continuous(compose(arm, g), test_space, space).ok for arm, space in s.arms
+                    naive_is_continuous(compose(arm, g), test_space, target).ok for arm, target in s.arms
                 )
                 if g_cont != comp_cont:
                     return "if" if g_cont else "only-if"
     return None
 
 
+def unvalidated(ground, table):
+    """The InteriorMap with the images of a {u: i(u)} table, or of a rule,
+    on value tuples, built from their positions without the axiom check."""
+    from fuzzint.interior import InteriorMap
+
+    image_of = table if callable(table) else table.__getitem__
+    position = ground.index.position
+    return InteriorMap(ground, tuple(position[tuple(image_of(u))] for u in ground.index.values))
+
+
 def naive_check_interior_axioms(ground, candidate):
     """The interior axioms over value tuples, monotonicity by a scan of all
-    N^2 pairs in index order (oracle for the cover-edge check)."""
+    N^2 pairs in index order (oracle for the cover-edge check).
+    ``candidate`` is an InteriorMap or a {u: i(u)} value-tuple table."""
     from fuzzint.interior import InteriorMap
-    from fuzzint.powerset import FuzzySet, Verdict
+    from fuzzint.powerset import Verdict
 
-    if isinstance(candidate, InteriorMap):
-        rule = candidate.apply_values
-    elif callable(candidate):
-        rule = lambda u: tuple(candidate(u))  # noqa: E731
-    else:
-        table = {}
-        for u, iu in candidate.items() if hasattr(candidate, "items") else candidate:
-            uv = u.values if isinstance(u, FuzzySet) else tuple(u)
-            table[uv] = iu.values if isinstance(iu, FuzzySet) else tuple(iu)
-        rule = table.__getitem__
+    rule = candidate.apply_values if isinstance(candidate, InteriorMap) else candidate.__getitem__
     name = lambda vals: {x: ground.lattice.name(v) for x, v in zip(ground.points, vals)}  # noqa: E731
     checked = 0
     images = {}

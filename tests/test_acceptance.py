@@ -13,7 +13,7 @@ bounds, and the operator-lattice suite itself enumerates all 400 maps.
 import time
 from itertools import product
 
-from fuzzint.interior import check_interior_axioms, discrete, least, literal_trivial_rule, ltopology
+from fuzzint.interior import check_interior_axioms, discrete, least, literal_trivial, ltopology
 from fuzzint.gallery import (
     all_topologies,
     classical_interior,
@@ -184,8 +184,8 @@ def test_criterion_3_operator_lattice():
 def test_criterion_4_trivial_operator_regression():
     godel3 = builtin_algebra("godel3")
     ground = Ground(("p1",), godel3)
-    literal = check_interior_axioms(ground, literal_trivial_rule(ground))
-    corrected = check_interior_axioms(ground, least(ground))
+    literal = check_interior_axioms(literal_trivial(ground))
+    corrected = check_interior_axioms(least(ground))
     below = all(
         ground.leq_values(least(ground).apply_values(u), imap.apply_values(u))
         for imap in enumerate_interior_maps(ground)

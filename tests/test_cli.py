@@ -165,3 +165,81 @@ def test_examples_json_mode():
     assert code == 0
     report = json.loads(text)
     assert report["example3"]["interior"] == {"0": "0", "1/2": "0", "1": "1"}
+
+
+GODEL3_POINT = {"points": ["p1"], "algebra": {"builtin": "godel", "n": 3}}
+# 1/2 |-> 1 breaks contraction
+EXPANDING = [[["0"], ["0"]], [["1/2"], ["1"]], [["1"], ["1"]]]
+# no row for 1/2
+MISSING_ROW = [[["0"], ["0"]], [["1"], ["1"]]]
+
+
+def write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_space_failing_the_axioms_exits_1(tmp_path):
+    space = write(tmp_path, "space.json", {"ground": GODEL3_POINT, "interior": {"table": EXPANDING}})
+    argv = ["check", "continuity", str(FIXTURES / "identity_morphism.json"), space, space]
+    code, text = run_cli(*argv)
+    assert code == 1
+    assert text.startswith("error: not an interior map: ")
+    assert "'axiom': 'I1'" in text and "'u': {'p1': '1/2'}" in text
+    code, text = run_cli(*argv, "--json")
+    assert code == 1
+    report = json.loads(text)
+    assert report["status"] == "error"
+    assert report["error"] == "NotAnInteriorMap"
+
+
+def test_interior_file_missing_a_row_exits_1(tmp_path):
+    interior = write(tmp_path, "interior.json", {"ground": GODEL3_POINT, "table": MISSING_ROW})
+    code, text = run_cli("validate", interior)
+    assert code == 1
+    assert text == "error: carrier mismatch: no row for (1,)\n"
+    code, text = run_cli("validate", interior, "--json")
+    assert code == 1
+    assert json.loads(text) == {
+        "status": "error",
+        "error": "CarrierMismatch",
+        "detail": "carrier mismatch: no row for (1,)",
+    }
+
+
+def test_interior_file_failing_the_axioms_exits_1(tmp_path):
+    interior = write(tmp_path, "interior.json", {"ground": GODEL3_POINT, "table": EXPANDING})
+    code, text = run_cli("validate", interior)
+    assert code == 1
+    assert text.startswith("error: not an interior map: ")
+
+
+def test_space_with_a_row_off_the_ground_exits_1(tmp_path):
+    rows = EXPANDING[:1] + [[["1/2"], ["0"]], [["1"], ["1"]], [["1", "1"], ["1", "1"]]]
+    space = write(tmp_path, "space.json", {"ground": GODEL3_POINT, "interior": {"table": rows}})
+    code, text = run_cli("validate", space)
+    assert code == 1
+    assert text == "error: carrier mismatch: row (2, 2) is not a value tuple on this ground\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["examples", "run", "3"],
+        ["check", "continuity", "identity_morphism.json", "discrete_space.json", "least_space.json"],
+    ],
+)
+def test_commands_that_do_not_search_ignore_bounds(monkeypatch, argv):
+    monkeypatch.delenv("FUZZINT_BOUNDS", raising=False)
+    expected = run_cli(*resolve(argv))
+    monkeypatch.setenv("FUZZINT_BOUNDS", "bogus=1")
+    assert run_cli(*resolve(argv)) == expected
+    assert expected[0] == 0
+
+
+def test_commands_that_search_reject_malformed_bounds(monkeypatch):
+    monkeypatch.setenv("FUZZINT_BOUNDS", "bogus=1")
+    code, text = run_cli("check", "initiality", str(FIXTURES / "two_arm_source.json"))
+    assert code == 1
+    assert text == "error: bounds exceeded: unknown bounds key 'bogus'\n"

@@ -5,7 +5,6 @@ import pytest
 from conftest import naive_verify_initiality
 from fuzzint.continuity import (
     StructuredSource,
-    VBSpace,
     compose,
     continuity_constraints,
     initial_from_source,
@@ -47,12 +46,12 @@ def small_bounds():
 
 
 def spaces_on(ground):
-    return [VBSpace(ground, i) for i in enumerate_interior_maps(ground)]
+    return list(enumerate_interior_maps(ground))
 
 
 def meet_lift(s):
     """The uncorrected pointwise-meet lift of a nonempty source."""
-    per_arm = [initial_interior(g, space) for g, space in s.arms]
+    per_arm = [initial_interior(g, target) for g, target in s.arms]
     return InteriorMap.from_rule(
         s.domain, lambda u: s.domain.meet_values(i.apply_values(u) for i in per_arm)
     )
@@ -68,7 +67,7 @@ def test_identity_continuous_same_space(one_point_c3):
 
 def test_discrete_source_always_continuous(one_point_c3, two_point_c3):
     for dom, cod in ((one_point_c3, one_point_c3), (two_point_c3, one_point_c3)):
-        src = VBSpace(dom, discrete(dom))
+        src = discrete(dom)
         for g in all_morphisms(dom, cod):
             for dst in spaces_on(cod):
                 assert is_continuous(g, src, dst)
@@ -76,8 +75,8 @@ def test_discrete_source_always_continuous(one_point_c3, two_point_c3):
 
 def test_least_source_discrete_target_witness(one_point_c3):
     g = identity_morphism(one_point_c3)
-    src = VBSpace(one_point_c3, least(one_point_c3))
-    dst = VBSpace(one_point_c3, discrete(one_point_c3))
+    src = least(one_point_c3)
+    dst = discrete(one_point_c3)
     verdict = is_continuous(g, src, dst)
     assert not verdict.ok
     assert verdict.witness["v"] == {"p1": "1/2"}
@@ -93,8 +92,8 @@ def test_openness_identity(one_point_c3):
 
 def test_openness_witness_discrete_source_least_target(one_point_c3):
     g = identity_morphism(one_point_c3)
-    src = VBSpace(one_point_c3, discrete(one_point_c3))
-    dst = VBSpace(one_point_c3, least(one_point_c3))
+    src = discrete(one_point_c3)
+    dst = least(one_point_c3)
     verdict = is_open_morphism(g, src, dst)
     assert not verdict.ok
     assert verdict.witness["v"] == {"p1": "1/2"}
@@ -102,7 +101,7 @@ def test_openness_witness_discrete_source_least_target(one_point_c3):
 
 def test_least_source_least_target_continuous(one_point_c3):
     g = identity_morphism(one_point_c3)
-    space = VBSpace(one_point_c3, least(one_point_c3))
+    space = least(one_point_c3)
     assert is_continuous(g, space, space)
     assert is_open_morphism(g, space, space)
 
@@ -110,7 +109,7 @@ def test_least_source_least_target_continuous(one_point_c3):
 def test_ground_mismatch(one_point_c3, two_point_c3):
     g = identity_morphism(one_point_c3)
     with pytest.raises(GroundMismatch):
-        is_continuous(g, VBSpace(two_point_c3, discrete(two_point_c3)), VBSpace(one_point_c3, discrete(one_point_c3)))
+        is_continuous(g, discrete(two_point_c3), discrete(one_point_c3))
 
 
 # -- composition ------------------------------------------------------------------
@@ -163,7 +162,7 @@ def test_initial_of_identity_transports_target(one_point_c3):
     g = identity_morphism(one_point_c3)
     for space in spaces_on(one_point_c3):
         lifted = initial_interior(g, space)
-        assert lifted.signature() == space.interior.signature()
+        assert lifted.images == space.images
 
 
 def test_initial_always_interior_and_continuous(small_bounds):
@@ -172,8 +171,8 @@ def test_initial_always_interior_and_continuous(small_bounds):
             for g in all_morphisms(dom, cod):
                 for target in spaces_on(cod):
                     lifted = initial_interior(g, target)
-                    assert check_interior_axioms(dom, lifted).ok
-                    assert is_continuous(g, VBSpace(dom, lifted), target)
+                    assert check_interior_axioms(lifted).ok
+                    assert is_continuous(g, lifted, target)
 
 
 def test_initial_is_least_continuous_structure(one_point_c3, one_point_c2):
@@ -183,7 +182,7 @@ def test_initial_is_least_continuous_structure(one_point_c3, one_point_c2):
                 for target in spaces_on(cod):
                     lifted = initial_interior(g, target)
                     for candidate in enumerate_interior_maps(dom):
-                        cont = is_continuous(g, VBSpace(dom, candidate), target).ok
+                        cont = is_continuous(g, candidate, target).ok
                         dominates = all(
                             dom.leq_values(lifted.apply_values(u), candidate.apply_values(u))
                             for u in dom.all_value_tuples()
@@ -195,15 +194,15 @@ def test_initial_collapse_into_least_is_least(godel3):
     X = Ground(("x1", "x2"), godel3)
     Y = Ground(("y",), godel3)
     g = GroundMorphism(dom=X, cod=Y, f=(0, 0), phi_op=(0, 1, 2))
-    lifted = initial_interior(g, VBSpace(Y, least(Y)))
-    assert lifted.signature() == least(X).signature()
+    lifted = initial_interior(g, least(Y))
+    assert lifted.images == least(X).images
 
 
 def test_initial_discrete_target_is_counit_composite(godel3):
     X = Ground(("x1", "x2"), godel3)
     Y = Ground(("y",), godel3)
     g = GroundMorphism(dom=X, cod=Y, f=(0, 0), phi_op=(0, 1, 2))
-    lifted = initial_interior(g, VBSpace(Y, discrete(Y)))
+    lifted = initial_interior(g, discrete(Y))
     from fuzzint.powerset import vb_right_adjoint
 
     for u in X.all_sets():
@@ -218,45 +217,45 @@ def test_singleton_source_equals_initial(one_point_c3):
     g = identity_morphism(one_point_c3)
     for target in spaces_on(one_point_c3):
         s = StructuredSource(domain=one_point_c3, arms=((g, target),))
-        assert initial_from_source(s).signature() == initial_interior(g, target).signature()
+        assert initial_from_source(s).images == initial_interior(g, target).images
 
 
 def test_duplicate_arms_same_as_singleton(one_point_c3):
     g = identity_morphism(one_point_c3)
-    target = VBSpace(one_point_c3, least(one_point_c3))
+    target = least(one_point_c3)
     s1 = StructuredSource(domain=one_point_c3, arms=((g, target),))
     s2 = StructuredSource(domain=one_point_c3, arms=((g, target), (g, target)))
-    assert initial_from_source(s1).signature() == initial_from_source(s2).signature()
+    assert initial_from_source(s1).images == initial_from_source(s2).images
 
 
 def test_empty_source_is_least(one_point_c3):
     s = StructuredSource(domain=one_point_c3, arms=())
-    assert initial_from_source(s).signature() == least(one_point_c3).signature()
+    assert initial_from_source(s).images == least(one_point_c3).images
 
 
 def test_two_arm_source_keeps_arms_continuous(one_point_c3):
     g = identity_morphism(one_point_c3)
-    disc = VBSpace(one_point_c3, discrete(one_point_c3))
-    low = VBSpace(one_point_c3, least(one_point_c3))
+    disc = discrete(one_point_c3)
+    low = least(one_point_c3)
     s = StructuredSource(domain=one_point_c3, arms=((g, disc), (g, low)))
     lift = initial_from_source(s)
-    assert check_interior_axioms(one_point_c3, lift).ok
+    assert check_interior_axioms(lift).ok
     for arm_g, space in s.arms:
-        assert is_continuous(arm_g, VBSpace(one_point_c3, lift), space)
+        assert is_continuous(arm_g, lift, space)
     # the join of the discrete and least lifts is discrete
-    assert lift.signature() == discrete(one_point_c3).signature()
+    assert lift.images == discrete(one_point_c3).images
 
 
 def test_literal_meet_rule_loses_arm_continuity(one_point_c3):
     g = identity_morphism(one_point_c3)
-    disc = VBSpace(one_point_c3, discrete(one_point_c3))
-    low = VBSpace(one_point_c3, least(one_point_c3))
+    disc = discrete(one_point_c3)
+    low = least(one_point_c3)
     s = StructuredSource(domain=one_point_c3, arms=((g, disc), (g, low)))
     meet_map = meet_lift(s)
     # the meet passes the interior axioms but the arm into the discrete
     # space stops being continuous
-    assert check_interior_axioms(one_point_c3, meet_map).ok
-    verdicts = [is_continuous(arm_g, VBSpace(one_point_c3, meet_map), space).ok for arm_g, space in s.arms]
+    assert check_interior_axioms(meet_map).ok
+    verdicts = [is_continuous(arm_g, meet_map, space).ok for arm_g, space in s.arms]
     assert verdicts == [False, True]
 
 
@@ -273,7 +272,7 @@ def test_verify_initiality_accepts_canonical_lift(one_point_c3, one_point_c2, sm
 
 def test_verify_initiality_rejects_discrete_when_too_big(one_point_c3, small_bounds):
     g = identity_morphism(one_point_c3)
-    target = VBSpace(one_point_c3, least(one_point_c3))
+    target = least(one_point_c3)
     s = StructuredSource(domain=one_point_c3, arms=((g, target),))
     verdict = verify_initiality(
         s, discrete(one_point_c3), test_grounds=grounds_within(small_bounds)
@@ -284,7 +283,7 @@ def test_verify_initiality_rejects_discrete_when_too_big(one_point_c3, small_bou
 
 def test_verify_initiality_rejects_too_small(one_point_c3, small_bounds):
     g = identity_morphism(one_point_c3)
-    target = VBSpace(one_point_c3, discrete(one_point_c3))
+    target = discrete(one_point_c3)
     s = StructuredSource(domain=one_point_c3, arms=((g, target),))
     verdict = verify_initiality(
         s, least(one_point_c3), test_grounds=grounds_within(small_bounds)
@@ -294,7 +293,7 @@ def test_verify_initiality_rejects_too_small(one_point_c3, small_bounds):
 
 def test_verify_initiality_vacuous_without_test_objects(one_point_c3):
     g = identity_morphism(one_point_c3)
-    target = VBSpace(one_point_c3, least(one_point_c3))
+    target = least(one_point_c3)
     s = StructuredSource(domain=one_point_c3, arms=((g, target),))
     assert verify_initiality(s, discrete(one_point_c3), test_grounds=[])
 
@@ -317,7 +316,7 @@ def test_reduced_mode_agrees_with_enumeration():
     seen = set()
     for dom, cods, test_grounds in settings:
         arms = [
-            (g, VBSpace(cod, i))
+            (g, i)
             for cod in cods
             for g in all_morphisms(dom, cod)
             for i in interior_sample(cod, sample)
@@ -341,11 +340,6 @@ def test_reduced_mode_agrees_with_enumeration():
     assert seen == {(1, True), (1, False), (2, True), (2, False)}
 
 
-def _value_pairs(ground, sig):
-    values = ground.index.values
-    return zip(values, (values[i] for i in sig))
-
-
 def test_search_checker_agrees_with_verify_initiality():
     bounds = SearchBounds(max_carrier=1)
     ctx = SearchContext(bounds)
@@ -354,11 +348,7 @@ def test_search_checker_agrees_with_verify_initiality():
     cases = 0
     for case in generate(ctx):
         cases += 1
-        arms = tuple(
-            (g, VBSpace(g.cod, InteriorMap.from_table(g.cod, _value_pairs(g.cod, sig))))
-            for g, sig in case["_arms"]
-        )
-        s = StructuredSource(domain=case["_domain"], arms=arms)
+        s = StructuredSource(domain=case["_domain"], arms=tuple(case["_arms"]))
         verdict = verify_initiality(s, initial_from_source(s), test_grounds=grounds_within(bounds))
         assert (check(case) is None) == verdict.ok
     assert cases == search("initiality", bounds).instances
@@ -370,7 +360,7 @@ def test_continuity_constraints_characterize(one_point_c3):
     for target in spaces_on(one_point_c3):
         pairs = continuity_constraints(g, target)
         for candidate in enumerate_interior_maps(one_point_c3):
-            expected = is_continuous(g, VBSpace(one_point_c3, candidate), target).ok
+            expected = is_continuous(g, candidate, target).ok
             derived = all(
                 one_point_c3.leq_values(values[c], candidate.apply_values(values[w])) for w, c in pairs
             )
@@ -381,7 +371,7 @@ def test_continuity_constraints_characterize(one_point_c3):
 
 def test_preserves_idempotency_identity(one_point_c3):
     g = identity_morphism(one_point_c3)
-    assert preserves_idempotency_check(g, VBSpace(one_point_c3, discrete(one_point_c3)))
+    assert preserves_idempotency_check(g, discrete(one_point_c3))
 
 
 def test_preserves_idempotency_all_small(small_bounds):
@@ -390,7 +380,7 @@ def test_preserves_idempotency_all_small(small_bounds):
         for cod in grounds:
             for g in all_morphisms(dom, cod):
                 for target in spaces_on(cod):
-                    if not is_idempotent(target.interior):
+                    if not is_idempotent(target):
                         continue
                     assert preserves_idempotency_check(g, target)
 
@@ -399,7 +389,7 @@ def test_preserves_precondition_failure(two_point_c3):
     from test_interior import slipping_map
 
     g = identity_morphism(two_point_c3)
-    target = VBSpace(two_point_c3, slipping_map(two_point_c3))
+    target = slipping_map(two_point_c3)
     with pytest.raises(PropertyPreconditionFailed):
         preserves_idempotency_check(g, target)
 
@@ -422,14 +412,14 @@ def test_preimage_of_open_is_open_exhaustive(one_point_c3, one_point_c2):
                     for dst in spaces_on(cod):
                         if not is_continuous(g, src, dst):
                             continue
-                        for v in open_sets(dst.interior):
+                        for v in open_sets(dst):
                             assert preimage_of_open_is_open(g, src, dst, v)
 
 
 def test_preimage_check_requires_continuity(one_point_c3):
     g = identity_morphism(one_point_c3)
-    src = VBSpace(one_point_c3, least(one_point_c3))
-    dst = VBSpace(one_point_c3, discrete(one_point_c3))
+    src = least(one_point_c3)
+    dst = discrete(one_point_c3)
     v = one_point_c3.fuzzy(["1/2"])
     with pytest.raises(NotContinuous):
         preimage_of_open_is_open(g, src, dst, v)
@@ -459,7 +449,12 @@ def test_meet_interchange_fails_on_join_tensor_diamond(diamond_join, godel3):
     )
     verdict = meet_interchange_report(g, max_family=2)
     assert not verdict.ok
-    assert verdict.witness
+    # every part of the witness names its elements
+    assert verdict.witness == {
+        "family": [{"y1": "a"}, {"y1": "b"}],
+        "backward_of_meet": {"x1": "0"},
+        "meet_of_backwards": {"x1": "1/2"},
+    }
 
 
 def test_study_canonical_lift_openness_reported(small_bounds, capsys):
@@ -473,7 +468,7 @@ def test_study_canonical_lift_openness_reported(small_bounds, capsys):
                 for target in spaces_on(cod):
                     lifted = initial_interior(g, target)
                     total += 1
-                    if is_open_morphism(g, VBSpace(dom, lifted), target):
+                    if is_open_morphism(g, lifted, target):
                         open_count += 1
     print(f"study: canonical lift open for {open_count}/{total} enumerated instances")
     assert total > 0

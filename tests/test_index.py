@@ -4,10 +4,11 @@ meets, the cover-edge axiom check and the index-based enumerator."""
 from itertools import islice
 
 import pytest
-from conftest import naive_check_interior_axioms, naive_enumerate_interior_maps
+from conftest import naive_check_interior_axioms, naive_enumerate_interior_maps, unvalidated
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from fuzzint.errors import NotAnInteriorMap
 from fuzzint.interior import InteriorMap, check_interior_axioms, discrete
 from fuzzint.lattice import validate_lattice
 from fuzzint.monoid import godel_tensor
@@ -82,18 +83,23 @@ def _axiom(verdict):
 def test_axiom_check_matches_pair_scan_oracle(case):
     ground, table = case
     expected = naive_check_interior_axioms(ground, table)
-    assert check_interior_axioms(ground, table) == expected
-    assert check_interior_axioms(ground, InteriorMap.from_table(ground, table, validate=False)) == expected
+    candidate = unvalidated(ground, table)
+    assert check_interior_axioms(candidate) == expected
     calls = []
 
     def rule(u):
         calls.append(u)
         return table[u]
 
-    assert check_interior_axioms(ground, rule) == expected
-    # a rule is called in index order and only up to the first I1 failure
-    called = expected.checked if _axiom(expected) == "I1" else ground.set_count()
-    assert calls == list(ground.index.values[:called])
+    # from_rule calls the rule once per value tuple, in index order, and
+    # then validates
+    if expected.ok:
+        assert InteriorMap.from_rule(ground, rule) == candidate
+    else:
+        with pytest.raises(NotAnInteriorMap) as error:
+            InteriorMap.from_rule(ground, rule)
+        assert error.value.witness == expected.witness
+    assert calls == list(ground.index.values)
 
 
 @pytest.mark.parametrize("axiom", ["I1", "I2", "I3", "pass"])

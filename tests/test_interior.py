@@ -1,6 +1,7 @@
 import pytest
+from conftest import unvalidated
 
-from fuzzint.errors import CarrierMismatch, GroundMismatch, NotGLGround, TopMissingFromTopology
+from fuzzint.errors import CarrierMismatch, GroundMismatch, NotAnInteriorMap, NotGLGround, TopMissingFromTopology
 from fuzzint.interior import (
     InteriorMap,
     check_interior_axioms,
@@ -12,7 +13,7 @@ from fuzzint.interior import (
     is_productive,
     join_interiors,
     least,
-    literal_trivial_rule,
+    literal_trivial,
     ltopology,
     meet_interiors,
     open_sets,
@@ -28,18 +29,18 @@ def fuzzy(ground, *names):
 # -- axioms -------------------------------------------------------------------
 
 def test_identity_passes(one_point_c3):
-    verdict = check_interior_axioms(one_point_c3, lambda u: u)
+    verdict = check_interior_axioms(unvalidated(one_point_c3, lambda u: u))
     assert verdict.ok
 
 
 def test_drop_half_passes(one_point_c3):
     table = {(0,): (0,), (1,): (0,), (2,): (2,)}
-    assert check_interior_axioms(one_point_c3, table).ok
+    assert check_interior_axioms(unvalidated(one_point_c3, table)).ok
 
 
 def test_expand_half_fails_contraction(one_point_c3):
     table = {(0,): (0,), (1,): (2,), (2,): (2,)}
-    verdict = check_interior_axioms(one_point_c3, table)
+    verdict = check_interior_axioms(unvalidated(one_point_c3, table))
     assert not verdict.ok
     assert verdict.witness["axiom"] == "I1"
     assert verdict.witness["u"] == {"p1": "1/2"}
@@ -49,7 +50,7 @@ def test_monotonicity_violation_detected(two_point_c3):
     # keep (0,1) in place but drop the larger (1,1) to (0,0)
     table = {u: u for u in two_point_c3.all_value_tuples()}
     table[(1, 1)] = (0, 0)
-    verdict = check_interior_axioms(two_point_c3, table)
+    verdict = check_interior_axioms(unvalidated(two_point_c3, table))
     assert not verdict.ok
     assert verdict.witness["axiom"] == "I2"
     assert verdict.witness["u"] == {"p1": "0", "p2": "1/2"}
@@ -58,17 +59,28 @@ def test_monotonicity_violation_detected(two_point_c3):
 
 def test_top_violation(one_point_c3):
     table = {(0,): (0,), (1,): (1,), (2,): (1,)}
-    verdict = check_interior_axioms(one_point_c3, table)
+    verdict = check_interior_axioms(unvalidated(one_point_c3, table))
     assert not verdict.ok
     assert verdict.witness["axiom"] == "I3"
 
 
 def test_image_outside_the_powerset_rejected(one_point_c3):
     table = {(0,): (0,), (1,): (0, 0), (2,): (2,)}
-    with pytest.raises(CarrierMismatch):
+    with pytest.raises(CarrierMismatch, match=r"image \(0, 0\) of \(1,\)"):
         InteriorMap.from_table(one_point_c3, table)
-    with pytest.raises(CarrierMismatch):
-        check_interior_axioms(one_point_c3, table)
+
+
+def test_missing_or_unknown_row_rejected(one_point_c3):
+    with pytest.raises(CarrierMismatch, match=r"no row for \(1,\)"):
+        InteriorMap.from_table(one_point_c3, {(0,): (0,), (2,): (2,)})
+    with pytest.raises(CarrierMismatch, match=r"row \(1, 1\) is not"):
+        InteriorMap.from_table(one_point_c3, {(0,): (0,), (1,): (0,), (2,): (2,), (1, 1): (0,)})
+
+
+def test_table_failing_the_axioms_raises_with_witness(one_point_c3):
+    with pytest.raises(NotAnInteriorMap) as error:
+        InteriorMap.from_table(one_point_c3, {(0,): (0,), (1,): (2,), (2,): (2,)})
+    assert error.value.witness == {"axiom": "I1", "u": {"p1": "1/2"}, "image": {"p1": "1"}}
 
 
 # -- discrete / least / literal trivial ------------------------------------------
@@ -77,17 +89,17 @@ def test_discrete_is_identity(one_point_c3):
     d = discrete(one_point_c3)
     for u in one_point_c3.all_value_tuples():
         assert d.apply_values(u) == u
-    assert check_interior_axioms(one_point_c3, d).ok
+    assert check_interior_axioms(d).ok
 
 
 def test_least_table(one_point_c3):
     l = least(one_point_c3)
     assert l.table() == {(0,): (0,), (1,): (0,), (2,): (2,)}
-    assert check_interior_axioms(one_point_c3, l).ok
+    assert check_interior_axioms(l).ok
 
 
 def test_literal_trivial_fails_contraction_at_half(one_point_c3):
-    verdict = check_interior_axioms(one_point_c3, literal_trivial_rule(one_point_c3))
+    verdict = check_interior_axioms(literal_trivial(one_point_c3))
     assert not verdict.ok
     assert verdict.witness["axiom"] == "I1"
     assert verdict.witness["u"] == {"p1": "1/2"}
@@ -95,7 +107,7 @@ def test_literal_trivial_fails_contraction_at_half(one_point_c3):
 
 def test_literal_trivial_degenerates_to_identity_on_two_chain(one_point_c2):
     # with no middle elements the uncorrected map happens to be harmless
-    assert check_interior_axioms(one_point_c2, literal_trivial_rule(one_point_c2)).ok
+    assert check_interior_axioms(literal_trivial(one_point_c2)).ok
 
 
 def test_least_below_every_interior_map(one_point_c3, two_point_c2, two_point_c3):
@@ -119,13 +131,13 @@ def test_contraction_and_top_force_bottom_fixed(one_point_c3, two_point_c3):
 
 def test_join_singleton(one_point_c3):
     l = least(one_point_c3)
-    assert join_interiors([l]).signature() == l.signature()
+    assert join_interiors([l]).images == l.images
 
 
 def test_meet_with_discrete_is_identity_on_argument(one_point_c3):
     for imap in enumerate_interior_maps(one_point_c3):
         met = meet_interiors([discrete(one_point_c3), imap])
-        assert met.signature() == imap.signature()
+        assert met.images == imap.images
 
 
 def test_join_of_two_maps_pointwise(one_point_c3):
@@ -133,7 +145,7 @@ def test_join_of_two_maps_pointwise(one_point_c3):
     b = InteriorMap.from_table(one_point_c3, {(0,): (0,), (1,): (1,), (2,): (2,)})
     j = join_interiors([a, b])
     assert j.apply_values((1,)) == (1,)
-    assert check_interior_axioms(one_point_c3, j).ok
+    assert check_interior_axioms(j).ok
 
 
 def test_ground_mismatch_rejected(one_point_c3, two_point_c3):
@@ -150,8 +162,8 @@ def test_operator_lattice_complete(one_point_c3, two_point_c2):
         for family in powerset(maps):
             if not family:
                 continue
-            assert check_interior_axioms(ground, join_interiors(family)).ok
-            assert check_interior_axioms(ground, meet_interiors(family)).ok
+            assert check_interior_axioms(join_interiors(family)).ok
+            assert check_interior_axioms(meet_interiors(family)).ok
 
 
 # -- predicates ---------------------------------------------------------------
@@ -225,12 +237,12 @@ def test_open_sets_of_topology_interior(one_point_c3):
 
 def test_full_powerset_topology_gives_discrete(one_point_c3):
     tau = ltopology(one_point_c3, list(one_point_c3.all_value_tuples()))
-    assert interior_from_topology(tau).signature() == discrete(one_point_c3).signature()
+    assert interior_from_topology(tau).images == discrete(one_point_c3).images
 
 
 def test_two_element_topology_gives_least(one_point_c3):
     tau = ltopology(one_point_c3, [(0,), (2,)])
-    assert interior_from_topology(tau).signature() == least(one_point_c3).signature()
+    assert interior_from_topology(tau).images == least(one_point_c3).images
 
 
 def test_example_interior_table(one_point_c3):
@@ -262,7 +274,7 @@ def test_interior_from_open_sets_below_original(one_point_c3, two_point_c2):
             for u in ground.all_value_tuples():
                 assert ground.leq_values(derived.apply_values(u), imap.apply_values(u))
             if is_idempotent(imap) and tau.join_closed:
-                assert derived.signature() == imap.signature()
+                assert derived.images == imap.images
 
 
 # -- closures -------------------------------------------------------------------

@@ -89,18 +89,18 @@ def test_topology_and_space():
     again = topology_from_json(topology_to_json(t))
     assert again.opens == t.opens
     s = space_from_json(load_json(FIXTURES / "discrete_space.json"))
-    assert s.interior.apply_values((1,)) == (1,)
+    assert s.apply_values((1,)) == (1,)
     s2 = space_from_json(load_json(FIXTURES / "topology_space.json"))
-    assert s2.interior.apply_values((1,)) == (0,)
+    assert s2.apply_values((1,)) == (0,)
     again2 = space_from_json(space_to_json(s2))
-    assert again2.interior.signature() == s2.interior.signature()
+    assert again2.images == s2.images
 
 
 def test_interior_roundtrip():
     s = space_from_json(load_json(FIXTURES / "least_space.json"))
-    doc = interior_to_json(s.interior)
+    doc = interior_to_json(s)
     rebuilt = interior_from_json(doc)
-    assert rebuilt.signature() == s.interior.signature()
+    assert rebuilt.images == s.images
 
 
 def test_source_roundtrip():

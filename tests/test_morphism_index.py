@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from test_index import BASES, GROUNDS, PROPERTY
 
 from fuzzint.continuity import (
-    VBSpace,
     initial_interior,
     is_continuous,
     is_open_morphism,
@@ -48,8 +47,8 @@ def morphism_spaces(draw):
     """A morphism with an interior map on each end."""
     dom, cod, morphisms = draw(st.sampled_from(PAIRS))
     g = draw(st.sampled_from(morphisms))
-    src = VBSpace(dom, InteriorMap(dom, draw(st.sampled_from(BASES[dom]))))
-    dst = VBSpace(cod, InteriorMap(cod, draw(st.sampled_from(BASES[cod]))))
+    src = InteriorMap(dom, draw(st.sampled_from(BASES[dom])))
+    dst = InteriorMap(cod, draw(st.sampled_from(BASES[cod])))
     return g, src, dst
 
 

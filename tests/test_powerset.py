@@ -4,7 +4,6 @@ import pytest
 
 from conftest import naive_vb_forward
 from fuzzint.errors import (
-    AdjointConditionFailed,
     CarrierMismatch,
     JoinNotPreserved,
     TensorNotPreserved,
@@ -297,11 +296,17 @@ def test_vb_adjunction_exhaustive(c2, godel3, luk3):
                 assert verdict.ok
 
 
+def _right_adjunction(g):
+    """The Galois condition of backward and its right adjoint."""
+    return verify_powerset_adjunction(lambda v: vb_backward(g, v), lambda u: vb_right_adjoint(g, u), g.cod, g.dom)
+
+
 def test_vb_right_adjoint_identity(godel3):
     ground = Ground(("p1",), godel3)
     g = identity_morphism(ground)
     for u in ground.all_sets():
-        assert vb_right_adjoint(g, u, verify=True).values == u.values
+        assert vb_right_adjoint(g, u).values == u.values
+    assert _right_adjunction(g)
 
 
 def test_vb_right_adjoint_empty_fiber_is_top(godel3):
@@ -309,8 +314,9 @@ def test_vb_right_adjoint_empty_fiber_is_top(godel3):
     Y = Ground(("y1", "y2"), godel3)
     g = GroundMorphism(dom=X, cod=Y, f=(0,), phi_op=(0, 1, 2))
     u = X.fuzzy({"x1": "0"})
-    r = vb_right_adjoint(g, u, verify=True)
+    r = vb_right_adjoint(g, u)
     assert r.value("y2") == "1"
+    assert _right_adjunction(g)
 
 
 def test_vb_right_adjoint_fiber_meet(godel3):
@@ -363,19 +369,16 @@ def test_verify_adjunction_constant_top_fails(godel3):
     assert verdict.witness is not None
 
 
-def test_right_adjoint_verify_flag_raises_on_broken_phi(godel3):
+def test_right_adjunction_fails_on_broken_phi(godel3):
     # a deliberately invalid phi_op (not join-preserving: it is not even
-    # monotone) breaks the Galois condition and the verify flag must catch it
+    # monotone) breaks the Galois condition and the adjunction check must
+    # catch it
     X = Ground(("x1",), godel3)
     Y = Ground(("y",), godel3)
     bad = GroundMorphism(dom=X, cod=Y, f=(0,), phi_op=(0, 2, 0))  # 1/2 -> 1, 1 -> 0
-    found = False
-    for u in X.all_sets():
-        try:
-            vb_right_adjoint(bad, u, verify=True)
-        except AdjointConditionFailed:
-            found = True
-    assert found
+    verdict = _right_adjunction(bad)
+    assert not verdict.ok
+    assert verdict.witness is not None
 
 
 def test_carrier_mismatch_errors(godel3):
