@@ -39,6 +39,7 @@ from .search import (
     bounds_from_env,
     builtin_algebra,
     grounds_within,
+    parse_bound,
     replay,
     search,
 )
@@ -141,8 +142,7 @@ def _bounds(args) -> SearchBounds:
     if getattr(args, "max_tables", None) is not None:
         updates["max_tables"] = args.max_tables
     if getattr(args, "budget", None) is not None:
-        text = args.budget.rstrip("s") if isinstance(args.budget, str) else args.budget
-        updates["time_budget"] = float(text)
+        updates["time_budget"] = parse_bound("time_budget", args.budget.rstrip("s"))
     if getattr(args, "algebras", None) is not None:
         updates["algebras"] = tuple(args.algebras.split("+"))
     if getattr(args, "sample", None) is not None:

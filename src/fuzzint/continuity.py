@@ -188,14 +188,29 @@ def _least_above(ground: Ground, pairs) -> tuple:
     position pair (w, c).
 
     Each c must lie below its w, as in every continuity constraint.  The
-    map sends top to top and any other w to the join of the c whose w lies
-    below it; it is contractive and monotone, and every interior map
-    satisfying the constraints dominates it pointwise.
+    map sends top to top and any other a to the join of the c whose w lies
+    below a; it is contractive and monotone, and every interior map
+    satisfying the constraints dominates it pointwise.  The downset of a
+    is a together with the downsets of its lower covers, so the join is
+    swept in index order: each position's own pairs are folded into one
+    upset AND, then ANDed with the upsets of the images already given to
+    its lower covers, and the image is the lowest set bit.  That costs one
+    pass over the pairs and one over the cover edges.
     """
     index = ground.index
-    up = index.up
+    up, covers = index.up, index.covers
     top = len(up) - 1
-    return tuple(index.join(c for w, c in pairs if up[w] >> a & 1) for a in range(top)) + (top,)
+    own = [up[0]] * (top + 1)
+    for w, c in pairs:
+        own[w] &= up[c]
+    images = []
+    for a in range(top):
+        common = own[a]
+        for b in covers[a]:
+            common &= up[images[b]]
+        images.append((common & -common).bit_length() - 1)
+    images.append(top)
+    return tuple(images)
 
 
 def initiality_violation(g_test: GroundMorphism, lift_pairs, arms) -> dict | None:
@@ -207,11 +222,16 @@ def initiality_violation(g_test: GroundMorphism, lift_pairs, arms) -> dict | Non
     continuous into the lift, at a test interior, exactly when every
     composite through an arm is.  The interiors making a family of
     morphisms continuous form a principal filter, so each direction is
-    decided at the least element of the opposite filter: the join of the
-    arms' floors ("only-if"), and the least interior above the transported
-    lift pairs ("if").  Everything is transported along
+    decided at the least element of the opposite filter: H, the join of
+    the arms' floors ("only-if"), and E, the least interior above the
+    transported lift pairs ("if").  Everything is transported along
     ``g_test.backward`` and compared as positions on the test ground.
-    Returns the first violation, or None.
+
+    E and H are each least above their own constraints, so "only-if"
+    holds iff H >= E and "if" iff E >= H: the property holds exactly when
+    E == H.  The two tuples are compared first; only when they differ are
+    the constraints scanned, "only-if" then "if", for the first violation.
+    Returns that violation, or None.
     """
     z = g_test.dom
     index = z.index
@@ -221,13 +241,15 @@ def initiality_violation(g_test: GroundMorphism, lift_pairs, arms) -> dict | Non
     hard = tables[0]
     if len(tables) > 1:
         hard = tuple(index.join(column) for column in zip(*tables))
-    for u, lu in lift_pairs:
-        w, c = bw[u], bw[lu]
+    moved = [(bw[u], bw[lu]) for u, lu in lift_pairs]
+    easy = _least_above(z, moved)
+    if easy == hard:
+        return None
+    for w, c in moved:
         if not down[hard[w]] >> c & 1:
             return _violation(g_test, "only-if", w, c, hard[w])
-    easy = _least_above(z, [(bw[u], bw[lu]) for u, lu in lift_pairs])
-    for _, moved in floors:
-        for w, c in moved:
+    for _, arm_moved in floors:
+        for w, c in arm_moved:
             if not down[easy[w]] >> c & 1:
                 return _violation(g_test, "if", w, c, easy[w])
     return None

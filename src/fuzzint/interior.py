@@ -260,7 +260,10 @@ def is_fully_productive(i: InteriorMap) -> Verdict:
     Every subset of the powerset is enumerated while 2^|L^X| stays below
     ``FULL_SUBSET_LIMIT``; beyond that the binary predicate plus the empty
     family decide the property (finite meets fold from binary ones, and the
-    empty meet is the top condition).
+    empty meet is the top condition).  ``powerset`` lists each family after
+    the family without its last member, so the AND of the family's
+    downsets, and the AND of its images' downsets, each extend that
+    prefix's by one AND; a meet is the highest set bit of such an AND.
     """
     ground = i.ground
     index = ground.index
@@ -270,10 +273,17 @@ def is_fully_productive(i: InteriorMap) -> Verdict:
         if not binary:
             return Verdict(False, "fully-productive", binary.witness, binary.checked)
         return Verdict(True, "fully-productive", None, binary.checked)
+    down = index.down
+    folds = {(): (down[-1], down[-1])}
     checked = 0
     for family in powerset(range(len(images))):
         checked += 1
-        if images[index.meet(family)] != index.meet(images[a] for a in family):
+        members, meets = folds[family[:-1]]
+        if family:
+            members &= down[family[-1]]
+            meets &= down[images[family[-1]]]
+            folds[family] = members, meets
+        if images[members.bit_length() - 1] != meets.bit_length() - 1:
             return Verdict(
                 ok=False,
                 prop="fully-productive",

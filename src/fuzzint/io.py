@@ -189,10 +189,17 @@ def interior_from_json(doc, base: Path | None = None) -> InteriorMap:
 
 
 def _table_interior(ground: Ground, rows) -> InteriorMap:
+    """Rows are [u, i(u)] pairs, each side a list of element names."""
+    if not isinstance(rows, list):
+        raise ParseError(f"interior table must be a list of rows, got {rows!r}")
     lat = ground.lattice
-    return InteriorMap.from_table(
-        ground, [(tuple(lat.index(v) for v in u), tuple(lat.index(v) for v in iu)) for u, iu in rows]
-    )
+    table = []
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 2 and all(isinstance(side, list) for side in row)):
+            raise ParseError(f"table row {row!r} is not a [u, i(u)] pair of element lists")
+        u, iu = row
+        table.append((tuple(lat.index(v) for v in u), tuple(lat.index(v) for v in iu)))
+    return InteriorMap.from_table(ground, table)
 
 
 def interior_to_json(i: InteriorMap) -> dict:

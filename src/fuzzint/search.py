@@ -56,8 +56,9 @@ class SearchBounds:
     the enumeration raises as soon as it would yield one more.
     ``operator_sample`` is how many interior maps per ground the
     cross-product suites combine (the least and discrete maps are always
-    in the sample, the rest is an even stride through the full
-    enumeration).
+    in the sample, so it is at least 2; the rest is an even stride
+    through the full enumeration).  Every number must be positive; a NaN
+    time budget would never expire and is refused too.
     """
 
     max_carrier: int = 2
@@ -70,8 +71,22 @@ class SearchBounds:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, (int, float)) and v <= 0:
+            if isinstance(v, (int, float)) and not v > 0:  # NaN fails this too
                 raise BoundsExceeded(f"{f.name} must be positive, got {v}")
+        if self.operator_sample < 2:
+            raise BoundsExceeded(
+                f"operator_sample must be at least 2 (the least and the discrete map), got {self.operator_sample}"
+            )
+
+
+def parse_bound(key: str, text: str):
+    """The value of a numeric bound written as text; BoundsExceeded when
+    it does not convert."""
+    kind = float if key == "time_budget" else int
+    try:
+        return kind(text)
+    except ValueError:
+        raise BoundsExceeded(f"{key} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from None
 
 
 def bounds_from_env(text: str | None, base: SearchBounds | None = None) -> SearchBounds:
@@ -89,10 +104,8 @@ def bounds_from_env(text: str | None, base: SearchBounds | None = None) -> Searc
         value = value.strip()
         if key == "algebras":
             updates[key] = tuple(value.split("+"))
-        elif key == "time_budget":
-            updates[key] = float(value)
-        elif key in ("max_carrier", "max_lattice", "max_tables", "operator_sample"):
-            updates[key] = int(value)
+        elif key in ("max_carrier", "max_lattice", "max_tables", "operator_sample", "time_budget"):
+            updates[key] = parse_bound(key, value)
         else:
             raise BoundsExceeded(f"unknown bounds key {key!r}")
     return replace(bounds, **updates)
@@ -205,6 +218,7 @@ class SearchContext:
         self._samples: dict = {}
         self._arms: dict = {}
         self._tests: dict = {}
+        self._composites: dict = {}
 
     def expire(self, checked: int = 0) -> None:
         """Raise once the time budget is spent."""
@@ -225,6 +239,14 @@ class SearchContext:
         if key not in self._arms:
             self._arms[key] = (Arm(g, target), initial_interior(g, target).images)
         return self._arms[key]
+
+    def composite(self, g2: GroundMorphism, g1: GroundMorphism) -> GroundMorphism:
+        """``compose(g2, g1)``, built once per pair, so its backward
+        positions are built once per search."""
+        key = (g2, g1)
+        if key not in self._composites:
+            self._composites[key] = compose(g2, g1)
+        return self._composites[key]
 
     def test_morphisms(self, dom: Ground) -> list:
         """Every morphism from a test ground into ``dom``.  Each one
@@ -338,7 +360,7 @@ def _check_composition(case: dict, ctx: SearchContext):
         g2 = fio.morphism_from_json(case["second"])
         src, _, dst = (fio.interior_from_json(i) for i in case["interiors"])
     test = is_open_morphism if case["open"] else is_continuous
-    verdict = test(compose(g2, g1), src, dst)
+    verdict = test(ctx.composite(g2, g1), src, dst)
     return None if verdict.ok else verdict.witness
 
 

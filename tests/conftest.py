@@ -278,3 +278,61 @@ def naive_enumerate_interior_maps(ground):
                 yield from backtrack(i + 1)
 
     yield from backtrack(0)
+
+
+def naive_least_above(ground, pairs) -> tuple:
+    """Images of the least interior map above position pairs (w, c), each
+    position by a scan of every pair: the join of the c whose w lies below
+    it, and top at top (oracle for the cover-edge sweep)."""
+    index = ground.index
+    up = index.up
+    top = len(up) - 1
+    return tuple(index.join(c for w, c in pairs if up[w] >> a & 1) for a in range(top)) + (top,)
+
+
+def naive_initiality_violation(g_test, lift_pairs, arms):
+    """``initiality_violation`` without the equality fast path: the "only-if"
+    scan of the lift pairs against the join of the arms' floors, then the
+    "if" scan of the arms' transported pairs against the least interior
+    above the lift pairs, both built by the pair scan (oracle)."""
+    from fuzzint.continuity import _violation
+
+    z = g_test.dom
+    index = z.index
+    down, bw = index.down, g_test.backward
+    floors = []
+    for arm in arms:
+        moved = tuple((bw[w], bw[c]) for w, c in arm.constraints)
+        floors.append((naive_least_above(z, moved), moved))
+    tables = [table for table, _ in floors] or [naive_least_above(z, ())]
+    hard = tuple(index.join(column) for column in zip(*tables))
+    for u, lu in lift_pairs:
+        w, c = bw[u], bw[lu]
+        if not down[hard[w]] >> c & 1:
+            return _violation(g_test, "only-if", w, c, hard[w])
+    easy = naive_least_above(z, [(bw[u], bw[lu]) for u, lu in lift_pairs])
+    for _, moved in floors:
+        for w, c in moved:
+            if not down[easy[w]] >> c & 1:
+                return _violation(g_test, "if", w, c, easy[w])
+    return None
+
+
+def naive_is_fully_productive(i):
+    """Arbitrary meets through the map, each family of the powerset met from
+    scratch (oracle for the prefix fold); above ``FULL_SUBSET_LIMIT`` the
+    binary predicate decides, as in the package."""
+    from fuzzint.interior import FULL_SUBSET_LIMIT, is_productive
+    from fuzzint.powerset import Verdict, powerset
+
+    index, images = i.ground.index, i.images
+    if 2 ** len(images) > FULL_SUBSET_LIMIT:
+        binary = is_productive(i)
+        return Verdict(binary.ok, "fully-productive", binary.witness, binary.checked)
+    checked = 0
+    for family in powerset(range(len(images))):
+        checked += 1
+        if images[index.meet(family)] != index.meet(images[a] for a in family):
+            witness = {"family": [i.ground.named(index.values[a]) for a in family]}
+            return Verdict(False, "fully-productive", witness, checked)
+    return Verdict(True, "fully-productive", None, checked)

@@ -243,3 +243,58 @@ def test_commands_that_search_reject_malformed_bounds(monkeypatch):
     code, text = run_cli("check", "initiality", str(FIXTURES / "two_arm_source.json"))
     assert code == 1
     assert text == "error: bounds exceeded: unknown bounds key 'bogus'\n"
+
+
+@pytest.mark.parametrize(
+    "rows, detail",
+    [
+        # a row that is not a [u, i(u)] pair
+        ([[["0"], ["0"]], [["1/2"]], [["1"], ["1"]]], "table row [['1/2']] is not a [u, i(u)] pair of element lists"),
+        # an image written as a bare string, not a list of names
+        ([[["0"], ["0"]], [["1/2"], "1/2"], [["1"], ["1"]]], "table row [['1/2'], '1/2'] is not a [u, i(u)] pair of element lists"),
+        # a table that is not a list of rows
+        ("(0) -> (0)", "interior table must be a list of rows, got '(0) -> (0)'"),
+    ],
+    ids=["short-row", "bare-string-image", "table-not-a-list"],
+)
+def test_malformed_table_row_exits_2(tmp_path, rows, detail):
+    interior = write(tmp_path, "interior.json", {"ground": GODEL3_POINT, "table": rows})
+    code, text = run_cli("validate", interior)
+    assert code == 2
+    assert text == f"error: cannot parse input: {detail}\n"
+    code, text = run_cli("validate", interior, "--json")
+    assert code == 2
+    assert json.loads(text) == {"status": "error", "error": "parse-error", "detail": f"cannot parse input: {detail}"}
+
+
+def test_malformed_table_row_in_a_space_exits_2(tmp_path):
+    rows = [[["0"], ["0"]], [["1/2"], "1/2"], [["1"], ["1"]]]
+    space = write(tmp_path, "space.json", {"ground": GODEL3_POINT, "interior": {"table": rows}})
+    argv = ["check", "continuity", str(FIXTURES / "identity_morphism.json"), space, space]
+    code, text = run_cli(*argv)
+    assert code == 2
+    assert text.startswith("error: cannot parse input: table row ")
+
+
+@pytest.mark.parametrize(
+    "env, flags, detail",
+    [
+        (None, ["--sample", "1"], "operator_sample must be at least 2 (the least and the discrete map), got 1"),
+        ("operator_sample=1", [], "operator_sample must be at least 2 (the least and the discrete map), got 1"),
+        ("max_carrier=abc", [], "max_carrier must be an integer, got 'abc'"),
+        (None, ["--budget", "xyz"], "time_budget must be a number, got 'xyz'"),
+        ("time_budget=nan", [], "time_budget must be positive, got nan"),
+    ],
+    ids=["sample-flag-1", "sample-env-1", "carrier-env-abc", "budget-flag-xyz", "budget-env-nan"],
+)
+def test_search_rejects_unusable_bounds(monkeypatch, env, flags, detail):
+    if env is None:
+        monkeypatch.delenv("FUZZINT_BOUNDS", raising=False)
+    else:
+        monkeypatch.setenv("FUZZINT_BOUNDS", env)
+    code, text = run_cli("search", "--property", "composition-continuous", "--max-x", "1", *flags)
+    assert code == 1
+    assert text == f"error: bounds exceeded: {detail}\n"
+    code, text = run_cli("search", "--property", "composition-continuous", "--max-x", "1", *flags, "--json")
+    assert code == 1
+    assert json.loads(text) == {"status": "error", "error": "BoundsExceeded", "detail": f"bounds exceeded: {detail}"}

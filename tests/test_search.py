@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from fuzzint.errors import BoundsExceeded, MalformedBundle, UnknownProperty
-from fuzzint.interior import check_interior_axioms
+from fuzzint.interior import check_interior_axioms, discrete, least
 from fuzzint.search import (
     SearchBounds,
     bounds_from_env,
@@ -108,6 +108,27 @@ def test_bounds_env_parsing():
     assert bounds_from_env(None) == SearchBounds()
     with pytest.raises(BoundsExceeded):
         bounds_from_env("bogus=3")
+
+
+@pytest.mark.parametrize(
+    "update",
+    [{"time_budget": float("nan")}, {"operator_sample": 1}, {"operator_sample": 0}, {"max_tables": -1}],
+    ids=["nan-budget", "sample-1", "sample-0", "negative-tables"],
+)
+def test_bounds_refuse_values_that_cannot_bound_a_search(update):
+    with pytest.raises(BoundsExceeded):
+        SearchBounds(**update)
+
+
+@pytest.mark.parametrize("text", ["max_carrier=abc", "max_tables=1e5", "time_budget=soon", "operator_sample="])
+def test_bounds_env_values_that_do_not_convert(text):
+    with pytest.raises(BoundsExceeded, match=text.partition("=")[0]):
+        bounds_from_env(text)
+
+
+def test_sample_of_two_keeps_the_least_and_discrete_maps(two_point_c3):
+    maps = interior_sample(two_point_c3, SearchBounds(operator_sample=2))
+    assert [i.images for i in maps] == [least(two_point_c3).images, discrete(two_point_c3).images]
 
 
 # -- search ---------------------------------------------------------------------
