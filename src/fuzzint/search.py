@@ -40,7 +40,7 @@ from .interior import (
 )
 from .lattice import diamond_lattice, pentagon_lattice
 from .monoid import builtin_chain, godel_tensor, join_tensor
-from .powerset import Ground, GroundMorphism, all_morphisms
+from .powerset import Ground, GroundMorphism, Verdict, all_morphisms
 from . import io as fio
 
 CHUNK = 256
@@ -142,44 +142,60 @@ def grounds_within(bounds: SearchBounds):
 
 # ------------------------------------------------- interior map enumeration
 
+def _backtrack(index, order):
+    """Every monotone contraction of L^X on the positions in ``order``.
+
+    Images are assigned position by position in ``order``, which must list
+    each position after its lower covers; the top stays fixed.  The
+    candidates for an argument lie below it and above the images already
+    given to its lower covers (the AND of their upsets is the upset of
+    their join), so a monotonicity violation prunes its whole suffix.
+    Depth first, ascending candidate positions; the one ``assign`` list is
+    yielded each time every position in ``order`` has an image.
+    """
+    up, down, covers = index.up, index.down, index.covers
+    top = len(index.values) - 1
+    assign = [0] * (top + 1)
+    assign[top] = top
+    last = len(order) - 1
+    if last < 0:
+        yield assign
+        return
+    pending = [0] * (last + 1)  # untried candidates per depth, as a bitmask
+    pending[0] = down[order[0]]  # the first position has no lower covers
+    depth = 0
+    while depth >= 0:
+        options = pending[depth]
+        if not options:
+            depth -= 1
+            continue
+        low = options & -options
+        pending[depth] = options ^ low
+        assign[order[depth]] = low.bit_length() - 1
+        if depth == last:
+            yield assign
+            continue
+        depth += 1
+        a = order[depth]
+        options = down[a]
+        for c in covers[a]:
+            options &= up[assign[c]]
+        pending[depth] = options
+
+
 def enumerate_interior_maps(ground: Ground, bounds: SearchBounds | None = None):
     """Stream every interior map on the ground exactly once.
 
     Images are assigned position by position along the ground's index, a
-    linear extension of L^X.  The candidates for an argument lie below it
-    and above the images already given to its lower covers (the AND of
-    their upsets is the upset of their join), so a monotonicity violation
-    prunes its whole suffix; the top stays fixed.  Order is deterministic:
-    depth first, ascending candidate positions.  Yielding more than
-    ``bounds.max_tables`` maps raises ``BoundsExceeded``.
+    linear extension of L^X, by ``_backtrack``: monotonicity is checked on
+    the cover edges as each position is filled, so a violation prunes its
+    whole suffix.  Order is deterministic: depth first, ascending candidate
+    positions.  Yielding more than ``bounds.max_tables`` maps raises
+    ``BoundsExceeded``.
     """
     cap = (bounds or SearchBounds()).max_tables
-    index = ground.index
-    up, down, covers = index.up, index.down, index.covers
-    top = len(index.values) - 1
-    assign = [0] * (top + 1)
-    pending = [0] * (top + 1)  # untried candidates per position, as a bitmask
-    pending[0] = down[0]
     emitted = 0
-    i = 0
-    while i >= 0:
-        options = pending[i]
-        if not options:
-            i -= 1
-            continue
-        low = options & -options
-        pending[i] = options ^ low
-        assign[i] = low.bit_length() - 1
-        if i < top:
-            i += 1
-            if i == top:
-                pending[i] = 1 << top
-                continue
-            options = down[i]
-            for c in covers[i]:
-                options &= up[assign[c]]
-            pending[i] = options
-            continue
+    for assign in _backtrack(ground.index, range(ground.set_count() - 1)):
         if emitted == cap:
             raise BoundsExceeded(f"more than {cap} interior maps on this ground")
         emitted += 1
@@ -187,19 +203,48 @@ def enumerate_interior_maps(ground: Ground, bounds: SearchBounds | None = None):
 
 
 def count_interior_maps(ground: Ground, bounds: SearchBounds | None = None) -> int:
-    return sum(1 for _ in enumerate_interior_maps(ground, bounds))
+    """The number of interior maps on the ground, without building them.
+
+    The coatoms of L^X (the lower covers of top) are left out of the
+    backtrack, and each completed assignment of the other positions adds
+    the product of the coatoms' candidate counts.  That is exact: a
+    coatom's only upper cover is top, no cover edge joins two coatoms, and
+    no other position has a coatom as a lower cover, so given the rest the
+    coatoms' images are independent, each constrained only by its own
+    lower covers.  More than ``bounds.max_tables`` maps raise
+    ``BoundsExceeded``, as soon as the running total passes the cap.
+    """
+    cap = (bounds or SearchBounds()).max_tables
+    index = ground.index
+    up, down, covers = index.up, index.down, index.covers
+    top = len(index.values) - 1
+    coatoms = covers[top]
+    total = 0
+    for assign in _backtrack(index, [a for a in range(top) if a not in coatoms]):
+        product = 1
+        for k in coatoms:
+            options = down[k]
+            for c in covers[k]:
+                options &= up[assign[c]]
+            product *= options.bit_count()
+        total += product
+        if total > cap:
+            raise BoundsExceeded(f"more than {cap} interior maps on this ground")
+    return total
 
 
 def interior_sample(ground: Ground, bounds: SearchBounds):
     """Deterministic spread of interior maps on the ground: the full stream
     when it fits the sample budget, else an even stride that always keeps
-    the least (first) and discrete (last) maps."""
-    maps = list(enumerate_interior_maps(ground, bounds))
+    the least (first) and discrete (last) maps.  The maps are counted
+    first, so only the kept ones are held while the stream runs."""
+    total = count_interior_maps(ground, bounds)
     cap = bounds.operator_sample
-    if len(maps) <= cap:
-        return maps
-    idx = sorted({round(k * (len(maps) - 1) / (cap - 1)) for k in range(cap)})
-    return [maps[i] for i in idx]
+    maps = enumerate_interior_maps(ground, bounds)
+    if total <= cap:
+        return list(maps)
+    keep = {round(k * (total - 1) / (cap - 1)) for k in range(cap)}
+    return [m for n, m in enumerate(maps) if n in keep]
 
 
 # ---------------------------------------------------------- search context
@@ -219,6 +264,7 @@ class SearchContext:
         self._arms: dict = {}
         self._tests: dict = {}
         self._composites: dict = {}
+        self._verdicts: dict = {}
 
     def expire(self, checked: int = 0) -> None:
         """Raise once the time budget is spent."""
@@ -247,6 +293,14 @@ class SearchContext:
         if key not in self._composites:
             self._composites[key] = compose(g2, g1)
         return self._composites[key]
+
+    def axioms(self, ground: Ground, images: tuple) -> Verdict:
+        """``check_interior_axioms`` of the map with these image positions
+        on the ground, run once per ground and image tuple per search."""
+        key = (ground, images)
+        if key not in self._verdicts:
+            self._verdicts[key] = check_interior_axioms(InteriorMap(ground, images))
+        return self._verdicts[key]
 
     def test_morphisms(self, dom: Ground) -> list:
         """Every morphism from a test ground into ``dom``.  Each one
@@ -310,8 +364,7 @@ def _check_operator_lattice(case: dict, ctx: SearchContext):
         members = [fio.interior_from_json(m) for m in case["members"]]
     index = ground.index
     for how, fold in (("join", index.join), ("meet", index.meet)):
-        combined = InteriorMap(ground, tuple(fold(column) for column in zip(*(i.images for i in members))))
-        verdict = check_interior_axioms(combined)
+        verdict = ctx.axioms(ground, tuple(map(fold, zip(*(i.images for i in members)))))
         if not verdict.ok:
             return {"operation": how, **verdict.witness}
     return None

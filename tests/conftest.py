@@ -336,3 +336,27 @@ def naive_is_fully_productive(i):
             witness = {"family": [i.ground.named(index.values[a]) for a in family]}
             return Verdict(False, "fully-productive", witness, checked)
     return Verdict(True, "fully-productive", None, checked)
+
+
+def naive_interior_sample(maps: list, cap: int) -> list:
+    """An even stride of ``cap`` maps through the whole listed stream that
+    keeps the first and last maps (oracle for the counted, streamed
+    sample)."""
+    if len(maps) <= cap:
+        return maps
+    idx = sorted({round(k * (len(maps) - 1) / (cap - 1)) for k in range(cap)})
+    return [maps[i] for i in idx]
+
+
+def naive_check_operator_lattice(ground, members):
+    """The join, then the meet, of a family of maps, folded pointwise over
+    value tuples and each checked from scratch by the pair-scan axiom
+    oracle: the first failing operation with its witness, or None (oracle
+    for the verdict memo of operator-lattice-closure)."""
+    tables = [m.table() for m in members]
+    for how, fold in (("join", ground.join_values), ("meet", ground.meet_values)):
+        combined = {u: fold(table[u] for table in tables) for u in ground.index.values}
+        verdict = naive_check_interior_axioms(ground, combined)
+        if not verdict.ok:
+            return {"operation": how, **verdict.witness}
+    return None

@@ -29,6 +29,8 @@ BASES = {
     for ground in GROUNDS
 }
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
+# a three-element chain whose elements are listed top first
+TOP_FIRST = godel_tensor(validate_lattice(("1", "1/2", "0"), [("0", "1/2"), ("1/2", "1")], closure=True))
 
 
 @pytest.mark.parametrize("ground", GROUNDS, ids=repr)
@@ -54,11 +56,13 @@ def test_bitmask_join_and_meet_of_families(case):
 
 
 @st.composite
-def candidate_tables(draw):
+def candidate_tables(draw, ground=None):
     """An interior map with one to four entries overwritten: mostly below
     the top and by another value below the argument, so that the
-    monotonicity scan is reached, else anywhere and by any value."""
-    ground = draw(st.sampled_from(GROUNDS))
+    monotonicity scan is reached, else anywhere and by any value.  The
+    ground is drawn from ``GROUNDS`` unless one is given."""
+    if ground is None:
+        ground = draw(st.sampled_from(GROUNDS))
     values = ground.index.values
     top = len(values) - 1
     images = [values[i] for i in draw(st.sampled_from(BASES[ground]))]
@@ -121,10 +125,9 @@ def test_enumeration_stream_matches_oracle_in_order(ground):
 
 
 def test_lattice_listed_top_first_keeps_a_linear_extension():
-    chain = godel_tensor(validate_lattice(("1", "1/2", "0"), [("0", "1/2"), ("1/2", "1")], closure=True))
-    assert chain.lattice.ascending == (2, 1, 0)
+    assert TOP_FIRST.lattice.ascending == (2, 1, 0)
     for points, count in ((("p1",), 2), (("p1", "p2"), 400)):
-        ground = Ground(points, chain)
+        ground = Ground(points, TOP_FIRST)
         assert ground.index.values[0] == (2,) * len(points)
         assert count_interior_maps(ground) == count
         for imap in enumerate_interior_maps(ground):
