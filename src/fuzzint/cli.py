@@ -32,7 +32,7 @@ from .gallery import (
 )
 from .interior import check_interior_axioms, closure_from_topology, interior_from_topology, literal_trivial
 from .monoid import GLMonoid, builtin_chain
-from .powerset import Ground, vb_backward, vb_forward, vb_right_adjoint
+from .powerset import FuzzySet, Ground, right_adjoint_values, vb_forward
 from .search import (
     PROPERTIES,
     SearchBounds,
@@ -175,6 +175,15 @@ def _format_values(ground, values) -> str:
     return "(" + ",".join(lat.name(v) for v in values) + ")"
 
 
+def _position_rows(dom, images, cod) -> list:
+    """One row per position of ``dom``'s index: its value tuple and the
+    value tuple at its image position in ``cod``'s index."""
+    values = cod.index.values
+    return [
+        [_format_values(dom, u), _format_values(cod, values[image])] for u, image in zip(dom.index.values, images)
+    ]
+
+
 def cmd_tables(args) -> int:
     kind, obj = fio.load_any(args.path)
     rows = []
@@ -189,13 +198,11 @@ def cmd_tables(args) -> int:
     elif args.which == "interior":
         if kind == "topology":
             imap = interior_from_topology(obj)
-            ground = obj.ground
         elif kind == "interior":
-            imap, ground = obj, obj.ground
+            imap = obj
         else:
             raise ParseError("interior tables need a topology or interior file")
-        for u in ground.all_value_tuples():
-            rows.append([_format_values(ground, u), _format_values(ground, imap.apply_values(u))])
+        rows = _position_rows(imap.ground, imap.images, imap.ground)
         header = "u |-> i(u)"
     elif args.which == "closure":
         if kind != "topology":
@@ -203,26 +210,23 @@ def cmd_tables(args) -> int:
         algebra = obj.ground.algebra
         if not isinstance(algebra, GLMonoid):
             raise ParseError("closure tables need a GL-monoid ground")
-        table = closure_from_topology(obj, algebra, args.mode)
-        for u in obj.ground.all_sets():
-            cu = table[u]
-            rows.append([_format_values(obj.ground, u.values), _format_values(obj.ground, cu.values)])
+        rows = _position_rows(obj.ground, closure_from_topology(obj, algebra, args.mode), obj.ground)
         header = f"u |-> c(u) [{args.mode}]"
     else:  # powerset-op
         if kind != "morphism":
             raise ParseError("powerset-op tables need a morphism file")
         g = obj
         if args.op == "backward":
-            for b in g.cod.all_sets():
-                rows.append([_format_values(g.cod, b.values), _format_values(g.dom, vb_backward(g, b).values)])
+            rows = _position_rows(g.cod, g.backward, g.dom)
             header = "b |-> backward(b)"
         elif args.op == "forward":
-            for a in g.dom.all_sets():
-                rows.append([_format_values(g.dom, a.values), _format_values(g.cod, vb_forward(g, a).values)])
+            for a in g.dom.index.values:
+                image = vb_forward(g, FuzzySet(g.dom, a)).values
+                rows.append([_format_values(g.dom, a), _format_values(g.cod, image)])
             header = "a |-> forward(a)"
         else:
-            for u in g.dom.all_sets():
-                rows.append([_format_values(g.dom, u.values), _format_values(g.cod, vb_right_adjoint(g, u).values)])
+            for u in g.dom.index.values:
+                rows.append([_format_values(g.dom, u), _format_values(g.cod, right_adjoint_values(g, u))])
             header = "u |-> right_adjoint(u)"
     if args.json:
         print(json.dumps({"table": args.which, "rows": rows}, sort_keys=True))

@@ -40,7 +40,6 @@ from itertools import product
 from .errors import GroundMismatch, NotContinuous, PropertyPreconditionFailed
 from .interior import InteriorMap, is_fully_productive, is_idempotent, join_interiors, least
 from .powerset import (
-    FuzzySet,
     Ground,
     GroundMorphism,
     Verdict,
@@ -345,21 +344,19 @@ def preserves_full_productivity_check(g: GroundMorphism, target: InteriorMap) ->
     return Verdict(verdict.ok, "preserves-full-productivity", verdict.witness, verdict.checked)
 
 
-def preimage_of_open_is_open(g: GroundMorphism, src: InteriorMap, dst: InteriorMap, v: FuzzySet) -> Verdict:
-    """Backward images of open sets along continuous morphisms are open."""
+def preimage_of_open_is_open(g: GroundMorphism, src: InteriorMap, dst: InteriorMap, v: int) -> Verdict:
+    """Backward images of open sets along continuous morphisms are open;
+    ``v`` is a position of the codomain's index."""
     cont = is_continuous(g, src, dst)
     if not cont:
         raise NotContinuous(cont.witness)
-    if v.ground != dst.ground:
-        raise GroundMismatch("fuzzy set belongs to a different ground")
-    b = dst.ground.index.position[v.values]
-    if dst.images[b] != b:
-        raise PropertyPreconditionFailed("openness of v", v.as_dict())
-    w = g.backward[b]
-    ok = src.images[w] == w
-    return Verdict(
-        ok=ok,
-        prop="open-preimage",
-        witness=None if ok else {"v": v.as_dict(), "preimage": g.dom.named(g.dom.index.values[w])},
-        checked=1,
-    )
+    cod, dom = dst.ground, src.ground
+    if not 0 <= v < len(dst.images):
+        raise GroundMismatch(f"position {v} is not on the codomain's index")
+    if dst.images[v] != v:
+        raise PropertyPreconditionFailed("openness of v", cod.named(cod.index.values[v]))
+    w = g.backward[v]
+    if src.images[w] == w:
+        return Verdict(ok=True, prop="open-preimage", witness=None, checked=1)
+    witness = {"v": cod.named(cod.index.values[v]), "preimage": dom.named(dom.index.values[w])}
+    return Verdict(ok=False, prop="open-preimage", witness=witness, checked=1)

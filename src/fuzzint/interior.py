@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import CarrierMismatch, GroundMismatch, NotAnInteriorMap, NotGLGround, TopMissingFromTopology
 from .monoid import GLMonoid
-from .powerset import FuzzySet, Ground, Verdict, powerset
+from .powerset import FuzzySet, Ground, Verdict, positions_in, powerset
 
 #: Full subset enumeration limit for the fully-productive predicate.
 FULL_SUBSET_LIMIT = 4096
@@ -158,13 +158,9 @@ def _first_unordered_pair(index, images: tuple) -> tuple[int, int]:
     b ascending within a, with a below b but images[a] not below images[b]."""
     up = index.up
     for a, image in enumerate(images):
-        rest = up[a]
-        while rest:
-            low = rest & -rest
-            b = low.bit_length() - 1
+        for b in positions_in(up[a]):
             if not up[image] >> images[b] & 1:
                 return a, b
-            rest ^= low
     raise AssertionError("a cover edge failed but no pair does")
 
 
@@ -293,10 +289,10 @@ def is_fully_productive(i: InteriorMap) -> Verdict:
     return Verdict(ok=True, prop="fully-productive", witness=None, checked=checked)
 
 
-def open_sets(i: InteriorMap) -> frozenset:
-    """Fixed points of the map; always contains both constants."""
-    values = i.ground.index.values
-    return frozenset(FuzzySet(i.ground, values[a]) for a, image in enumerate(i.images) if image == a)
+def open_sets(i: InteriorMap) -> tuple[int, ...]:
+    """Fixed points of the map, as ascending positions; always contains
+    both constants."""
+    return tuple(a for a, image in enumerate(i.images) if image == a)
 
 
 # -- topologies ---------------------------------------------------------------
@@ -305,43 +301,43 @@ def open_sets(i: InteriorMap) -> frozenset:
 class LTopology:
     """A designated family of open fuzzy sets over one ground.
 
-    Only the constant-top set is required to be open (so the derived
-    interior fixes top); closure under joins is reported, not required.
+    ``opens`` is a bitmask of the ground's index positions.  Only the
+    constant-top set is required to be open (so the derived interior fixes
+    top); closure under joins is reported, not required.
     """
 
     ground: Ground
-    opens: tuple[tuple[int, ...], ...]
+    opens: int
     join_closed: bool
-
-    def open_sets(self):
-        return tuple(FuzzySet(self.ground, v) for v in self.opens)
 
 
 def ltopology(ground: Ground, opens) -> LTopology:
-    vals = set()
+    """The topology of a family of value tuples or fuzzy sets; a member
+    that is not a value tuple on the ground is a CarrierMismatch."""
+    index = ground.index
+    mask = 0
     for v in opens:
-        vals.add(v.values if isinstance(v, FuzzySet) else tuple(v))
-    top = (ground.lattice.top,) * len(ground.points)
-    if top not in vals:
+        row = v.values if isinstance(v, FuzzySet) else tuple(v)
+        if row not in index.position:
+            raise CarrierMismatch(f"open {row} is not a value tuple on this ground")
+        mask |= 1 << index.position[row]
+    if not mask >> (len(index.values) - 1) & 1:
         raise TopMissingFromTopology()
-    join_closed = all(
-        ground.join_values((a, b)) in vals for a in vals for b in vals
-    ) and ground.join_values(()) in vals
-    return LTopology(ground=ground, opens=tuple(sorted(vals)), join_closed=join_closed)
+    members = list(positions_in(mask))
+    join_closed = bool(mask & 1) and all(mask >> index.join((a, b)) & 1 for a in members for b in members)
+    return LTopology(ground=ground, opens=mask, join_closed=join_closed)
 
 
 def interior_from_topology(t: LTopology) -> InteriorMap:
     """Join of all opens below the argument."""
-    ground = t.ground
-
-    def rule(u):
-        return ground.join_values(v for v in t.opens if ground.leq_values(v, u))
-
-    return InteriorMap.from_rule(ground, rule)
+    index = t.ground.index
+    images = tuple(index.join(positions_in(t.opens & below)) for below in index.down)
+    return InteriorMap(t.ground, images).validated()
 
 
-def closure_from_topology(t: LTopology, m: GLMonoid, mode: str = "extensional") -> dict:
-    """The closure candidate derived from a topology over a GL-monoid.
+def closure_from_topology(t: LTopology, m: GLMonoid, mode: str = "extensional") -> tuple[int, ...]:
+    """The closure candidate derived from a topology over a GL-monoid, as
+    one image position per position of the ground's index.
 
     Each open v contributes its pointwise pseudo-complement v -> 0.  In
     "literal" mode the meet ranges over opens above u; in "extensional"
@@ -356,14 +352,10 @@ def closure_from_topology(t: LTopology, m: GLMonoid, mode: str = "extensional") 
         raise NotGLGround("monoid lattice differs from the ground lattice")
     if mode not in ("literal", "extensional"):
         raise ValueError(f"unknown closure mode {mode!r}")
+    index = ground.index
     bot = ground.lattice.bottom
     res = m.residuum
-    pseudo = {v: tuple(res[a][bot] for a in v) for v in t.opens}
-    table = {}
-    for u in ground.all_value_tuples():
-        if mode == "literal":
-            qualifying = (pseudo[v] for v in t.opens if ground.leq_values(u, v))
-        else:
-            qualifying = (pseudo[v] for v in t.opens if ground.leq_values(u, pseudo[v]))
-        table[FuzzySet(ground, u)] = FuzzySet(ground, ground.meet_values(qualifying))
-    return table
+    pseudo = {v: index.position[tuple(res[x][bot] for x in index.values[v])] for v in positions_in(t.opens)}
+    if mode == "literal":
+        return tuple(index.meet(pseudo[v] for v in positions_in(t.opens & above)) for above in index.up)
+    return tuple(index.meet(p for p in pseudo.values() if above >> p & 1) for above in index.up)

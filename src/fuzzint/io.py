@@ -29,7 +29,7 @@ from .errors import ParseError
 from .interior import InteriorMap, LTopology, discrete, interior_from_topology, least, ltopology
 from .lattice import FiniteLattice, validate_lattice
 from .monoid import CQML, builtin_chain, validate_cqml, validate_gl
-from .powerset import FuzzySet, Ground, GroundMorphism, validate_ground_morphism
+from .powerset import FuzzySet, Ground, GroundMorphism, positions_in, validate_ground_morphism
 
 
 def load_json(path) -> dict:
@@ -188,6 +188,10 @@ def interior_from_json(doc, base: Path | None = None) -> InteriorMap:
     return _table_interior(ground, rows)
 
 
+def _is_name_list(row) -> bool:
+    return isinstance(row, list) and all(isinstance(v, str) for v in row)
+
+
 def _table_interior(ground: Ground, rows) -> InteriorMap:
     """Rows are [u, i(u)] pairs, each side a list of element names."""
     if not isinstance(rows, list):
@@ -195,7 +199,7 @@ def _table_interior(ground: Ground, rows) -> InteriorMap:
     lat = ground.lattice
     table = []
     for row in rows:
-        if not (isinstance(row, list) and len(row) == 2 and all(isinstance(side, list) for side in row)):
+        if not (isinstance(row, list) and len(row) == 2 and all(map(_is_name_list, row))):
             raise ParseError(f"table row {row!r} is not a [u, i(u)] pair of element lists")
         u, iu = row
         table.append((tuple(lat.index(v) for v in u), tuple(lat.index(v) for v in iu)))
@@ -204,29 +208,43 @@ def _table_interior(ground: Ground, rows) -> InteriorMap:
 
 def interior_to_json(i: InteriorMap) -> dict:
     lat = i.ground.lattice
+    values = i.ground.index.values
     rows = [
-        [[lat.name(v) for v in u], [lat.name(v) for v in i.apply_values(u)]]
-        for u in i.ground.all_value_tuples()
+        [[lat.name(v) for v in u], [lat.name(v) for v in values[image]]]
+        for u, image in zip(values, i.images)
     ]
     return {"ground": ground_to_json(i.ground), "table": rows}
+
+
+def _topology(ground: Ground, opens) -> LTopology:
+    """The topology of an ``opens`` list of element-name lists."""
+    if not isinstance(opens, list):
+        raise ParseError(f"opens must be a list of element lists, got {opens!r}")
+    for row in opens:
+        if not _is_name_list(row):
+            raise ParseError(f"open {row!r} is not a list of element names")
+    lat = ground.lattice
+    return ltopology(ground, [tuple(lat.index(v) for v in row) for row in opens])
 
 
 def topology_from_json(doc, base: Path | None = None) -> LTopology:
     doc, base = _resolve(doc, base)
     try:
         ground = ground_from_json(doc["ground"], base)
-        lat = ground.lattice
-        opens = [tuple(lat.index(v) for v in row) for row in doc["opens"]]
-        return ltopology(ground, opens)
+        opens = doc["opens"]
     except KeyError as exc:
         raise ParseError(f"topology file missing key {exc}")
+    return _topology(ground, opens)
 
 
 def topology_to_json(t: LTopology) -> dict:
+    """Rows sorted by value tuple."""
     lat = t.ground.lattice
+    values = t.ground.index.values
+    rows = sorted(values[a] for a in positions_in(t.opens))
     return {
         "ground": ground_to_json(t.ground),
-        "opens": [[lat.name(v) for v in row] for row in t.opens],
+        "opens": [[lat.name(v) for v in row] for row in rows],
     }
 
 
@@ -243,9 +261,7 @@ def space_from_json(doc, base: Path | None = None) -> InteriorMap:
     if body == "least":
         return least(ground)
     if isinstance(body, dict) and "opens" in body:
-        lat = ground.lattice
-        opens = [tuple(lat.index(v) for v in row) for row in body["opens"]]
-        return interior_from_topology(ltopology(ground, opens))
+        return interior_from_topology(_topology(ground, body["opens"]))
     if isinstance(body, dict) and "table" in body:
         return _table_interior(ground, body["table"])
     raise ParseError(f"unrecognized interior value {body!r}")

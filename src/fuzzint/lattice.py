@@ -104,12 +104,6 @@ class FiniteLattice:
         """Greatest lower bound of a subset of element names."""
         return self.name(self.meet_i(self.index(a) for a in subset))
 
-    def upset(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(len(self.elements)) if self.leq[i][j])
-
-    def downset(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(len(self.elements)) if self.leq[j][i])
-
     def frame_law_witness(self) -> tuple[str, str, str] | None:
         """First triple violating binary distributivity, if any.
 

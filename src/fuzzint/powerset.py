@@ -1,7 +1,9 @@
 """Fuzzy powersets, ground morphisms and the powerset operator family.
 
 A fuzzy set over a ground (X, L) is a total map X -> L, stored as a tuple
-of lattice indices aligned with the carrier.  A ground morphism is the pair
+of lattice indices aligned with the carrier.  Inside the package L^X is
+read only through ``Ground.index``, as positions; ``FuzzySet`` is the view
+of one value tuple at the API's edge.  A ground morphism is the pair
 (f, phi_op): a point map X -> Y together with a concrete map M -> L that
 preserves arbitrary joins, the tensor and top.  Only phi_op is ever stored:
 every operator formula evaluates the concrete join-preserving direction.
@@ -99,44 +101,20 @@ class Ground:
     def bottom_set(self) -> "FuzzySet":
         return FuzzySet(self, (self.lattice.bottom,) * len(self.points))
 
-    def all_value_tuples(self):
-        """All of L^X, lexicographically over ``lattice.ascending``: a
-        linear extension of the pointwise order."""
-        return product(self.lattice.ascending, repeat=len(self.points))
-
-    def all_sets(self):
-        for vals in self.all_value_tuples():
-            yield FuzzySet(self, vals)
-
-    def leq_values(self, u: tuple, v: tuple) -> bool:
-        leq = self.lattice.leq
-        return all(leq[a][b] for a, b in zip(u, v))
-
-    def join_values(self, tuples) -> tuple:
-        j2 = self.lattice.join2
-        acc = [self.lattice.bottom] * len(self.points)
-        for t in tuples:
-            acc = [j2[a][b] for a, b in zip(acc, t)]
-        return tuple(acc)
-
-    def meet_values(self, tuples) -> tuple:
-        m2 = self.lattice.meet2
-        acc = [self.lattice.top] * len(self.points)
-        for t in tuples:
-            acc = [m2[a][b] for a, b in zip(acc, t)]
-        return tuple(acc)
-
 
 class PowersetIndex:
     """L^X as the positions 0..N-1 of its value tuples.
 
-    ``values`` lists the tuples in the order of ``Ground.all_value_tuples``
+    ``values`` lists the tuples lexicographically over ``lattice.ascending``
     and ``position`` inverts it.  ``up[a]`` and ``down[a]`` are bitmasks
     of the positions above and below position a, and ``covers[a]`` holds
     its lower covers: one lattice cover step down in one coordinate.  The
     order is a linear extension, so the least of a set of upper bounds has
     the lowest position: a join is the lowest set bit of the AND of the
     upsets, and a meet the highest set bit of the AND of the downsets.
+    This is the package's one implementation of the pointwise order, join
+    and meet of L^X; a family of positions may also be held as a bitmask,
+    read back with ``positions_in``.
     """
 
     __slots__ = ("values", "position", "up", "down", "covers")
@@ -148,7 +126,7 @@ class PowersetIndex:
         leq = ground.lattice.leq
         span = range(len(leq))
         width = range(len(ground.points))
-        self.values = tuple(ground.all_value_tuples())
+        self.values = tuple(product(ground.lattice.ascending, repeat=len(width)))
         self.position = {u: a for a, u in enumerate(self.values)}
         full = (1 << size) - 1
 
@@ -194,6 +172,14 @@ class PowersetIndex:
         return common.bit_length() - 1
 
 
+def positions_in(mask: int):
+    """The positions whose bits are set in ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class FuzzySet:
     """An element of L^X: a total map from the carrier into the lattice."""
@@ -215,17 +201,6 @@ class FuzzySet:
 
     def as_dict(self) -> dict[str, str]:
         return self.ground.named(self.values)
-
-    def leq(self, other: "FuzzySet") -> bool:
-        if self.ground != other.ground:
-            raise CarrierMismatch("fuzzy sets over different grounds")
-        return self.ground.leq_values(self.values, other.values)
-
-    def join(self, other: "FuzzySet") -> "FuzzySet":
-        return FuzzySet(self.ground, self.ground.join_values((self.values, other.values)))
-
-    def meet(self, other: "FuzzySet") -> "FuzzySet":
-        return FuzzySet(self.ground, self.ground.meet_values((self.values, other.values)))
 
     def __repr__(self):
         body = ", ".join(f"{x}:{name}" for x, name in self.as_dict().items())
@@ -514,7 +489,6 @@ def vb_right_adjoint(g: GroundMorphism, u: FuzzySet) -> FuzzySet:
 
     Value at y is the join of every beta whose phi_op image sits below the
     meet of u over the fiber of y (top on empty fibers).
-    ``verify_powerset_adjunction`` checks the Galois condition.
     """
     if u.ground != g.dom:
         raise CarrierMismatch("fuzzy set ground differs from the morphism domain")
@@ -575,18 +549,6 @@ def verify_adjunction(forward, backward, dom_elems, cod_elems, dom_leq, cod_leq)
                     checked=checked,
                 )
     return Verdict(ok=True, prop="adjunction", witness=None, checked=checked)
-
-
-def verify_powerset_adjunction(forward, backward, dom: Ground, cod: Ground) -> Verdict:
-    """Adjunction check specialized to fuzzy powersets ordered pointwise."""
-    return verify_adjunction(
-        forward,
-        backward,
-        dom.all_sets(),
-        cod.all_sets(),
-        lambda a, b: a.leq(b),
-        lambda a, b: a.leq(b),
-    )
 
 
 def _describe(x):

@@ -40,7 +40,7 @@ from .interior import (
 )
 from .lattice import diamond_lattice, pentagon_lattice
 from .monoid import builtin_chain, godel_tensor, join_tensor
-from .powerset import Ground, GroundMorphism, Verdict, all_morphisms
+from .powerset import FuzzySet, Ground, GroundMorphism, Verdict, all_morphisms
 from . import io as fio
 
 CHUNK = 256
@@ -237,14 +237,13 @@ def interior_sample(ground: Ground, bounds: SearchBounds):
     """Deterministic spread of interior maps on the ground: the full stream
     when it fits the sample budget, else an even stride that always keeps
     the least (first) and discrete (last) maps.  The maps are counted
-    first, so only the kept ones are held while the stream runs."""
+    first, which enforces ``max_tables``; the backtracker then runs once
+    and a map is built only at a kept index."""
     total = count_interior_maps(ground, bounds)
     cap = bounds.operator_sample
-    maps = enumerate_interior_maps(ground, bounds)
-    if total <= cap:
-        return list(maps)
-    keep = {round(k * (total - 1) / (cap - 1)) for k in range(cap)}
-    return [m for n, m in enumerate(maps) if n in keep]
+    keep = range(total) if total <= cap else {round(k * (total - 1) / (cap - 1)) for k in range(cap)}
+    assignments = _backtrack(ground.index, range(ground.set_count() - 1))
+    return [InteriorMap(ground, tuple(assign)) for n, assign in enumerate(assignments) if n in keep]
 
 
 # ---------------------------------------------------------- search context
@@ -420,7 +419,7 @@ def _check_composition(case: dict, ctx: SearchContext):
 def _gen_open_preimage(ctx: SearchContext):
     for legs in _continuous_legs(ctx, open_mode=False).values():
         for g, src, dst in legs:
-            for v in sorted(open_sets(dst), key=lambda s: s.values):
+            for v in open_sets(dst):
                 yield {"_data": (g, src, dst, v)}
 
 
@@ -430,22 +429,23 @@ def _describe_open_preimage(case: dict) -> dict:
         "morphism": fio.morphism_to_json(g),
         "src": fio.interior_to_json(src),
         "dst": fio.interior_to_json(dst),
-        "v": fio.fuzzyset_to_json(v),
+        "v": fio.fuzzyset_to_json(FuzzySet(g.cod, g.cod.index.values[v])),
     }
 
 
 def _check_open_preimage(case: dict, ctx: SearchContext):
     if "_data" in case:
-        g, src, dst, v = case["_data"]
+        g, src, _, v = case["_data"]
     else:
         g = fio.morphism_from_json(case["morphism"])
         src = fio.interior_from_json(case["src"])
-        v = fio.fuzzyset_from_json(case["v"])
-    if v.ground != g.cod:
-        raise CarrierMismatch("fuzzy set ground differs from the morphism codomain")
-    w = g.backward[g.cod.index.position[v.values]]
+        u = fio.fuzzyset_from_json(case["v"])
+        if u.ground != g.cod:
+            raise CarrierMismatch("fuzzy set ground differs from the morphism codomain")
+        v = g.cod.index.position[u.values]
+    w = g.backward[v]
     if src.images[w] != w:
-        return {"v": v.as_dict(), "preimage": g.dom.named(g.dom.index.values[w])}
+        return {"v": g.cod.named(g.cod.index.values[v]), "preimage": g.dom.named(g.dom.index.values[w])}
     return None
 
 

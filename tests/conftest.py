@@ -68,6 +68,94 @@ def two_point_c2(c2):
     return Ground(points=("p1", "p2"), algebra=c2)
 
 
+def all_value_tuples(ground):
+    """All of L^X, lexicographically over ``lattice.ascending`` (oracle for
+    the order of ``PowersetIndex.values``)."""
+    return product(ground.lattice.ascending, repeat=len(ground.points))
+
+
+def all_sets(ground):
+    """All of L^X as fuzzy sets, in the order of ``all_value_tuples``."""
+    from fuzzint.powerset import FuzzySet
+
+    return (FuzzySet(ground, u) for u in all_value_tuples(ground))
+
+
+def leq_values(ground, u, v) -> bool:
+    """The pointwise order of two value tuples, from the lattice's order
+    table (oracle for the index's up and down bitmasks)."""
+    assert len(u) == len(v) == len(ground.points)
+    leq = ground.lattice.leq
+    return all(leq[a][b] for a, b in zip(u, v))
+
+
+def join_values(ground, tuples) -> tuple:
+    """The pointwise join of a family of value tuples; bottom when empty
+    (oracle for ``PowersetIndex.join``)."""
+    acc = (ground.lattice.bottom,) * len(ground.points)
+    for t in tuples:
+        assert len(t) == len(acc)
+        acc = tuple(ground.lattice.join2[a][b] for a, b in zip(acc, t))
+    return acc
+
+
+def meet_values(ground, tuples) -> tuple:
+    """The pointwise meet of a family of value tuples; top when empty
+    (oracle for ``PowersetIndex.meet``)."""
+    acc = (ground.lattice.top,) * len(ground.points)
+    for t in tuples:
+        assert len(t) == len(acc)
+        acc = tuple(ground.lattice.meet2[a][b] for a, b in zip(acc, t))
+    return acc
+
+
+def fuzzy_leq(a, b) -> bool:
+    assert a.ground == b.ground
+    return leq_values(a.ground, a.values, b.values)
+
+
+def fuzzy_join(a, b):
+    from fuzzint.powerset import FuzzySet
+
+    assert a.ground == b.ground
+    return FuzzySet(a.ground, join_values(a.ground, (a.values, b.values)))
+
+
+def verify_powerset_adjunction(forward, backward, dom, cod):
+    """``verify_adjunction`` over two fuzzy powersets ordered pointwise."""
+    from fuzzint.powerset import verify_adjunction
+
+    return verify_adjunction(forward, backward, all_sets(dom), all_sets(cod), fuzzy_leq, fuzzy_leq)
+
+
+def naive_topology(ground, opens):
+    """(join_closed, {u: i(u)}) of a family of value tuples: closure under
+    binary and empty joins, and the join of the opens below each value
+    tuple (oracle for ``ltopology`` and ``interior_from_topology``)."""
+    opens = set(opens)
+    join_closed = join_values(ground, ()) in opens and all(
+        join_values(ground, (a, b)) in opens for a in opens for b in opens
+    )
+    table = {u: join_values(ground, [v for v in opens if leq_values(ground, v, u)]) for u in all_value_tuples(ground)}
+    return join_closed, table
+
+
+def naive_closure_from_topology(ground, opens, m, mode) -> dict:
+    """{u: c(u)}: the meet of the pseudo-complements v -> 0 of the opens v
+    above u ("literal") or with v -> 0 above u ("extensional"), over value
+    tuples (oracle for ``closure_from_topology``)."""
+    bot = ground.lattice.bottom
+    pseudo = {v: tuple(m.residuum[a][bot] for a in v) for v in set(opens)}
+    table = {}
+    for u in all_value_tuples(ground):
+        if mode == "literal":
+            qualifying = [pseudo[v] for v in pseudo if leq_values(ground, u, v)]
+        else:
+            qualifying = [p for p in pseudo.values() if leq_values(ground, u, p)]
+        table[u] = meet_values(ground, qualifying)
+    return table
+
+
 def naive_lub(lat, subset):
     """Least upper bound computed only from the order table (oracle)."""
     ubs = [k for k in range(len(lat)) if all(lat.leq[i][k] for i in subset)]
@@ -114,10 +202,10 @@ def naive_vb_forward(g, a) -> tuple:
     ]
     qualifying = (
         cand
-        for cand in g.cod.all_value_tuples()
+        for cand in all_value_tuples(g.cod)
         if all(l_lat.leq[image[y]][g.phi_op[cand[y]]] for y in range(len(cand)))
     )
-    return g.cod.meet_values(qualifying)
+    return meet_values(g.cod, qualifying)
 
 
 def naive_is_continuous(g, src, dst):
@@ -126,11 +214,11 @@ def naive_is_continuous(g, src, dst):
     from fuzzint.powerset import Verdict, vb_backward
 
     checked = 0
-    for v in dst.ground.all_sets():
+    for v in all_sets(dst.ground):
         checked += 1
         lhs = vb_backward(g, dst.apply(v))
         rhs = src.apply(vb_backward(g, v))
-        if not lhs.leq(rhs):
+        if not fuzzy_leq(lhs, rhs):
             witness = {"v": v.as_dict(), "lhs": lhs.as_dict(), "rhs": rhs.as_dict()}
             return Verdict(False, "continuity", witness, checked)
     return Verdict(True, "continuity", None, checked)
@@ -142,11 +230,11 @@ def naive_is_open_morphism(g, src, dst):
     from fuzzint.powerset import Verdict, vb_backward
 
     checked = 0
-    for v in dst.ground.all_sets():
+    for v in all_sets(dst.ground):
         checked += 1
         lhs = src.apply(vb_backward(g, v))
         rhs = vb_backward(g, dst.apply(v))
-        if not lhs.leq(rhs):
+        if not fuzzy_leq(lhs, rhs):
             witness = {"v": v.as_dict(), "lhs": lhs.as_dict(), "rhs": rhs.as_dict()}
             return Verdict(False, "openness", witness, checked)
     return Verdict(True, "openness", None, checked)
@@ -170,13 +258,13 @@ def naive_meet_interchange_report(g, max_family=3):
     ``max_family`` members, on value tuples (oracle)."""
     from fuzzint.powerset import FuzzySet, Verdict, vb_backward
 
-    cod_sets = list(g.cod.all_sets())
+    cod_sets = list(all_sets(g.cod))
     checked = 0
     for size in range(max_family + 1):
         for family in product(cod_sets, repeat=size):
             checked += 1
-            lhs = vb_backward(g, FuzzySet(g.cod, g.cod.meet_values(b.values for b in family)))
-            rhs_vals = g.dom.meet_values(vb_backward(g, b).values for b in family)
+            lhs = vb_backward(g, FuzzySet(g.cod, meet_values(g.cod, (b.values for b in family))))
+            rhs_vals = meet_values(g.dom, (vb_backward(g, b).values for b in family))
             if lhs.values != rhs_vals:
                 witness = {
                     "family": [b.as_dict() for b in family],
@@ -233,10 +321,10 @@ def naive_check_interior_axioms(ground, candidate):
     name = lambda vals: {x: ground.lattice.name(v) for x, v in zip(ground.points, vals)}  # noqa: E731
     checked = 0
     images = {}
-    for u in ground.all_value_tuples():
+    for u in all_value_tuples(ground):
         images[u] = rule(u)
         checked += 1
-        if not ground.leq_values(images[u], u):
+        if not leq_values(ground, images[u], u):
             witness = {"axiom": "I1", "u": name(u), "image": name(images[u])}
             return Verdict(False, "interior-axioms", witness, checked)
     top = (ground.lattice.top,) * len(ground.points)
@@ -245,7 +333,7 @@ def naive_check_interior_axioms(ground, candidate):
     for u, iu in images.items():
         for v, iv in images.items():
             checked += 1
-            if ground.leq_values(u, v) and not ground.leq_values(iu, iv):
+            if leq_values(ground, u, v) and not leq_values(ground, iu, iv):
                 witness = {"axiom": "I2", "u": name(u), "v": name(v)}
                 return Verdict(False, "interior-axioms", witness, checked)
     return Verdict(True, "interior-axioms", None, checked)
@@ -255,11 +343,11 @@ def naive_enumerate_interior_maps(ground):
     """Interior maps by backtracking over value tuples: candidates below the
     argument and above the join of every assigned predecessor, in index
     order.  Yields each map's images as value tuples (oracle)."""
-    tuples = list(ground.all_value_tuples())
+    tuples = list(all_value_tuples(ground))
     n = len(tuples)
     top = tuples[-1]
-    downs = {u: [v for v in tuples if ground.leq_values(v, u)] for u in tuples}
-    preds = [[j for j in range(i) if ground.leq_values(tuples[j], tuples[i])] for i in range(n)]
+    downs = {u: [v for v in tuples if leq_values(ground, v, u)] for u in tuples}
+    preds = [[j for j in range(i) if leq_values(ground, tuples[j], tuples[i])] for i in range(n)]
     assign = [None] * n
 
     def backtrack(i):
@@ -271,9 +359,9 @@ def naive_enumerate_interior_maps(ground):
             assign[i] = top
             yield from backtrack(i + 1)
             return
-        lower = ground.join_values(assign[j] for j in preds[i])
+        lower = join_values(ground, (assign[j] for j in preds[i]))
         for w in downs[u]:
-            if ground.leq_values(lower, w):
+            if leq_values(ground, lower, w):
                 assign[i] = w
                 yield from backtrack(i + 1)
 
@@ -354,8 +442,8 @@ def naive_check_operator_lattice(ground, members):
     oracle: the first failing operation with its witness, or None (oracle
     for the verdict memo of operator-lattice-closure)."""
     tables = [m.table() for m in members]
-    for how, fold in (("join", ground.join_values), ("meet", ground.meet_values)):
-        combined = {u: fold(table[u] for table in tables) for u in ground.index.values}
+    for how, fold in (("join", join_values), ("meet", meet_values)):
+        combined = {u: fold(ground, (table[u] for table in tables)) for u in ground.index.values}
         verdict = naive_check_interior_axioms(ground, combined)
         if not verdict.ok:
             return {"operation": how, **verdict.witness}

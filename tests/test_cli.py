@@ -66,6 +66,18 @@ GOLDEN_CASES = {
     "check_trivial_literal.txt": (1, ["check", "trivial-literal"]),
     "check_trivial_literal_json.txt": (1, ["check", "trivial-literal", "--json"]),
     "examples_run.txt": (0, ["examples", "run", "all"]),
+    "examples_run_3_json.txt": (0, ["examples", "run", "3", "--json"]),
+    # two points over godel3: L^X is not a chain, the pseudo-complement is
+    # not involutive, and the open family is not join-closed
+    "tables_interior_pair.txt": (0, ["tables", "godel3_pair_topology.json", "--which", "interior"]),
+    "tables_closure_ext_pair.txt": (
+        0,
+        ["tables", "godel3_pair_topology.json", "--which", "closure", "--mode", "extensional"],
+    ),
+    "tables_closure_lit_pair.txt": (
+        0,
+        ["tables", "godel3_pair_topology.json", "--which", "closure", "--mode", "literal"],
+    ),
 }
 
 
@@ -298,3 +310,77 @@ def test_search_rejects_unusable_bounds(monkeypatch, env, flags, detail):
     code, text = run_cli("search", "--property", "composition-continuous", "--max-x", "1", *flags, "--json")
     assert code == 1
     assert json.loads(text) == {"status": "error", "error": "BoundsExceeded", "detail": f"bounds exceeded: {detail}"}
+
+
+GODEL3_PAIR = {"points": ["p1", "p2"], "algebra": {"builtin": "godel", "n": 3}}
+
+
+def opens_file(tmp_path, kind, ground, opens):
+    """A topology file, or a space file whose interior is given by opens."""
+    if kind == "topology":
+        return write(tmp_path, "topology.json", {"ground": ground, "opens": opens})
+    return write(tmp_path, "space.json", {"ground": ground, "interior": {"opens": opens}})
+
+
+@pytest.mark.parametrize("kind", ["topology", "space"])
+@pytest.mark.parametrize(
+    "ground, opens, code, detail",
+    [
+        # one value for two points
+        (GODEL3_PAIR, [["1"], ["1", "1"]], 1, "carrier mismatch: open (2,) is not a value tuple on this ground"),
+        # two values for one point
+        (GODEL3_POINT, [["1", "0"], ["1"]], 1, "carrier mismatch: open (2, 0) is not a value tuple on this ground"),
+        # opens written as a string
+        (GODEL3_POINT, "10", 2, "cannot parse input: opens must be a list of element lists, got '10'"),
+        # a row written as a bare string
+        (GODEL3_POINT, ["1", ["0"]], 2, "cannot parse input: open '1' is not a list of element names"),
+        # a row that is not a list
+        (GODEL3_POINT, [["1"], 0], 2, "cannot parse input: open 0 is not a list of element names"),
+        # an element that is not a name
+        (GODEL3_POINT, [["1"], [["0"]]], 2, "cannot parse input: open [['0']] is not a list of element names"),
+    ],
+    ids=["short-row", "long-row", "opens-a-string", "row-a-string", "row-not-a-list", "element-not-a-name"],
+)
+def test_malformed_opens(tmp_path, kind, ground, opens, code, detail):
+    path = opens_file(tmp_path, kind, ground, opens)
+    commands = [["validate", path]]
+    if kind == "topology":
+        commands += [["tables", path, "--which", "interior"], ["tables", path, "--which", "closure"]]
+    else:
+        commands += [["check", "continuity", str(FIXTURES / "identity_morphism.json"), path, path]]
+    for argv in commands:
+        assert run_cli(*argv) == (code, f"error: {detail}\n")
+        got_code, text = run_cli(*argv, "--json")
+        assert got_code == code
+        assert json.loads(text)["detail"] == detail
+
+
+C2_THIRTEEN = {"points": [f"p{k}" for k in range(1, 14)], "algebra": {"builtin": "godel", "n": 2}}
+TOO_LARGE = "error: fuzzy powerset has 8192 elements, above the materialization limit 4096\n"
+
+
+@pytest.mark.parametrize("kind", ["topology", "space"])
+def test_opens_above_the_materialization_limit_exit_1(tmp_path, kind):
+    path = opens_file(tmp_path, kind, C2_THIRTEEN, [["1"] * 13])
+    commands = [["validate", path]]
+    if kind == "topology":
+        commands += [["tables", path, "--which", which] for which in ("interior", "closure")]
+    for argv in commands:
+        assert run_cli(*argv) == (1, TOO_LARGE)
+        code, text = run_cli(*argv, "--json")
+        assert code == 1
+        assert json.loads(text)["error"] == "GroundTooLarge"
+
+
+@pytest.mark.parametrize("op", ["backward", "forward", "right-adjoint"])
+def test_powerset_op_tables_above_the_materialization_limit_exit_1(tmp_path, op):
+    point = {"points": ["y"], "algebra": {"builtin": "godel", "n": 2}}
+    morphism = {
+        "dom": C2_THIRTEEN,
+        "cod": point,
+        "f": {x: "y" for x in C2_THIRTEEN["points"]},
+        "phi_op": {"0": "0", "1": "1"},
+    }
+    path = write(tmp_path, "morphism.json", morphism)
+    assert run_cli("validate", path) == (0, "ok: morphism valid\n")
+    assert run_cli("tables", path, "--which", "powerset-op", "--op", op) == (1, TOO_LARGE)

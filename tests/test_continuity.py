@@ -2,7 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import naive_verify_initiality
+from conftest import all_sets, all_value_tuples, fuzzy_leq, leq_values, meet_values, naive_verify_initiality
 from fuzzint.continuity import (
     StructuredSource,
     compose,
@@ -53,7 +53,7 @@ def meet_lift(s):
     """The uncorrected pointwise-meet lift of a nonempty source."""
     per_arm = [initial_interior(g, target) for g, target in s.arms]
     return InteriorMap.from_rule(
-        s.domain, lambda u: s.domain.meet_values(i.apply_values(u) for i in per_arm)
+        s.domain, lambda u: meet_values(s.domain, (i.apply_values(u) for i in per_arm))
     )
 
 
@@ -126,7 +126,7 @@ def test_backward_functoriality(c2, godel3):
         for g1 in all_morphisms(X, Y):
             for g2 in all_morphisms(Y, Z):
                 comp = compose(g2, g1)
-                for w in Z.all_sets():
+                for w in all_sets(Z):
                     assert vb_backward(comp, w).values == vb_backward(g1, vb_backward(g2, w)).values
 
 
@@ -184,8 +184,8 @@ def test_initial_is_least_continuous_structure(one_point_c3, one_point_c2):
                     for candidate in enumerate_interior_maps(dom):
                         cont = is_continuous(g, candidate, target).ok
                         dominates = all(
-                            dom.leq_values(lifted.apply_values(u), candidate.apply_values(u))
-                            for u in dom.all_value_tuples()
+                            leq_values(dom, lifted.apply_values(u), candidate.apply_values(u))
+                            for u in all_value_tuples(dom)
                         )
                         assert cont == dominates
 
@@ -205,10 +205,10 @@ def test_initial_discrete_target_is_counit_composite(godel3):
     lifted = initial_interior(g, discrete(Y))
     from fuzzint.powerset import vb_right_adjoint
 
-    for u in X.all_sets():
+    for u in all_sets(X):
         expected = vb_backward(g, vb_right_adjoint(g, u))
         assert lifted.apply_values(u.values) == expected.values
-        assert expected.leq(u)
+        assert fuzzy_leq(expected, u)
 
 
 # -- structured sources ---------------------------------------------------------------
@@ -362,7 +362,7 @@ def test_continuity_constraints_characterize(one_point_c3):
         for candidate in enumerate_interior_maps(one_point_c3):
             expected = is_continuous(g, candidate, target).ok
             derived = all(
-                one_point_c3.leq_values(values[c], candidate.apply_values(values[w])) for w, c in pairs
+                leq_values(one_point_c3, values[c], candidate.apply_values(values[w])) for w, c in pairs
             )
             assert expected == derived
 
@@ -420,9 +420,17 @@ def test_preimage_check_requires_continuity(one_point_c3):
     g = identity_morphism(one_point_c3)
     src = least(one_point_c3)
     dst = discrete(one_point_c3)
-    v = one_point_c3.fuzzy(["1/2"])
+    v = one_point_c3.index.position[one_point_c3.fuzzy(["1/2"]).values]
     with pytest.raises(NotContinuous):
         preimage_of_open_is_open(g, src, dst, v)
+
+
+def test_preimage_check_refuses_a_position_off_the_codomain(one_point_c3):
+    g = identity_morphism(one_point_c3)
+    space = discrete(one_point_c3)
+    for v in (-1, 3):
+        with pytest.raises(GroundMismatch, match=f"position {v} is not on the codomain's index"):
+            preimage_of_open_is_open(g, space, space, v)
 
 
 # -- meet interchange -------------------------------------------------------------------------

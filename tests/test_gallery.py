@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from conftest import all_value_tuples
 from fuzzint.errors import EmptyCarrier, InvalidTopology
 from fuzzint.gallery import (
     FLOAT_TOLERANCE,
@@ -216,6 +217,6 @@ def test_example3_roundtrip_tables(godel3):
 
 def test_example3_full_powerset_topology_is_identity(godel3):
     ground = Ground(("p1",), godel3)
-    tau = ltopology(ground, list(ground.all_value_tuples()))
+    tau = ltopology(ground, list(all_value_tuples(ground)))
     report = example3_roundtrip(godel3, tau)
     assert all(k == v for k, v in report["interior"].items())

@@ -1,5 +1,11 @@
 import pytest
-from conftest import unvalidated
+from conftest import (
+    all_value_tuples,
+    leq_values,
+    naive_closure_from_topology,
+    naive_topology,
+    unvalidated,
+)
 
 from fuzzint.errors import CarrierMismatch, GroundMismatch, NotAnInteriorMap, NotGLGround, TopMissingFromTopology
 from fuzzint.interior import (
@@ -18,6 +24,8 @@ from fuzzint.interior import (
     meet_interiors,
     open_sets,
 )
+from fuzzint.lattice import validate_lattice
+from fuzzint.monoid import godel_tensor, validate_gl
 from fuzzint.powerset import Ground, powerset
 from fuzzint.search import enumerate_interior_maps
 
@@ -48,7 +56,7 @@ def test_expand_half_fails_contraction(one_point_c3):
 
 def test_monotonicity_violation_detected(two_point_c3):
     # keep (0,1) in place but drop the larger (1,1) to (0,0)
-    table = {u: u for u in two_point_c3.all_value_tuples()}
+    table = {u: u for u in all_value_tuples(two_point_c3)}
     table[(1, 1)] = (0, 0)
     verdict = check_interior_axioms(unvalidated(two_point_c3, table))
     assert not verdict.ok
@@ -87,7 +95,7 @@ def test_table_failing_the_axioms_raises_with_witness(one_point_c3):
 
 def test_discrete_is_identity(one_point_c3):
     d = discrete(one_point_c3)
-    for u in one_point_c3.all_value_tuples():
+    for u in all_value_tuples(one_point_c3):
         assert d.apply_values(u) == u
     assert check_interior_axioms(d).ok
 
@@ -115,9 +123,9 @@ def test_least_below_every_interior_map(one_point_c3, two_point_c2, two_point_c3
         l = least(ground)
         d = discrete(ground)
         for imap in enumerate_interior_maps(ground):
-            for u in ground.all_value_tuples():
-                assert ground.leq_values(l.apply_values(u), imap.apply_values(u))
-                assert ground.leq_values(imap.apply_values(u), d.apply_values(u))
+            for u in all_value_tuples(ground):
+                assert leq_values(ground, l.apply_values(u), imap.apply_values(u))
+                assert leq_values(ground, imap.apply_values(u), d.apply_values(u))
 
 
 def test_contraction_and_top_force_bottom_fixed(one_point_c3, two_point_c3):
@@ -187,7 +195,7 @@ def test_drop_half_idempotent_and_fully_productive(one_point_c3):
 
 def slipping_map(two_point_c3):
     """Valid interior map that drops the middle square one step down."""
-    table = {u: u for u in two_point_c3.all_value_tuples()}
+    table = {u: u for u in all_value_tuples(two_point_c3)}
     table[(1, 0)] = (0, 0)
     table[(0, 1)] = (0, 0)
     table[(1, 1)] = (0, 1)
@@ -222,21 +230,22 @@ def test_open_sets_discrete(two_point_c2):
 
 
 def test_open_sets_least(two_point_c3):
-    opens = open_sets(least(two_point_c3))
-    assert opens == frozenset({two_point_c3.top_set(), two_point_c3.bottom_set()})
+    values = two_point_c3.index.values
+    opens = [values[a] for a in open_sets(least(two_point_c3))]
+    assert opens == [two_point_c3.bottom_set().values, two_point_c3.top_set().values]
 
 
 def test_open_sets_of_topology_interior(one_point_c3):
     tau = ltopology(one_point_c3, [(0,), (2,)])
     assert tau.join_closed
     imap = interior_from_topology(tau)
-    assert {s.values for s in open_sets(imap)} == {(0,), (2,)}
+    assert [one_point_c3.index.values[a] for a in open_sets(imap)] == [(0,), (2,)]
 
 
 # -- topologies -----------------------------------------------------------------
 
 def test_full_powerset_topology_gives_discrete(one_point_c3):
-    tau = ltopology(one_point_c3, list(one_point_c3.all_value_tuples()))
+    tau = ltopology(one_point_c3, list(all_value_tuples(one_point_c3)))
     assert interior_from_topology(tau).images == discrete(one_point_c3).images
 
 
@@ -258,7 +267,7 @@ def test_topology_needs_top(one_point_c3):
 
 def test_topology_interiors_always_idempotent(one_point_c3, two_point_c2):
     for ground in (one_point_c3, two_point_c2):
-        tuples = list(ground.all_value_tuples())
+        tuples = list(all_value_tuples(ground))
         top = tuples[-1]
         for family in powerset(tuples):
             opens = set(family) | {top}
@@ -269,10 +278,10 @@ def test_topology_interiors_always_idempotent(one_point_c3, two_point_c2):
 def test_interior_from_open_sets_below_original(one_point_c3, two_point_c2):
     for ground in (one_point_c3, two_point_c2):
         for imap in enumerate_interior_maps(ground):
-            tau = ltopology(ground, [s.values for s in open_sets(imap)])
+            tau = ltopology(ground, [ground.index.values[a] for a in open_sets(imap)])
             derived = interior_from_topology(tau)
-            for u in ground.all_value_tuples():
-                assert ground.leq_values(derived.apply_values(u), imap.apply_values(u))
+            for u in all_value_tuples(ground):
+                assert leq_values(ground, derived.apply_values(u), imap.apply_values(u))
             if is_idempotent(imap) and tau.join_closed:
                 assert derived.images == imap.images
 
@@ -281,38 +290,78 @@ def test_interior_from_open_sets_below_original(one_point_c3, two_point_c2):
 
 def test_closure_examples_extensional(one_point_c3, godel3):
     tau = ltopology(one_point_c3, [(0,), (2,)])
-    table = closure_from_topology(tau, godel3, "extensional")
-    bot = one_point_c3.bottom_set()
-    top = one_point_c3.top_set()
-    assert table[bot].values == bot.values
-    assert table[top].values == top.values
-    half = one_point_c3.fuzzy(["1/2"])
-    assert table[half].values == top.values
+    images = closure_from_topology(tau, godel3, "extensional")
+    index = one_point_c3.index
+    bot = one_point_c3.bottom_set().values
+    top = one_point_c3.top_set().values
+    half = one_point_c3.fuzzy(["1/2"]).values
+    assert index.values[images[index.position[bot]]] == bot
+    assert index.values[images[index.position[top]]] == top
+    assert index.values[images[index.position[half]]] == top
 
 
 def test_closure_literal_mode_not_extensive(one_point_c3, godel3):
     tau = ltopology(one_point_c3, [(0,), (2,)])
-    table = closure_from_topology(tau, godel3, "literal")
-    half = one_point_c3.fuzzy(["1/2"])
+    images = closure_from_topology(tau, godel3, "literal")
+    index = one_point_c3.index
+    half = one_point_c3.fuzzy(["1/2"]).values
     # the literal reading sends 1/2 to 0: it is not above its argument
-    assert table[half].values == (0,)
+    assert index.values[images[index.position[half]]] == (0,)
 
 
 def test_closure_extensional_always_extensive(godel3, luk3):
     for algebra in (godel3, luk3):
         for nx in (1, 2):
             ground = Ground(tuple(f"p{i+1}" for i in range(nx)), algebra)
-            tuples = list(ground.all_value_tuples())
+            tuples = list(all_value_tuples(ground))
             top = tuples[-1]
             for family in powerset(tuples):
                 opens = set(family) | {top}
                 tau = ltopology(ground, opens)
-                table = closure_from_topology(tau, algebra, "extensional")
-                for u, cu in table.items():
-                    assert u.leq(cu)
+                images = closure_from_topology(tau, algebra, "extensional")
+                for u, cu in zip(ground.index.values, images):
+                    assert leq_values(ground, u, ground.index.values[cu])
 
 
 def test_closure_requires_gl(one_point_c3, diamond_join):
     tau = ltopology(one_point_c3, [(2,)])
     with pytest.raises(NotGLGround):
         closure_from_topology(tau, diamond_join, "extensional")
+
+
+def top_first_gl():
+    """A GL chain whose element list starts at top, so lattice indices and
+    the order disagree."""
+    order = [["0", "1/2"], ["1/2", "1"]]
+    return validate_gl(godel_tensor(validate_lattice(["1", "1/2", "0"], order, closure=True)))
+
+
+def test_topology_layer_matches_the_value_tuple_oracles(godel3, luk3, c2):
+    grounds = [
+        Ground(("p1",), godel3),
+        Ground(("p1",), luk3),
+        Ground(("p1", "p2"), c2),
+        Ground(("p1", "p2"), godel3),
+        Ground(("p1", "p2"), top_first_gl()),
+    ]
+    for ground in grounds:
+        tuples = list(all_value_tuples(ground))
+        top = (ground.lattice.top,) * len(ground.points)
+        values = ground.index.values
+        for family in powerset(tuples):
+            opens = set(family) | {top}
+            tau = ltopology(ground, opens)
+            join_closed, table = naive_topology(ground, opens)
+            assert tau.join_closed == join_closed
+            assert interior_from_topology(tau).table() == table
+            for mode in ("literal", "extensional"):
+                images = closure_from_topology(tau, ground.algebra, mode)
+                expected = naive_closure_from_topology(ground, opens, ground.algebra, mode)
+                assert {u: values[c] for u, c in zip(values, images)} == expected
+
+
+def test_topology_rows_off_the_ground_name_the_row(one_point_c3, two_point_c3):
+    with pytest.raises(CarrierMismatch, match=r"open \(2, 2\) is not a value tuple on this ground"):
+        ltopology(one_point_c3, [(2, 2)])
+    with pytest.raises(CarrierMismatch, match=r"open \(2,\) is not a value tuple on this ground"):
+        ltopology(two_point_c3, [(2, 2), (2,)])

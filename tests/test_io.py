@@ -85,7 +85,7 @@ def test_morphism_roundtrip():
 
 def test_topology_and_space():
     t = topology_from_json(load_json(FIXTURES / "c3_topology.json"))
-    assert len(t.opens) == 2
+    assert t.opens.bit_count() == 2
     again = topology_from_json(topology_to_json(t))
     assert again.opens == t.opens
     s = space_from_json(load_json(FIXTURES / "discrete_space.json"))
@@ -139,3 +139,16 @@ def test_missing_keys():
         lattice_from_json({"elements": ["a"]})
     with pytest.raises(ParseError):
         monoid_from_json({"tensor": []})
+
+
+def test_topology_rows_sorted_by_value_tuple_on_a_top_first_lattice():
+    # lattice indices run 1, 1/2, 0: sorting by value tuple differs from
+    # the index's order, which follows the lattice order
+    lattice = {"elements": ["1", "1/2", "0"], "leq": [["0", "1/2"], ["1/2", "1"]], "closure": True}
+    tensor = [[a, b, min(a, b, key=["0", "1/2", "1"].index)] for a in lattice["elements"] for b in lattice["elements"]]
+    ground = {"points": ["p1", "p2"], "algebra": {"lattice": lattice, "tensor": tensor}}
+    opens = [["0", "1/2"], ["1", "1"], ["1/2", "0"]]
+    t = topology_from_json({"ground": ground, "opens": opens})
+    doc = topology_to_json(t)
+    assert doc["opens"] == [["1", "1"], ["1/2", "0"], ["0", "1/2"]]
+    assert topology_from_json(doc).opens == t.opens

@@ -3,6 +3,7 @@ continuity, openness, initial interiors and meet interchange."""
 
 import pytest
 from conftest import (
+    all_sets,
     naive_initial_interior,
     naive_is_continuous,
     naive_is_open_morphism,
@@ -106,5 +107,5 @@ def test_meet_interchange_diamond_join_failures_match_oracle():
 def test_backward_positions_match_vb_backward(pair):
     dom, cod, morphisms = pair
     for g in morphisms:
-        for b, v in enumerate(cod.all_sets()):
+        for b, v in enumerate(all_sets(cod)):
             assert dom.index.values[g.backward[b]] == vb_backward(g, v).values

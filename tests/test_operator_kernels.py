@@ -78,6 +78,23 @@ def test_sample_matches_list_and_stride(ground):
         assert sample[-1].images == tuple(range(ground.set_count()))
 
 
+def test_sample_builds_only_the_kept_maps(monkeypatch, two_point_c3):
+    built = []
+
+    class Counted(InteriorMap):
+        __slots__ = ()
+
+        def __init__(self, ground, images):
+            built.append(images)
+            super().__init__(ground, images)
+
+    monkeypatch.setattr(fsearch, "InteriorMap", Counted)
+    sample = interior_sample(two_point_c3, SearchBounds(operator_sample=4))
+    assert count_interior_maps(two_point_c3) == 400
+    assert [m.images for m in sample] == built
+    assert len(built) == 4
+
+
 # -- the verdict memo ----------------------------------------------------------
 
 # the other grounds with as many fuzzy sets, where the same image

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from conftest import all_value_tuples, leq_values
 from fuzzint.errors import BoundsExceeded, MalformedBundle, UnknownProperty
 from fuzzint.interior import check_interior_axioms, discrete, least
 from fuzzint.search import (
@@ -23,17 +24,17 @@ from fuzzint.search import (
 
 def naive_interior_maps(ground):
     """Generate-and-filter oracle over the full function space."""
-    tuples = list(ground.all_value_tuples())
+    tuples = list(all_value_tuples(ground))
     top = tuples[-1]
     found = []
     for images in product(tuples, repeat=len(tuples)):
         table = dict(zip(tuples, images))
         if table[top] != top:
             continue
-        if any(not ground.leq_values(table[u], u) for u in tuples):
+        if any(not leq_values(ground, table[u], u) for u in tuples):
             continue
         if any(
-            ground.leq_values(u, v) and not ground.leq_values(table[u], table[v])
+            leq_values(ground, u, v) and not leq_values(ground, table[u], table[v])
             for u in tuples
             for v in tuples
         ):
