@@ -28,8 +28,11 @@ a morphism from any bounded test space is continuous into the lift exactly
 when all composites are continuous.  The quantifier over test interiors is
 discharged exactly by a least-constrained-operator argument in
 ``initiality_violation``, the one kernel that both ``verify_initiality``
-and the ``initiality`` search call.  A literal enumeration over test
-interiors lives in the test suite as its oracle.
+and the ``initiality`` search call.  The lift enters it as one more
+``Arm``, the identity morphism into (domain, lift), so the least test
+interior above the lift's constraints is that arm's memoised floor.  A
+literal enumeration over test interiors lives in the test suite as its
+oracle.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .powerset import (
     GroundMorphism,
     Verdict,
     all_morphisms,
+    identity_morphism,
     right_adjoint_values,
 )
 
@@ -157,29 +161,45 @@ def continuity_constraints(g: GroundMorphism, target: InteriorMap) -> list:
 
 class Arm:
     """One arm (g, target interior) of a structured source, prepared for
-    initiality checks.
+    initiality checks.  A lift enters as one more arm: the identity
+    morphism into (domain, lift), whose constraints are exactly the
+    (u, lift(u)) pairs.
 
     ``constraints`` are the arm's continuity constraints, as position
     pairs.  ``floor`` memoises, per test morphism, the constraints
-    transported along it and the least test interior above them; the memo
-    lives as long as the arm.
+    transported along it and the least test interior above them;
+    ``join`` memoises joins of floor tables per (test ground, tables).
+    Both memos live as long as the arm.
     """
 
-    __slots__ = ("morphism", "constraints", "_floors")
+    __slots__ = ("morphism", "constraints", "_floors", "_joins")
 
     def __init__(self, g: GroundMorphism, target: InteriorMap):
         self.morphism = g
         self.constraints = tuple(continuity_constraints(g, target))
         self._floors = {}
+        self._joins = {}
 
     def floor(self, g_test: GroundMorphism):
         """(least test interior images, transported pairs) along
         ``g_test``, all as positions on its domain."""
-        if g_test not in self._floors:
+        try:
+            return self._floors[g_test]
+        except KeyError:
             bw = g_test.backward
             moved = tuple((bw[w], bw[c]) for w, c in self.constraints)
-            self._floors[g_test] = (_least_above(g_test.dom, moved), moved)
-        return self._floors[g_test]
+            found = self._floors[g_test] = (_least_above(g_test.dom, moved), moved)
+            return found
+
+    def join(self, ground: Ground, tables: tuple) -> tuple:
+        """The pointwise join of two or more floor tables on ``ground``:
+        the least interior above all their constraints."""
+        key = (ground, tables)
+        try:
+            return self._joins[key]
+        except KeyError:
+            found = self._joins[key] = tuple(map(ground.index.join, zip(*tables)))
+            return found
 
 
 def _least_above(ground: Ground, pairs) -> tuple:
@@ -212,19 +232,20 @@ def _least_above(ground: Ground, pairs) -> tuple:
     return tuple(images)
 
 
-def initiality_violation(g_test: GroundMorphism, lift_pairs, arms) -> dict | None:
+def initiality_violation(g_test: GroundMorphism, lift_arm: Arm, arms) -> dict | None:
     """Decide the universal property of a lift at one test morphism.
 
     ``g_test`` runs from a test ground into the source domain;
-    ``lift_pairs`` are the (u, lift(u)) position pairs on the domain and
-    ``arms`` the source's prepared arms.  The test morphism must be
-    continuous into the lift, at a test interior, exactly when every
-    composite through an arm is.  The interiors making a family of
-    morphisms continuous form a principal filter, so each direction is
-    decided at the least element of the opposite filter: H, the join of
-    the arms' floors ("only-if"), and E, the least interior above the
-    transported lift pairs ("if").  Everything is transported along
-    ``g_test.backward`` and compared as positions on the test ground.
+    ``lift_arm`` is the identity arm into (domain, lift) and ``arms`` the
+    source's prepared arms.  The test morphism must be continuous into
+    the lift, at a test interior, exactly when every composite through an
+    arm is.  The interiors making a family of morphisms continuous form a
+    principal filter, so each direction is decided at the least element
+    of the opposite filter: H, the join of the arms' floors ("only-if"),
+    and E, the lift arm's floor ("if").  Everything is transported along
+    ``g_test.backward`` and compared as positions on the test ground.  E
+    is memoised on the lift arm, and so is H, per (test ground, floor
+    tables): every source with this lift meets the same test morphisms.
 
     E and H are each least above their own constraints, so "only-if"
     holds iff H >= E and "if" iff E >= H: the property holds exactly when
@@ -233,15 +254,11 @@ def initiality_violation(g_test: GroundMorphism, lift_pairs, arms) -> dict | Non
     Returns that violation, or None.
     """
     z = g_test.dom
-    index = z.index
-    down, bw = index.down, g_test.backward
+    down = z.index.down
+    easy, moved = lift_arm.floor(g_test)
     floors = [arm.floor(g_test) for arm in arms]
-    tables = [table for table, _ in floors] or [_least_above(z, ())]
-    hard = tables[0]
-    if len(tables) > 1:
-        hard = tuple(index.join(column) for column in zip(*tables))
-    moved = [(bw[u], bw[lu]) for u, lu in lift_pairs]
-    easy = _least_above(z, moved)
+    tables = tuple(table for table, _ in floors) or (_least_above(z, ()),)
+    hard = tables[0] if len(tables) == 1 else lift_arm.join(z, tables)
     if easy == hard:
         return None
     for w, c in moved:
@@ -282,11 +299,11 @@ def verify_initiality(s: StructuredSource, lift: InteriorMap, *, test_grounds) -
     if lift.ground != s.domain:
         raise GroundMismatch("lift lives on a different ground")
     arms = [Arm(g, target) for g, target in s.arms]
-    lift_pairs = tuple(enumerate(lift.images))
+    lift_arm = Arm(identity_morphism(s.domain), lift)
     checked = 0
     for z_ground in test_grounds:
         for g in all_morphisms(z_ground, s.domain):
-            bad = initiality_violation(g, lift_pairs, arms)
+            bad = initiality_violation(g, lift_arm, arms)
             if bad is not None:
                 checked += 1 if bad["direction"] == "only-if" else 2
                 return Verdict(ok=False, prop="initiality", witness=bad, checked=checked)

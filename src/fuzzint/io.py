@@ -127,10 +127,23 @@ def monoid_to_json(m: CQML) -> dict:
     return doc
 
 
+def _is_name_list(row) -> bool:
+    return isinstance(row, list) and all(isinstance(v, str) for v in row)
+
+
+def _point_names(doc, key: str) -> tuple:
+    """The point names under ``key``: a list of names, never a string read
+    character by character."""
+    names = doc[key]
+    if not _is_name_list(names):
+        raise ParseError(f"{key} must be a list of point names, got {names!r}")
+    return tuple(names)
+
+
 def ground_from_json(doc, base: Path | None = None) -> Ground:
     doc, base = _resolve(doc, base)
     try:
-        return Ground(points=tuple(doc["points"]), algebra=monoid_from_json(doc["algebra"], base))
+        return Ground(points=_point_names(doc, "points"), algebra=monoid_from_json(doc["algebra"], base))
     except KeyError as exc:
         raise ParseError(f"ground missing key {exc}")
 
@@ -143,11 +156,14 @@ def fuzzyset_from_json(doc, base: Path | None = None) -> FuzzySet:
     doc, base = _resolve(doc, base)
     try:
         ground = Ground(
-            points=tuple(doc["carrier"]), algebra=monoid_from_json(doc["algebra"], base)
+            points=_point_names(doc, "carrier"), algebra=monoid_from_json(doc["algebra"], base)
         )
-        return ground.fuzzy(doc["values"])
+        values = doc["values"]
     except KeyError as exc:
         raise ParseError(f"fuzzy set file missing key {exc}")
+    if not (isinstance(values, dict) or _is_name_list(values)):
+        raise ParseError(f"values must be a {{point: element}} object or a list of element names, got {values!r}")
+    return ground.fuzzy(values)
 
 
 def fuzzyset_to_json(a: FuzzySet) -> dict:
@@ -186,10 +202,6 @@ def interior_from_json(doc, base: Path | None = None) -> InteriorMap:
     except KeyError as exc:
         raise ParseError(f"interior file missing key {exc}")
     return _table_interior(ground, rows)
-
-
-def _is_name_list(row) -> bool:
-    return isinstance(row, list) and all(isinstance(v, str) for v in row)
 
 
 def _table_interior(ground: Ground, rows) -> InteriorMap:

@@ -9,7 +9,10 @@ embeds the full instance.
 
 Verdicts are deterministic for fixed bounds and property regardless of the
 worker count: cases are consumed in generation order and the first failing
-case wins, whether chunks are evaluated inline or on a pool.
+case wins, whether chunks are evaluated inline or on a pool.  Every case is
+generated, counted and checked, but a search decides each distinct
+instance once: its ``SearchContext`` memoises the verdicts the checkers
+read, keyed by exactly the objects each verdict depends on.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .interior import (
 )
 from .lattice import diamond_lattice, pentagon_lattice
 from .monoid import builtin_chain, godel_tensor, join_tensor
-from .powerset import FuzzySet, Ground, GroundMorphism, Verdict, all_morphisms
+from .powerset import FuzzySet, Ground, GroundMorphism, Verdict, all_morphisms, identity_morphism
 from . import io as fio
 
 CHUNK = 256
@@ -251,19 +254,19 @@ def interior_sample(ground: Ground, bounds: SearchBounds):
 class SearchContext:
     """One search's grounds, deadline and memos.
 
-    Built once per search, and once per pool worker; everything it
-    memoises is dropped with it, so nothing is cached across searches.
+    Built once per search, and once per pool worker.  Every memo goes
+    through ``_memo`` into one dict, under a key that starts with the
+    memo's name, or with the check it memoises, and holds its grounds as
+    ``Ground``, ``InteriorMap`` or ``GroundMorphism`` objects, never as a
+    bare image tuple.  Everything is dropped with the context, so nothing
+    is cached across searches.
     """
 
     def __init__(self, bounds: SearchBounds):
         self.bounds = bounds
         self.deadline = time.monotonic() + bounds.time_budget
         self.grounds = grounds_within(bounds)
-        self._samples: dict = {}
-        self._arms: dict = {}
-        self._tests: dict = {}
-        self._composites: dict = {}
-        self._verdicts: dict = {}
+        self._memos: dict = {}
 
     def expire(self, checked: int = 0) -> None:
         """Raise once the time budget is spent."""
@@ -272,42 +275,64 @@ class SearchContext:
                 f"time budget {self.bounds.time_budget}s exhausted after {checked} cases"
             )
 
+    def _memo(self, key: tuple, build):
+        """The value memoised under ``key``, built by ``build()`` on first
+        use."""
+        try:
+            return self._memos[key]
+        except KeyError:
+            value = self._memos[key] = build()
+            return value
+
     def sample(self, ground: Ground) -> list:
-        if ground not in self._samples:
-            self._samples[ground] = interior_sample(ground, self.bounds)
-        return self._samples[ground]
+        return self._memo(("sample", ground), lambda: interior_sample(ground, self.bounds))
 
     def arm(self, g: GroundMorphism, target: InteriorMap) -> tuple:
         """The prepared arm and the image positions of its initial
-        interior."""
-        key = (g, target)
-        if key not in self._arms:
-            self._arms[key] = (Arm(g, target), initial_interior(g, target).images)
-        return self._arms[key]
+        interior, which is validated once per (g, target)."""
+
+        def build():
+            initial = initial_interior(g, target).images
+            return Arm(g, target), initial
+
+        return self._memo(("arm", g, target), build)
+
+    def lift_arm(self, lift: InteriorMap) -> Arm:
+        """The identity arm into (domain, lift), looked up once per lift.
+        It is the prepared arm of that pair, so a source arm along the
+        identity into the same space shares its floors."""
+        return self._memo(("lift-arm", lift), lambda: self.arm(identity_morphism(lift.ground), lift)[0])
+
+    def intern(self, g: GroundMorphism) -> GroundMorphism:
+        """The search's one object equal to ``g``: it builds its backward
+        positions once, and the verdict memo meets it by identity."""
+        return self._memo(("morphism", g), lambda: g)
 
     def composite(self, g2: GroundMorphism, g1: GroundMorphism) -> GroundMorphism:
-        """``compose(g2, g1)``, built once per pair, so its backward
-        positions are built once per search."""
-        key = (g2, g1)
-        if key not in self._composites:
-            self._composites[key] = compose(g2, g1)
-        return self._composites[key]
+        """``compose(g2, g1)``, built once per pair and interned, so equal
+        composites of different pairs, and a leg equal to a composite,
+        are one object."""
+        return self._memo(("composite", g2, g1), lambda: self.intern(compose(g2, g1)))
+
+    def verdict(self, check, *args) -> Verdict:
+        """``check(*args)``, decided once per search for each distinct
+        argument tuple: continuity or openness of (morphism, src, dst),
+        a predicate of a lifted map."""
+        return self._memo((check, *args), lambda: check(*args))
 
     def axioms(self, ground: Ground, images: tuple) -> Verdict:
         """``check_interior_axioms`` of the map with these image positions
-        on the ground, run once per ground and image tuple per search."""
-        key = (ground, images)
-        if key not in self._verdicts:
-            self._verdicts[key] = check_interior_axioms(InteriorMap(ground, images))
-        return self._verdicts[key]
+        on the ground, run once per ground and image tuple per search.  The
+        key holds the ground beside the tuple rather than a new map: one
+        ``InteriorMap`` built per lookup made operator-lattice-closure
+        about a quarter slower."""
+        return self._memo(("axioms", ground, images), lambda: check_interior_axioms(InteriorMap(ground, images)))
 
     def test_morphisms(self, dom: Ground) -> list:
         """Every morphism from a test ground into ``dom``.  Each one
         computes its backward positions on first use and keeps them, so
         they are built once per search."""
-        if dom not in self._tests:
-            self._tests[dom] = [g for z in self.grounds for g in all_morphisms(z, dom)]
-        return self._tests[dom]
+        return self._memo(("tests", dom), lambda: [g for z in self.grounds for g in all_morphisms(z, dom)])
 
 
 # ------------------------------------------------------------- properties
@@ -377,11 +402,11 @@ def _continuous_legs(ctx: SearchContext, open_mode: bool) -> dict:
     by_source: dict = {}
     for dom in ctx.grounds:
         for cod in ctx.grounds:
-            for g in all_morphisms(dom, cod):
+            for g in map(ctx.intern, all_morphisms(dom, cod)):
                 for src in ctx.sample(dom):
                     for dst in ctx.sample(cod):
                         ctx.expire()
-                        if test(g, src, dst):
+                        if ctx.verdict(test, g, src, dst):
                             by_source.setdefault(src, []).append((g, src, dst))
     return by_source
 
@@ -412,7 +437,7 @@ def _check_composition(case: dict, ctx: SearchContext):
         g2 = fio.morphism_from_json(case["second"])
         src, _, dst = (fio.interior_from_json(i) for i in case["interiors"])
     test = is_open_morphism if case["open"] else is_continuous
-    verdict = test(ctx.composite(g2, g1), src, dst)
+    verdict = ctx.verdict(test, ctx.composite(g2, g1), src, dst)
     return None if verdict.ok else verdict.witness
 
 
@@ -516,16 +541,16 @@ def _check_initiality(case: dict, ctx: SearchContext):
     dom, arms = _case_source(case, ctx)
     columns = [initial for _, initial in arms] or [least(dom).images]
     lift = InteriorMap(dom, tuple(map(dom.index.join, zip(*columns))))
-    verdict = check_interior_axioms(lift)
+    verdict = ctx.axioms(dom, lift.images)
     if not verdict.ok:
         return {"stage": "axioms", **verdict.witness}
     lost = _lost_arm(dom, arms, lift.images)
     if lost is not None:
         return lost
-    lift_pairs = tuple(enumerate(lift.images))
+    lift_arm = ctx.lift_arm(lift)
     prepared = [arm for arm, _ in arms]
     for g_test in ctx.test_morphisms(dom):
-        bad = initiality_violation(g_test, lift_pairs, prepared)
+        bad = initiality_violation(g_test, lift_arm, prepared)
         if bad is not None:
             return {"stage": "initiality", **bad}
     return None
@@ -538,7 +563,7 @@ def _check_literal_meet_lift(case: dict, ctx: SearchContext):
     top = dom.set_count() - 1
     columns = [initial for _, initial in arms] or [(top,) * (top + 1)]  # the empty meet
     meet_lift = InteriorMap(dom, tuple(map(dom.index.meet, zip(*columns))))
-    verdict = check_interior_axioms(meet_lift)
+    verdict = ctx.axioms(dom, meet_lift.images)
     if not verdict.ok:
         return {"stage": "axioms", **verdict.witness}
     return _lost_arm(dom, arms, meet_lift.images, shown="meet_lift_at_w")
@@ -548,7 +573,7 @@ def _gen_preservation(ctx: SearchContext, predicate):
     for dom in ctx.grounds:
         for cod in ctx.grounds:
             for target in ctx.sample(cod):
-                if not predicate(target):
+                if not ctx.verdict(predicate, target):
                     continue
                 for g in all_morphisms(dom, cod):
                     yield {"_data": (g, target)}
@@ -559,14 +584,16 @@ def _describe_preservation(case: dict) -> dict:
     return {"morphism": fio.morphism_to_json(g), "interior": fio.interior_to_json(target)}
 
 
-def _check_preservation(case: dict, predicate):
+def _check_preservation(case: dict, ctx: SearchContext, predicate):
+    """The predicate of the initial interior, read from the prepared arm
+    and decided once per lifted map."""
     if "_data" in case:
         g, target = case["_data"]
     else:
         g = fio.morphism_from_json(case["morphism"])
         target = fio.interior_from_json(case["interior"])
-    lifted = initial_interior(g, target)
-    verdict = predicate(lifted)
+    _, lifted = ctx.arm(g, target)
+    verdict = ctx.verdict(predicate, InteriorMap(g.dom, lifted))
     return None if verdict.ok else verdict.witness
 
 
@@ -617,12 +644,12 @@ PROPERTIES = {
     ),
     "preservation-idempotent": (
         lambda ctx: _gen_preservation(ctx, is_idempotent),
-        lambda case, ctx: _check_preservation(case, is_idempotent),
+        lambda case, ctx: _check_preservation(case, ctx, is_idempotent),
         _describe_preservation,
     ),
     "preservation-fully-productive": (
         lambda ctx: _gen_preservation(ctx, is_fully_productive),
-        lambda case, ctx: _check_preservation(case, is_fully_productive),
+        lambda case, ctx: _check_preservation(case, ctx, is_fully_productive),
         _describe_preservation,
     ),
     "meet-interchange": (

@@ -355,6 +355,45 @@ def test_malformed_opens(tmp_path, kind, ground, opens, code, detail):
         assert json.loads(text)["detail"] == detail
 
 
+C2 = {"builtin": "godel", "n": 2}
+
+
+@pytest.mark.parametrize(
+    "name, doc, detail",
+    [
+        # points written as a string
+        ("ground.json", {"points": "ab", "algebra": C2}, "points must be a list of point names, got 'ab'"),
+        # a point that is not a name
+        ("ground.json", {"points": ["a", 3], "algebra": C2}, "points must be a list of point names, got ['a', 3]"),
+        # a space over a ground whose points are a string
+        (
+            "space.json",
+            {"ground": {"points": "ab", "algebra": C2}, "interior": "discrete"},
+            "points must be a list of point names, got 'ab'",
+        ),
+        # values written as a string
+        (
+            "fuzzyset.json",
+            {"carrier": ["a", "b"], "values": "10", "algebra": C2},
+            "values must be a {point: element} object or a list of element names, got '10'",
+        ),
+    ],
+    ids=["points-a-string", "point-not-a-name", "space-points-a-string", "values-a-string"],
+)
+def test_string_where_a_list_is_expected_exits_2(tmp_path, name, doc, detail):
+    path = write(tmp_path, name, doc)
+    assert run_cli("validate", path) == (2, f"error: cannot parse input: {detail}\n")
+    code, text = run_cli("validate", path, "--json")
+    assert code == 2
+    assert json.loads(text) == {"status": "error", "error": "parse-error", "detail": f"cannot parse input: {detail}"}
+
+
+@pytest.mark.parametrize("values", [{"a": "1", "b": "0"}, ["1", "0"]], ids=["object", "list"])
+def test_fuzzy_set_values_as_object_or_name_list_stay_valid(tmp_path, values):
+    path = write(tmp_path, "fuzzyset.json", {"carrier": ["a", "b"], "values": values, "algebra": C2})
+    assert run_cli("validate", path) == (0, "ok: fuzzyset valid\n")
+
+
 C2_THIRTEEN = {"points": [f"p{k}" for k in range(1, 14)], "algebra": {"builtin": "godel", "n": 2}}
 TOO_LARGE = "error: fuzzy powerset has 8192 elements, above the materialization limit 4096\n"
 

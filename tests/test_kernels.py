@@ -1,16 +1,18 @@
 """The morphism-layer kernels against their oracles: the cover-edge sweep
 for least interiors, the equality fast path of the initiality kernel, the
-prefix fold of full productivity, and composites built once per search."""
+prefix fold of full productivity, composites built once per search, and
+the per-search verdict memos against fresh contexts."""
 
 from itertools import product
 
 import pytest
 from conftest import naive_initiality_violation, naive_is_fully_productive, naive_least_above
-from hypothesis import find, given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 from test_index import BASES, GROUNDS, PROPERTY
 from test_morphism_index import PAIRS
 
+import fuzzint.continuity as fcontinuity
 from fuzzint.continuity import (
     Arm,
     StructuredSource,
@@ -29,8 +31,15 @@ from fuzzint.interior import (
     least,
     meet_interiors,
 )
-from fuzzint.powerset import Ground, GroundMorphism, all_morphisms
-from fuzzint.search import SearchBounds, SearchContext, builtin_algebra, enumerate_interior_maps
+from fuzzint.powerset import Ground, GroundMorphism, all_morphisms, identity_morphism
+from fuzzint.search import (
+    PROPERTIES,
+    SearchBounds,
+    SearchContext,
+    builtin_algebra,
+    enumerate_interior_maps,
+    search,
+)
 
 HOMS = {(dom, cod): morphisms for dom, cod, morphisms in PAIRS}
 # every interior map where the full subset scan runs, the bases elsewhere
@@ -72,33 +81,44 @@ def test_least_above_matches_pair_scan(case):
 LIFTS = ("correct", "join", "meet", "least", "discrete")
 
 
-@st.composite
-def sources_with_test_morphisms(draw):
-    """A one- or two-arm source, its join-form lift or a perturbation of
-    it (joined or met with another map, or the least or discrete map), and
-    a test morphism into the domain, from the domain itself in about half
-    the draws."""
-    domain = draw(st.sampled_from(GROUNDS))
+def _source(draw, grounds, homs, bases):
+    """A one- or two-arm source over ``grounds``, as (domain, lift, arms):
+    its join-form lift or a perturbation of it (joined or met with another
+    map, or the least or discrete map)."""
+    domain = draw(st.sampled_from(grounds))
     arms = []
     for _ in range(draw(st.integers(1, 2))):
-        cod = draw(st.sampled_from(GROUNDS))
-        g = draw(st.sampled_from(HOMS[domain, cod]))
-        arms.append((g, InteriorMap(cod, draw(st.sampled_from(BASES[cod])))))
+        cod = draw(st.sampled_from(grounds))
+        g = draw(st.sampled_from(homs[domain, cod]))
+        arms.append((g, InteriorMap(cod, draw(st.sampled_from(bases[cod])))))
     lift = initial_from_source(StructuredSource(domain, tuple(arms)))
     how = draw(st.sampled_from(LIFTS))
     if how in ("join", "meet"):
-        other = InteriorMap(domain, draw(st.sampled_from(BASES[domain])))
+        other = InteriorMap(domain, draw(st.sampled_from(bases[domain])))
         lift = (join_interiors if how == "join" else meet_interiors)([lift, other])
     elif how != "correct":
         lift = (least if how == "least" else discrete)(domain)
+    return domain, lift, arms
+
+
+@st.composite
+def sources_with_test_morphisms(draw):
+    """A source, its lift and a test morphism into the domain, from the
+    domain itself in about half the draws."""
+    domain, lift, arms = _source(draw, GROUNDS, HOMS, BASES)
     z = draw(st.sampled_from(GROUNDS) | st.just(domain))
     g_test = draw(st.sampled_from(HOMS[z, domain]))
-    return g_test, tuple(enumerate(lift.images)), arms
+    return g_test, lift, arms
 
 
 def _kernel(case, violation):
-    g_test, lift_pairs, arms = case
-    return violation(g_test, lift_pairs, [Arm(g, target) for g, target in arms])
+    """``violation`` at the case: the fast kernel takes the lift as the
+    identity arm into it, the oracle as its (u, lift(u)) pairs."""
+    g_test, lift, arms = case
+    prepared = [Arm(g, target) for g, target in arms]
+    if violation is initiality_violation:
+        return violation(g_test, Arm(identity_morphism(lift.ground), lift), prepared)
+    return violation(g_test, tuple(enumerate(lift.images)), prepared)
 
 
 @settings(PROPERTY, max_examples=500)
@@ -155,3 +175,216 @@ def test_search_context_builds_one_composite_per_pair():
             assert first == compose(g2, g1)
             # equal legs built afresh find the same object
             assert ctx.composite(*(GroundMorphism(g.dom, g.cod, g.f, g.phi_op) for g in (g2, g1))) is first
+
+
+# -- per-search verdict memos ---------------------------------------------------
+
+# c2 on two points and godel4 on one carry four fuzzy sets each, so one image
+# tuple makes a map on both
+C2_PAIR = Ground(("p1", "p2"), builtin_algebra("c2"))
+GODEL4_POINT = Ground(("p1",), builtin_algebra("godel4"))
+TWIN = {C2_PAIR: GODEL4_POINT, GODEL4_POINT: C2_PAIR}
+MEMO_GROUNDS = [Ground(("p1",), builtin_algebra("c2")), C2_PAIR, GODEL4_POINT, Ground(("p1",), builtin_algebra("lukasiewicz3"))]
+MEMO_HOMS = {(a, b): list(all_morphisms(a, b)) for a in MEMO_GROUNDS for b in MEMO_GROUNDS}
+MEMO_MAPS = {ground: list(enumerate_interior_maps(ground)) for ground in MEMO_GROUNDS}
+# the images that make an interior map on both twins
+SHARED = {
+    ground: [i for i in MEMO_MAPS[ground] if check_interior_axioms(InteriorMap(TWIN[ground], i.images)).ok]
+    for ground in TWIN
+}
+# the test grounds of the contexts include both twins
+MEMO_BOUNDS = SearchBounds(algebras=("c2", "godel4"), max_lattice=4)
+SOURCE_PROPS = ("initiality", "literal-meet-source-lift")
+PRESERVATION_PROPS = ("preservation-idempotent", "preservation-fully-productive")
+
+
+def _twin(prop, case):
+    """The case along identities on the twin ground, with the same image
+    positions."""
+    if prop.startswith("composition"):
+        g1, src, mid, g2, dst = case["_legs"]
+        ground = TWIN[g1.dom]
+        ident = identity_morphism(ground)
+        src, mid, dst = (InteriorMap(ground, i.images) for i in (src, mid, dst))
+        return prop, {"open": case["open"], "_legs": (ident, src, mid, ident, dst)}
+    if prop.startswith("preservation"):
+        g, target = case["_data"]
+        ground = TWIN[g.dom]
+        return prop, {"_data": (identity_morphism(ground), InteriorMap(ground, target.images))}
+    ground = TWIN[case["_domain"]]
+    arms = [(identity_morphism(ground), InteriorMap(ground, target.images)) for _, target in case["_arms"]]
+    return prop, {"_domain": ground, "_arms": arms}
+
+
+@st.composite
+def memo_case(draw):
+    """A composition, preservation or source case, as (property, case).
+    Legs are drawn without a continuity filter, so compositions often
+    fail; about a third of the cases run along identities on a ground with
+    a twin, with maps that are interior on both twins.  Returns the case
+    and its twin, or None."""
+    kind = draw(st.sampled_from(("composition", "preservation", "source")))
+    on_twin = draw(st.integers(0, 2)) == 0
+    if on_twin:
+        ground = draw(st.sampled_from(list(TWIN)))
+        ident = identity_morphism(ground)
+
+    def pick(g):
+        return draw(st.sampled_from(SHARED[ground] if on_twin else MEMO_MAPS[g]))
+
+    if kind == "composition":
+        prop = draw(st.sampled_from(("composition-continuous", "composition-open")))
+        if on_twin:
+            g1 = g2 = ident
+            # interior or not: the check reads only the image positions
+            src, mid, dst = (InteriorMap(ground, draw(st.sampled_from(MEMO_MAPS[ground])).images) for _ in range(3))
+        else:
+            a, b, c = (draw(st.sampled_from(MEMO_GROUNDS)) for _ in range(3))
+            g1, g2 = draw(st.sampled_from(MEMO_HOMS[a, b])), draw(st.sampled_from(MEMO_HOMS[b, c]))
+            src, mid, dst = pick(a), pick(b), pick(c)
+        case = (prop, {"open": prop == "composition-open", "_legs": (g1, src, mid, g2, dst)})
+    elif kind == "preservation":
+        prop = draw(st.sampled_from(PRESERVATION_PROPS))
+        dom = ground if on_twin else draw(st.sampled_from(MEMO_GROUNDS))
+        cod = ground if on_twin else draw(st.sampled_from(MEMO_GROUNDS))
+        g = ident if on_twin else draw(st.sampled_from(MEMO_HOMS[dom, cod]))
+        case = (prop, {"_data": (g, pick(cod))})
+    else:
+        prop = draw(st.sampled_from(SOURCE_PROPS))
+        dom = ground if on_twin else draw(st.sampled_from(MEMO_GROUNDS))
+        arms = []
+        for _ in range(draw(st.integers(1, 2))):
+            cod = ground if on_twin else draw(st.sampled_from(MEMO_GROUNDS))
+            g = ident if on_twin else draw(st.sampled_from(MEMO_HOMS[dom, cod]))
+            arms.append((g, pick(cod)))
+        case = (prop, {"_domain": dom, "_arms": arms})
+    return case, (_twin(*case) if on_twin else None)
+
+
+@st.composite
+def memo_runs(draw):
+    """Cases checked in turn by one search context: up to four cases, each
+    on a twin ground followed by its twin now and then; then a run of
+    picks among them, so that a case, failing or not, often comes round
+    again."""
+    cases = []
+    for _ in range(draw(st.integers(1, 4))):
+        case, twin = draw(memo_case())
+        cases.append(case)
+        if twin is not None and draw(st.booleans()):
+            cases.append(twin)
+    picks = draw(st.lists(st.integers(0, len(cases) - 1), min_size=1, max_size=8))
+    return [cases[k] for k in picks]
+
+
+def _checked(prop, case, ctx):
+    return PROPERTIES[prop][1](case, ctx)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(memo_runs())
+def test_shared_context_matches_fresh_contexts(run):
+    shared = SearchContext(MEMO_BOUNDS)
+    for prop, case in run:
+        assert _checked(prop, case, shared) == _checked(prop, case, SearchContext(MEMO_BOUNDS))
+
+
+def _maps(case):
+    if "_legs" in case:
+        return [case["_legs"][k] for k in (1, 2, 4)]
+    if "_data" in case:
+        return [case["_data"][1]]
+    return [target for _, target in case["_arms"]]
+
+
+def test_memo_runs_repeat_failing_cases_and_meet_twins():
+    quick = settings(PROPERTY, phases=[Phase.generate])
+    ctx = SearchContext(MEMO_BOUNDS)
+
+    def repeats_a_failure(run):
+        failing = [id(case) for prop, case in run if _checked(prop, case, ctx) is not None]
+        return len(failing) > len(set(failing))
+
+    def meets_a_twin(run):
+        seen = {(m[0].ground, tuple(i.images for i in m)) for m in (_maps(case) for _, case in run)}
+        return any((TWIN.get(ground), images) in seen for ground, images in seen)
+
+    assert find(memo_runs(), repeats_a_failure, settings=quick) is not None
+    assert find(memo_runs(), meets_a_twin, settings=quick) is not None
+
+
+def test_verdict_memo_tells_grounds_apart():
+    # the identity from the least map to the discrete map fails continuity
+    # at position 1 on both twins, which name it differently
+    ctx = SearchContext(MEMO_BOUNDS)
+    found = []
+    for ground in (C2_PAIR, GODEL4_POINT):
+        ident = identity_morphism(ground)
+        src, dst = least(ground), discrete(ground)
+        case = {"open": False, "_legs": (ident, src, src, ident, dst)}
+        found.append(_checked("composition-continuous", case, ctx))
+        assert found[-1] == _checked("composition-continuous", case, SearchContext(MEMO_BOUNDS))
+    assert found[0]["v"] == {"p1": "0", "p2": "1"}
+    assert found[0] != found[1]
+
+
+def test_composition_search_scans_each_instance_once(monkeypatch):
+    scanned = []
+    real = fcontinuity._scan
+
+    def counting(g, src, dst, prop):
+        scanned.append((prop, g, src, dst))
+        return real(g, src, dst, prop)
+
+    monkeypatch.setattr(fcontinuity, "_scan", counting)
+    result = search("composition-continuous", SearchBounds(algebras=("c2", "lukasiewicz3")))
+    assert result.ok and result.instances == 10602
+    assert len(scanned) == len(set(scanned))
+
+
+def test_initiality_search_builds_each_floor_once(monkeypatch):
+    # an arm stands for the (morphism, target) it was built from; the lift
+    # arm for (identity, lift)
+    built_from, floors, calls = {}, [], []
+    real_init, real_floor, real_least = Arm.__init__, Arm.floor, fcontinuity._least_above
+
+    def init(arm, g, target):
+        real_init(arm, g, target)
+        built_from[id(arm)] = (g, target)
+
+    def floor(arm, g_test):
+        before = len(calls)
+        found = real_floor(arm, g_test)
+        if len(calls) > before:
+            floors.append((built_from[id(arm)], g_test))
+        return found
+
+    def least_above(ground, pairs):
+        calls.append(ground)
+        return real_least(ground, pairs)
+
+    monkeypatch.setattr(Arm, "__init__", init)
+    monkeypatch.setattr(Arm, "floor", floor)
+    monkeypatch.setattr(fcontinuity, "_least_above", least_above)
+    result = search("initiality", SearchBounds(algebras=("lukasiewicz3",)))
+    assert result.ok and result.instances == 876
+    assert len(set(built_from.values())) == len(built_from)
+    assert len(calls) == len(floors) == len(set(floors))
+
+
+@st.composite
+def memo_sources(draw):
+    """A source over the grounds of the memo runs, whose test grounds hold
+    both twins."""
+    return _source(draw, MEMO_GROUNDS, MEMO_HOMS, {g: [i.images for i in maps] for g, maps in MEMO_MAPS.items()})
+
+
+@settings(PROPERTY, max_examples=60)
+@given(memo_sources())
+def test_lift_arm_memos_match_the_oracle_across_test_grounds(case):
+    # one lift arm meets every test morphism, from both twins among them
+    domain, lift, arms = case
+    prepared = [Arm(g, target) for g, target in arms]
+    lift_arm, lift_pairs = Arm(identity_morphism(domain), lift), tuple(enumerate(lift.images))
+    for g_test in SearchContext(MEMO_BOUNDS).test_morphisms(domain):
+        assert initiality_violation(g_test, lift_arm, prepared) == naive_initiality_violation(g_test, lift_pairs, prepared)
