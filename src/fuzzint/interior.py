@@ -40,11 +40,21 @@ class InteriorMap:
     ``from_rule`` check the axioms.
     """
 
-    __slots__ = ("ground", "images")
+    __slots__ = ("ground", "images", "_words")
 
     def __init__(self, ground: Ground, images: tuple[int, ...]):
         self.ground = ground
         self.images = images
+
+    @property
+    def words(self) -> tuple[int, int]:
+        """The upset and downset words of the images
+        (``PowersetIndex.words``), packed on first use and kept."""
+        try:
+            return self._words
+        except AttributeError:
+            self._words = self.ground.index.words(self.images)
+            return self._words
 
     # -- construction -------------------------------------------------------
 

@@ -115,6 +115,17 @@ class PowersetIndex:
     This is the package's one implementation of the pointwise order, join
     and meet of L^X; a family of positions may also be held as a bitmask,
     read back with ``positions_in``.
+
+    A whole map's images pack into two words (``words``): field a, N bits
+    wide for the N positions, holds ``up[images[a]]`` in the upset word
+    and ``down[images[a]]`` in the downset word.  In any lattice the AND
+    of the upsets of x and y is the upset of their join, and the AND of
+    their downsets the downset of their meet.  So the AND of a family's
+    upset words is the upset word of its pointwise join, and the AND of
+    its downset words the downset word of its pointwise meet, whether or
+    not the images form an interior map.  ``join_positions`` and
+    ``meet_positions`` read the images back, field by field, with the
+    same lowest and highest set bits as ``join`` and ``meet``.
     """
 
     __slots__ = ("values", "position", "up", "down", "covers")
@@ -170,6 +181,31 @@ class PowersetIndex:
         for a in elements:
             common &= self.down[a]
         return common.bit_length() - 1
+
+    def words(self, images) -> tuple[int, int]:
+        """The upset word and the downset word of a tuple of image
+        positions, one N-bit field per position."""
+        width = len(self.values)
+        up = down = 0
+        for image in reversed(images):
+            up = up << width | self.up[image]
+            down = down << width | self.down[image]
+        return up, down
+
+    def join_positions(self, word: int) -> tuple[int, ...]:
+        """The image positions of an upset word: the lowest set bit of
+        each field."""
+        return tuple((common & -common).bit_length() - 1 for common in self._fields(word))
+
+    def meet_positions(self, word: int) -> tuple[int, ...]:
+        """The image positions of a downset word: the highest set bit of
+        each field."""
+        return tuple(common.bit_length() - 1 for common in self._fields(word))
+
+    def _fields(self, word: int):
+        width = len(self.values)
+        mask = (1 << width) - 1
+        return (word >> shift & mask for shift in range(0, width * width, width))
 
 
 def positions_in(mask: int):

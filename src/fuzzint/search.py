@@ -24,6 +24,7 @@ from itertools import combinations
 
 from .continuity import (
     Arm,
+    StructuredSource,
     compose,
     initial_interior,
     initiality_violation,
@@ -31,7 +32,7 @@ from .continuity import (
     is_open_morphism,
     meet_interchange_report,
 )
-from .errors import BoundsExceeded, CarrierMismatch, MalformedBundle, UnknownProperty
+from .errors import BoundsExceeded, CarrierMismatch, GroundMismatch, MalformedBundle, UnknownProperty
 from .interior import (
     InteriorMap,
     check_interior_axioms,
@@ -328,6 +329,19 @@ class SearchContext:
         about a quarter slower."""
         return self._memo(("axioms", ground, images), lambda: check_interior_axioms(InteriorMap(ground, images)))
 
+    def combined(self, how: str, ground: Ground, word: int) -> Verdict:
+        """The axiom verdict of a family's pointwise join (``how`` is
+        "join", ``word`` its upset word) or meet ("meet", its downset
+        word), looked up per (how, ground, word).  Only a new word is
+        decoded and handed to ``axioms``."""
+
+        def build():
+            index = ground.index
+            decode = index.join_positions if how == "join" else index.meet_positions
+            return self.axioms(ground, decode(word))
+
+        return self._memo((how, ground, word), build)
+
     def test_morphisms(self, dom: Ground) -> list:
         """Every morphism from a test ground into ``dom``.  Each one
         computes its backward positions on first use and keeps them, so
@@ -381,14 +395,34 @@ def _describe_operator_lattice(case: dict) -> dict:
 
 
 def _check_operator_lattice(case: dict, ctx: SearchContext):
+    """The pointwise join, then the meet, of the family against the
+    interior axioms: the first failing operation with its witness, or None.
+
+    The family is folded with one AND over its members' upset words and
+    one over their downset words (``InteriorMap.words``), which gives the
+    upset word of the join and the downset word of the meet.  Each is
+    looked up per (how, ground, word) by ``SearchContext.combined``, so a
+    case costs two ANDs per member and two lookups; only a new word is
+    decoded, and the per-(ground, image tuple) axiom memo still runs
+    ``check_interior_axioms`` at most once per distinct map.  A replayed
+    family must be nonempty and live on the case's ground.
+    """
     if "_ground" in case:
         ground, members = case["_ground"], case["_members"]
     else:
         ground = fio.ground_from_json(case["ground"])
         members = [fio.interior_from_json(m) for m in case["members"]]
-    index = ground.index
-    for how, fold in (("join", index.join), ("meet", index.meet)):
-        verdict = ctx.axioms(ground, tuple(map(fold, zip(*(i.images for i in members)))))
+        if not members:
+            raise MalformedBundle("an operator-lattice-closure case needs at least one member")
+        if any(m.ground != ground for m in members):
+            raise GroundMismatch("a member lives on another ground than the case")
+    up = down = -1
+    for member in members:
+        member_up, member_down = member.words
+        up &= member_up
+        down &= member_down
+    for how, word in (("join", up), ("meet", down)):
+        verdict = ctx.combined(how, ground, word)
         if not verdict.ok:
             return {"operation": how, **verdict.witness}
     return None
@@ -502,15 +536,17 @@ def _describe_source(case: dict) -> dict:
 
 
 def _case_source(case: dict, ctx: SearchContext):
-    """The source domain and its arms, each an (Arm, initial images) pair."""
+    """The source domain and its arms, each an (Arm, initial images) pair.
+    A replayed source passes the ``StructuredSource`` end checks: every
+    arm starts at the domain and ends at its space."""
     if "_arms" in case:
         dom, arms = case["_domain"], case["_arms"]
     else:
         dom = fio.ground_from_json(case["domain"])
-        arms = [
+        arms = StructuredSource(dom, tuple(
             (fio.morphism_from_json(arm["morphism"]), fio.interior_from_json(arm["interior"]))
             for arm in case["arms"]
-        ]
+        )).arms
     return dom, [ctx.arm(g, target) for g, target in arms]
 
 

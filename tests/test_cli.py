@@ -1,6 +1,9 @@
 import io
 import contextlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -392,6 +395,54 @@ def test_string_where_a_list_is_expected_exits_2(tmp_path, name, doc, detail):
 def test_fuzzy_set_values_as_object_or_name_list_stay_valid(tmp_path, values):
     path = write(tmp_path, "fuzzyset.json", {"carrier": ["a", "b"], "values": values, "algebra": C2})
     assert run_cli("validate", path) == (0, "ok: fuzzyset valid\n")
+
+
+C2_POINT = {"points": ["p1"], "algebra": C2}
+C2_PAIR = {"points": ["p1", "p2"], "algebra": C2}
+PAIR_DISCRETE = {"ground": C2_PAIR, "table": [[[a, b], [a, b]] for a in "01" for b in "01"]}
+PAIR_IDENTITY = {"dom": C2_PAIR, "cod": C2_PAIR, "f": {"p1": "p1", "p2": "p2"}, "phi_op": {"0": "0", "1": "1"}}
+# a source on one point whose arm starts at two
+OFF_DOMAIN_SOURCE = {"domain": C2_POINT, "arms": [{"morphism": PAIR_IDENTITY, "interior": PAIR_DISCRETE}]}
+OFF_DOMAIN = "ground mismatch: arm morphism does not start at the source domain"
+
+
+@pytest.mark.parametrize(
+    "prop, case, error, detail",
+    [
+        (
+            "operator-lattice-closure",
+            {"kind": "subset", "ground": C2_POINT, "members": []},
+            "MalformedBundle",
+            "malformed witness bundle: an operator-lattice-closure case needs at least one member",
+        ),
+        (
+            "operator-lattice-closure",
+            {"kind": "subset", "ground": C2_POINT, "members": [PAIR_DISCRETE]},
+            "GroundMismatch",
+            "ground mismatch: a member lives on another ground than the case",
+        ),
+        ("initiality", OFF_DOMAIN_SOURCE, "GroundMismatch", OFF_DOMAIN),
+        ("literal-meet-source-lift", OFF_DOMAIN_SOURCE, "GroundMismatch", OFF_DOMAIN),
+    ],
+    ids=["empty-family", "foreign-member", "initiality-off-domain", "meet-lift-off-domain"],
+)
+def test_replay_of_a_mismatched_bundle_exits_1(tmp_path, prop, case, error, detail):
+    path = write(tmp_path, "bundle.json", {"property": prop, "case": case, "witness": {}})
+    assert run_cli("replay", path) == (1, f"error: {detail}\n")
+    code, text = run_cli("replay", path, "--json")
+    assert code == 1
+    assert json.loads(text) == {"status": "error", "error": error, "detail": detail}
+
+
+def test_python_dash_m_fuzzint_runs_the_command_line():
+    env = {key: value for key, value in os.environ.items() if key != "FUZZINT_BOUNDS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(HERE.parent / "src"), env.get("PYTHONPATH")]))
+    argv = ["search", "--property", "operator-lattice-closure", "--algebras", "c2", "--max-x", "2", "--json"]
+    done = subprocess.run([sys.executable, "-m", "fuzzint", *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["status"] == "no-counterexample"
+    assert report["instances_checked"] == 16
 
 
 C2_THIRTEEN = {"points": [f"p{k}" for k in range(1, 14)], "algebra": {"builtin": "godel", "n": 2}}

@@ -28,16 +28,17 @@ GROUNDS = [
     for name in ALGEBRAS
     for points in (("p1",), ("p1", "p2"))
 ]
+# a three-element chain whose elements are listed top first
+TOP_FIRST = godel_tensor(validate_lattice(("1", "1/2", "0"), [("0", "1/2"), ("1/2", "1")], closure=True))
+TOP_FIRST_GROUNDS = [Ground(points, TOP_FIRST) for points in (("p1",), ("p1", "p2"))]
 # starting points for candidates: the least and discrete maps and a
 # stride through the start of each ground's stream
 BASES = {
     ground: [i.images for i in islice(enumerate_interior_maps(ground), 0, 2000, 50)]
     + [discrete(ground).images]
-    for ground in GROUNDS
+    for ground in GROUNDS + TOP_FIRST_GROUNDS
 }
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
-# a three-element chain whose elements are listed top first
-TOP_FIRST = godel_tensor(validate_lattice(("1", "1/2", "0"), [("0", "1/2"), ("1/2", "1")], closure=True))
 
 
 @pytest.mark.parametrize("ground", GROUNDS, ids=repr)

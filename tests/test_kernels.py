@@ -3,10 +3,10 @@ for least interiors, the equality fast path of the initiality kernel, the
 prefix fold of full productivity, composites built once per search, and
 the per-search verdict memos against fresh contexts."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from conftest import naive_initiality_violation, naive_is_fully_productive, naive_least_above
+from conftest import join_values, naive_initiality_violation, naive_is_fully_productive, naive_least_above
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 from test_index import BASES, GROUNDS, PROPERTY
@@ -180,13 +180,20 @@ def test_search_context_builds_one_composite_per_pair():
 # -- per-search verdict memos ---------------------------------------------------
 
 # c2 on two points and godel4 on one carry four fuzzy sets each, so one image
-# tuple makes a map on both
+# tuple makes a map on both; the three tuples interior on both pass every
+# predicate on both and join alike
 C2_PAIR = Ground(("p1", "p2"), builtin_algebra("c2"))
 GODEL4_POINT = Ground(("p1",), builtin_algebra("godel4"))
-TWIN = {C2_PAIR: GODEL4_POINT, GODEL4_POINT: C2_PAIR}
+# c2 on three points and godel8 on one carry eight: of the 27 tuples
+# interior on both, 9 are fully productive on one twin only, 13 are not
+# idempotent (and the witnesses name the twins apart), and 60 of their
+# pairs join differently
+C2_CUBE = Ground(("p1", "p2", "p3"), builtin_algebra("c2"))
+GODEL8_POINT = Ground(("p1",), builtin_algebra("godel8"))
+TWIN = {C2_PAIR: GODEL4_POINT, GODEL4_POINT: C2_PAIR, C2_CUBE: GODEL8_POINT, GODEL8_POINT: C2_CUBE}
 MEMO_GROUNDS = [Ground(("p1",), builtin_algebra("c2")), C2_PAIR, GODEL4_POINT, Ground(("p1",), builtin_algebra("lukasiewicz3"))]
 MEMO_HOMS = {(a, b): list(all_morphisms(a, b)) for a in MEMO_GROUNDS for b in MEMO_GROUNDS}
-MEMO_MAPS = {ground: list(enumerate_interior_maps(ground)) for ground in MEMO_GROUNDS}
+MEMO_MAPS = {ground: list(enumerate_interior_maps(ground)) for ground in MEMO_GROUNDS + [C2_CUBE, GODEL8_POINT]}
 # the images that make an interior map on both twins
 SHARED = {
     ground: [i for i in MEMO_MAPS[ground] if check_interior_axioms(InteriorMap(TWIN[ground], i.images)).ok]
@@ -326,6 +333,34 @@ def test_verdict_memo_tells_grounds_apart():
         assert found[-1] == _checked("composition-continuous", case, SearchContext(MEMO_BOUNDS))
     assert found[0]["v"] == {"p1": "0", "p2": "1"}
     assert found[0] != found[1]
+
+
+@pytest.mark.parametrize("prop, differ", [("preservation-idempotent", 13), ("preservation-fully-productive", 9)])
+def test_preservation_memo_tells_the_eight_set_twins_apart(prop, differ):
+    # every tuple interior on both twins, along identities, in one context
+    ctx = SearchContext(MEMO_BOUNDS)
+    found = {}
+    for images in (i.images for i in SHARED[C2_CUBE]):
+        for ground in (C2_CUBE, GODEL8_POINT):
+            case = {"_data": (identity_morphism(ground), InteriorMap(ground, images))}
+            found[ground, images] = _checked(prop, case, ctx)
+            assert found[ground, images] == _checked(prop, case, SearchContext(MEMO_BOUNDS))
+    assert sum(found[C2_CUBE, images] != found[GODEL8_POINT, images] for _, images in found) == 2 * differ
+
+
+def test_arm_join_memo_tells_the_eight_set_twins_apart():
+    # one arm joins the same floor tables on both twins as test grounds
+    arm = Arm(identity_morphism(C2_CUBE), discrete(C2_CUBE))
+    differ = 0
+    for tables in combinations([i.images for i in SHARED[C2_CUBE]], 2):
+        joins = []
+        for ground in (C2_CUBE, GODEL8_POINT):
+            values = ground.index.values
+            joins.append(arm.join(ground, tables))
+            expected = [join_values(ground, [values[c] for c in column]) for column in zip(*tables)]
+            assert [values[a] for a in joins[-1]] == expected
+        differ += joins[0] != joins[1]
+    assert differ == 60
 
 
 def test_composition_search_scans_each_instance_once(monkeypatch):

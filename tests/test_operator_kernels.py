@@ -1,16 +1,20 @@
 """The interior-operator kernels against their oracles: the coatom-product
-count, the counted and streamed sample, and the per-search verdict memo of
-operator-lattice-closure."""
+count, the counted and streamed sample, the packed upset and downset words,
+and the per-search verdict memo of operator-lattice-closure."""
+
+from functools import reduce
+from itertools import islice
+from operator import and_
 
 import pytest
-from conftest import naive_check_operator_lattice, naive_interior_sample, unvalidated
+from conftest import join_values, meet_values, naive_check_operator_lattice, naive_interior_sample, unvalidated
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
-from test_index import BASES, GROUNDS, PROPERTY, TOP_FIRST, candidate_tables
+from test_index import BASES, GROUNDS, PROPERTY, TOP_FIRST, TOP_FIRST_GROUNDS, candidate_tables
 
 import fuzzint.search as fsearch
 from fuzzint.errors import BoundsExceeded
-from fuzzint.interior import InteriorMap
+from fuzzint.interior import InteriorMap, check_interior_axioms
 from fuzzint.powerset import Ground
 from fuzzint.search import (
     SearchBounds,
@@ -93,6 +97,74 @@ def test_sample_builds_only_the_kept_maps(monkeypatch, two_point_c3):
     assert count_interior_maps(two_point_c3) == 400
     assert [m.images for m in sample] == built
     assert len(built) == 4
+
+
+# -- the packed words -----------------------------------------------------------
+
+WORD_GROUNDS = GROUNDS + TOP_FIRST_GROUNDS
+
+
+@st.composite
+def word_families(draw):
+    """One to four maps on a ground of ``WORD_GROUNDS``, each a start of
+    its stream or a map broken by ``candidate_tables``."""
+    ground = draw(st.sampled_from(WORD_GROUNDS))
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            members.append(InteriorMap(ground, draw(st.sampled_from(BASES[ground]))))
+        else:
+            members.append(unvalidated(ground, draw(candidate_tables(ground))[1]))
+    return ground, members
+
+
+@settings(PROPERTY, max_examples=300)
+@given(word_families())
+def test_anded_words_decode_to_the_pointwise_join_and_meet(case):
+    ground, members = case
+    index = ground.index
+    values = index.values
+    joins = index.join_positions(reduce(and_, (m.words[0] for m in members)))
+    meets = index.meet_positions(reduce(and_, (m.words[1] for m in members)))
+    columns = list(zip(*(m.images for m in members)))
+    assert joins == tuple(map(index.join, columns))
+    assert meets == tuple(map(index.meet, columns))
+    tables = [m.table() for m in members]
+    assert [values[a] for a in joins] == [join_values(ground, [t[u] for t in tables]) for u in values]
+    assert [values[a] for a in meets] == [meet_values(ground, [t[u] for t in tables]) for u in values]
+
+
+def test_word_families_hold_maps_that_fail_the_axioms():
+    assert find(word_families(), lambda case: any(not check_interior_axioms(m).ok for m in case[1]), settings=PROPERTY)
+
+
+@pytest.mark.parametrize("ground", WORD_GROUNDS, ids=repr)
+def test_words_of_each_enumerated_map_decode_to_its_images(ground):
+    # the first 5,000 maps where the stream is longer (pentagon-meet on two
+    # points has 600,593,049)
+    for imap in islice(enumerate_interior_maps(ground, WIDE), 5000):
+        up, down = imap.words
+        assert ground.index.join_positions(up) == imap.images
+        assert ground.index.meet_positions(down) == imap.images
+
+
+def test_word_memo_tells_grounds_apart():
+    # images at bottom and top only pack into the same words on the chain and
+    # on the square, and fail contraction at position 1 on both, which the
+    # two grounds name differently
+    chain, square = Ground(ONE, builtin_algebra("godel4")), Ground(TWO, builtin_algebra("c2"))
+    images = (0, 3, 0, 3)
+    assert InteriorMap(chain, images).words == InteriorMap(square, images).words
+    ctx = SearchContext(SearchBounds())
+    found = []
+    for ground in (chain, square):
+        members = [InteriorMap(ground, images)]
+        found.append(_check_operator_lattice({"kind": "subset", "_ground": ground, "_members": members}, ctx))
+        assert found[-1] == naive_check_operator_lattice(ground, members)
+    assert found == [
+        {"operation": "join", "axiom": "I1", "u": {"p1": "1/3"}, "image": {"p1": "1"}},
+        {"operation": "join", "axiom": "I1", "u": {"p1": "0", "p2": "1"}, "image": {"p1": "1", "p2": "1"}},
+    ]
 
 
 # -- the verdict memo ----------------------------------------------------------
