@@ -36,7 +36,6 @@ from .interior import (
     closure_from_topology,
     discrete,
     interior_from_topology,
-    is_fully_productive,
     is_idempotent,
     is_productive,
     join_interiors,

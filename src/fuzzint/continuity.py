@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import GroundMismatch, NotContinuous, PropertyPreconditionFailed
-from .interior import InteriorMap, is_fully_productive, is_idempotent, join_interiors, least
+from .interior import InteriorMap, is_idempotent, is_productive, join_interiors, least
 from .powerset import (
     Ground,
     GroundMorphism,
@@ -352,12 +352,13 @@ def preserves_idempotency_check(g: GroundMorphism, target: InteriorMap) -> Verdi
 
 
 def preserves_full_productivity_check(g: GroundMorphism, target: InteriorMap) -> Verdict:
-    """Initial interiors of fully productive targets are fully productive."""
-    precondition = is_fully_productive(target)
+    """Initial interiors of fully productive targets are fully productive
+    (``is_productive`` decides full productivity of an interior map)."""
+    precondition = is_productive(target)
     if not precondition:
         raise PropertyPreconditionFailed("full productivity", precondition.witness)
     lifted = initial_interior(g, target)
-    verdict = is_fully_productive(lifted)
+    verdict = is_productive(lifted)
     return Verdict(verdict.ok, "preserves-full-productivity", verdict.witness, verdict.checked)
 
 

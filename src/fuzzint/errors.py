@@ -224,6 +224,12 @@ class NotContinuous(InteriorError):
         super().__init__(f"morphism is not continuous: witness {witness}")
 
 
+class NotOpen(InteriorError):
+    def __init__(self, witness):
+        self.witness = witness
+        super().__init__(f"morphism is not open: witness {witness}")
+
+
 # ----------------------------------------------------------------- search
 
 class SearchError(FuzzintError):

@@ -24,10 +24,7 @@ from dataclasses import dataclass
 
 from .errors import CarrierMismatch, GroundMismatch, NotAnInteriorMap, NotGLGround, TopMissingFromTopology
 from .monoid import GLMonoid
-from .powerset import FuzzySet, Ground, Verdict, positions_in, powerset
-
-#: Full subset enumeration limit for the fully-productive predicate.
-FULL_SUBSET_LIMIT = 4096
+from .powerset import FuzzySet, Ground, Verdict, positions_in
 
 
 class InteriorMap:
@@ -240,7 +237,8 @@ def is_idempotent(i: InteriorMap) -> Verdict:
 
 
 def is_productive(i: InteriorMap) -> Verdict:
-    """Binary meets pass through the map."""
+    """Binary meets pass through the map: on an interior map, all meets do
+    (finite ones fold from binary ones, and the top axiom fixes the empty one)."""
     ground = i.ground
     index = ground.index
     images = i.images
@@ -258,45 +256,6 @@ def is_productive(i: InteriorMap) -> Verdict:
                     checked=a * n + b + 1,
                 )
     return Verdict(ok=True, prop="productive", witness=None, checked=n * n)
-
-
-def is_fully_productive(i: InteriorMap) -> Verdict:
-    """Arbitrary meets pass through the map.
-
-    Every subset of the powerset is enumerated while 2^|L^X| stays below
-    ``FULL_SUBSET_LIMIT``; beyond that the binary predicate plus the empty
-    family decide the property (finite meets fold from binary ones, and the
-    empty meet is the top condition).  ``powerset`` lists each family after
-    the family without its last member, so the AND of the family's
-    downsets, and the AND of its images' downsets, each extend that
-    prefix's by one AND; a meet is the highest set bit of such an AND.
-    """
-    ground = i.ground
-    index = ground.index
-    images = i.images
-    if 2 ** len(images) > FULL_SUBSET_LIMIT:
-        binary = is_productive(i)
-        if not binary:
-            return Verdict(False, "fully-productive", binary.witness, binary.checked)
-        return Verdict(True, "fully-productive", None, binary.checked)
-    down = index.down
-    folds = {(): (down[-1], down[-1])}
-    checked = 0
-    for family in powerset(range(len(images))):
-        checked += 1
-        members, meets = folds[family[:-1]]
-        if family:
-            members &= down[family[-1]]
-            meets &= down[images[family[-1]]]
-            folds[family] = members, meets
-        if images[members.bit_length() - 1] != meets.bit_length() - 1:
-            return Verdict(
-                ok=False,
-                prop="fully-productive",
-                witness={"family": [ground.named(index.values[a]) for a in family]},
-                checked=checked,
-            )
-    return Verdict(ok=True, prop="fully-productive", witness=None, checked=checked)
 
 
 def open_sets(i: InteriorMap) -> tuple[int, ...]:

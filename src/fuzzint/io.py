@@ -14,6 +14,7 @@ Schemas are detected by their distinguishing keys:
 * space:      {"ground": <ground>, "interior": "discrete"|"least"|
                {"table": ...}|{"opens": ...}}
 * source:     {"domain": <ground>, "arms": [{"morphism": ..., "space": ...}]}
+* search case: {"ground": <ground>, "members": [<interior>...], ...} (``case_from_json``)
 
 String values where a structure is expected are treated as paths relative
 to the referencing file.
@@ -69,7 +70,9 @@ def _resolve(doc, base: Path | None):
         path = Path(doc)
         if base is not None and not path.is_absolute():
             path = base / path
-        return load_json(path), path.parent
+        doc, base = load_json(path), path.parent
+    if not isinstance(doc, dict):
+        raise ParseError(f"expected an object or a file name, got {doc!r}")
     return doc, base
 
 
@@ -305,6 +308,63 @@ def source_to_json(s: StructuredSource) -> dict:
             for g, target in s.arms
         ],
     }
+
+
+# -- search cases ----------------------------------------------------------------
+
+def case_to_json(case: dict) -> dict:
+    """A search case as JSON: each ``Ground``, ``GroundMorphism``,
+    ``InteriorMap`` and ``FuzzySet`` in the schema its loader reads, lists
+    and arms item by item, anything else (``kind``, ``open``) as it is."""
+    return {key: _case_value_to_json(value) for key, value in case.items()}
+
+
+def _case_value_to_json(value):
+    if isinstance(value, Ground):
+        return ground_to_json(value)
+    if isinstance(value, GroundMorphism):
+        return morphism_to_json(value)
+    if isinstance(value, InteriorMap):
+        return interior_to_json(value)
+    if isinstance(value, FuzzySet):
+        return fuzzyset_to_json(value)
+    if isinstance(value, dict):
+        return case_to_json(value)
+    if isinstance(value, (list, tuple)):
+        return [_case_value_to_json(item) for item in value]
+    return value
+
+
+def case_from_json(doc) -> dict:
+    """A search case, or an arm of one, from its JSON: each value by the
+    loader ``CASE_LOADERS`` gives its key (item by item under ``members``,
+    ``interiors`` and ``arms``), any other (``kind``, ``open``) as it is."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"a case or an arm must be an object, got {doc!r}")
+    case = {}
+    for key, value in doc.items():
+        load = CASE_LOADERS.get(key)
+        if key in ("members", "interiors", "arms"):
+            if not isinstance(value, list):
+                raise ParseError(f"{key} must be a list, got {value!r}")
+            value = [load(item) for item in value]
+        elif load is not None:
+            value = load(value)
+        case[key] = value
+    if "interiors" in case and len(case["interiors"]) != 3:
+        raise ParseError(f"interiors must list the three maps [src, mid, dst], got {len(case['interiors'])}")
+    if not isinstance(case.get("open", False), bool):
+        raise ParseError(f"open must be true or false, got {case['open']!r}")
+    return case
+
+
+CASE_LOADERS = {
+    **dict.fromkeys(("ground", "domain"), ground_from_json),
+    **dict.fromkeys(("first", "second", "morphism"), morphism_from_json),
+    **dict.fromkeys(("src", "dst", "interior", "members", "interiors"), interior_from_json),
+    "v": fuzzyset_from_json,
+    "arms": case_from_json,
+}
 
 
 LOADERS = {

@@ -31,13 +31,25 @@ from .continuity import (
     is_continuous,
     is_open_morphism,
     meet_interchange_report,
+    preimage_of_open_is_open,
+    preserves_full_productivity_check,
+    preserves_idempotency_check,
 )
-from .errors import BoundsExceeded, CarrierMismatch, GroundMismatch, MalformedBundle, UnknownProperty
+from .errors import (
+    BoundsExceeded,
+    CarrierMismatch,
+    GroundMismatch,
+    MalformedBundle,
+    NotContinuous,
+    NotOpen,
+    ParseError,
+    UnknownProperty,
+)
 from .interior import (
     InteriorMap,
     check_interior_axioms,
-    is_fully_productive,
     is_idempotent,
+    is_productive,
     least,
     literal_trivial,
     open_sets,
@@ -351,25 +363,19 @@ class SearchContext:
 
 # ------------------------------------------------------------- properties
 #
-# Generators take the search context and yield lean cases carrying live
-# objects (grounds, morphisms, interior maps) under underscore keys; the
-# matching describer turns such a case into a standalone JSON instance
-# when a witness bundle is produced.  Checkers take a case and the context
-# and accept either form, so replayed bundles go through the exact same
-# code path.
+# A generator yields cases with the keys of a bundle's case, each holding a
+# live Ground, InteriorMap, GroundMorphism or FuzzySet; ``io.case_to_json``
+# writes one into a bundle and ``io.case_from_json`` reads it back, so a
+# replay runs the search's own checker.  A checker trusts its case to meet
+# the theorem's hypotheses; ``HYPOTHESES`` holds a replayed case to them.
 
 def _gen_literal_trivial(ctx: SearchContext):
     for ground in ctx.grounds:
-        yield {"_ground": ground}
-
-
-def _describe_literal_trivial(case: dict) -> dict:
-    return {"ground": fio.ground_to_json(case["_ground"])}
+        yield {"ground": ground}
 
 
 def _check_literal_trivial(case: dict, ctx: SearchContext):
-    ground = case["_ground"] if "_ground" in case else fio.ground_from_json(case["ground"])
-    verdict = check_interior_axioms(literal_trivial(ground))
+    verdict = check_interior_axioms(literal_trivial(case["ground"]))
     return None if verdict.ok else verdict.witness
 
 
@@ -379,19 +385,11 @@ def _gen_operator_lattice(ctx: SearchContext):
         if 2 ** len(maps) <= 4096:
             for mask in range(1, 2 ** len(maps)):
                 members = [maps[k] for k in range(len(maps)) if mask >> k & 1]
-                yield {"kind": "subset", "_ground": ground, "_members": members}
+                yield {"kind": "subset", "ground": ground, "members": members}
         else:
             for a, b in combinations(maps, 2):
-                yield {"kind": "pair", "_ground": ground, "_members": [a, b]}
-            yield {"kind": "full", "_ground": ground, "_members": maps}
-
-
-def _describe_operator_lattice(case: dict) -> dict:
-    return {
-        "kind": case["kind"],
-        "ground": fio.ground_to_json(case["_ground"]),
-        "members": [fio.interior_to_json(i) for i in case["_members"]],
-    }
+                yield {"kind": "pair", "ground": ground, "members": [a, b]}
+            yield {"kind": "full", "ground": ground, "members": maps}
 
 
 def _check_operator_lattice(case: dict, ctx: SearchContext):
@@ -404,25 +402,15 @@ def _check_operator_lattice(case: dict, ctx: SearchContext):
     looked up per (how, ground, word) by ``SearchContext.combined``, so a
     case costs two ANDs per member and two lookups; only a new word is
     decoded, and the per-(ground, image tuple) axiom memo still runs
-    ``check_interior_axioms`` at most once per distinct map.  A replayed
-    family must be nonempty and live on the case's ground.
+    ``check_interior_axioms`` at most once per distinct map.
     """
-    if "_ground" in case:
-        ground, members = case["_ground"], case["_members"]
-    else:
-        ground = fio.ground_from_json(case["ground"])
-        members = [fio.interior_from_json(m) for m in case["members"]]
-        if not members:
-            raise MalformedBundle("an operator-lattice-closure case needs at least one member")
-        if any(m.ground != ground for m in members):
-            raise GroundMismatch("a member lives on another ground than the case")
     up = down = -1
-    for member in members:
+    for member in case["members"]:
         member_up, member_down = member.words
         up &= member_up
         down &= member_down
     for how, word in (("join", up), ("meet", down)):
-        verdict = ctx.combined(how, ground, word)
+        verdict = ctx.combined(how, case["ground"], word)
         if not verdict.ok:
             return {"operation": how, **verdict.witness}
     return None
@@ -450,28 +438,13 @@ def _gen_composition(ctx: SearchContext, open_mode: bool):
     for legs in by_source.values():
         for g1, src, mid in legs:
             for g2, _, dst in by_source.get(mid, ()):
-                yield {"open": open_mode, "_legs": (g1, src, mid, g2, dst)}
-
-
-def _describe_composition(case: dict) -> dict:
-    g1, src, mid, g2, dst = case["_legs"]
-    return {
-        "open": case["open"],
-        "first": fio.morphism_to_json(g1),
-        "second": fio.morphism_to_json(g2),
-        "interiors": [fio.interior_to_json(i) for i in (src, mid, dst)],
-    }
+                yield {"open": open_mode, "first": g1, "second": g2, "interiors": [src, mid, dst]}
 
 
 def _check_composition(case: dict, ctx: SearchContext):
-    if "_legs" in case:
-        g1, src, mid, g2, dst = case["_legs"]
-    else:
-        g1 = fio.morphism_from_json(case["first"])
-        g2 = fio.morphism_from_json(case["second"])
-        src, _, dst = (fio.interior_from_json(i) for i in case["interiors"])
+    src, _, dst = case["interiors"]
     test = is_open_morphism if case["open"] else is_continuous
-    verdict = ctx.verdict(test, ctx.composite(g2, g1), src, dst)
+    verdict = ctx.verdict(test, ctx.composite(case["second"], case["first"]), src, dst)
     return None if verdict.ok else verdict.witness
 
 
@@ -479,40 +452,27 @@ def _gen_open_preimage(ctx: SearchContext):
     for legs in _continuous_legs(ctx, open_mode=False).values():
         for g, src, dst in legs:
             for v in open_sets(dst):
-                yield {"_data": (g, src, dst, v)}
-
-
-def _describe_open_preimage(case: dict) -> dict:
-    g, src, dst, v = case["_data"]
-    return {
-        "morphism": fio.morphism_to_json(g),
-        "src": fio.interior_to_json(src),
-        "dst": fio.interior_to_json(dst),
-        "v": fio.fuzzyset_to_json(FuzzySet(g.cod, g.cod.index.values[v])),
-    }
+                yield {"morphism": g, "src": src, "dst": dst, "v": FuzzySet(dst.ground, dst.ground.index.values[v])}
 
 
 def _check_open_preimage(case: dict, ctx: SearchContext):
-    if "_data" in case:
-        g, src, _, v = case["_data"]
-    else:
-        g = fio.morphism_from_json(case["morphism"])
-        src = fio.interior_from_json(case["src"])
-        u = fio.fuzzyset_from_json(case["v"])
-        if u.ground != g.cod:
-            raise CarrierMismatch("fuzzy set ground differs from the morphism codomain")
-        v = g.cod.index.position[u.values]
-    w = g.backward[v]
+    g, src, v = case["morphism"], case["src"], case["v"].values
+    w = g.backward[g.cod.index.position[v]]
     if src.images[w] != w:
-        return {"v": g.cod.named(g.cod.index.values[v]), "preimage": g.dom.named(g.dom.index.values[w])}
+        return {"v": g.cod.named(v), "preimage": g.dom.named(g.dom.index.values[w])}
     return None
 
 
 # -- structured sources -------------------------------------------------------
 
 def _arm_family(ctx: SearchContext, dom: Ground):
-    """Every (morphism, target interior) arm out of a domain."""
-    return [(g, target) for cod in ctx.grounds for g in all_morphisms(dom, cod) for target in ctx.sample(cod)]
+    """Every {morphism, target interior} arm out of a domain."""
+    return [
+        {"morphism": g, "interior": target}
+        for cod in ctx.grounds
+        for g in all_morphisms(dom, cod)
+        for target in ctx.sample(cod)
+    ]
 
 
 def _gen_sources(ctx: SearchContext, min_arms: int):
@@ -520,34 +480,14 @@ def _gen_sources(ctx: SearchContext, min_arms: int):
         arms = _arm_family(ctx, dom)
         if min_arms <= 1:
             for arm in arms:
-                yield {"_domain": dom, "_arms": [arm]}
-        for a, b in combinations(range(len(arms)), 2):
-            yield {"_domain": dom, "_arms": [arms[a], arms[b]]}
-
-
-def _describe_source(case: dict) -> dict:
-    return {
-        "domain": fio.ground_to_json(case["_domain"]),
-        "arms": [
-            {"morphism": fio.morphism_to_json(g), "interior": fio.interior_to_json(target)}
-            for g, target in case["_arms"]
-        ],
-    }
+                yield {"domain": dom, "arms": [arm]}
+        for a, b in combinations(arms, 2):
+            yield {"domain": dom, "arms": [a, b]}
 
 
 def _case_source(case: dict, ctx: SearchContext):
-    """The source domain and its arms, each an (Arm, initial images) pair.
-    A replayed source passes the ``StructuredSource`` end checks: every
-    arm starts at the domain and ends at its space."""
-    if "_arms" in case:
-        dom, arms = case["_domain"], case["_arms"]
-    else:
-        dom = fio.ground_from_json(case["domain"])
-        arms = StructuredSource(dom, tuple(
-            (fio.morphism_from_json(arm["morphism"]), fio.interior_from_json(arm["interior"]))
-            for arm in case["arms"]
-        )).arms
-    return dom, [ctx.arm(g, target) for g, target in arms]
+    """The source domain and its arms, each an (Arm, initial images) pair."""
+    return case["domain"], [ctx.arm(arm["morphism"], arm["interior"]) for arm in case["arms"]]
 
 
 def _lost_arm(dom: Ground, arms, images: tuple, shown: str | None = None):
@@ -612,23 +552,14 @@ def _gen_preservation(ctx: SearchContext, predicate):
                 if not ctx.verdict(predicate, target):
                     continue
                 for g in all_morphisms(dom, cod):
-                    yield {"_data": (g, target)}
-
-
-def _describe_preservation(case: dict) -> dict:
-    g, target = case["_data"]
-    return {"morphism": fio.morphism_to_json(g), "interior": fio.interior_to_json(target)}
+                    yield {"morphism": g, "interior": target}
 
 
 def _check_preservation(case: dict, ctx: SearchContext, predicate):
     """The predicate of the initial interior, read from the prepared arm
     and decided once per lifted map."""
-    if "_data" in case:
-        g, target = case["_data"]
-    else:
-        g = fio.morphism_from_json(case["morphism"])
-        target = fio.interior_from_json(case["interior"])
-    _, lifted = ctx.arm(g, target)
+    g = case["morphism"]
+    _, lifted = ctx.arm(g, case["interior"])
     verdict = ctx.verdict(predicate, InteriorMap(g.dom, lifted))
     return None if verdict.ok else verdict.witness
 
@@ -637,62 +568,94 @@ def _gen_meet_interchange(ctx: SearchContext):
     for dom in ctx.grounds:
         for cod in ctx.grounds:
             for g in all_morphisms(dom, cod):
-                yield {"_morphism": g}
-
-
-def _describe_meet_interchange(case: dict) -> dict:
-    return {"morphism": fio.morphism_to_json(case["_morphism"])}
+                yield {"morphism": g}
 
 
 def _check_meet_interchange(case: dict, ctx: SearchContext):
-    g = case["_morphism"] if "_morphism" in case else fio.morphism_from_json(case["morphism"])
-    verdict = meet_interchange_report(g, max_family=2)
+    verdict = meet_interchange_report(case["morphism"], max_family=2)
     return None if verdict.ok else verdict.witness
 
 
 PROPERTIES = {
-    "literal-trivial-interior": (
-        _gen_literal_trivial,
-        _check_literal_trivial,
-        _describe_literal_trivial,
-    ),
-    "operator-lattice-closure": (
-        _gen_operator_lattice,
-        _check_operator_lattice,
-        _describe_operator_lattice,
-    ),
-    "composition-continuous": (
-        lambda ctx: _gen_composition(ctx, open_mode=False),
-        _check_composition,
-        _describe_composition,
-    ),
-    "composition-open": (
-        lambda ctx: _gen_composition(ctx, open_mode=True),
-        _check_composition,
-        _describe_composition,
-    ),
-    "open-preimage": (_gen_open_preimage, _check_open_preimage, _describe_open_preimage),
-    "initiality": (lambda ctx: _gen_sources(ctx, min_arms=1), _check_initiality, _describe_source),
-    "literal-meet-source-lift": (
-        lambda ctx: _gen_sources(ctx, min_arms=2),
-        _check_literal_meet_lift,
-        _describe_source,
-    ),
+    "literal-trivial-interior": (_gen_literal_trivial, _check_literal_trivial, fio.case_to_json),
+    "operator-lattice-closure": (_gen_operator_lattice, _check_operator_lattice, fio.case_to_json),
+    "composition-continuous": (lambda ctx: _gen_composition(ctx, open_mode=False), _check_composition, fio.case_to_json),
+    "composition-open": (lambda ctx: _gen_composition(ctx, open_mode=True), _check_composition, fio.case_to_json),
+    "open-preimage": (_gen_open_preimage, _check_open_preimage, fio.case_to_json),
+    "initiality": (lambda ctx: _gen_sources(ctx, min_arms=1), _check_initiality, fio.case_to_json),
+    "literal-meet-source-lift": (lambda ctx: _gen_sources(ctx, min_arms=2), _check_literal_meet_lift, fio.case_to_json),
     "preservation-idempotent": (
         lambda ctx: _gen_preservation(ctx, is_idempotent),
         lambda case, ctx: _check_preservation(case, ctx, is_idempotent),
-        _describe_preservation,
+        fio.case_to_json,
     ),
     "preservation-fully-productive": (
-        lambda ctx: _gen_preservation(ctx, is_fully_productive),
-        lambda case, ctx: _check_preservation(case, ctx, is_fully_productive),
-        _describe_preservation,
+        lambda ctx: _gen_preservation(ctx, is_productive),
+        lambda case, ctx: _check_preservation(case, ctx, is_productive),
+        fio.case_to_json,
     ),
-    "meet-interchange": (
-        _gen_meet_interchange,
-        _check_meet_interchange,
-        _describe_meet_interchange,
+    "meet-interchange": (_gen_meet_interchange, _check_meet_interchange, fio.case_to_json),
+}
+
+
+# -------------------------------------------------------------- hypotheses
+#
+# Replay only.  Each entry reads the keys its checker reads (a missing one is
+# a ParseError) and raises unless the case's parts fit together and meet the
+# theorem's hypotheses, checked by the public checks' own preconditions.
+
+def _keys(case: dict, *keys: str) -> list:
+    """The case's values under ``keys``; a missing key is a ParseError."""
+    for key in keys:
+        if key not in case:
+            raise ParseError(f"case missing key {key!r}")
+    return [case[key] for key in keys]
+
+
+def _family_on_its_ground(case: dict) -> None:
+    ground, members = _keys(case, "ground", "members")
+    if not members:
+        raise MalformedBundle("an operator-lattice-closure case needs at least one member")
+    if any(m.ground != ground for m in members):
+        raise GroundMismatch("a member lives on another ground than the case")
+
+
+def _legs_pass(case: dict) -> None:
+    """Both legs pass the test the composite is held to."""
+    open_mode, g1, g2, (src, mid, dst) = _keys(case, "open", "first", "second", "interiors")
+    test, error = (is_open_morphism, NotOpen) if open_mode else (is_continuous, NotContinuous)
+    for g, a, b in ((g1, src, mid), (g2, mid, dst)):
+        verdict = test(g, a, b)
+        if not verdict:
+            raise error(verdict.witness)
+
+
+def _v_open_along_continuous(case: dict) -> None:
+    g, src, dst, v = _keys(case, "morphism", "src", "dst", "v")
+    if v.ground != dst.ground:
+        raise CarrierMismatch("fuzzy set ground differs from the target space")
+    preimage_of_open_is_open(g, src, dst, dst.ground.index.position[v.values])
+
+
+def _arms_fit(case: dict) -> None:
+    """Every arm starts at the domain and ends at its space."""
+    domain, arms = _keys(case, "domain", "arms")
+    StructuredSource(domain, tuple(_keys(arm, "morphism", "interior") for arm in arms))
+
+
+HYPOTHESES = {
+    "literal-trivial-interior": lambda case: _keys(case, "ground"),
+    "operator-lattice-closure": _family_on_its_ground,
+    "composition-continuous": _legs_pass,
+    "composition-open": _legs_pass,
+    "open-preimage": _v_open_along_continuous,
+    "initiality": _arms_fit,
+    "literal-meet-source-lift": _arms_fit,
+    "preservation-idempotent": lambda case: preserves_idempotency_check(*_keys(case, "morphism", "interior")),
+    "preservation-fully-productive": (
+        lambda case: preserves_full_productivity_check(*_keys(case, "morphism", "interior"))
     ),
+    "meet-interchange": lambda case: _keys(case, "morphism"),
 }
 
 
@@ -811,7 +774,8 @@ def _bundle(prop: str, case: dict, witness: dict) -> dict:
 
 
 def replay(bundle: dict) -> SearchResult:
-    """Re-evaluate a witness bundle deterministically."""
+    """Re-evaluate a witness bundle deterministically: load its case, hold
+    it to ``HYPOTHESES``, then run the search's own checker on it."""
     if not isinstance(bundle, dict):
         raise MalformedBundle("bundle must be a JSON object")
     for key in ("property", "case", "witness"):
@@ -820,13 +784,9 @@ def replay(bundle: dict) -> SearchResult:
     prop = bundle["property"]
     if prop not in PROPERTIES:
         raise UnknownProperty(prop, tuple(PROPERTIES))
-    check = checker_for(prop, SearchContext(SearchBounds()))
-    found = check(bundle["case"])
-    if found is None:
-        return SearchResult(prop=prop, status="no-counterexample", instances=1, bundle=None)
-    return SearchResult(
-        prop=prop,
-        status="counterexample",
-        instances=1,
-        bundle={"property": prop, "case": bundle["case"], "witness": found},
-    )
+    case = fio.case_from_json(bundle["case"])
+    HYPOTHESES[prop](case)
+    found = checker_for(prop, SearchContext(SearchBounds()))(case)
+    status = "no-counterexample" if found is None else "counterexample"
+    witness = None if found is None else {"property": prop, "case": bundle["case"], "witness": found}
+    return SearchResult(prop=prop, status=status, instances=1, bundle=witness)

@@ -407,16 +407,12 @@ def naive_initiality_violation(g_test, lift_pairs, arms):
 
 
 def naive_is_fully_productive(i):
-    """Arbitrary meets through the map, each family of the powerset met from
-    scratch (oracle for the prefix fold); above ``FULL_SUBSET_LIMIT`` the
-    binary predicate decides, as in the package."""
-    from fuzzint.interior import FULL_SUBSET_LIMIT, is_productive
+    """Arbitrary meets through the map, each family of the powerset, the
+    empty one included, met from scratch (oracle for ``is_productive``
+    on interior maps).  The walk visits 2^|L^X| families."""
     from fuzzint.powerset import Verdict, powerset
 
     index, images = i.ground.index, i.images
-    if 2 ** len(images) > FULL_SUBSET_LIMIT:
-        binary = is_productive(i)
-        return Verdict(binary.ok, "fully-productive", binary.witness, binary.checked)
     checked = 0
     for family in powerset(range(len(images))):
         checked += 1

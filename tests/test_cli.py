@@ -401,9 +401,17 @@ C2_POINT = {"points": ["p1"], "algebra": C2}
 C2_PAIR = {"points": ["p1", "p2"], "algebra": C2}
 PAIR_DISCRETE = {"ground": C2_PAIR, "table": [[[a, b], [a, b]] for a in "01" for b in "01"]}
 PAIR_IDENTITY = {"dom": C2_PAIR, "cod": C2_PAIR, "f": {"p1": "p1", "p2": "p2"}, "phi_op": {"0": "0", "1": "1"}}
+PAIR_LEAST = {"ground": C2_PAIR, "table": [[[a, b], [a, b] if a + b == "11" else ["0", "0"]] for a in "01" for b in "01"]}
 # a source on one point whose arm starts at two
 OFF_DOMAIN_SOURCE = {"domain": C2_POINT, "arms": [{"morphism": PAIR_IDENTITY, "interior": PAIR_DISCRETE}]}
 OFF_DOMAIN = "ground mismatch: arm morphism does not start at the source domain"
+GODEL4_POINT = {"points": ["p1"], "algebra": {"builtin": "godel", "n": 4}}
+GODEL4_IDENTITY = {"dom": GODEL4_POINT, "cod": GODEL4_POINT, "f": {"p1": "p1"}, "phi_op": {a: a for a in ("0", "1/3", "2/3", "1")}}
+# an interior map that is not idempotent: 2/3 drops to 1/3, which drops to 0
+GODEL4_SLIP = {"ground": GODEL4_POINT, "table": [[["0"], ["0"]], [["1/3"], ["0"]], [["2/3"], ["1/3"]], [["1"], ["1"]]]}
+# the composite fails because a leg does: least to discrete is not continuous,
+# discrete to least is not open
+LEG_WITNESS = "witness {'v': {'p1': '0', 'p2': '1'}, 'lhs': {'p1': '0', 'p2': '1'}, 'rhs': {'p1': '0', 'p2': '0'}}"
 
 
 @pytest.mark.parametrize(
@@ -423,8 +431,46 @@ OFF_DOMAIN = "ground mismatch: arm morphism does not start at the source domain"
         ),
         ("initiality", OFF_DOMAIN_SOURCE, "GroundMismatch", OFF_DOMAIN),
         ("literal-meet-source-lift", OFF_DOMAIN_SOURCE, "GroundMismatch", OFF_DOMAIN),
+        (
+            "composition-continuous",
+            {"open": False, "first": PAIR_IDENTITY, "second": PAIR_IDENTITY, "interiors": [PAIR_LEAST, PAIR_LEAST, PAIR_DISCRETE]},
+            "NotContinuous",
+            f"morphism is not continuous: {LEG_WITNESS}",
+        ),
+        (
+            "composition-open",
+            {"open": True, "first": PAIR_IDENTITY, "second": PAIR_IDENTITY, "interiors": [PAIR_DISCRETE, PAIR_DISCRETE, PAIR_LEAST]},
+            "NotOpen",
+            f"morphism is not open: {LEG_WITNESS}",
+        ),
+        (
+            "open-preimage",
+            {
+                "morphism": PAIR_IDENTITY,
+                "src": PAIR_LEAST,
+                "dst": PAIR_LEAST,
+                "v": {"carrier": ["p1", "p2"], "values": {"p1": "1", "p2": "0"}, "algebra": C2},
+            },
+            "PropertyPreconditionFailed",
+            "target interior lacks openness of v: witness {'p1': '1', 'p2': '0'}",
+        ),
+        (
+            "preservation-idempotent",
+            {"morphism": GODEL4_IDENTITY, "interior": GODEL4_SLIP},
+            "PropertyPreconditionFailed",
+            "target interior lacks idempotency: witness {'u': {'p1': '2/3'}}",
+        ),
     ],
-    ids=["empty-family", "foreign-member", "initiality-off-domain", "meet-lift-off-domain"],
+    ids=[
+        "empty-family",
+        "foreign-member",
+        "initiality-off-domain",
+        "meet-lift-off-domain",
+        "second-leg-not-continuous",
+        "second-leg-not-open",
+        "v-not-open",
+        "target-not-idempotent",
+    ],
 )
 def test_replay_of_a_mismatched_bundle_exits_1(tmp_path, prop, case, error, detail):
     path = write(tmp_path, "bundle.json", {"property": prop, "case": case, "witness": {}})
@@ -432,6 +478,37 @@ def test_replay_of_a_mismatched_bundle_exits_1(tmp_path, prop, case, error, deta
     code, text = run_cli("replay", path, "--json")
     assert code == 1
     assert json.loads(text) == {"status": "error", "error": error, "detail": detail}
+
+
+@pytest.mark.parametrize(
+    "prop, case, detail",
+    [
+        ("composition-continuous", {"open": False}, "case missing key 'first'"),
+        ("composition-continuous", "abc", "a case or an arm must be an object, got 'abc'"),
+        ("operator-lattice-closure", {"kind": "subset", "ground": C2_POINT, "members": 3}, "members must be a list, got 3"),
+        ("operator-lattice-closure", {"kind": "subset", "ground": C2_POINT, "members": [3]}, "expected an object or a file name, got 3"),
+        (
+            "composition-continuous",
+            {"open": False, "first": PAIR_IDENTITY, "second": PAIR_IDENTITY, "interiors": [PAIR_LEAST, PAIR_LEAST]},
+            "interiors must list the three maps [src, mid, dst], got 2",
+        ),
+        ("composition-open", {"open": "yes"}, "open must be true or false, got 'yes'"),
+    ],
+    ids=[
+        "missing-key",
+        "case-not-an-object",
+        "list-field-not-a-list",
+        "member-not-an-object",
+        "two-interiors",
+        "open-not-a-boolean",
+    ],
+)
+def test_replay_of_a_malformed_case_exits_2(tmp_path, prop, case, detail):
+    path = write(tmp_path, "bundle.json", {"property": prop, "case": case, "witness": {}})
+    assert run_cli("replay", path) == (2, f"error: cannot parse input: {detail}\n")
+    code, text = run_cli("replay", path, "--json")
+    assert code == 2
+    assert json.loads(text) == {"status": "error", "error": "parse-error", "detail": f"cannot parse input: {detail}"}
 
 
 def test_python_dash_m_fuzzint_runs_the_command_line():

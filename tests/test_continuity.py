@@ -348,7 +348,7 @@ def test_search_checker_agrees_with_verify_initiality():
     cases = 0
     for case in generate(ctx):
         cases += 1
-        s = StructuredSource(domain=case["_domain"], arms=tuple(case["_arms"]))
+        s = StructuredSource(domain=case["domain"], arms=tuple((arm["morphism"], arm["interior"]) for arm in case["arms"]))
         verdict = verify_initiality(s, initial_from_source(s), test_grounds=grounds_within(bounds))
         assert (check(case) is None) == verdict.ok
     assert cases == search("initiality", bounds).instances

@@ -1,7 +1,8 @@
 """The morphism-layer kernels against their oracles: the cover-edge sweep
-for least interiors, the equality fast path of the initiality kernel, the
-prefix fold of full productivity, composites built once per search, and
-the per-search verdict memos against fresh contexts."""
+for least interiors, the equality fast path of the initiality kernel,
+binary productivity against the walk over every family, composites built
+once per search, and the per-search verdict memos against fresh
+contexts."""
 
 from itertools import combinations, product
 
@@ -22,11 +23,10 @@ from fuzzint.continuity import (
     initiality_violation,
 )
 from fuzzint.interior import (
-    FULL_SUBSET_LIMIT,
     InteriorMap,
     check_interior_axioms,
     discrete,
-    is_fully_productive,
+    is_productive,
     join_interiors,
     least,
     meet_interiors,
@@ -42,13 +42,10 @@ from fuzzint.search import (
 )
 
 HOMS = {(dom, cod): morphisms for dom, cod, morphisms in PAIRS}
-# every interior map where the full subset scan runs, the bases elsewhere
-MAPS = {
-    ground: list(enumerate_interior_maps(ground))
-    if 2 ** ground.set_count() <= FULL_SUBSET_LIMIT
-    else [InteriorMap(ground, images) for images in BASES[ground]]
-    for ground in GROUNDS
-}
+# the grounds where the walk over every family of fuzzy sets is affordable,
+# with every interior map on each
+WALKABLE = [ground for ground in GROUNDS if 2 ** ground.set_count() <= 4096]
+MAPS = {ground: list(enumerate_interior_maps(ground)) for ground in WALKABLE}
 
 
 # -- least interiors above constraints --------------------------------------------
@@ -138,13 +135,14 @@ def test_initiality_cases_reach_every_outcome(direction):
 
 # -- full productivity ----------------------------------------------------------
 
-interior_maps = st.sampled_from(GROUNDS).flatmap(lambda ground: st.sampled_from(MAPS[ground]))
+interior_maps = st.sampled_from(WALKABLE).flatmap(lambda ground: st.sampled_from(MAPS[ground]))
 
 
-@settings(PROPERTY, max_examples=300)
-@given(interior_maps)
-def test_fully_productive_fold_matches_subset_scan(i):
-    assert is_fully_productive(i) == naive_is_fully_productive(i)
+@pytest.mark.parametrize("ground", WALKABLE, ids=repr)
+def test_productive_decides_full_productivity(ground):
+    # binary meets and the top axiom give every meet of a finite family
+    for i in MAPS[ground]:
+        assert is_productive(i).ok == naive_is_fully_productive(i).ok
 
 
 @pytest.mark.parametrize("ok", [True, False])
@@ -209,18 +207,19 @@ def _twin(prop, case):
     """The case along identities on the twin ground, with the same image
     positions."""
     if prop.startswith("composition"):
-        g1, src, mid, g2, dst = case["_legs"]
-        ground = TWIN[g1.dom]
+        ground = TWIN[case["first"].dom]
         ident = identity_morphism(ground)
-        src, mid, dst = (InteriorMap(ground, i.images) for i in (src, mid, dst))
-        return prop, {"open": case["open"], "_legs": (ident, src, mid, ident, dst)}
+        interiors = [InteriorMap(ground, i.images) for i in case["interiors"]]
+        return prop, {"open": case["open"], "first": ident, "second": ident, "interiors": interiors}
     if prop.startswith("preservation"):
-        g, target = case["_data"]
-        ground = TWIN[g.dom]
-        return prop, {"_data": (identity_morphism(ground), InteriorMap(ground, target.images))}
-    ground = TWIN[case["_domain"]]
-    arms = [(identity_morphism(ground), InteriorMap(ground, target.images)) for _, target in case["_arms"]]
-    return prop, {"_domain": ground, "_arms": arms}
+        ground = TWIN[case["morphism"].dom]
+        return prop, {"morphism": identity_morphism(ground), "interior": InteriorMap(ground, case["interior"].images)}
+    ground = TWIN[case["domain"]]
+    arms = [
+        {"morphism": identity_morphism(ground), "interior": InteriorMap(ground, arm["interior"].images)}
+        for arm in case["arms"]
+    ]
+    return prop, {"domain": ground, "arms": arms}
 
 
 @st.composite
@@ -249,13 +248,13 @@ def memo_case(draw):
             a, b, c = (draw(st.sampled_from(MEMO_GROUNDS)) for _ in range(3))
             g1, g2 = draw(st.sampled_from(MEMO_HOMS[a, b])), draw(st.sampled_from(MEMO_HOMS[b, c]))
             src, mid, dst = pick(a), pick(b), pick(c)
-        case = (prop, {"open": prop == "composition-open", "_legs": (g1, src, mid, g2, dst)})
+        case = (prop, {"open": prop == "composition-open", "first": g1, "second": g2, "interiors": [src, mid, dst]})
     elif kind == "preservation":
         prop = draw(st.sampled_from(PRESERVATION_PROPS))
         dom = ground if on_twin else draw(st.sampled_from(MEMO_GROUNDS))
         cod = ground if on_twin else draw(st.sampled_from(MEMO_GROUNDS))
         g = ident if on_twin else draw(st.sampled_from(MEMO_HOMS[dom, cod]))
-        case = (prop, {"_data": (g, pick(cod))})
+        case = (prop, {"morphism": g, "interior": pick(cod)})
     else:
         prop = draw(st.sampled_from(SOURCE_PROPS))
         dom = ground if on_twin else draw(st.sampled_from(MEMO_GROUNDS))
@@ -263,8 +262,8 @@ def memo_case(draw):
         for _ in range(draw(st.integers(1, 2))):
             cod = ground if on_twin else draw(st.sampled_from(MEMO_GROUNDS))
             g = ident if on_twin else draw(st.sampled_from(MEMO_HOMS[dom, cod]))
-            arms.append((g, pick(cod)))
-        case = (prop, {"_domain": dom, "_arms": arms})
+            arms.append({"morphism": g, "interior": pick(cod)})
+        case = (prop, {"domain": dom, "arms": arms})
     return case, (_twin(*case) if on_twin else None)
 
 
@@ -297,11 +296,11 @@ def test_shared_context_matches_fresh_contexts(run):
 
 
 def _maps(case):
-    if "_legs" in case:
-        return [case["_legs"][k] for k in (1, 2, 4)]
-    if "_data" in case:
-        return [case["_data"][1]]
-    return [target for _, target in case["_arms"]]
+    if "interiors" in case:
+        return case["interiors"]
+    if "interior" in case:
+        return [case["interior"]]
+    return [arm["interior"] for arm in case["arms"]]
 
 
 def test_memo_runs_repeat_failing_cases_and_meet_twins():
@@ -328,7 +327,7 @@ def test_verdict_memo_tells_grounds_apart():
     for ground in (C2_PAIR, GODEL4_POINT):
         ident = identity_morphism(ground)
         src, dst = least(ground), discrete(ground)
-        case = {"open": False, "_legs": (ident, src, src, ident, dst)}
+        case = {"open": False, "first": ident, "second": ident, "interiors": [src, src, dst]}
         found.append(_checked("composition-continuous", case, ctx))
         assert found[-1] == _checked("composition-continuous", case, SearchContext(MEMO_BOUNDS))
     assert found[0]["v"] == {"p1": "0", "p2": "1"}
@@ -342,7 +341,7 @@ def test_preservation_memo_tells_the_eight_set_twins_apart(prop, differ):
     found = {}
     for images in (i.images for i in SHARED[C2_CUBE]):
         for ground in (C2_CUBE, GODEL8_POINT):
-            case = {"_data": (identity_morphism(ground), InteriorMap(ground, images))}
+            case = {"morphism": identity_morphism(ground), "interior": InteriorMap(ground, images)}
             found[ground, images] = _checked(prop, case, ctx)
             assert found[ground, images] == _checked(prop, case, SearchContext(MEMO_BOUNDS))
     assert sum(found[C2_CUBE, images] != found[GODEL8_POINT, images] for _, images in found) == 2 * differ

@@ -159,7 +159,7 @@ def test_word_memo_tells_grounds_apart():
     found = []
     for ground in (chain, square):
         members = [InteriorMap(ground, images)]
-        found.append(_check_operator_lattice({"kind": "subset", "_ground": ground, "_members": members}, ctx))
+        found.append(_check_operator_lattice({"kind": "subset", "ground": ground, "members": members}, ctx))
         assert found[-1] == naive_check_operator_lattice(ground, members)
     assert found == [
         {"operation": "join", "axiom": "I1", "u": {"p1": "1/3"}, "image": {"p1": "1"}},
@@ -201,7 +201,7 @@ def family_runs(draw):
 def test_memoised_check_matches_fold_and_check_oracle(run):
     ctx = SearchContext(SearchBounds())
     for ground, members in run:
-        case = {"kind": "subset", "_ground": ground, "_members": members}
+        case = {"kind": "subset", "ground": ground, "members": members}
         assert _check_operator_lattice(case, ctx) == naive_check_operator_lattice(ground, members)
 
 
@@ -222,7 +222,7 @@ def test_memo_tells_grounds_apart():
     ctx = SearchContext(SearchBounds())
     for ground in (chain, square):
         members = [InteriorMap(ground, images)]
-        found = _check_operator_lattice({"kind": "subset", "_ground": ground, "_members": members}, ctx)
+        found = _check_operator_lattice({"kind": "subset", "ground": ground, "members": members}, ctx)
         assert found == naive_check_operator_lattice(ground, members)
     assert found == {"operation": "join", "axiom": "I1", "u": {"p1": "1", "p2": "0"}, "image": {"p1": "0", "p2": "1"}}
 

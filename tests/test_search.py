@@ -229,7 +229,13 @@ def test_time_budget_bounds_case_generation():
 def test_no_module_level_caches_after_search():
     search("initiality", SearchBounds(max_carrier=1))
     search("composition-continuous", SearchBounds(max_carrier=1))
-    registries = {("search", "PROPERTIES"), ("cli", "PROPERTIES"), ("io", "LOADERS")}
+    registries = {
+        ("search", "PROPERTIES"),
+        ("search", "HYPOTHESES"),
+        ("cli", "PROPERTIES"),
+        ("io", "LOADERS"),
+        ("io", "CASE_LOADERS"),
+    }
     held = []
     for name, module in sorted(sys.modules.items()):
         if name != "fuzzint" and not name.startswith("fuzzint."):
