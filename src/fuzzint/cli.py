@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from . import io as fio
 from .continuity import initial_from_source, is_continuous, is_open_morphism, verify_initiality
@@ -305,7 +306,7 @@ def cmd_search(args) -> int:
 
 def cmd_replay(args) -> int:
     bundle = fio.load_json(args.path)
-    result = replay(bundle)
+    result = replay(bundle, Path(args.path).parent)
     if args.json:
         print(json.dumps(result.to_json(), sort_keys=True))
     else:

@@ -26,13 +26,18 @@ position.  Value tuples and element names appear only in witnesses.
 ``verify_initiality`` checks the defining universal property extensionally:
 a morphism from any bounded test space is continuous into the lift exactly
 when all composites are continuous.  The quantifier over test interiors is
-discharged exactly by a least-constrained-operator argument in
-``initiality_violation``, the one kernel that both ``verify_initiality``
-and the ``initiality`` search call.  The lift enters it as one more
-``Arm``, the identity morphism into (domain, lift), so the least test
-interior above the lift's constraints is that arm's memoised floor.  A
-literal enumeration over test interiors lives in the test suite as its
-oracle.
+discharged exactly by a least-constrained-operator argument: at each test
+morphism the property holds iff two least test interiors agree, E above
+the lift's transported constraints and H, the join of the floors above
+each arm's.  The lift enters as one more ``Arm``, the identity morphism
+into (domain, lift), so E is that arm's memoised floor.  ``packed_floors``
+packs an arm's floors along a list of test morphisms into one integer of
+upset words; the AND of the source arms' integers holds H at every test,
+so ``first_initiality_violation`` decides all tests with one comparison,
+for both ``verify_initiality`` and the ``initiality`` search.  Only when
+the integers differ does the per-test kernel ``initiality_violation`` run,
+to name the first violation.  A literal enumeration over test interiors
+lives in the test suite as its oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from .powerset import (
     Verdict,
     all_morphisms,
     identity_morphism,
-    right_adjoint_values,
 )
 
 
@@ -134,10 +138,8 @@ def initial_interior(g: GroundMorphism, target: InteriorMap) -> InteriorMap:
     """
     if g.cod != target.ground:
         raise GroundMismatch("morphism codomain differs from the target space")
-    position = g.cod.index.position
     bw, images = g.backward, target.images
-    ra = [position[right_adjoint_values(g, u)] for u in g.dom.index.values]
-    return InteriorMap(g.dom, tuple(bw[images[b]] for b in ra)).validated()
+    return InteriorMap(g.dom, tuple(bw[images[b]] for b in g.right_adjoint)).validated()
 
 
 def initial_from_source(s: StructuredSource) -> InteriorMap:
@@ -167,18 +169,17 @@ class Arm:
 
     ``constraints`` are the arm's continuity constraints, as position
     pairs.  ``floor`` memoises, per test morphism, the constraints
-    transported along it and the least test interior above them;
-    ``join`` memoises joins of floor tables per (test ground, tables).
-    Both memos live as long as the arm.
+    transported along it and the least test interior above them, for as
+    long as the arm lives; ``packed_floors`` packs the floors along a
+    list of test morphisms into one integer.
     """
 
-    __slots__ = ("morphism", "constraints", "_floors", "_joins")
+    __slots__ = ("morphism", "constraints", "_floors")
 
     def __init__(self, g: GroundMorphism, target: InteriorMap):
         self.morphism = g
         self.constraints = tuple(continuity_constraints(g, target))
         self._floors = {}
-        self._joins = {}
 
     def floor(self, g_test: GroundMorphism):
         """(least test interior images, transported pairs) along
@@ -189,16 +190,6 @@ class Arm:
             bw = g_test.backward
             moved = tuple((bw[w], bw[c]) for w, c in self.constraints)
             found = self._floors[g_test] = (_least_above(g_test.dom, moved), moved)
-            return found
-
-    def join(self, ground: Ground, tables: tuple) -> tuple:
-        """The pointwise join of two or more floor tables on ``ground``:
-        the least interior above all their constraints."""
-        key = (ground, tables)
-        try:
-            return self._joins[key]
-        except KeyError:
-            found = self._joins[key] = tuple(map(ground.index.join, zip(*tables)))
             return found
 
 
@@ -232,6 +223,26 @@ def _least_above(ground: Ground, pairs) -> tuple:
     return tuple(images)
 
 
+def packed_floors(arm: Arm, tests) -> int:
+    """The arm's floors along every test morphism in ``tests``, as one
+    integer: test by test, from the lowest bits up, the upset word of the
+    floor (``PowersetIndex.words``), N*N bits on a test ground with N
+    fuzzy sets.
+
+    An upset word decodes to exactly one image tuple, so two packings
+    along the same tests are equal iff the floors agree at every test.
+    The AND of upset words is the upset word of the pointwise join, so
+    the AND of the source arms' packings holds H at every test, and the
+    lift arm's packing holds E.
+    """
+    word = shift = 0
+    for g_test in tests:
+        index = g_test.dom.index
+        word |= index.words(arm.floor(g_test)[0])[0] << shift
+        shift += len(index.values) ** 2
+    return word
+
+
 def initiality_violation(g_test: GroundMorphism, lift_arm: Arm, arms) -> dict | None:
     """Decide the universal property of a lift at one test morphism.
 
@@ -243,22 +254,22 @@ def initiality_violation(g_test: GroundMorphism, lift_arm: Arm, arms) -> dict | 
     principal filter, so each direction is decided at the least element
     of the opposite filter: H, the join of the arms' floors ("only-if"),
     and E, the lift arm's floor ("if").  Everything is transported along
-    ``g_test.backward`` and compared as positions on the test ground.  E
-    is memoised on the lift arm, and so is H, per (test ground, floor
-    tables): every source with this lift meets the same test morphisms.
+    ``g_test.backward`` and compared as positions on the test ground.
 
     E and H are each least above their own constraints, so "only-if"
     holds iff H >= E and "if" iff E >= H: the property holds exactly when
     E == H.  The two tuples are compared first; only when they differ are
     the constraints scanned, "only-if" then "if", for the first violation.
-    Returns that violation, or None.
+    Returns that violation, or None.  ``first_initiality_violation``
+    decides every test morphism at once and calls this only to name a
+    witness.
     """
     z = g_test.dom
     down = z.index.down
     easy, moved = lift_arm.floor(g_test)
     floors = [arm.floor(g_test) for arm in arms]
-    tables = tuple(table for table, _ in floors) or (_least_above(z, ()),)
-    hard = tables[0] if len(tables) == 1 else lift_arm.join(z, tables)
+    tables = [table for table, _ in floors] or [_least_above(z, ())]
+    hard = tables[0] if len(tables) == 1 else tuple(map(z.index.join, zip(*tables)))
     if easy == hard:
         return None
     for w, c in moved:
@@ -269,6 +280,27 @@ def initiality_violation(g_test: GroundMorphism, lift_arm: Arm, arms) -> dict | 
             if not down[easy[w]] >> c & 1:
                 return _violation(g_test, "if", w, c, easy[w])
     return None
+
+
+def first_initiality_violation(tests, lift_arm: Arm, arms, easy: int, hard: int):
+    """Decide the universal property of a lift at every test morphism in
+    ``tests`` at once.
+
+    ``easy`` is the lift arm's ``packed_floors`` along ``tests`` and
+    ``hard`` the AND of the source arms' (of the least space's identity
+    arm when there are none): E and H at every test.  The property holds
+    at every test iff the two integers are equal.  Only when they differ
+    are the tests walked in order with ``initiality_violation``, which
+    names the first violation.  Returns (its index in ``tests``, the
+    violation), or None.
+    """
+    if easy == hard:
+        return None
+    for k, g_test in enumerate(tests):
+        bad = initiality_violation(g_test, lift_arm, arms)
+        if bad is not None:
+            return k, bad
+    raise AssertionError("packed floors differ, yet every test morphism agrees")
 
 
 def _violation(g_test: GroundMorphism, direction: str, w: int, c: int, at_w: int) -> dict:
@@ -292,23 +324,24 @@ def verify_initiality(s: StructuredSource, lift: InteriorMap, *, test_grounds) -
     For every test ground in ``test_grounds``, every morphism (g, psi) from
     it into the source domain, and every interior on the test ground, the
     morphism must be continuous into (domain, lift) exactly when all the
-    composites through the source arms are continuous.  Each test morphism
-    is decided by ``initiality_violation``; ``checked`` counts the
-    directions decided.
+    composites through the source arms are continuous.  All test
+    morphisms are decided at once by ``first_initiality_violation``;
+    ``checked`` counts the directions decided.
     """
     if lift.ground != s.domain:
         raise GroundMismatch("lift lives on a different ground")
     arms = [Arm(g, target) for g, target in s.arms]
     lift_arm = Arm(identity_morphism(s.domain), lift)
-    checked = 0
-    for z_ground in test_grounds:
-        for g in all_morphisms(z_ground, s.domain):
-            bad = initiality_violation(g, lift_arm, arms)
-            if bad is not None:
-                checked += 1 if bad["direction"] == "only-if" else 2
-                return Verdict(ok=False, prop="initiality", witness=bad, checked=checked)
-            checked += 2
-    return Verdict(ok=True, prop="initiality", witness=None, checked=checked)
+    tests = [g for z_ground in test_grounds for g in all_morphisms(z_ground, s.domain)]
+    hard = -1
+    for arm in arms or [Arm(identity_morphism(s.domain), least(s.domain))]:
+        hard &= packed_floors(arm, tests)
+    found = first_initiality_violation(tests, lift_arm, arms, packed_floors(lift_arm, tests), hard)
+    if found is None:
+        return Verdict(ok=True, prop="initiality", witness=None, checked=2 * len(tests))
+    k, bad = found
+    checked = 2 * k + (1 if bad["direction"] == "only-if" else 2)
+    return Verdict(ok=False, prop="initiality", witness=bad, checked=checked)
 
 
 def meet_interchange_report(g: GroundMorphism, max_family: int = 3) -> Verdict:

@@ -335,10 +335,11 @@ def _case_value_to_json(value):
     return value
 
 
-def case_from_json(doc) -> dict:
+def case_from_json(doc, base: Path | None = None) -> dict:
     """A search case, or an arm of one, from its JSON: each value by the
     loader ``CASE_LOADERS`` gives its key (item by item under ``members``,
-    ``interiors`` and ``arms``), any other (``kind``, ``open``) as it is."""
+    ``interiors`` and ``arms``), any other (``kind``, ``open``) as it is.
+    A file name in the case is read relative to ``base``."""
     if not isinstance(doc, dict):
         raise ParseError(f"a case or an arm must be an object, got {doc!r}")
     case = {}
@@ -347,9 +348,9 @@ def case_from_json(doc) -> dict:
         if key in ("members", "interiors", "arms"):
             if not isinstance(value, list):
                 raise ParseError(f"{key} must be a list, got {value!r}")
-            value = [load(item) for item in value]
+            value = [load(item, base) for item in value]
         elif load is not None:
-            value = load(value)
+            value = load(value, base)
         case[key] = value
     if "interiors" in case and len(case["interiors"]) != 3:
         raise ParseError(f"interiors must list the three maps [src, mid, dst], got {len(case['interiors'])}")

@@ -353,6 +353,20 @@ class GroundMorphism:
         position, phi_op, f = self.dom.index.position, self.phi_op, self.f
         return tuple(position[tuple(phi_op[v[y]] for y in f)] for v in self.cod.index.values)
 
+    @cached_property
+    def right_adjoint(self) -> tuple[int, ...]:
+        """The right adjoint of backward on index positions: entry a is the
+        codomain position of ``vb_right_adjoint`` of domain position a.
+
+        That is the join of every b whose backward image lies below a.
+        Backward preserves joins, so the join is one of those b and lies
+        above the others; the index order is a linear extension, so it is
+        the one with the highest position.
+        """
+        bw, down = self.backward, self.dom.index.down
+        top = len(bw) - 1
+        return tuple(next(b for b in range(top, -1, -1) if down[a] >> bw[b] & 1) for a in range(len(down)))
+
     @property
     def point_map(self) -> PointMap:
         return PointMap(self.dom.points, self.cod.points, self.f)

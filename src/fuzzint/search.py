@@ -21,16 +21,18 @@ import json
 import time
 from dataclasses import dataclass, fields, replace
 from itertools import combinations
+from pathlib import Path
 
 from .continuity import (
     Arm,
     StructuredSource,
     compose,
+    first_initiality_violation,
     initial_interior,
-    initiality_violation,
     is_continuous,
     is_open_morphism,
     meet_interchange_report,
+    packed_floors,
     preimage_of_open_is_open,
     preserves_full_productivity_check,
     preserves_idempotency_check,
@@ -270,9 +272,11 @@ class SearchContext:
     Built once per search, and once per pool worker.  Every memo goes
     through ``_memo`` into one dict, under a key that starts with the
     memo's name, or with the check it memoises, and holds its grounds as
-    ``Ground``, ``InteriorMap`` or ``GroundMorphism`` objects, never as a
-    bare image tuple.  Everything is dropped with the context, so nothing
-    is cached across searches.
+    ``Ground``, ``InteriorMap`` or ``GroundMorphism`` objects, never an
+    image tuple or word without its ground.  A key may also hold an
+    ``Arm``, which the context builds once per (morphism, target) and
+    meets by identity.  Everything is dropped with the context, so
+    nothing is cached across searches.
     """
 
     def __init__(self, bounds: SearchBounds):
@@ -301,20 +305,21 @@ class SearchContext:
         return self._memo(("sample", ground), lambda: interior_sample(ground, self.bounds))
 
     def arm(self, g: GroundMorphism, target: InteriorMap) -> tuple:
-        """The prepared arm and the image positions of its initial
-        interior, which is validated once per (g, target)."""
+        """The prepared arm and its initial interior, which is validated
+        once per (g, target)."""
+        return self._memo(("arm", g, target), lambda: (Arm(g, target), initial_interior(g, target)))
 
-        def build():
-            initial = initial_interior(g, target).images
-            return Arm(g, target), initial
-
-        return self._memo(("arm", g, target), build)
-
-    def lift_arm(self, lift: InteriorMap) -> Arm:
-        """The identity arm into (domain, lift), looked up once per lift.
+    def identity_arm(self, space: InteriorMap) -> Arm:
+        """The identity arm into (ground, space), looked up once per space.
         It is the prepared arm of that pair, so a source arm along the
         identity into the same space shares its floors."""
-        return self._memo(("lift-arm", lift), lambda: self.arm(identity_morphism(lift.ground), lift)[0])
+        return self._memo(("identity-arm", space), lambda: self.arm(identity_morphism(space.ground), space)[0])
+
+    def floors(self, arm: Arm) -> int:
+        """``packed_floors`` of the arm along every test morphism into its
+        domain, packed once per (domain, arm)."""
+        dom = arm.morphism.dom
+        return self._memo(("floors", dom, arm), lambda: packed_floors(arm, self.test_morphisms(dom)))
 
     def intern(self, g: GroundMorphism) -> GroundMorphism:
         """The search's one object equal to ``g``: it builds its backward
@@ -341,16 +346,16 @@ class SearchContext:
         about a quarter slower."""
         return self._memo(("axioms", ground, images), lambda: check_interior_axioms(InteriorMap(ground, images)))
 
-    def combined(self, how: str, ground: Ground, word: int) -> Verdict:
-        """The axiom verdict of a family's pointwise join (``how`` is
-        "join", ``word`` its upset word) or meet ("meet", its downset
-        word), looked up per (how, ground, word).  Only a new word is
+    def combined(self, how: str, ground: Ground, word: int) -> tuple:
+        """A family's pointwise join (``how`` is "join", ``word`` its
+        upset word) or meet ("meet", its downset word) and its axiom
+        verdict, looked up per (how, ground, word).  Only a new word is
         decoded and handed to ``axioms``."""
 
         def build():
             index = ground.index
-            decode = index.join_positions if how == "join" else index.meet_positions
-            return self.axioms(ground, decode(word))
+            images = (index.join_positions if how == "join" else index.meet_positions)(word)
+            return InteriorMap(ground, images), self.axioms(ground, images)
 
         return self._memo((how, ground, word), build)
 
@@ -410,7 +415,7 @@ def _check_operator_lattice(case: dict, ctx: SearchContext):
         up &= member_up
         down &= member_down
     for how, word in (("join", up), ("meet", down)):
-        verdict = ctx.combined(how, case["ground"], word)
+        _, verdict = ctx.combined(how, case["ground"], word)
         if not verdict.ok:
             return {"operation": how, **verdict.witness}
     return None
@@ -486,16 +491,40 @@ def _gen_sources(ctx: SearchContext, min_arms: int):
 
 
 def _case_source(case: dict, ctx: SearchContext):
-    """The source domain and its arms, each an (Arm, initial images) pair."""
+    """The source domain and its arms, each an (Arm, initial interior)
+    pair."""
     return case["domain"], [ctx.arm(arm["morphism"], arm["interior"]) for arm in case["arms"]]
 
 
-def _lost_arm(dom: Ground, arms, images: tuple, shown: str | None = None):
-    """Witness of the first arm the lift with these image positions fails
-    to keep continuous; ``shown`` names an extra key carrying the lift's
-    value there."""
-    down, values = dom.index.down, dom.index.values
-    for index, (arm, _) in enumerate(arms):
+def _folded_lift(ctx: SearchContext, how: str, dom: Ground, arms) -> tuple:
+    """The pointwise join (``how`` is "join") or meet ("meet") of the
+    arms' initial interiors, with its axiom verdict: one AND of their
+    upset or downset words, decoded once per (how, domain, word) by
+    ``SearchContext.combined``.  The empty join is the least map; the
+    empty meet, the AND of no words, decodes to the constant-top map."""
+    which = 0 if how == "join" else 1
+    word = -1
+    for _, initial in arms:
+        word &= initial.words[which]
+    if not arms and how == "join":
+        word = least(dom).words[0]
+    return ctx.combined(how, dom, word)
+
+
+def _lost_arm(dom: Ground, arms, lift: InteriorMap, shown: str | None = None):
+    """Witness of the first arm the lift fails to keep continuous, or
+    None; ``shown`` names an extra key carrying the lift's value there.
+
+    An interior map keeps an arm continuous iff it lies above the arm's
+    initial interior, which is one test of upset words per arm: no field
+    of the lift's word may hold a position outside the initial's.  Only
+    an arm that fails it has its constraints scanned, for the witness.
+    """
+    word = lift.words[0]
+    down, values, images = dom.index.down, dom.index.values, lift.images
+    for index, (arm, initial) in enumerate(arms):
+        if not word & ~initial.words[0]:
+            continue
         for w, c in arm.constraints:
             if not down[images[w]] >> c & 1:
                 witness = {
@@ -512,55 +541,54 @@ def _lost_arm(dom: Ground, arms, images: tuple, shown: str | None = None):
 
 
 def _check_initiality(case: dict, ctx: SearchContext):
-    """Join-form lift: axioms, arm continuity, and the universal property,
-    decided per test morphism by ``initiality_violation``."""
+    """Join-form lift: axioms, arm continuity, and the universal property
+    at every test morphism, decided by ``first_initiality_violation`` from
+    the lift arm's packed floors and the AND of the source arms'."""
     dom, arms = _case_source(case, ctx)
-    columns = [initial for _, initial in arms] or [least(dom).images]
-    lift = InteriorMap(dom, tuple(map(dom.index.join, zip(*columns))))
-    verdict = ctx.axioms(dom, lift.images)
+    lift, verdict = _folded_lift(ctx, "join", dom, arms)
     if not verdict.ok:
         return {"stage": "axioms", **verdict.witness}
-    lost = _lost_arm(dom, arms, lift.images)
+    lost = _lost_arm(dom, arms, lift)
     if lost is not None:
         return lost
-    lift_arm = ctx.lift_arm(lift)
+    lift_arm = ctx.identity_arm(lift)
     prepared = [arm for arm, _ in arms]
-    for g_test in ctx.test_morphisms(dom):
-        bad = initiality_violation(g_test, lift_arm, prepared)
-        if bad is not None:
-            return {"stage": "initiality", **bad}
-    return None
+    hard = -1
+    for arm in prepared or [ctx.identity_arm(least(dom))]:
+        hard &= ctx.floors(arm)
+    found = first_initiality_violation(ctx.test_morphisms(dom), lift_arm, prepared, ctx.floors(lift_arm), hard)
+    return None if found is None else {"stage": "initiality", **found[1]}
 
 
 def _check_literal_meet_lift(case: dict, ctx: SearchContext):
     """The meet-form lift satisfies the axioms but must keep every arm
     continuous to qualify as a lift; report the first arm it loses."""
     dom, arms = _case_source(case, ctx)
-    top = dom.set_count() - 1
-    columns = [initial for _, initial in arms] or [(top,) * (top + 1)]  # the empty meet
-    meet_lift = InteriorMap(dom, tuple(map(dom.index.meet, zip(*columns))))
-    verdict = ctx.axioms(dom, meet_lift.images)
+    meet_lift, verdict = _folded_lift(ctx, "meet", dom, arms)
     if not verdict.ok:
         return {"stage": "axioms", **verdict.witness}
-    return _lost_arm(dom, arms, meet_lift.images, shown="meet_lift_at_w")
+    return _lost_arm(dom, arms, meet_lift, shown="meet_lift_at_w")
 
 
 def _gen_preservation(ctx: SearchContext, predicate):
+    """Every morphism into every sampled target that meets the predicate.
+    The morphisms of a pair of grounds are built once, so each computes
+    its right adjoint once for all its targets."""
     for dom in ctx.grounds:
         for cod in ctx.grounds:
+            homs = list(all_morphisms(dom, cod))
             for target in ctx.sample(cod):
                 if not ctx.verdict(predicate, target):
                     continue
-                for g in all_morphisms(dom, cod):
+                for g in homs:
                     yield {"morphism": g, "interior": target}
 
 
 def _check_preservation(case: dict, ctx: SearchContext, predicate):
     """The predicate of the initial interior, read from the prepared arm
     and decided once per lifted map."""
-    g = case["morphism"]
-    _, lifted = ctx.arm(g, case["interior"])
-    verdict = ctx.verdict(predicate, InteriorMap(g.dom, lifted))
+    _, lifted = ctx.arm(case["morphism"], case["interior"])
+    verdict = ctx.verdict(predicate, lifted)
     return None if verdict.ok else verdict.witness
 
 
@@ -773,9 +801,11 @@ def _bundle(prop: str, case: dict, witness: dict) -> dict:
     return {"property": prop, "case": describe(case), "witness": witness}
 
 
-def replay(bundle: dict) -> SearchResult:
+def replay(bundle: dict, base: Path | None = None) -> SearchResult:
     """Re-evaluate a witness bundle deterministically: load its case, hold
-    it to ``HYPOTHESES``, then run the search's own checker on it."""
+    it to ``HYPOTHESES``, then run the search's own checker on it.  A file
+    name in the case is read relative to ``base``, the bundle's
+    directory."""
     if not isinstance(bundle, dict):
         raise MalformedBundle("bundle must be a JSON object")
     for key in ("property", "case", "witness"):
@@ -784,7 +814,7 @@ def replay(bundle: dict) -> SearchResult:
     prop = bundle["property"]
     if prop not in PROPERTIES:
         raise UnknownProperty(prop, tuple(PROPERTIES))
-    case = fio.case_from_json(bundle["case"])
+    case = fio.case_from_json(bundle["case"], base)
     HYPOTHESES[prop](case)
     found = checker_for(prop, SearchContext(SearchBounds()))(case)
     status = "no-counterexample" if found is None else "counterexample"

@@ -511,6 +511,16 @@ def test_replay_of_a_malformed_case_exits_2(tmp_path, prop, case, detail):
     assert json.loads(text) == {"status": "error", "error": "parse-error", "detail": f"cannot parse input: {detail}"}
 
 
+def test_replay_reads_case_files_beside_the_bundle(tmp_path, monkeypatch):
+    # the literal trivial interior of godel3 on one point is not interior
+    beside = tmp_path / "bundles"
+    beside.mkdir()
+    write(beside, "g.json", {"points": ["p1"], "algebra": {"builtin": "godel", "n": 3}})
+    write(beside, "bundle.json", {"property": "literal-trivial-interior", "case": {"ground": "g.json"}, "witness": {}})
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("replay", str(Path("bundles", "bundle.json"))) == (1, "literal-trivial-interior: counterexample\n")
+
+
 def test_python_dash_m_fuzzint_runs_the_command_line():
     env = {key: value for key, value in os.environ.items() if key != "FUZZINT_BOUNDS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(HERE.parent / "src"), env.get("PYTHONPATH")]))

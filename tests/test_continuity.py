@@ -3,22 +3,35 @@ from itertools import combinations, product
 import pytest
 
 from conftest import all_sets, all_value_tuples, fuzzy_leq, leq_values, meet_values, naive_verify_initiality
+from fuzzint import io as fio
 from fuzzint.continuity import (
     StructuredSource,
     compose,
     continuity_constraints,
+    first_initiality_violation,
     initial_from_source,
     initial_interior,
+    initiality_violation,
     is_continuous,
     is_open_morphism,
     meet_interchange_report,
+    packed_floors,
     preimage_of_open_is_open,
     preserves_full_productivity_check,
     preserves_idempotency_check,
     verify_initiality,
 )
 from fuzzint.errors import GroundMismatch, NotContinuous, PropertyPreconditionFailed
-from fuzzint.interior import InteriorMap, check_interior_axioms, discrete, is_idempotent, least, open_sets
+from fuzzint.interior import (
+    InteriorMap,
+    check_interior_axioms,
+    discrete,
+    is_idempotent,
+    join_interiors,
+    least,
+    meet_interiors,
+    open_sets,
+)
 from fuzzint.powerset import (
     Ground,
     GroundMorphism,
@@ -36,6 +49,7 @@ from fuzzint.search import (
     enumerate_interior_maps,
     grounds_within,
     interior_sample,
+    replay,
     search,
 )
 
@@ -352,6 +366,52 @@ def test_search_checker_agrees_with_verify_initiality():
         verdict = verify_initiality(s, initial_from_source(s), test_grounds=grounds_within(bounds))
         assert (check(case) is None) == verdict.ok
     assert cases == search("initiality", bounds).instances
+
+
+def _per_test_loop(tests, lift_arm, arms):
+    """The first test morphism at which the lift fails, as (index,
+    violation), one ``initiality_violation`` call per test."""
+    for k, g_test in enumerate(tests):
+        bad = initiality_violation(g_test, lift_arm, arms)
+        if bad is not None:
+            return k, bad
+    return None
+
+
+def test_packed_decision_agrees_with_the_per_test_loop(small_bounds):
+    # every 1- and 2-arm source of the search, with its join-form lift and
+    # three lifts that are not initial, with the search's memoised arms;
+    # verify_initiality, which builds its own, on the 1-arm sources
+    ctx = SearchContext(small_bounds)
+    test_grounds = grounds_within(small_bounds)
+    outcomes = set()
+    for case in PROPERTIES["initiality"][0](ctx):
+        dom = case["domain"]
+        s = StructuredSource(dom, tuple((arm["morphism"], arm["interior"]) for arm in case["arms"]))
+        tests = ctx.test_morphisms(dom)
+        arms = [ctx.arm(g, target)[0] for g, target in s.arms]
+        hard = -1
+        for arm in arms:
+            hard &= packed_floors(arm, tests)
+        per_arm = [initial_interior(g, target) for g, target in s.arms]
+        lifts = {"join": join_interiors(per_arm), "meet": meet_interiors(per_arm), "discrete": discrete(dom), "least": least(dom)}
+        for name, lift in lifts.items():
+            lift_arm = ctx.identity_arm(lift)
+            looped = _per_test_loop(tests, lift_arm, arms)
+            assert first_initiality_violation(tests, lift_arm, arms, packed_floors(lift_arm, tests), hard) == looped
+            if len(arms) == 1:
+                verdict = verify_initiality(s, lift, test_grounds=test_grounds)
+                assert verdict.witness == (looped and looped[1])
+                directions = 2 * len(tests) if looped is None else 2 * looped[0] + 1 + (looped[1]["direction"] == "if")
+                assert verdict.checked == directions
+            outcomes.add((len(arms), name, looped and looped[1]["direction"]))
+    assert {(arity, "join", None) for arity in (1, 2)} <= outcomes
+    assert {(2, "meet", "if"), (2, "discrete", "only-if"), (2, "least", "if"), (1, "least", "if")} <= outcomes
+
+
+def test_zero_arm_initiality_bundle_replays_clean(one_point_c3):
+    case = {"domain": fio.ground_to_json(one_point_c3), "arms": []}
+    assert replay({"property": "initiality", "case": case, "witness": {}}).status == "no-counterexample"
 
 
 def test_continuity_constraints_characterize(one_point_c3):

@@ -7,7 +7,7 @@ contexts."""
 from itertools import combinations, product
 
 import pytest
-from conftest import join_values, naive_initiality_violation, naive_is_fully_productive, naive_least_above
+from conftest import naive_initiality_violation, naive_is_fully_productive, naive_least_above
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 from test_index import BASES, GROUNDS, PROPERTY
@@ -21,6 +21,7 @@ from fuzzint.continuity import (
     compose,
     initial_from_source,
     initiality_violation,
+    packed_floors,
 )
 from fuzzint.interior import (
     InteriorMap,
@@ -36,6 +37,7 @@ from fuzzint.search import (
     PROPERTIES,
     SearchBounds,
     SearchContext,
+    _folded_lift,
     builtin_algebra,
     enumerate_interior_maps,
     search,
@@ -347,19 +349,25 @@ def test_preservation_memo_tells_the_eight_set_twins_apart(prop, differ):
     assert sum(found[C2_CUBE, images] != found[GODEL8_POINT, images] for _, images in found) == 2 * differ
 
 
-def test_arm_join_memo_tells_the_eight_set_twins_apart():
-    # one arm joins the same floor tables on both twins as test grounds
-    arm = Arm(identity_morphism(C2_CUBE), discrete(C2_CUBE))
-    differ = 0
-    for tables in combinations([i.images for i in SHARED[C2_CUBE]], 2):
-        joins = []
-        for ground in (C2_CUBE, GODEL8_POINT):
-            values = ground.index.values
-            joins.append(arm.join(ground, tables))
-            expected = [join_values(ground, [values[c] for c in column]) for column in zip(*tables)]
-            assert [values[a] for a in joins[-1]] == expected
-        differ += joins[0] != joins[1]
-    assert differ == 60
+def test_source_memos_tell_the_eight_set_twins_apart():
+    # two identity arms into maps interior on both twins: one context folds
+    # the lifts and packs the floors on both twins, another on one only
+    shared = SearchContext(MEMO_BOUNDS)
+    alone = {ground: SearchContext(MEMO_BOUNDS) for ground in (C2_CUBE, GODEL8_POINT)}
+    lifts = {}
+    for pair in combinations([i.images for i in SHARED[C2_CUBE]], 2):
+        for ground, ctx in alone.items():
+            arms = [{"morphism": identity_morphism(ground), "interior": InteriorMap(ground, images)} for images in pair]
+            case = {"domain": ground, "arms": arms}
+            for prop in SOURCE_PROPS:
+                assert _checked(prop, case, shared) == _checked(prop, case, ctx)
+            prepared = [shared.arm(arm["morphism"], arm["interior"]) for arm in arms]
+            lift, verdict = _folded_lift(shared, "join", ground, prepared)
+            assert verdict.ok and lift == join_interiors([arm["interior"] for arm in arms])
+            lifts[ground, pair] = lift.images
+            for arm in [shared.identity_arm(lift)] + [arm for arm, _ in prepared]:
+                assert shared.floors(arm) == packed_floors(arm, ctx.test_morphisms(ground))
+    assert sum(lifts[C2_CUBE, pair] != lifts[GODEL8_POINT, pair] for _, pair in lifts) == 2 * 60
 
 
 def test_composition_search_scans_each_instance_once(monkeypatch):

@@ -22,7 +22,7 @@ from fuzzint.continuity import (
 from fuzzint.interior import InteriorMap
 from fuzzint.lattice import chain_lattice, diamond_lattice
 from fuzzint.monoid import join_tensor
-from fuzzint.powerset import Ground, all_morphisms, vb_backward
+from fuzzint.powerset import Ground, all_morphisms, right_adjoint_values, vb_backward
 
 # every pair of the 1-2-point grounds, with the morphisms between them
 PAIRS = [(dom, cod, list(all_morphisms(dom, cod))) for dom in GROUNDS for cod in GROUNDS]
@@ -37,6 +37,9 @@ JOIN_PAIRS = [
         (Ground(("x1", "x2"), C3_JOIN), Ground(("y1",), DIAMOND_JOIN)),
     )
 ]
+# the chains on one and two points, the five-element lattices on one
+ADJOINT_GROUNDS = [ground for ground in GROUNDS if len(ground.lattice) <= 3 or len(ground.points) == 1]
+ADJOINT_PAIRS = [pair for pair in PAIRS if pair[0] in ADJOINT_GROUNDS and pair[1] in ADJOINT_GROUNDS]
 CHECKS = {
     "continuity": (is_continuous, naive_is_continuous),
     "openness": (is_open_morphism, naive_is_open_morphism),
@@ -109,3 +112,17 @@ def test_backward_positions_match_vb_backward(pair):
     for g in morphisms:
         for b, v in enumerate(all_sets(cod)):
             assert dom.index.values[g.backward[b]] == vb_backward(g, v).values
+
+
+@pytest.mark.parametrize("pair", ADJOINT_PAIRS, ids=lambda p: f"{p[0]!r}->{p[1]!r}")
+def test_right_adjoint_positions_match_right_adjoint_values(pair):
+    # the cached positions, and the Galois connection with backward:
+    # backward(b) <= a iff b <= right_adjoint(a)
+    dom, cod, morphisms = pair
+    position, values = cod.index.position, dom.index.values
+    dom_down, cod_down = dom.index.down, cod.index.down
+    for g in morphisms:
+        ra, bw = g.right_adjoint, g.backward
+        assert ra == tuple(position[right_adjoint_values(g, u)] for u in values)
+        for a in range(len(values)):
+            assert [dom_down[a] >> bw[b] & 1 for b in range(len(bw))] == [cod_down[ra[a]] >> b & 1 for b in range(len(bw))]
