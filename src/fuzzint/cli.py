@@ -111,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", default=None, help="time budget, e.g. 60s")
     p.add_argument("--algebras", default=None, help="plus-separated names, e.g. c2+godel3")
     p.add_argument("--sample", type=int, default=None, help="interior maps per ground")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="write the witness bundle here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_search)
@@ -292,7 +291,7 @@ def _print_verdict(args, report: dict, ok: bool | None = None) -> int:
 # ------------------------------------------------------------------- search
 
 def cmd_search(args) -> int:
-    result = search(args.prop, _bounds(args), workers=args.workers, out=args.out)
+    result = search(args.prop, _bounds(args), out=args.out)
     if args.json:
         print(json.dumps(result.to_json(), sort_keys=True))
     else:

@@ -30,8 +30,8 @@ discharged exactly by a least-constrained-operator argument: at each test
 morphism the property holds iff two least test interiors agree, E above
 the lift's transported constraints and H, the join of the floors above
 each arm's.  The lift enters as one more ``Arm``, the identity morphism
-into (domain, lift), so E is that arm's memoised floor.  ``packed_floors``
-packs an arm's floors along a list of test morphisms into one integer of
+into (domain, lift), so E is that arm's floor.  ``packed_floors`` packs
+an arm's floors along a list of test morphisms into one integer of
 upset words; the AND of the source arms' integers holds H at every test,
 so ``first_initiality_violation`` decides all tests with one comparison,
 for both ``verify_initiality`` and the ``initiality`` search.  Only when
@@ -168,29 +168,25 @@ class Arm:
     (u, lift(u)) pairs.
 
     ``constraints`` are the arm's continuity constraints, as position
-    pairs.  ``floor`` memoises, per test morphism, the constraints
-    transported along it and the least test interior above them, for as
-    long as the arm lives; ``packed_floors`` packs the floors along a
-    list of test morphisms into one integer.
+    pairs.  ``floor`` computes, per test morphism, the constraints
+    transported along it and the least test interior above them;
+    ``packed_floors`` packs the floors along a list of test morphisms
+    into one integer, so a caller that keeps the packing needs each floor
+    once.
     """
 
-    __slots__ = ("morphism", "constraints", "_floors")
+    __slots__ = ("morphism", "constraints")
 
     def __init__(self, g: GroundMorphism, target: InteriorMap):
         self.morphism = g
         self.constraints = tuple(continuity_constraints(g, target))
-        self._floors = {}
 
     def floor(self, g_test: GroundMorphism):
         """(least test interior images, transported pairs) along
         ``g_test``, all as positions on its domain."""
-        try:
-            return self._floors[g_test]
-        except KeyError:
-            bw = g_test.backward
-            moved = tuple((bw[w], bw[c]) for w, c in self.constraints)
-            found = self._floors[g_test] = (_least_above(g_test.dom, moved), moved)
-            return found
+        bw = g_test.backward
+        moved = tuple((bw[w], bw[c]) for w, c in self.constraints)
+        return _least_above(g_test.dom, moved), moved
 
 
 def _least_above(ground: Ground, pairs) -> tuple:

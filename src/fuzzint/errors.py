@@ -15,18 +15,6 @@ class FuzzintError(Exception):
         """Witness data as JSON-ready primitives."""
         return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
-    def __reduce__(self):
-        # The subclasses' __init__ take witness parts, not the formatted
-        # message in self.args, so a copy (as a pool worker's error reaches
-        # its parent) is rebuilt from the message and attributes directly.
-        return (_rebuild, (type(self), self.args, vars(self)))
-
-
-def _rebuild(cls, args, attributes):
-    error = cls.__new__(cls, *args)
-    error.__dict__.update(attributes)
-    return error
-
 
 # ---------------------------------------------------------------- lattices
 

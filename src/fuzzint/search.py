@@ -7,12 +7,12 @@ registered property pairs a deterministic case generator with a pure
 checker.  A counterexample is returned as a replayable witness bundle that
 embeds the full instance.
 
-Verdicts are deterministic for fixed bounds and property regardless of the
-worker count: cases are consumed in generation order and the first failing
-case wins, whether chunks are evaluated inline or on a pool.  Every case is
-generated, counted and checked, but a search decides each distinct
-instance once: its ``SearchContext`` memoises the verdicts the checkers
-read, keyed by exactly the objects each verdict depends on.
+A search runs in one process, and its verdict is deterministic for fixed
+bounds and property: cases are checked in generation order and the first
+failing case wins.  Every case is generated, counted and checked, but a
+search decides each distinct instance once: its ``SearchContext`` memoises
+the verdicts the checkers read, keyed by exactly the objects each verdict
+depends on.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ from .lattice import diamond_lattice, pentagon_lattice
 from .monoid import builtin_chain, godel_tensor, join_tensor
 from .powerset import FuzzySet, Ground, GroundMorphism, Verdict, all_morphisms, identity_morphism
 from . import io as fio
-
-CHUNK = 256
 
 
 # ---------------------------------------------------------------- bounds
@@ -169,7 +167,10 @@ def _backtrack(index, order):
     given to its lower covers (the AND of their upsets is the upset of
     their join), so a monotonicity violation prunes its whole suffix.
     Depth first, ascending candidate positions; the one ``assign`` list is
-    yielded each time every position in ``order`` has an image.
+    yielded each time every position in ``order`` has an image.  The
+    candidates are never empty (the join of the lower covers' images lies
+    below the argument), so no branch dies before it yields, and a caller
+    that checks a deadline every so many yields bounds the whole walk.
     """
     up, down, covers = index.up, index.down, index.covers
     top = len(index.values) - 1
@@ -201,7 +202,7 @@ def _backtrack(index, order):
         pending[depth] = options
 
 
-def enumerate_interior_maps(ground: Ground, bounds: SearchBounds | None = None):
+def enumerate_interior_maps(ground: Ground, bounds: SearchBounds | None = None, expire=None):
     """Stream every interior map on the ground exactly once.
 
     Images are assigned position by position along the ground's index, a
@@ -209,18 +210,25 @@ def enumerate_interior_maps(ground: Ground, bounds: SearchBounds | None = None):
     the cover edges as each position is filled, so a violation prunes its
     whole suffix.  Order is deterministic: depth first, ascending candidate
     positions.  Yielding more than ``bounds.max_tables`` maps raises
-    ``BoundsExceeded``.
+    ``BoundsExceeded``.  ``expire``, a search's deadline check that raises
+    once the budget is spent, is called before every 1,024th map, at the
+    comparison that already guards the cap, so a walk that fits the budget
+    pays nothing per map for it.
     """
     cap = (bounds or SearchBounds()).max_tables
-    emitted = 0
+    emitted = bar = 0
     for assign in _backtrack(ground.index, range(ground.set_count() - 1)):
-        if emitted == cap:
-            raise BoundsExceeded(f"more than {cap} interior maps on this ground")
+        if emitted == bar:
+            if emitted == cap:
+                raise BoundsExceeded(f"more than {cap} interior maps on this ground")
+            if expire is not None:
+                expire()
+            bar = min(emitted + 1024, cap)
         emitted += 1
         yield InteriorMap(ground, tuple(assign))
 
 
-def count_interior_maps(ground: Ground, bounds: SearchBounds | None = None) -> int:
+def count_interior_maps(ground: Ground, bounds: SearchBounds | None = None, expire=None) -> int:
     """The number of interior maps on the ground, without building them.
 
     The coatoms of L^X (the lower covers of top) are left out of the
@@ -230,14 +238,16 @@ def count_interior_maps(ground: Ground, bounds: SearchBounds | None = None) -> i
     no other position has a coatom as a lower cover, so given the rest the
     coatoms' images are independent, each constrained only by its own
     lower covers.  More than ``bounds.max_tables`` maps raise
-    ``BoundsExceeded``, as soon as the running total passes the cap.
+    ``BoundsExceeded``, as soon as the running total passes the cap;
+    ``expire`` is called whenever the total has grown by 1,024 or more, as
+    in ``enumerate_interior_maps``.
     """
     cap = (bounds or SearchBounds()).max_tables
     index = ground.index
     up, down, covers = index.up, index.down, index.covers
     top = len(index.values) - 1
     coatoms = covers[top]
-    total = 0
+    total = bar = 0
     for assign in _backtrack(index, [a for a in range(top) if a not in coatoms]):
         product = 1
         for k in coatoms:
@@ -246,22 +256,32 @@ def count_interior_maps(ground: Ground, bounds: SearchBounds | None = None) -> i
                 options &= up[assign[c]]
             product *= options.bit_count()
         total += product
-        if total > cap:
-            raise BoundsExceeded(f"more than {cap} interior maps on this ground")
+        if total > bar:
+            if total > cap:
+                raise BoundsExceeded(f"more than {cap} interior maps on this ground")
+            if expire is not None:
+                expire()
+            bar = min(total + 1023, cap)
     return total
 
 
-def interior_sample(ground: Ground, bounds: SearchBounds):
+def interior_sample(ground: Ground, bounds: SearchBounds, expire=None):
     """Deterministic spread of interior maps on the ground: the full stream
     when it fits the sample budget, else an even stride that always keeps
     the least (first) and discrete (last) maps.  The maps are counted
     first, which enforces ``max_tables``; the backtracker then runs once
-    and a map is built only at a kept index."""
-    total = count_interior_maps(ground, bounds)
+    and a map is built only at a kept index.  Both passes call ``expire``
+    every 1,024 maps or so."""
+    total = count_interior_maps(ground, bounds, expire)
     cap = bounds.operator_sample
     keep = range(total) if total <= cap else {round(k * (total - 1) / (cap - 1)) for k in range(cap)}
-    assignments = _backtrack(ground.index, range(ground.set_count() - 1))
-    return [InteriorMap(ground, tuple(assign)) for n, assign in enumerate(assignments) if n in keep]
+    kept = []
+    for n, assign in enumerate(_backtrack(ground.index, range(ground.set_count() - 1))):
+        if n in keep:
+            kept.append(InteriorMap(ground, tuple(assign)))
+        elif expire is not None and not n & 1023:
+            expire()
+    return kept
 
 
 # ---------------------------------------------------------- search context
@@ -269,14 +289,15 @@ def interior_sample(ground: Ground, bounds: SearchBounds):
 class SearchContext:
     """One search's grounds, deadline and memos.
 
-    Built once per search, and once per pool worker.  Every memo goes
-    through ``_memo`` into one dict, under a key that starts with the
-    memo's name, or with the check it memoises, and holds its grounds as
-    ``Ground``, ``InteriorMap`` or ``GroundMorphism`` objects, never an
-    image tuple or word without its ground.  A key may also hold an
-    ``Arm``, which the context builds once per (morphism, target) and
-    meets by identity.  Everything is dropped with the context, so
-    nothing is cached across searches.
+    Built once per search.  Every memo goes through ``_memo`` into one
+    dict, under a key that starts with the memo's name, or with the check
+    it memoises, and holds its grounds as ``Ground``, ``InteriorMap`` or
+    ``GroundMorphism`` objects, never an image tuple or word without its
+    ground.  A key may also hold an ``Arm``, which the context builds once
+    per (morphism, target) and meets by identity; an arm's floors are
+    computed only to be packed, once per (domain, arm), by ``floors``.
+    Everything is dropped with the context, so nothing is cached across
+    searches.
     """
 
     def __init__(self, bounds: SearchBounds):
@@ -302,7 +323,7 @@ class SearchContext:
             return value
 
     def sample(self, ground: Ground) -> list:
-        return self._memo(("sample", ground), lambda: interior_sample(ground, self.bounds))
+        return self._memo(("sample", ground), lambda: interior_sample(ground, self.bounds, self.expire))
 
     def arm(self, g: GroundMorphism, target: InteriorMap) -> tuple:
         """The prepared arm and its initial interior, which is validated
@@ -386,7 +407,7 @@ def _check_literal_trivial(case: dict, ctx: SearchContext):
 
 def _gen_operator_lattice(ctx: SearchContext):
     for ground in ctx.grounds:
-        maps = list(enumerate_interior_maps(ground, ctx.bounds))
+        maps = list(enumerate_interior_maps(ground, ctx.bounds, ctx.expire))
         if 2 ** len(maps) <= 4096:
             for mask in range(1, 2 ** len(maps)):
                 members = [maps[k] for k in range(len(maps)) if mask >> k & 1]
@@ -585,9 +606,9 @@ def _gen_preservation(ctx: SearchContext, predicate):
 
 
 def _check_preservation(case: dict, ctx: SearchContext, predicate):
-    """The predicate of the initial interior, read from the prepared arm
-    and decided once per lifted map."""
-    _, lifted = ctx.arm(case["morphism"], case["interior"])
+    """The predicate of the initial interior, decided once per lifted
+    map."""
+    lifted = initial_interior(case["morphism"], case["interior"])
     verdict = ctx.verdict(predicate, lifted)
     return None if verdict.ok else verdict.witness
 
@@ -719,7 +740,6 @@ def search(
     prop: str,
     bounds: SearchBounds | None = None,
     *,
-    workers: int = 1,
     out=None,
 ) -> SearchResult:
     """Scan every case of a registered property inside the bounds.
@@ -732,20 +752,16 @@ def search(
     if prop not in PROPERTIES:
         raise UnknownProperty(prop, tuple(PROPERTIES))
     ctx = SearchContext(bounds or SearchBounds())
-    cases = PROPERTIES[prop][0](ctx)
-    if workers > 1:
-        witness, checked = _parallel_scan(prop, ctx, cases, workers)
-    else:
-        check = checker_for(prop, ctx)
-        witness = None
-        checked = 0
-        for case in cases:
-            ctx.expire(checked)
-            checked += 1
-            found = check(case)
-            if found is not None:
-                witness = _bundle(prop, case, found)
-                break
+    check = checker_for(prop, ctx)
+    witness = None
+    checked = 0
+    for case in PROPERTIES[prop][0](ctx):
+        ctx.expire(checked)
+        checked += 1
+        found = check(case)
+        if found is not None:
+            witness = _bundle(prop, case, found)
+            break
     status = "no-counterexample" if witness is None else "counterexample"
     result = SearchResult(prop=prop, status=status, instances=checked, bundle=witness)
     if out is not None and witness is not None:
@@ -753,47 +769,6 @@ def search(
             json.dump(witness, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return result
-
-
-def _parallel_scan(prop, ctx, cases, workers):
-    import multiprocessing as mp
-
-    mp_ctx = mp.get_context("fork")
-    submitted: list = []
-
-    def chunk_stream():
-        buf = []
-        for case in cases:
-            buf.append(case)
-            if len(buf) == CHUNK:
-                submitted.append(buf)
-                yield buf
-                buf = []
-        if buf:
-            submitted.append(buf)
-            yield buf
-
-    checked = 0
-    with mp_ctx.Pool(workers, initializer=_pool_init, initargs=(prop, ctx.bounds)) as pool:
-        for index, results in enumerate(pool.imap(_pool_check, chunk_stream())):
-            ctx.expire(checked)
-            for case, found in zip(submitted[index], results):
-                checked += 1
-                if found is not None:
-                    return _bundle(prop, case, found), checked
-    return None, checked
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(prop, bounds):
-    _POOL_STATE["check"] = checker_for(prop, SearchContext(bounds))
-
-
-def _pool_check(chunk):
-    check = _POOL_STATE["check"]
-    return [check(case) for case in chunk]
 
 
 def _bundle(prop: str, case: dict, witness: dict) -> dict:

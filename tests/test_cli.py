@@ -150,6 +150,15 @@ def test_search_clean_exits_0():
     assert report["witness"] is None
 
 
+def test_search_refuses_the_removed_workers_flag(capsys):
+    # a search always runs in one process; a script still passing the flag
+    # must fail with a usage error rather than have it silently ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--property", "meet-interchange", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 def test_search_respects_env_bounds(monkeypatch):
     monkeypatch.setenv("FUZZINT_BOUNDS", "max_carrier=1,algebras=c2")
     code, text = run_cli("search", "--property", "literal-trivial-interior", "--json")

@@ -226,6 +226,40 @@ def test_time_budget_bounds_case_generation():
     assert time.monotonic() - start < 2.0
 
 
+@pytest.mark.parametrize("prop", ["composition-continuous", "operator-lattice-closure"])
+def test_time_budget_bounds_counting_and_enumerating_maps(prop):
+    # pentagon-meet on 2 points carries 600,593,049 interior maps: counting
+    # them (for the sample) or listing them (for the families) takes over a
+    # minute, so the budget must stop both loops, well inside max_tables
+    bounds = SearchBounds(algebras=("pentagon-meet",), max_lattice=5, max_tables=10**9, time_budget=0.05)
+    start = time.monotonic()
+    with pytest.raises(BoundsExceeded, match="time budget"):
+        search(prop, bounds)
+    assert time.monotonic() - start < 2.0
+
+
+def test_walks_over_interior_maps_read_the_deadline_every_1024_maps():
+    ground = grounds_within(SearchBounds(algebras=("c2",), max_carrier=4))[-1]
+    bounds = SearchBounds(max_tables=10**9)
+    total = 130_321
+    reads = {"count": 0, "enumerate": 0, "sample": 0}
+
+    def expire(walk):
+        def read():
+            reads[walk] += 1
+        return read
+
+    assert count_interior_maps(ground, bounds, expire("count")) == total
+    assert sum(1 for _ in enumerate_interior_maps(ground, bounds, expire("enumerate"))) == total
+    assert len(interior_sample(ground, bounds, expire("sample"))) == 4
+    assert reads["enumerate"] == -(-total // 1024)
+    # a leaf of the count adds a product of candidate counts, so its total
+    # can jump by hundreds of maps between reads
+    assert total // 2048 < reads["count"] <= reads["enumerate"]
+    # the sample counts, then walks every map; a kept map is not a read
+    assert reads["sample"] >= reads["count"] + reads["enumerate"] - 4
+
+
 def test_no_module_level_caches_after_search():
     search("initiality", SearchBounds(max_carrier=1))
     search("composition-continuous", SearchBounds(max_carrier=1))
@@ -244,29 +278,9 @@ def test_no_module_level_caches_after_search():
         for attr, value in vars(module).items():
             if attr.startswith("__") or (short, attr) in registries:
                 continue
-            if attr == "_POOL_STATE":
-                assert value == {}  # filled only inside pool workers
-                continue
             if isinstance(value, dict) or hasattr(value, "cache_info"):
                 held.append(f"{name}.{attr}")
     assert held == []
-
-
-def test_worker_determinism():
-    sequential = search("literal-meet-source-lift", SearchBounds(max_carrier=1))
-    parallel = search(
-        "literal-meet-source-lift", SearchBounds(max_carrier=1), workers=2
-    )
-    assert sequential.status == parallel.status == "counterexample"
-    assert sequential.instances == parallel.instances
-    assert sequential.bundle == parallel.bundle
-
-
-def test_clean_worker_determinism():
-    sequential = search("meet-interchange", SearchBounds(max_carrier=1))
-    parallel = search("meet-interchange", SearchBounds(max_carrier=1), workers=3)
-    assert sequential.status == parallel.status == "no-counterexample"
-    assert sequential.instances == parallel.instances
 
 
 # -- bundles and replay ------------------------------------------------------------
