@@ -32,12 +32,13 @@ the lift's transported constraints and H, the join of the floors above
 each arm's.  The lift enters as one more ``Arm``, the identity morphism
 into (domain, lift), so E is that arm's floor.  ``packed_floors`` packs
 an arm's floors along a list of test morphisms into one integer of
-upset words; the AND of the source arms' integers holds H at every test,
-so ``first_initiality_violation`` decides all tests with one comparison,
-for both ``verify_initiality`` and the ``initiality`` search.  Only when
-the integers differ does the per-test kernel ``initiality_violation`` run,
-to name the first violation.  A literal enumeration over test interiors
-lives in the test suite as its oracle.
+upset words, and the AND of the source arms' integers holds H at every
+test.  The one kernel, ``initiality_violation``, decides every test with
+one comparison of E and H, for both ``verify_initiality`` and the
+``initiality`` search; only when they differ does it read the first
+differing test's floors back off the two integers and scan the
+transported constraints to name the violation.  A literal enumeration
+over test interiors lives in the test suite as its oracle.
 """
 
 from __future__ import annotations
@@ -168,11 +169,10 @@ class Arm:
     (u, lift(u)) pairs.
 
     ``constraints`` are the arm's continuity constraints, as position
-    pairs.  ``floor`` computes, per test morphism, the constraints
-    transported along it and the least test interior above them;
-    ``packed_floors`` packs the floors along a list of test morphisms
-    into one integer, so a caller that keeps the packing needs each floor
-    once.
+    pairs.  ``moved`` transports them along a test morphism and ``floor``
+    computes the least test interior above them there; ``packed_floors``
+    packs the floors along a list of test morphisms into one integer, so
+    a caller that keeps the packing needs each floor once.
     """
 
     __slots__ = ("morphism", "constraints")
@@ -181,12 +181,16 @@ class Arm:
         self.morphism = g
         self.constraints = tuple(continuity_constraints(g, target))
 
-    def floor(self, g_test: GroundMorphism):
-        """(least test interior images, transported pairs) along
-        ``g_test``, all as positions on its domain."""
+    def moved(self, g_test: GroundMorphism) -> tuple:
+        """The constraints transported along ``g_test``, as position pairs
+        on its domain."""
         bw = g_test.backward
-        moved = tuple((bw[w], bw[c]) for w, c in self.constraints)
-        return _least_above(g_test.dom, moved), moved
+        return tuple((bw[w], bw[c]) for w, c in self.constraints)
+
+    def floor(self, g_test: GroundMorphism) -> tuple:
+        """Images of the least test interior above the constraints
+        transported along ``g_test``."""
+        return _least_above(g_test.dom, self.moved(g_test))
 
 
 def _least_above(ground: Ground, pairs) -> tuple:
@@ -234,69 +238,60 @@ def packed_floors(arm: Arm, tests) -> int:
     word = shift = 0
     for g_test in tests:
         index = g_test.dom.index
-        word |= index.words(arm.floor(g_test)[0])[0] << shift
+        word |= index.words(arm.floor(g_test))[0] << shift
         shift += len(index.values) ** 2
     return word
 
 
-def initiality_violation(g_test: GroundMorphism, lift_arm: Arm, arms) -> dict | None:
-    """Decide the universal property of a lift at one test morphism.
+def initiality_violation(tests, lift_arm: Arm, arms, floors):
+    """Decide the universal property of a lift at every test morphism in
+    ``tests``.
 
-    ``g_test`` runs from a test ground into the source domain;
-    ``lift_arm`` is the identity arm into (domain, lift) and ``arms`` the
-    source's prepared arms.  The test morphism must be continuous into
-    the lift, at a test interior, exactly when every composite through an
-    arm is.  The interiors making a family of morphisms continuous form a
-    principal filter, so each direction is decided at the least element
-    of the opposite filter: H, the join of the arms' floors ("only-if"),
-    and E, the lift arm's floor ("if").  Everything is transported along
-    ``g_test.backward`` and compared as positions on the test ground.
+    Each test morphism runs from a test ground into the source domain;
+    ``lift_arm`` is the identity arm into (domain, lift), ``arms`` the
+    source's prepared arms, and ``floors(arm)`` the arm's
+    ``packed_floors`` along ``tests``.  A test morphism must be continuous
+    into the lift, at a test interior, exactly when every composite
+    through an arm is.  The interiors making a family of morphisms
+    continuous form a principal filter, so each direction is decided at
+    the least element of the opposite filter: H, the join of the arms'
+    floors ("only-if"), and E, the lift arm's floor ("if").  With no arms
+    H is the least interior, the floor of the least space's identity arm.
 
     E and H are each least above their own constraints, so "only-if"
     holds iff H >= E and "if" iff E >= H: the property holds exactly when
-    E == H.  The two tuples are compared first; only when they differ are
-    the constraints scanned, "only-if" then "if", for the first violation.
-    Returns that violation, or None.  ``first_initiality_violation``
-    decides every test morphism at once and calls this only to name a
-    witness.
+    E == H, at every test at once when the two packings are equal.
+    Otherwise the lowest differing bit lies in the first failing test's
+    field; its E and H are decoded from there and its transported
+    constraints scanned, "only-if" then "if", for the violation.  Returns
+    (the test's index in ``tests``, the violation), or None.
     """
-    z = g_test.dom
-    down = z.index.down
-    easy, moved = lift_arm.floor(g_test)
-    floors = [arm.floor(g_test) for arm in arms]
-    tables = [table for table, _ in floors] or [_least_above(z, ())]
-    hard = tables[0] if len(tables) == 1 else tuple(map(z.index.join, zip(*tables)))
+    dom = lift_arm.morphism.dom
+    hard = -1
+    for arm in arms or [Arm(identity_morphism(dom), least(dom))]:
+        hard &= floors(arm)
+    easy = floors(lift_arm)
     if easy == hard:
         return None
-    for w, c in moved:
-        if not down[hard[w]] >> c & 1:
-            return _violation(g_test, "only-if", w, c, hard[w])
-    for _, arm_moved in floors:
-        for w, c in arm_moved:
-            if not down[easy[w]] >> c & 1:
-                return _violation(g_test, "if", w, c, easy[w])
-    return None
-
-
-def first_initiality_violation(tests, lift_arm: Arm, arms, easy: int, hard: int):
-    """Decide the universal property of a lift at every test morphism in
-    ``tests`` at once.
-
-    ``easy`` is the lift arm's ``packed_floors`` along ``tests`` and
-    ``hard`` the AND of the source arms' (of the least space's identity
-    arm when there are none): E and H at every test.  The property holds
-    at every test iff the two integers are equal.  Only when they differ
-    are the tests walked in order with ``initiality_violation``, which
-    names the first violation.  Returns (its index in ``tests``, the
-    violation), or None.
-    """
-    if easy == hard:
-        return None
+    diff = easy ^ hard
+    first = (diff & -diff).bit_length() - 1
+    shift = 0
     for k, g_test in enumerate(tests):
-        bad = initiality_violation(g_test, lift_arm, arms)
-        if bad is not None:
-            return k, bad
-    raise AssertionError("packed floors differ, yet every test morphism agrees")
+        index = g_test.dom.index
+        width = len(index.values) ** 2
+        if first < shift + width:
+            break
+        shift += width
+    down = index.down
+    easy_at, hard_at = index.join_positions(easy >> shift), index.join_positions(hard >> shift)
+    for w, c in lift_arm.moved(g_test):
+        if not down[hard_at[w]] >> c & 1:
+            return k, _violation(g_test, "only-if", w, c, hard_at[w])
+    for arm in arms:
+        for w, c in arm.moved(g_test):
+            if not down[easy_at[w]] >> c & 1:
+                return k, _violation(g_test, "if", w, c, easy_at[w])
+    raise AssertionError("the floors differ at a test morphism, yet no constraint fails there")
 
 
 def _violation(g_test: GroundMorphism, direction: str, w: int, c: int, at_w: int) -> dict:
@@ -321,18 +316,18 @@ def verify_initiality(s: StructuredSource, lift: InteriorMap, *, test_grounds) -
     it into the source domain, and every interior on the test ground, the
     morphism must be continuous into (domain, lift) exactly when all the
     composites through the source arms are continuous.  All test
-    morphisms are decided at once by ``first_initiality_violation``;
-    ``checked`` counts the directions decided.
+    morphisms are decided at once by ``initiality_violation``; ``checked``
+    counts the directions decided.
     """
     if lift.ground != s.domain:
         raise GroundMismatch("lift lives on a different ground")
-    arms = [Arm(g, target) for g, target in s.arms]
-    lift_arm = Arm(identity_morphism(s.domain), lift)
     tests = [g for z_ground in test_grounds for g in all_morphisms(z_ground, s.domain)]
-    hard = -1
-    for arm in arms or [Arm(identity_morphism(s.domain), least(s.domain))]:
-        hard &= packed_floors(arm, tests)
-    found = first_initiality_violation(tests, lift_arm, arms, packed_floors(lift_arm, tests), hard)
+    found = initiality_violation(
+        tests,
+        Arm(identity_morphism(s.domain), lift),
+        [Arm(g, target) for g, target in s.arms],
+        lambda arm: packed_floors(arm, tests),
+    )
     if found is None:
         return Verdict(ok=True, prop="initiality", witness=None, checked=2 * len(tests))
     k, bad = found
@@ -340,16 +335,18 @@ def verify_initiality(s: StructuredSource, lift: InteriorMap, *, test_grounds) -
     return Verdict(ok=False, prop="initiality", witness=bad, checked=checked)
 
 
-def meet_interchange_report(g: GroundMorphism, max_family: int = 3) -> Verdict:
+def meet_interchange_report(g: GroundMorphism) -> Verdict:
     """Does backward commute with pointwise meets for this morphism?
 
     Join preservation of phi_op is an axiom, meet preservation is not; this
-    probe reports the first failing family of fuzzy sets, if any.
+    probe reports the first failing family of fuzzy sets, if any.  Families
+    of at most two members decide it: every nonempty finite meet folds from
+    binary ones, and the empty family's meet is top.
     """
     dom, cod = g.dom.index, g.cod.index
     bw = g.backward
     checked = 0
-    for size in range(max_family + 1):
+    for size in range(3):
         for family in product(range(len(cod.values)), repeat=size):
             checked += 1
             lhs = bw[cod.meet(family)]

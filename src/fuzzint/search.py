@@ -27,8 +27,8 @@ from .continuity import (
     Arm,
     StructuredSource,
     compose,
-    first_initiality_violation,
     initial_interior,
+    initiality_violation,
     is_continuous,
     is_open_morphism,
     meet_interchange_report,
@@ -563,8 +563,8 @@ def _lost_arm(dom: Ground, arms, lift: InteriorMap, shown: str | None = None):
 
 def _check_initiality(case: dict, ctx: SearchContext):
     """Join-form lift: axioms, arm continuity, and the universal property
-    at every test morphism, decided by ``first_initiality_violation`` from
-    the lift arm's packed floors and the AND of the source arms'."""
+    at every test morphism, decided by ``initiality_violation`` from the
+    packed floors the context keeps per arm."""
     dom, arms = _case_source(case, ctx)
     lift, verdict = _folded_lift(ctx, "join", dom, arms)
     if not verdict.ok:
@@ -572,12 +572,7 @@ def _check_initiality(case: dict, ctx: SearchContext):
     lost = _lost_arm(dom, arms, lift)
     if lost is not None:
         return lost
-    lift_arm = ctx.identity_arm(lift)
-    prepared = [arm for arm, _ in arms]
-    hard = -1
-    for arm in prepared or [ctx.identity_arm(least(dom))]:
-        hard &= ctx.floors(arm)
-    found = first_initiality_violation(ctx.test_morphisms(dom), lift_arm, prepared, ctx.floors(lift_arm), hard)
+    found = initiality_violation(ctx.test_morphisms(dom), ctx.identity_arm(lift), [arm for arm, _ in arms], ctx.floors)
     return None if found is None else {"stage": "initiality", **found[1]}
 
 
@@ -621,7 +616,7 @@ def _gen_meet_interchange(ctx: SearchContext):
 
 
 def _check_meet_interchange(case: dict, ctx: SearchContext):
-    verdict = meet_interchange_report(case["morphism"], max_family=2)
+    verdict = meet_interchange_report(case["morphism"])
     return None if verdict.ok else verdict.witness
 
 

@@ -379,10 +379,11 @@ def naive_least_above(ground, pairs) -> tuple:
 
 
 def naive_initiality_violation(g_test, lift_pairs, arms):
-    """``initiality_violation`` without the equality fast path: the "only-if"
-    scan of the lift pairs against the join of the arms' floors, then the
-    "if" scan of the arms' transported pairs against the least interior
-    above the lift pairs, both built by the pair scan (oracle)."""
+    """The initiality kernel at one test morphism, without the equality
+    fast path or the packed floors: the "only-if" scan of the lift pairs
+    against the join of the arms' floors, then the "if" scan of the arms'
+    transported pairs against the least interior above the lift pairs,
+    both built by the pair scan (oracle)."""
     from fuzzint.continuity import _violation
 
     z = g_test.dom
@@ -403,6 +404,17 @@ def naive_initiality_violation(g_test, lift_pairs, arms):
         for w, c in moved:
             if not down[easy[w]] >> c & 1:
                 return _violation(g_test, "if", w, c, easy[w])
+    return None
+
+
+def naive_initiality_walk(tests, lift_pairs, arms):
+    """``naive_initiality_violation`` at each test morphism in turn: the
+    first failing test's index in ``tests`` and its violation, or None
+    (oracle for ``initiality_violation``)."""
+    for k, g_test in enumerate(tests):
+        bad = naive_initiality_violation(g_test, lift_pairs, arms)
+        if bad is not None:
+            return k, bad
     return None
 
 

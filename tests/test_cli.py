@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_monoid import DIAMOND, diamond_orthogonal_tensor
 
 from fuzzint import cli
 
@@ -167,6 +168,40 @@ def test_search_respects_env_bounds(monkeypatch):
     assert report["instances_checked"] == 1
 
 
+def _clean(instances: int) -> dict:
+    return {"instances_checked": instances, "property": "preservation-idempotent", "status": "no-counterexample", "witness": None}
+
+
+@pytest.mark.parametrize(
+    "flag, key, value, default, code, report",
+    [
+        # godel3 with two points has 400 interior maps
+        ("--max-tables", "max_tables", "399", "100000", 1, {
+            "status": "error",
+            "error": "BoundsExceeded",
+            "detail": "bounds exceeded: more than 399 interior maps on this ground",
+        }),
+        ("--max-tables", "max_tables", "400", "100000", 0, _clean(132)),
+        # a bound of 2 drops godel3, whose lattice has 3 elements
+        ("--max-l", "max_lattice", "2", "3", 0, _clean(26)),
+        ("--algebras", "algebras", "c2+lukasiewicz3", "c2+godel3", 0, _clean(100)),
+    ],
+    ids=["max-tables-399", "max-tables-400", "max-l-2", "algebras-c2-lukasiewicz3"],
+)
+def test_search_flag_moves_its_bound_as_its_env_key_does(monkeypatch, flag, key, value, default, code, report):
+    # in one process: the flag alone and the FUZZINT_BOUNDS key alone give
+    # the same report, and the flag at the default value wins over the key
+    argv = ("search", "--property", "preservation-idempotent", "--json")
+    unmoved = (0, json.dumps(_clean(132), sort_keys=True) + "\n")
+    monkeypatch.delenv("FUZZINT_BOUNDS", raising=False)
+    assert run_cli(*argv) == unmoved
+    moved = run_cli(*argv, flag, value)
+    assert (moved[0], json.loads(moved[1])) == (code, report)
+    monkeypatch.setenv("FUZZINT_BOUNDS", f"{key}={value}")
+    assert run_cli(*argv) == moved
+    assert run_cli(*argv, flag, default) == unmoved
+
+
 def test_examples_write_reports(tmp_path):
     code, _ = run_cli("examples", "run", "2", "--out", str(tmp_path))
     assert code == 0
@@ -216,6 +251,17 @@ def test_space_failing_the_axioms_exits_1(tmp_path):
     report = json.loads(text)
     assert report["status"] == "error"
     assert report["error"] == "NotAnInteriorMap"
+
+
+def test_tensor_not_join_distributive_exits_1(tmp_path):
+    lattice = {"elements": list(DIAMOND), "leq": [["bot", "a"], ["bot", "b"], ["a", "top"], ["b", "top"]], "closure": True}
+    tensor = [[x, y, z] for (x, y), z in diamond_orthogonal_tensor().items()]
+    monoid = write(tmp_path, "monoid.json", {"lattice": lattice, "tensor": tensor})
+    detail = "tensor does not distribute over the join of ('a', 'b') with a"
+    assert run_cli("validate", monoid) == (1, f"error: {detail}\n")
+    code, text = run_cli("validate", monoid, "--json")
+    assert code == 1
+    assert json.loads(text) == {"status": "error", "error": "NotJoinDistributive", "detail": detail}
 
 
 def test_interior_file_missing_a_row_exits_1(tmp_path):

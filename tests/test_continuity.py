@@ -2,20 +2,26 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import all_sets, all_value_tuples, fuzzy_leq, leq_values, meet_values, naive_verify_initiality
+from conftest import (
+    all_sets,
+    all_value_tuples,
+    fuzzy_leq,
+    leq_values,
+    meet_values,
+    naive_initiality_walk,
+    naive_verify_initiality,
+)
 from fuzzint import io as fio
 from fuzzint.continuity import (
     StructuredSource,
     compose,
     continuity_constraints,
-    first_initiality_violation,
     initial_from_source,
     initial_interior,
     initiality_violation,
     is_continuous,
     is_open_morphism,
     meet_interchange_report,
-    packed_floors,
     preimage_of_open_is_open,
     preserves_full_productivity_check,
     preserves_idempotency_check,
@@ -368,20 +374,10 @@ def test_search_checker_agrees_with_verify_initiality():
     assert cases == search("initiality", bounds).instances
 
 
-def _per_test_loop(tests, lift_arm, arms):
-    """The first test morphism at which the lift fails, as (index,
-    violation), one ``initiality_violation`` call per test."""
-    for k, g_test in enumerate(tests):
-        bad = initiality_violation(g_test, lift_arm, arms)
-        if bad is not None:
-            return k, bad
-    return None
-
-
 def test_packed_decision_agrees_with_the_per_test_loop(small_bounds):
     # every 1- and 2-arm source of the search, with its join-form lift and
-    # three lifts that are not initial, with the search's memoised arms;
-    # verify_initiality, which builds its own, on the 1-arm sources
+    # three lifts that are not initial, with the search's memoised arms and
+    # floors; verify_initiality, which builds its own, on the 1-arm sources
     ctx = SearchContext(small_bounds)
     test_grounds = grounds_within(small_bounds)
     outcomes = set()
@@ -390,15 +386,11 @@ def test_packed_decision_agrees_with_the_per_test_loop(small_bounds):
         s = StructuredSource(dom, tuple((arm["morphism"], arm["interior"]) for arm in case["arms"]))
         tests = ctx.test_morphisms(dom)
         arms = [ctx.arm(g, target)[0] for g, target in s.arms]
-        hard = -1
-        for arm in arms:
-            hard &= packed_floors(arm, tests)
         per_arm = [initial_interior(g, target) for g, target in s.arms]
         lifts = {"join": join_interiors(per_arm), "meet": meet_interiors(per_arm), "discrete": discrete(dom), "least": least(dom)}
         for name, lift in lifts.items():
-            lift_arm = ctx.identity_arm(lift)
-            looped = _per_test_loop(tests, lift_arm, arms)
-            assert first_initiality_violation(tests, lift_arm, arms, packed_floors(lift_arm, tests), hard) == looped
+            looped = naive_initiality_walk(tests, tuple(enumerate(lift.images)), arms)
+            assert initiality_violation(tests, ctx.identity_arm(lift), arms, ctx.floors) == looped
             if len(arms) == 1:
                 verdict = verify_initiality(s, lift, test_grounds=test_grounds)
                 assert verdict.witness == (looped and looped[1])
@@ -500,7 +492,7 @@ def test_meet_interchange_holds_on_chains(c2, godel3, luk3):
         X = Ground(("x1",), l_alg)
         Y = Ground(("y1", "y2"), m_alg)
         for g in all_morphisms(X, Y):
-            assert meet_interchange_report(g, max_family=2)
+            assert meet_interchange_report(g)
 
 
 def test_meet_interchange_fails_on_join_tensor_diamond(diamond_join, godel3):
@@ -515,7 +507,7 @@ def test_meet_interchange_fails_on_join_tensor_diamond(diamond_join, godel3):
     g = validate_ground_morphism(
         X, Y, {"x1": "y1"}, {"bot": "0", "a": "1/2", "b": "1", "top": "1"}
     )
-    verdict = meet_interchange_report(g, max_family=2)
+    verdict = meet_interchange_report(g)
     assert not verdict.ok
     # every part of the witness names its elements
     assert verdict.witness == {

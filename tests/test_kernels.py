@@ -7,7 +7,7 @@ contexts."""
 from itertools import combinations, product
 
 import pytest
-from conftest import naive_initiality_violation, naive_is_fully_productive, naive_least_above
+from conftest import naive_initiality_violation, naive_initiality_walk, naive_is_fully_productive, naive_least_above
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 from test_index import BASES, GROUNDS, PROPERTY
@@ -81,12 +81,12 @@ LIFTS = ("correct", "join", "meet", "least", "discrete")
 
 
 def _source(draw, grounds, homs, bases):
-    """A one- or two-arm source over ``grounds``, as (domain, lift, arms):
-    its join-form lift or a perturbation of it (joined or met with another
-    map, or the least or discrete map)."""
+    """A source of up to two arms over ``grounds``, as (domain, lift,
+    arms): its join-form lift or a perturbation of it (joined or met with
+    another map, or the least or discrete map)."""
     domain = draw(st.sampled_from(grounds))
     arms = []
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(0, 2))):
         cod = draw(st.sampled_from(grounds))
         g = draw(st.sampled_from(homs[domain, cod]))
         arms.append((g, InteriorMap(cod, draw(st.sampled_from(bases[cod])))))
@@ -111,12 +111,15 @@ def sources_with_test_morphisms(draw):
 
 
 def _kernel(case, violation):
-    """``violation`` at the case: the fast kernel takes the lift as the
-    identity arm into it, the oracle as its (u, lift(u)) pairs."""
+    """``violation`` at the case's one test morphism: the kernel takes the
+    lift as the identity arm into it and packs the floors along that test,
+    the oracle takes the lift as its (u, lift(u)) pairs."""
     g_test, lift, arms = case
     prepared = [Arm(g, target) for g, target in arms]
     if violation is initiality_violation:
-        return violation(g_test, Arm(identity_morphism(lift.ground), lift), prepared)
+        tests = [g_test]
+        found = violation(tests, Arm(identity_morphism(lift.ground), lift), prepared, lambda arm: packed_floors(arm, tests))
+        return found and found[1]
     return violation(g_test, tuple(enumerate(lift.images)), prepared)
 
 
@@ -427,6 +430,6 @@ def test_lift_arm_memos_match_the_oracle_across_test_grounds(case):
     # one lift arm meets every test morphism, from both twins among them
     domain, lift, arms = case
     prepared = [Arm(g, target) for g, target in arms]
-    lift_arm, lift_pairs = Arm(identity_morphism(domain), lift), tuple(enumerate(lift.images))
-    for g_test in SearchContext(MEMO_BOUNDS).test_morphisms(domain):
-        assert initiality_violation(g_test, lift_arm, prepared) == naive_initiality_violation(g_test, lift_pairs, prepared)
+    tests = SearchContext(MEMO_BOUNDS).test_morphisms(domain)
+    found = initiality_violation(tests, Arm(identity_morphism(domain), lift), prepared, lambda arm: packed_floors(arm, tests))
+    assert found == naive_initiality_walk(tests, tuple(enumerate(lift.images)), prepared)

@@ -9,6 +9,7 @@ from fuzzint.errors import (
     NotDivisible,
     NotIntegral,
     NotIsotone,
+    NotJoinDistributive,
     TopNotIdempotent,
 )
 from fuzzint.lattice import chain_lattice, diamond_lattice, pentagon_lattice
@@ -23,6 +24,14 @@ from fuzzint.monoid import (
 )
 
 C3 = ["0", "1/2", "1"]
+DIAMOND = ("bot", "a", "b", "top")
+
+
+def diamond_orthogonal_tensor() -> dict:
+    """Top is the unit and every product of two elements below top is
+    bot: isotone, commutative, associative, unital and zero at bot, but
+    a (x) (a v b) = a while (a (x) a) v (a (x) b) = bot."""
+    return {(x, y): y if x == "top" else x if y == "top" else "bot" for x in DIAMOND for y in DIAMOND}
 
 
 def tensor_table(names, fn):
@@ -93,6 +102,13 @@ def test_gl_rejects_bad_axioms():
     # projection tensor is isotone with idempotent top but not commutative
     with pytest.raises(NotCommutative):
         validate_gl(cq)
+
+
+def test_binary_join_witnesses_non_join_distributive_tensor():
+    cq = validate_cqml(diamond_lattice(), diamond_orthogonal_tensor())
+    with pytest.raises(NotJoinDistributive) as raised:
+        validate_gl(cq)
+    assert raised.value.witness == ("a", ("a", "b"))
 
 
 def test_no_zero_detected():

@@ -84,7 +84,7 @@ def test_initial_interior_matches_oracle(case):
 @settings(PROPERTY, max_examples=150)
 @given(morphisms_of(PAIRS + JOIN_PAIRS))
 def test_meet_interchange_matches_oracle(g):
-    assert meet_interchange_report(g, max_family=2) == naive_meet_interchange_report(g, max_family=2)
+    assert meet_interchange_report(g) == naive_meet_interchange_report(g, max_family=2)
 
 
 @pytest.mark.parametrize("ok", [True, False])
@@ -97,11 +97,13 @@ def test_meet_interchange_cases_reach_both_outcomes(ok):
 
 
 def test_meet_interchange_diamond_join_failures_match_oracle():
+    # binary families decide: families of three members never add a failure
     failures = 0
     for _, _, morphisms in JOIN_PAIRS:
         for g in morphisms:
             expected = naive_meet_interchange_report(g, max_family=2)
-            assert meet_interchange_report(g, max_family=2) == expected
+            assert meet_interchange_report(g) == expected
+            assert naive_meet_interchange_report(g, max_family=3).ok == expected.ok
             failures += not expected.ok
     assert failures
 
