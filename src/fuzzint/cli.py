@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import io as fio
@@ -105,12 +105,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="counterexample search over bounded instances")
     p.add_argument("--property", required=True, dest="prop")
-    p.add_argument("--max-x", type=int, default=None)
-    p.add_argument("--max-l", type=int, default=None)
-    p.add_argument("--max-tables", type=int, default=None)
-    p.add_argument("--budget", default=None, help="time budget, e.g. 60s")
-    p.add_argument("--algebras", default=None, help="plus-separated names, e.g. c2+godel3")
-    p.add_argument("--sample", type=int, default=None, help="interior maps per ground")
+    # each bound flag's dest is its SearchBounds field, so _bounds reads it
+    # with parse_bound exactly as it reads that FUZZINT_BOUNDS key
+    p.add_argument("--max-x", dest="max_carrier")
+    p.add_argument("--max-tables", dest="max_tables")
+    p.add_argument("--budget", dest="time_budget", help="time budget, e.g. 60s")
+    p.add_argument("--algebras", help="plus-separated names, e.g. c2+godel3")
+    p.add_argument("--sample", dest="operator_sample", help="interior maps per ground")
     p.add_argument("--out", default=None, help="write the witness bundle here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_search)
@@ -134,22 +135,12 @@ def _bounds(args) -> SearchBounds:
     """Effective search bounds: defaults, then FUZZINT_BOUNDS, then flags.
     Only the commands that search read them."""
     bounds = bounds_from_env(os.environ.get("FUZZINT_BOUNDS"))
-    updates = {}
-    if getattr(args, "max_x", None) is not None:
-        updates["max_carrier"] = args.max_x
-    if getattr(args, "max_l", None) is not None:
-        updates["max_lattice"] = args.max_l
-    if getattr(args, "max_tables", None) is not None:
-        updates["max_tables"] = args.max_tables
-    if getattr(args, "budget", None) is not None:
-        updates["time_budget"] = parse_bound("time_budget", args.budget.rstrip("s"))
-    if getattr(args, "algebras", None) is not None:
-        updates["algebras"] = tuple(args.algebras.split("+"))
-    if getattr(args, "sample", None) is not None:
-        updates["operator_sample"] = args.sample
-    if updates:
-        bounds = replace(bounds, **updates)
-    return bounds
+    flags = {
+        f.name: parse_bound(f.name, getattr(args, f.name))
+        for f in fields(SearchBounds)
+        if getattr(args, f.name, None) is not None
+    }
+    return replace(bounds, **flags)
 
 
 # ----------------------------------------------------------------- validate

@@ -182,7 +182,12 @@ def morphism_from_json(doc, base: Path | None = None) -> GroundMorphism:
     try:
         dom = ground_from_json(doc["dom"], base)
         cod = ground_from_json(doc["cod"], base)
-        return validate_ground_morphism(dom, cod, doc["f"], doc["phi_op"])
+        f, phi_op = doc["f"], doc["phi_op"]
+        if not (_is_name_list(phi_op) or isinstance(phi_op, dict) and _is_name_list(list(phi_op.values()))):
+            raise ParseError(
+                f"phi_op must be an {{element: element}} object or a list of element names, got {phi_op!r}"
+            )
+        return validate_ground_morphism(dom, cod, f, phi_op)
     except KeyError as exc:
         raise ParseError(f"morphism file missing key {exc}")
 

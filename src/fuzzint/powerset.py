@@ -367,10 +367,6 @@ class GroundMorphism:
         top = len(bw) - 1
         return tuple(next(b for b in range(top, -1, -1) if down[a] >> bw[b] & 1) for a in range(len(down)))
 
-    @property
-    def point_map(self) -> PointMap:
-        return PointMap(self.dom.points, self.cod.points, self.f)
-
     def describe(self) -> dict:
         m_lat, l_lat = self.cod.lattice, self.dom.lattice
         return {
@@ -382,9 +378,10 @@ class GroundMorphism:
 def validate_ground_morphism(dom: Ground, cod: Ground, f, phi_op) -> GroundMorphism:
     """Validate the morphism conditions on phi_op (and totality of f).
 
-    phi_op must carry top of M to top of L and commute with the tensor and
-    with the join of every subset of M (the empty subset forces bottom to
-    bottom).  The first failing condition is raised with its witness.
+    phi_op, by element names or indices of L, must carry top of M to top of
+    L and commute with the tensor and with every join of M (the empty join
+    forces bottom to bottom).  The first failing law is raised with its
+    witness.
     """
     pm = f if isinstance(f, PointMap) else PointMap.from_dict(f, dom.points, cod.points)
     if pm.dom != dom.points or pm.cod != cod.points:
@@ -398,33 +395,49 @@ def validate_ground_morphism(dom: Ground, cod: Ground, f, phi_op) -> GroundMorph
         table = tuple(l_lat.index(phi_op[m_lat.name(b)]) for b in range(len(m_lat)))
     else:
         table = tuple(l_lat.index(v) if isinstance(v, str) else v for v in phi_op)
+        for v in table:
+            if not (isinstance(v, int) and 0 <= v < len(l_lat)):
+                raise UnknownElement(v)
         if len(table) != len(m_lat):
             raise CarrierMismatch(f"phi_op has {len(table)} entries for {len(m_lat)} elements")
 
-    if table[m_lat.top] != l_lat.top:
-        raise TopNotPreserved(l_lat.name(table[m_lat.top]))
-    for b1 in range(len(m_lat)):
-        for b2 in range(len(m_lat)):
-            expected = table[m_alg.tensor[b1][b2]]
-            got = l_alg.tensor[table[b1]][table[b2]]
-            if expected != got:
-                raise TensorNotPreserved(
-                    (m_lat.name(b1), m_lat.name(b2)),
-                    l_lat.name(expected),
-                    l_lat.name(got),
-                )
-    n = len(m_lat)
-    for size in range(0, n + 1):
-        for subset in combinations(range(n), size):
-            expected = table[m_lat.join_i(subset)]
-            got = l_lat.join_i(table[b] for b in subset)
-            if expected != got:
-                raise JoinNotPreserved(
-                    tuple(m_lat.name(b) for b in subset),
-                    l_lat.name(expected),
-                    l_lat.name(got),
-                )
+    broken = _broken_law(l_alg, m_alg, table)
+    if broken is not None:
+        law, witness = broken
+        if law == "top":
+            raise TopNotPreserved(l_lat.name(table[m_lat.top]))
+        names = tuple(m_lat.name(b) for b in witness)
+        if law == "tensor":
+            b1, b2 = witness
+            expected, got = table[m_alg.tensor[b1][b2]], l_alg.tensor[table[b1]][table[b2]]
+            raise TensorNotPreserved(names, l_lat.name(expected), l_lat.name(got))
+        expected, got = table[m_lat.join_i(witness)], l_lat.join_i(table[b] for b in witness)
+        raise JoinNotPreserved(names, l_lat.name(expected), l_lat.name(got))
     return GroundMorphism(dom=dom, cod=cod, f=pm.table, phi_op=table)
+
+
+def _broken_law(l_alg: CQML, m_alg: CQML, table):
+    """The first morphism law the phi_op table M -> L breaks, as ("top" |
+    "tensor" | "join", witness indices in M), or None.  The order: top, the
+    tensor at every pair, bottom (the empty join), then each pair's join in
+    ``combinations`` order; a map that keeps bottom and binary joins keeps
+    every finite join.  Only ``validate_ground_morphism`` builds an error."""
+    l_lat, m_lat = l_alg.lattice, m_alg.lattice
+    if table[m_lat.top] != l_lat.top:
+        return "top", ()
+    l_tensor = l_alg.tensor
+    for b1, row in enumerate(m_alg.tensor):
+        image = l_tensor[table[b1]]
+        for b2, b in enumerate(row):
+            if table[b] != image[table[b2]]:
+                return "tensor", (b1, b2)
+    if table[m_lat.bottom] != l_lat.bottom:
+        return "join", ()
+    l_join, m_join = l_lat.join2, m_lat.join2
+    for b1, b2 in combinations(range(len(table)), 2):
+        if table[m_join[b1][b2]] != l_join[table[b1]][table[b2]]:
+            return "join", (b1, b2)
+    return None
 
 
 def identity_morphism(ground: Ground) -> GroundMorphism:
@@ -438,26 +451,12 @@ def identity_morphism(ground: Ground) -> GroundMorphism:
 
 
 def all_phi_ops(l_alg: CQML, m_alg: CQML):
-    """Every valid phi_op table M -> L, in lexicographic order."""
+    """Every valid phi_op table M -> L, in lexicographic order, among the
+    tables that send top to top and bottom to bottom."""
     l_lat, m_lat = l_alg.lattice, m_alg.lattice
-    found = []
-    for cand in product(range(len(l_lat)), repeat=len(m_lat)):
-        if cand[m_lat.top] != l_lat.top or cand[m_lat.bottom] != l_lat.bottom:
-            continue
-        if any(
-            l_lat.join2[cand[b1]][cand[b2]] != cand[m_lat.join2[b1][b2]]
-            for b1 in range(len(m_lat))
-            for b2 in range(len(m_lat))
-        ):
-            continue
-        if any(
-            l_alg.tensor[cand[b1]][cand[b2]] != cand[m_alg.tensor[b1][b2]]
-            for b1 in range(len(m_lat))
-            for b2 in range(len(m_lat))
-        ):
-            continue
-        found.append(cand)
-    return found
+    pinned = {m_lat.bottom: l_lat.bottom, m_lat.top: l_lat.top}
+    choices = [(pinned[b],) if b in pinned else range(len(l_lat)) for b in range(len(m_lat))]
+    return [table for table in product(*choices) if _broken_law(l_alg, m_alg, table) is None]
 
 
 def all_morphisms(dom: Ground, cod: Ground):

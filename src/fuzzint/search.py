@@ -78,7 +78,6 @@ class SearchBounds:
     """
 
     max_carrier: int = 2
-    max_lattice: int = 3
     max_tables: int = 100_000
     time_budget: float = 300.0
     algebras: tuple[str, ...] = ("c2", "godel3")
@@ -96,18 +95,24 @@ class SearchBounds:
 
 
 def parse_bound(key: str, text: str):
-    """The value of a numeric bound written as text; BoundsExceeded when
-    it does not convert."""
-    kind = float if key == "time_budget" else int
+    """The value of bound ``key`` written as text, for FUZZINT_BOUNDS and
+    the search flags alike: ``algebras`` plus-separated names,
+    ``time_budget`` seconds with an optional trailing "s", every other
+    bound an integer.  BoundsExceeded for an unknown key or a bad value."""
+    if key not in {f.name for f in fields(SearchBounds)}:
+        raise BoundsExceeded(f"unknown bounds key {key!r}")
+    if key == "algebras":
+        return tuple(text.split("+"))
     try:
-        return kind(text)
+        return float(text.removesuffix("s")) if key == "time_budget" else int(text)
     except ValueError:
-        raise BoundsExceeded(f"{key} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from None
+        kind = "a number" if key == "time_budget" else "an integer"
+        raise BoundsExceeded(f"{key} must be {kind}, got {text!r}") from None
 
 
 def bounds_from_env(text: str | None, base: SearchBounds | None = None) -> SearchBounds:
     """Parse a FUZZINT_BOUNDS override, e.g.
-    "max_carrier=2,max_lattice=3,algebras=c2+godel3,time_budget=120"."""
+    "max_carrier=2,algebras=c2+godel3,time_budget=120"."""
     bounds = base or SearchBounds()
     if not text:
         return bounds
@@ -117,13 +122,7 @@ def bounds_from_env(text: str | None, base: SearchBounds | None = None) -> Searc
             continue
         key, _, value = item.partition("=")
         key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key == "algebras":
-            updates[key] = tuple(value.split("+"))
-        elif key in ("max_carrier", "max_lattice", "max_tables", "operator_sample", "time_budget"):
-            updates[key] = parse_bound(key, value)
-        else:
-            raise BoundsExceeded(f"unknown bounds key {key!r}")
+        updates[key] = parse_bound(key, value.strip())
     return replace(bounds, **updates)
 
 
@@ -145,15 +144,13 @@ def builtin_algebra(name: str):
 
 
 def grounds_within(bounds: SearchBounds):
-    """All grounds (carrier x algebra) inside the bounds, small first."""
-    out = []
-    for size in range(1, bounds.max_carrier + 1):
-        points = tuple(f"p{i + 1}" for i in range(size))
-        for name in bounds.algebras:
-            algebra = builtin_algebra(name)
-            if len(algebra.lattice) <= bounds.max_lattice:
-                out.append(Ground(points=points, algebra=algebra))
-    return out
+    """One ground per carrier size up to ``max_carrier`` and named algebra,
+    small carriers first; the algebra list alone decides the bases."""
+    return [
+        Ground(points=tuple(f"p{i + 1}" for i in range(size)), algebra=builtin_algebra(name))
+        for size in range(1, bounds.max_carrier + 1)
+        for name in bounds.algebras
+    ]
 
 
 # ------------------------------------------------- interior map enumeration

@@ -160,6 +160,14 @@ def test_search_refuses_the_removed_workers_flag(capsys):
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
+def test_search_refuses_the_removed_max_l_flag(capsys):
+    # the named algebras alone decide the grounds; no flag filters them by size
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--property", "meet-interchange", "--max-l", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-l 3" in capsys.readouterr().err
+
+
 def test_search_respects_env_bounds(monkeypatch):
     monkeypatch.setenv("FUZZINT_BOUNDS", "max_carrier=1,algebras=c2")
     code, text = run_cli("search", "--property", "literal-trivial-interior", "--json")
@@ -182,11 +190,13 @@ def _clean(instances: int) -> dict:
             "detail": "bounds exceeded: more than 399 interior maps on this ground",
         }),
         ("--max-tables", "max_tables", "400", "100000", 0, _clean(132)),
-        # a bound of 2 drops godel3, whose lattice has 3 elements
-        ("--max-l", "max_lattice", "2", "3", 0, _clean(26)),
         ("--algebras", "algebras", "c2+lukasiewicz3", "c2+godel3", 0, _clean(100)),
+        ("--max-x", "max_carrier", "1", "2", 0, _clean(12)),
+        ("--sample", "operator_sample", "2", "4", 0, _clean(108)),
+        # the key takes the trailing "s" the flag takes
+        ("--budget", "time_budget", "60s", "300s", 0, _clean(132)),
     ],
-    ids=["max-tables-399", "max-tables-400", "max-l-2", "algebras-c2-lukasiewicz3"],
+    ids=["max-tables-399", "max-tables-400", "algebras-c2-lukasiewicz3", "max-x-1", "sample-2", "budget-60s"],
 )
 def test_search_flag_moves_its_bound_as_its_env_key_does(monkeypatch, flag, key, value, default, code, report):
     # in one process: the flag alone and the FUZZINT_BOUNDS key alone give
@@ -200,6 +210,15 @@ def test_search_flag_moves_its_bound_as_its_env_key_does(monkeypatch, flag, key,
     monkeypatch.setenv("FUZZINT_BOUNDS", f"{key}={value}")
     assert run_cli(*argv) == moved
     assert run_cli(*argv, flag, default) == unmoved
+
+
+def test_named_algebra_is_searched_whatever_its_size(monkeypatch):
+    # godel4 has four elements; the algebra list alone decides the grounds
+    monkeypatch.setenv("FUZZINT_BOUNDS", "algebras=godel4")
+    assert run_cli("search", "--property", "meet-interchange") == (
+        0,
+        "meet-interchange: no-counterexample after 80 instances\n",
+    )
 
 
 def test_examples_write_reports(tmp_path):
@@ -352,10 +371,21 @@ def test_malformed_table_row_in_a_space_exits_2(tmp_path):
         (None, ["--sample", "1"], "operator_sample must be at least 2 (the least and the discrete map), got 1"),
         ("operator_sample=1", [], "operator_sample must be at least 2 (the least and the discrete map), got 1"),
         ("max_carrier=abc", [], "max_carrier must be an integer, got 'abc'"),
+        # a flag that does not convert exits as its key does, not with argparse's 2
+        (None, ["--max-x", "abc"], "max_carrier must be an integer, got 'abc'"),
         (None, ["--budget", "xyz"], "time_budget must be a number, got 'xyz'"),
         ("time_budget=nan", [], "time_budget must be positive, got nan"),
+        ("max_lattice=4", [], "unknown bounds key 'max_lattice'"),
     ],
-    ids=["sample-flag-1", "sample-env-1", "carrier-env-abc", "budget-flag-xyz", "budget-env-nan"],
+    ids=[
+        "sample-flag-1",
+        "sample-env-1",
+        "carrier-env-abc",
+        "carrier-flag-abc",
+        "budget-flag-xyz",
+        "budget-env-nan",
+        "max-lattice-env-unknown",
+    ],
 )
 def test_search_rejects_unusable_bounds(monkeypatch, env, flags, detail):
     if env is None:
@@ -368,6 +398,30 @@ def test_search_rejects_unusable_bounds(monkeypatch, env, flags, detail):
     code, text = run_cli("search", "--property", "composition-continuous", "--max-x", "1", *flags, "--json")
     assert code == 1
     assert json.loads(text) == {"status": "error", "error": "BoundsExceeded", "detail": f"bounds exceeded: {detail}"}
+
+
+@pytest.mark.parametrize(
+    "phi_op",
+    [
+        [0, 5],  # an index past the end of L
+        "01",  # a string, not to be read character by character
+        [-2, -1],  # indices from the end of L
+    ],
+    ids=["index-past-end", "string", "negative-indices"],
+)
+def test_malformed_phi_op_exits_2(tmp_path, phi_op):
+    morphism = {
+        "dom": {"points": ["x"], "algebra": {"builtin": "godel", "n": 3}},
+        "cod": {"points": ["y"], "algebra": {"builtin": "godel", "n": 2}},
+        "f": {"x": "y"},
+        "phi_op": phi_op,
+    }
+    path = write(tmp_path, "morphism.json", morphism)
+    detail = f"cannot parse input: phi_op must be an {{element: element}} object or a list of element names, got {phi_op!r}"
+    assert run_cli("validate", path) == (2, f"error: {detail}\n")
+    code, text = run_cli("validate", path, "--json")
+    assert code == 2
+    assert json.loads(text) == {"status": "error", "error": "parse-error", "detail": detail}
 
 
 GODEL3_PAIR = {"points": ["p1", "p2"], "algebra": {"builtin": "godel", "n": 3}}

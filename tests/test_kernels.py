@@ -203,7 +203,7 @@ SHARED = {
     for ground in TWIN
 }
 # the test grounds of the contexts include both twins
-MEMO_BOUNDS = SearchBounds(algebras=("c2", "godel4"), max_lattice=4)
+MEMO_BOUNDS = SearchBounds(algebras=("c2", "godel4"))
 SOURCE_PROPS = ("initiality", "literal-meet-source-lift")
 PRESERVATION_PROPS = ("preservation-idempotent", "preservation-fully-productive")
 

@@ -8,6 +8,7 @@ from fuzzint.errors import (
     JoinNotPreserved,
     TensorNotPreserved,
     TopNotPreserved,
+    UnknownElement,
 )
 from fuzzint.powerset import (
     Ground,
@@ -170,6 +171,13 @@ def test_join_violation_rejected(godel3, diamond_gl):
         validate_ground_morphism(
             dom, cod, {"x": "y"}, {"bot": "0", "a": "0", "b": "0", "top": "1"}
         )
+
+
+@pytest.mark.parametrize("phi_op", [(0, 5), (-2, -1), (0, None)], ids=["past-end", "negative", "not-an-index"])
+def test_phi_op_index_outside_l_is_an_unknown_element(c2, godel3, phi_op):
+    dom, cod = Ground(("x",), godel3), Ground(("y",), c2)
+    with pytest.raises(UnknownElement):
+        validate_ground_morphism(dom, cod, {"x": "y"}, phi_op)
 
 
 def test_morphism_enumeration_counts(c2, godel3, luk3):

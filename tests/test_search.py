@@ -167,7 +167,7 @@ def test_meet_interchange_clean_on_chains():
 
 def test_meet_interchange_counterexample_with_join_tensor_diamond():
     bounds = SearchBounds(
-        max_carrier=1, max_lattice=4, algebras=("godel3", "diamond-join")
+        max_carrier=1, algebras=("godel3", "diamond-join")
     )
     result = search("meet-interchange", bounds)
     # godel3 -> diamond-join morphisms can only hit join-irreducible chains,
@@ -231,7 +231,7 @@ def test_time_budget_bounds_counting_and_enumerating_maps(prop):
     # pentagon-meet on 2 points carries 600,593,049 interior maps: counting
     # them (for the sample) or listing them (for the families) takes over a
     # minute, so the budget must stop both loops, well inside max_tables
-    bounds = SearchBounds(algebras=("pentagon-meet",), max_lattice=5, max_tables=10**9, time_budget=0.05)
+    bounds = SearchBounds(algebras=("pentagon-meet",), max_tables=10**9, time_budget=0.05)
     start = time.monotonic()
     with pytest.raises(BoundsExceeded, match="time budget"):
         search(prop, bounds)
@@ -306,7 +306,7 @@ def test_replay_is_deterministic():
 def test_replay_of_quasi_monoidal_bundle(tmp_path):
     # the witness instance embeds a tensor-only algebra; replay must not
     # try to revalidate it as a GL-monoid
-    bounds = SearchBounds(max_carrier=1, max_lattice=4, algebras=("godel3", "diamond-join"))
+    bounds = SearchBounds(max_carrier=1, algebras=("godel3", "diamond-join"))
     result = search("meet-interchange", bounds)
     assert result.status == "counterexample"
     bundle = json.loads(json.dumps(result.bundle))
