@@ -183,6 +183,8 @@ def morphism_from_json(doc, base: Path | None = None) -> GroundMorphism:
         dom = ground_from_json(doc["dom"], base)
         cod = ground_from_json(doc["cod"], base)
         f, phi_op = doc["f"], doc["phi_op"]
+        if not (isinstance(f, dict) and _is_name_list(list(f.values()))):
+            raise ParseError(f"f must be a {{point: point}} object, got {f!r}")
         if not (_is_name_list(phi_op) or isinstance(phi_op, dict) and _is_name_list(list(phi_op.values()))):
             raise ParseError(
                 f"phi_op must be an {{element: element}} object or a list of element names, got {phi_op!r}"

@@ -1,8 +1,9 @@
 """Bounded exhaustive enumeration and counterexample search.
 
-Everything the suites claim "exhaustively" funnels through here: interior
-maps are streamed in lexicographic order with monotonicity pruning, grounds
-and morphisms are enumerated from named algebra families, and each
+Everything the suites claim "exhaustively" funnels through here.
+Interior maps are streamed in lexicographic order with monotonicity
+pruning, or counted and sampled point by point without the stream; grounds
+and morphisms are enumerated from named algebra families; and each
 registered property pairs a deterministic case generator with a pure
 checker.  A counterexample is returned as a replayable witness bundle that
 embeds the full instance.
@@ -19,8 +20,11 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from itertools import combinations
+from math import prod
+from operator import itemgetter
 from pathlib import Path
 
 from .continuity import (
@@ -154,31 +158,44 @@ def grounds_within(bounds: SearchBounds):
 
 
 # ------------------------------------------------- interior map enumeration
+#
+# An interior map is monotone, lies below the identity and fixes top, and
+# all three axioms hold pointwise in the product order of L^X.  So a map is
+# one function g_x: L^X -> L per point x, chosen independently: monotone,
+# with g_x(u) <= u(x) and g_x(top) = top.  The maps on a ground number the
+# product of the per-point counts, and in the stream's order a map is the
+# interleaving of its per-point functions (see ``_unrank``).
 
-def _backtrack(index, order):
-    """Every monotone contraction of L^X on the positions in ``order``.
+def _backtrack(candidates, up, covers, order):
+    """Every monotone assignment of values to the positions of L^X in
+    ``order``, each drawn from its position's candidates.
 
-    Images are assigned position by position in ``order``, which must list
-    each position after its lower covers; the top stays fixed.  The
-    candidates for an argument lie below it and above the images already
-    given to its lower covers (the AND of their upsets is the upset of
-    their join), so a monotonicity violation prunes its whole suffix.
-    Depth first, ascending candidate positions; the one ``assign`` list is
-    yielded each time every position in ``order`` has an image.  The
-    candidates are never empty (the join of the lower covers' images lies
-    below the argument), so no branch dies before it yields, and a caller
-    that checks a deadline every so many yields bounds the whole walk.
+    ``candidates[a]`` is the bitmask of the values position a may take,
+    ``up[v]`` the bitmask of the values above value v, and ``covers[a]``
+    the lower covers of position a; values are numbered along a linear
+    extension, so a bit's position is its value.  On whole maps the values
+    are positions of L^X (``index.down``, ``index.up``); on one point's
+    functions they are lattice ranks in ``lattice.ascending`` order.
+    Values are assigned position by position in ``order``, which must
+    list each position after its lower covers; every other position keeps
+    its greatest candidate, which at top is top.  The candidates at a
+    position are its own, above the values already given to its lower
+    covers (the AND of their upsets is the upset of their join), so a
+    monotonicity violation prunes its whole suffix.  Depth first,
+    ascending candidates; the one ``assign`` list is yielded each time
+    every position in ``order`` has a value.  The candidates are never
+    empty (the join of the lower covers' values lies below the position's
+    own greatest candidate), so no branch dies before it yields, and a
+    caller that checks a deadline every so many yields bounds the whole
+    walk.
     """
-    up, down, covers = index.up, index.down, index.covers
-    top = len(index.values) - 1
-    assign = [0] * (top + 1)
-    assign[top] = top
+    assign = [mask.bit_length() - 1 for mask in candidates]
     last = len(order) - 1
     if last < 0:
         yield assign
         return
     pending = [0] * (last + 1)  # untried candidates per depth, as a bitmask
-    pending[0] = down[order[0]]  # the first position has no lower covers
+    pending[0] = candidates[order[0]]  # the first position has no lower covers
     depth = 0
     while depth >= 0:
         options = pending[depth]
@@ -193,10 +210,21 @@ def _backtrack(index, order):
             continue
         depth += 1
         a = order[depth]
-        options = down[a]
+        options = candidates[a]
         for c in covers[a]:
             options &= up[assign[c]]
         pending[depth] = options
+
+
+def _point_candidates(ground: Ground):
+    """The value tables of the per-point walks: the upset of each lattice
+    rank, and for each point x the candidates of g_x at every position of
+    L^X, the ranks below u(x)."""
+    leq, ascending = ground.lattice.leq, ground.lattice.ascending
+    ranks = range(len(ascending))
+    up = [sum(1 << s for s in ranks if leq[ascending[r]][ascending[s]]) for r in ranks]
+    below = {v: sum(1 << s for s in ranks if leq[ascending[s]][v]) for v in ascending}
+    return up, [[below[u[x]] for u in ground.index.values] for x in range(len(ground.points))]
 
 
 def enumerate_interior_maps(ground: Ground, bounds: SearchBounds | None = None, expire=None):
@@ -213,8 +241,9 @@ def enumerate_interior_maps(ground: Ground, bounds: SearchBounds | None = None, 
     pays nothing per map for it.
     """
     cap = (bounds or SearchBounds()).max_tables
+    index = ground.index
     emitted = bar = 0
-    for assign in _backtrack(ground.index, range(ground.set_count() - 1)):
+    for assign in _backtrack(index.down, index.up, index.covers, range(len(index.values) - 1)):
         if emitted == bar:
             if emitted == cap:
                 raise BoundsExceeded(f"more than {cap} interior maps on this ground")
@@ -226,82 +255,139 @@ def enumerate_interior_maps(ground: Ground, bounds: SearchBounds | None = None, 
 
 
 def count_interior_maps(ground: Ground, bounds: SearchBounds | None = None, expire=None) -> int:
-    """The number of interior maps on the ground, without building them.
+    """The number of interior maps on the ground, without building them:
+    the product of the per-point counts.
 
-    The coatoms of L^X (the lower covers of top) are left out of the
-    backtrack, and each completed assignment of the other positions adds
-    the product of the coatoms' candidate counts.  That is exact: a
-    coatom's only upper cover is top, no cover edge joins two coatoms, and
-    no other position has a coatom as a lower cover, so given the rest the
-    coatoms' images are independent, each constrained only by its own
-    lower covers.  More than ``bounds.max_tables`` maps raise
-    ``BoundsExceeded``, as soon as the running total passes the cap;
-    ``expire`` is called whenever the total has grown by 1,024 or more, as
-    in ``enumerate_interior_maps``.
+    A point's functions are counted by ``_backtrack`` over every position
+    but top and its lower covers, the coatoms, and each completed
+    assignment adds the product of the coatoms' candidate counts.  That is
+    exact: a coatom's only upper cover is top, no cover edge joins two
+    coatoms, and no other position has a coatom as a lower cover, so given
+    the rest the coatoms' values are independent, each constrained only by
+    its own lower covers.  More than ``bounds.max_tables`` maps raise
+    ``BoundsExceeded`` as soon as a point's running count times the
+    product of the earlier points' counts passes the cap, which is exact
+    because every later point has at least one function, the least.
+    ``expire`` is called before every 1,024th leaf of each point's walk.
     """
     cap = (bounds or SearchBounds()).max_tables
-    index = ground.index
-    up, down, covers = index.up, index.down, index.covers
-    top = len(index.values) - 1
+    covers = ground.index.covers
+    top = len(covers) - 1
     coatoms = covers[top]
-    total = bar = 0
-    for assign in _backtrack(index, [a for a in range(top) if a not in coatoms]):
-        product = 1
-        for k in coatoms:
-            options = down[k]
-            for c in covers[k]:
-                options &= up[assign[c]]
-            product *= options.bit_count()
-        total += product
-        if total > bar:
-            if total > cap:
-                raise BoundsExceeded(f"more than {cap} interior maps on this ground")
-            if expire is not None:
+    order = [a for a in range(top) if a not in coatoms]
+    up, per_point = _point_candidates(ground)
+    total = 1
+    for candidates in per_point:
+        limit = cap // total  # count * total > cap exactly when count > limit
+        count = 0
+        for leaf, assign in enumerate(_backtrack(candidates, up, covers, order)):
+            if not leaf & 1023 and expire is not None:
                 expire()
-            bar = min(total + 1023, cap)
+            product = 1
+            for k in coatoms:
+                options = candidates[k]
+                for c in covers[k]:
+                    options &= up[assign[c]]
+                product *= options.bit_count()
+            count += product
+            if count > limit:
+                raise BoundsExceeded(f"more than {cap} interior maps on this ground")
+        total *= count
     return total
 
 
 def interior_sample(ground: Ground, bounds: SearchBounds, expire=None):
     """Deterministic spread of interior maps on the ground: the full stream
     when it fits the sample budget, else an even stride that always keeps
-    the least (first) and discrete (last) maps.  The maps are counted
-    first, which enforces ``max_tables``; the backtracker then runs once
-    and a map is built only at a kept index.  Both passes call ``expire``
-    every 1,024 maps or so."""
+    the least (first) and discrete (last) maps.
+
+    The maps are counted first, which enforces ``max_tables``.  A stride
+    is then unranked (``_unrank``) from each point's functions, listed in
+    the order its own walk yields them, instead of walked; only the kept
+    maps are built.  Each point's walk calls ``expire`` before every
+    1,024th function.
+    """
     total = count_interior_maps(ground, bounds, expire)
     cap = bounds.operator_sample
-    keep = range(total) if total <= cap else {round(k * (total - 1) / (cap - 1)) for k in range(cap)}
+    if total <= cap:
+        return list(enumerate_interior_maps(ground, bounds, expire))
+    covers = ground.index.covers
+    top = len(covers) - 1
+    up, per_point = _point_candidates(ground)
+    functions = []
+    for candidates in per_point:
+        listed = []
+        for assign in _backtrack(candidates, up, covers, range(top)):
+            if not len(listed) & 1023 and expire is not None:
+                expire()
+            listed.append(tuple(assign))
+        functions.append(listed)
+    width = len(ground.lattice)
     kept = []
-    for n, assign in enumerate(_backtrack(ground.index, range(ground.set_count() - 1))):
-        if n in keep:
-            kept.append(InteriorMap(ground, tuple(assign)))
-        elif expire is not None and not n & 1023:
-            expire()
+    for n in sorted({round(k * (total - 1) / (cap - 1)) for k in range(cap)}):
+        images = [0] * (top + 1)
+        for function in _unrank(functions, n, top):  # a position's ranks, read in base |L|
+            images = [image * width + rank for image, rank in zip(images, function)]
+        kept.append(InteriorMap(ground, tuple(images)))
     return kept
+
+
+def _unrank(functions, n: int, top: int) -> list:
+    """The per-point functions of the ``n``-th map of the stream, one from
+    each point's list in ``functions``.
+
+    The stream is lexicographic over the interleaved ranks (I(u_0)(x_1),
+    ..., I(u_0)(x_n), I(u_1)(x_1), ...).  Entry by entry in that order,
+    the functions of a point that agree with the entries fixed so far form
+    a contiguous range of its list, which their value at the entry splits
+    into sub-ranges.  The maps through a sub-range number its length times
+    the lengths of the other points' ranges, and that picks the sub-range
+    holding ``n``.
+    """
+    spans = [(0, len(listed)) for listed in functions]
+    for a in range(top):
+        entry = itemgetter(a)
+        for x, listed in enumerate(functions):
+            lo, hi = spans[x]
+            others = prod(end - start for y, (start, end) in enumerate(spans) if y != x)
+            while True:
+                end = bisect_right(listed, listed[lo][a], lo, hi, key=entry)
+                if n < (end - lo) * others:
+                    break
+                n -= (end - lo) * others
+                lo = end
+            spans[x] = (lo, end)
+    return [listed[lo] for listed, (lo, _) in zip(functions, spans)]
 
 
 # ---------------------------------------------------------- search context
 
-class SearchContext:
+class SearchContext(dict):
     """One search's grounds, deadline and memos.
 
-    Built once per search.  Every memo goes through ``_memo`` into one
-    dict, under a key that starts with the memo's name, or with the check
-    it memoises, and holds its grounds as ``Ground``, ``InteriorMap`` or
-    ``GroundMorphism`` objects, never an image tuple or word without its
-    ground.  A key may also hold an ``Arm``, which the context builds once
-    per (morphism, target) and meets by identity; an arm's floors are
-    computed only to be packed, once per (domain, arm), by ``floors``.
-    Everything is dropped with the context, so nothing is cached across
-    searches.
+    Built once per search.  The context is itself the search's one memo:
+    a dict whose key ``(build, *args)`` holds ``build(context, *args)``,
+    built by ``__missing__`` on first lookup, so a hit is one dict lookup
+    that builds no closure and calls nothing but the hashes of the key's
+    own objects.  The functions below are the memo's kinds.  A key holds
+    its grounds as ``Ground``, ``InteriorMap`` or ``GroundMorphism``
+    objects, never an image tuple or word without its ground.  It may
+    also hold an ``Arm``, which the context builds once per (morphism,
+    target) and meets by identity.  Everything is dropped with the
+    context, so nothing is cached across searches.
     """
 
+    __slots__ = ("bounds", "deadline", "grounds")
+
     def __init__(self, bounds: SearchBounds):
+        super().__init__()
         self.bounds = bounds
         self.deadline = time.monotonic() + bounds.time_budget
         self.grounds = grounds_within(bounds)
-        self._memos: dict = {}
+
+    def __missing__(self, key: tuple):
+        value = self[key] = key[0](self, *key[1:])
+        return value
 
     def expire(self, checked: int = 0) -> None:
         """Raise once the time budget is spent."""
@@ -310,78 +396,82 @@ class SearchContext:
                 f"time budget {self.bounds.time_budget}s exhausted after {checked} cases"
             )
 
-    def _memo(self, key: tuple, build):
-        """The value memoised under ``key``, built by ``build()`` on first
-        use."""
-        try:
-            return self._memos[key]
-        except KeyError:
-            value = self._memos[key] = build()
-            return value
-
-    def sample(self, ground: Ground) -> list:
-        return self._memo(("sample", ground), lambda: interior_sample(ground, self.bounds, self.expire))
-
-    def arm(self, g: GroundMorphism, target: InteriorMap) -> tuple:
-        """The prepared arm and its initial interior, which is validated
-        once per (g, target)."""
-        return self._memo(("arm", g, target), lambda: (Arm(g, target), initial_interior(g, target)))
-
-    def identity_arm(self, space: InteriorMap) -> Arm:
-        """The identity arm into (ground, space), looked up once per space.
-        It is the prepared arm of that pair, so a source arm along the
-        identity into the same space shares its floors."""
-        return self._memo(("identity-arm", space), lambda: self.arm(identity_morphism(space.ground), space)[0])
-
     def floors(self, arm: Arm) -> int:
-        """``packed_floors`` of the arm along every test morphism into its
-        domain, packed once per (domain, arm)."""
-        dom = arm.morphism.dom
-        return self._memo(("floors", dom, arm), lambda: packed_floors(arm, self.test_morphisms(dom)))
+        """The memoised ``_floors`` of the arm, as the callable that
+        ``initiality_violation`` takes."""
+        return self[_floors, arm]
 
-    def intern(self, g: GroundMorphism) -> GroundMorphism:
-        """The search's one object equal to ``g``: it builds its backward
-        positions once, and the verdict memo meets it by identity."""
-        return self._memo(("morphism", g), lambda: g)
 
-    def composite(self, g2: GroundMorphism, g1: GroundMorphism) -> GroundMorphism:
-        """``compose(g2, g1)``, built once per pair and interned, so equal
-        composites of different pairs, and a leg equal to a composite,
-        are one object."""
-        return self._memo(("composite", g2, g1), lambda: self.intern(compose(g2, g1)))
+# The memo's kinds: ``ctx[build, *args]`` is ``build(ctx, *args)``, built
+# once per search.
 
-    def verdict(self, check, *args) -> Verdict:
-        """``check(*args)``, decided once per search for each distinct
-        argument tuple: continuity or openness of (morphism, src, dst),
-        a predicate of a lifted map."""
-        return self._memo((check, *args), lambda: check(*args))
+def _sample(ctx: SearchContext, ground: Ground) -> list:
+    return interior_sample(ground, ctx.bounds, ctx.expire)
 
-    def axioms(self, ground: Ground, images: tuple) -> Verdict:
-        """``check_interior_axioms`` of the map with these image positions
-        on the ground, run once per ground and image tuple per search.  The
-        key holds the ground beside the tuple rather than a new map: one
-        ``InteriorMap`` built per lookup made operator-lattice-closure
-        about a quarter slower."""
-        return self._memo(("axioms", ground, images), lambda: check_interior_axioms(InteriorMap(ground, images)))
 
-    def combined(self, how: str, ground: Ground, word: int) -> tuple:
-        """A family's pointwise join (``how`` is "join", ``word`` its
-        upset word) or meet ("meet", its downset word) and its axiom
-        verdict, looked up per (how, ground, word).  Only a new word is
-        decoded and handed to ``axioms``."""
+def _arm(ctx: SearchContext, g: GroundMorphism, target: InteriorMap) -> tuple:
+    """The prepared arm and its initial interior, which is validated once
+    per (g, target)."""
+    return Arm(g, target), initial_interior(g, target)
 
-        def build():
-            index = ground.index
-            images = (index.join_positions if how == "join" else index.meet_positions)(word)
-            return InteriorMap(ground, images), self.axioms(ground, images)
 
-        return self._memo((how, ground, word), build)
+def _identity_arm(ctx: SearchContext, space: InteriorMap) -> Arm:
+    """The identity arm into (ground, space), looked up once per space.  It
+    is the prepared arm of that pair, so a source arm along the identity
+    into the same space shares its floors."""
+    return ctx[_arm, identity_morphism(space.ground), space][0]
 
-    def test_morphisms(self, dom: Ground) -> list:
-        """Every morphism from a test ground into ``dom``.  Each one
-        computes its backward positions on first use and keeps them, so
-        they are built once per search."""
-        return self._memo(("tests", dom), lambda: [g for z in self.grounds for g in all_morphisms(z, dom)])
+
+def _floors(ctx: SearchContext, arm: Arm) -> int:
+    """``packed_floors`` of the arm along every test morphism into its
+    domain, packed once per arm."""
+    return packed_floors(arm, ctx[_test_morphisms, arm.morphism.dom])
+
+
+def _interned(ctx: SearchContext, g: GroundMorphism) -> GroundMorphism:
+    """The search's one object equal to ``g``: it builds its backward
+    positions once, and the verdict memo meets it by identity."""
+    return g
+
+
+def _composite(ctx: SearchContext, g2: GroundMorphism, g1: GroundMorphism) -> GroundMorphism:
+    """``compose(g2, g1)``, built once per pair and interned, so equal
+    composites of different pairs, and a leg equal to a composite, are
+    one object."""
+    return ctx[_interned, compose(g2, g1)]
+
+
+def _verdict(ctx: SearchContext, check, *args) -> Verdict:
+    """``check(*args)``, decided once per search for each distinct argument
+    tuple: continuity or openness of (morphism, src, dst), a predicate of
+    a lifted map."""
+    return check(*args)
+
+
+def _axioms(ctx: SearchContext, ground: Ground, images: tuple) -> Verdict:
+    """``check_interior_axioms`` of the map with these image positions on
+    the ground, run once per ground and image tuple per search.  The key
+    holds the ground beside the tuple rather than a new map: one
+    ``InteriorMap`` built per lookup made operator-lattice-closure about a
+    quarter slower."""
+    return check_interior_axioms(InteriorMap(ground, images))
+
+
+def _combined(ctx: SearchContext, how: str, ground: Ground, word: int) -> tuple:
+    """A family's pointwise join (``how`` is "join", ``word`` its upset
+    word) or meet ("meet", its downset word) and its axiom verdict, looked
+    up per (how, ground, word).  Only a new word is decoded and handed to
+    ``_axioms``."""
+    index = ground.index
+    images = (index.join_positions if how == "join" else index.meet_positions)(word)
+    return InteriorMap(ground, images), ctx[_axioms, ground, images]
+
+
+def _test_morphisms(ctx: SearchContext, dom: Ground) -> list:
+    """Every morphism from a test ground into ``dom``.  Each one computes
+    its backward positions on first use and keeps them, so they are built
+    once per search."""
+    return [g for z in ctx.grounds for g in all_morphisms(z, dom)]
 
 
 # ------------------------------------------------------------- properties
@@ -422,7 +512,7 @@ def _check_operator_lattice(case: dict, ctx: SearchContext):
     The family is folded with one AND over its members' upset words and
     one over their downset words (``InteriorMap.words``), which gives the
     upset word of the join and the downset word of the meet.  Each is
-    looked up per (how, ground, word) by ``SearchContext.combined``, so a
+    looked up per (how, ground, word) in the ``_combined`` memo, so a
     case costs two ANDs per member and two lookups; only a new word is
     decoded, and the per-(ground, image tuple) axiom memo still runs
     ``check_interior_axioms`` at most once per distinct map.
@@ -433,7 +523,7 @@ def _check_operator_lattice(case: dict, ctx: SearchContext):
         up &= member_up
         down &= member_down
     for how, word in (("join", up), ("meet", down)):
-        _, verdict = ctx.combined(how, case["ground"], word)
+        _, verdict = ctx[_combined, how, case["ground"], word]
         if not verdict.ok:
             return {"operation": how, **verdict.witness}
     return None
@@ -447,11 +537,12 @@ def _continuous_legs(ctx: SearchContext, open_mode: bool) -> dict:
     by_source: dict = {}
     for dom in ctx.grounds:
         for cod in ctx.grounds:
-            for g in map(ctx.intern, all_morphisms(dom, cod)):
-                for src in ctx.sample(dom):
-                    for dst in ctx.sample(cod):
+            for g in all_morphisms(dom, cod):
+                g = ctx[_interned, g]
+                for src in ctx[_sample, dom]:
+                    for dst in ctx[_sample, cod]:
                         ctx.expire()
-                        if ctx.verdict(test, g, src, dst):
+                        if ctx[_verdict, test, g, src, dst]:
                             by_source.setdefault(src, []).append((g, src, dst))
     return by_source
 
@@ -467,7 +558,7 @@ def _gen_composition(ctx: SearchContext, open_mode: bool):
 def _check_composition(case: dict, ctx: SearchContext):
     src, _, dst = case["interiors"]
     test = is_open_morphism if case["open"] else is_continuous
-    verdict = ctx.verdict(test, ctx.composite(case["second"], case["first"]), src, dst)
+    verdict = ctx[_verdict, test, ctx[_composite, case["second"], case["first"]], src, dst]
     return None if verdict.ok else verdict.witness
 
 
@@ -494,7 +585,7 @@ def _arm_family(ctx: SearchContext, dom: Ground):
         {"morphism": g, "interior": target}
         for cod in ctx.grounds
         for g in all_morphisms(dom, cod)
-        for target in ctx.sample(cod)
+        for target in ctx[_sample, cod]
     ]
 
 
@@ -511,14 +602,14 @@ def _gen_sources(ctx: SearchContext, min_arms: int):
 def _case_source(case: dict, ctx: SearchContext):
     """The source domain and its arms, each an (Arm, initial interior)
     pair."""
-    return case["domain"], [ctx.arm(arm["morphism"], arm["interior"]) for arm in case["arms"]]
+    return case["domain"], [ctx[_arm, arm["morphism"], arm["interior"]] for arm in case["arms"]]
 
 
 def _folded_lift(ctx: SearchContext, how: str, dom: Ground, arms) -> tuple:
     """The pointwise join (``how`` is "join") or meet ("meet") of the
     arms' initial interiors, with its axiom verdict: one AND of their
     upset or downset words, decoded once per (how, domain, word) by
-    ``SearchContext.combined``.  The empty join is the least map; the
+    the ``_combined`` memo.  The empty join is the least map; the
     empty meet, the AND of no words, decodes to the constant-top map."""
     which = 0 if how == "join" else 1
     word = -1
@@ -526,7 +617,7 @@ def _folded_lift(ctx: SearchContext, how: str, dom: Ground, arms) -> tuple:
         word &= initial.words[which]
     if not arms and how == "join":
         word = least(dom).words[0]
-    return ctx.combined(how, dom, word)
+    return ctx[_combined, how, dom, word]
 
 
 def _lost_arm(dom: Ground, arms, lift: InteriorMap, shown: str | None = None):
@@ -569,7 +660,7 @@ def _check_initiality(case: dict, ctx: SearchContext):
     lost = _lost_arm(dom, arms, lift)
     if lost is not None:
         return lost
-    found = initiality_violation(ctx.test_morphisms(dom), ctx.identity_arm(lift), [arm for arm, _ in arms], ctx.floors)
+    found = initiality_violation(ctx[_test_morphisms, dom], ctx[_identity_arm, lift], [arm for arm, _ in arms], ctx.floors)
     return None if found is None else {"stage": "initiality", **found[1]}
 
 
@@ -590,8 +681,8 @@ def _gen_preservation(ctx: SearchContext, predicate):
     for dom in ctx.grounds:
         for cod in ctx.grounds:
             homs = list(all_morphisms(dom, cod))
-            for target in ctx.sample(cod):
-                if not ctx.verdict(predicate, target):
+            for target in ctx[_sample, cod]:
+                if not ctx[_verdict, predicate, target]:
                     continue
                 for g in homs:
                     yield {"morphism": g, "interior": target}
@@ -601,7 +692,7 @@ def _check_preservation(case: dict, ctx: SearchContext, predicate):
     """The predicate of the initial interior, decided once per lifted
     map."""
     lifted = initial_interior(case["morphism"], case["interior"])
-    verdict = ctx.verdict(predicate, lifted)
+    verdict = ctx[_verdict, predicate, lifted]
     return None if verdict.ok else verdict.witness
 
 

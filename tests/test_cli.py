@@ -424,6 +424,31 @@ def test_malformed_phi_op_exits_2(tmp_path, phi_op):
     assert json.loads(text) == {"status": "error", "error": "parse-error", "detail": detail}
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        ["x"],  # a list of point names, not keyed by domain point
+        3,
+        None,
+        "x",  # a string, not to be read character by character
+    ],
+    ids=["list", "number", "null", "string"],
+)
+def test_malformed_point_map_exits_2(tmp_path, f):
+    morphism = {
+        "dom": {"points": ["x"], "algebra": {"builtin": "godel", "n": 3}},
+        "cod": {"points": ["y"], "algebra": {"builtin": "godel", "n": 2}},
+        "f": f,
+        "phi_op": {"0": "0", "1": "1"},
+    }
+    path = write(tmp_path, "morphism.json", morphism)
+    detail = f"cannot parse input: f must be a {{point: point}} object, got {f!r}"
+    assert run_cli("validate", path) == (2, f"error: {detail}\n")
+    code, text = run_cli("validate", path, "--json")
+    assert code == 2
+    assert json.loads(text) == {"status": "error", "error": "parse-error", "detail": detail}
+
+
 GODEL3_PAIR = {"points": ["p1", "p2"], "algebra": {"builtin": "godel", "n": 3}}
 
 

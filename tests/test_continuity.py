@@ -50,6 +50,9 @@ from fuzzint.search import (
     PROPERTIES,
     SearchBounds,
     SearchContext,
+    _arm,
+    _identity_arm,
+    _test_morphisms,
     builtin_algebra,
     checker_for,
     enumerate_interior_maps,
@@ -384,13 +387,13 @@ def test_packed_decision_agrees_with_the_per_test_loop(small_bounds):
     for case in PROPERTIES["initiality"][0](ctx):
         dom = case["domain"]
         s = StructuredSource(dom, tuple((arm["morphism"], arm["interior"]) for arm in case["arms"]))
-        tests = ctx.test_morphisms(dom)
-        arms = [ctx.arm(g, target)[0] for g, target in s.arms]
+        tests = ctx[_test_morphisms, dom]
+        arms = [ctx[_arm, g, target][0] for g, target in s.arms]
         per_arm = [initial_interior(g, target) for g, target in s.arms]
         lifts = {"join": join_interiors(per_arm), "meet": meet_interiors(per_arm), "discrete": discrete(dom), "least": least(dom)}
         for name, lift in lifts.items():
             looped = naive_initiality_walk(tests, tuple(enumerate(lift.images)), arms)
-            assert initiality_violation(tests, ctx.identity_arm(lift), arms, ctx.floors) == looped
+            assert initiality_violation(tests, ctx[_identity_arm, lift], arms, ctx.floors) == looped
             if len(arms) == 1:
                 verdict = verify_initiality(s, lift, test_grounds=test_grounds)
                 assert verdict.witness == (looped and looped[1])

@@ -4,6 +4,7 @@ binary productivity against the walk over every family, composites built
 once per search, and the per-search verdict memos against fresh
 contexts."""
 
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -37,7 +38,14 @@ from fuzzint.search import (
     PROPERTIES,
     SearchBounds,
     SearchContext,
+    _arm,
+    _combined,
+    _composite,
+    _floors,
     _folded_lift,
+    _identity_arm,
+    _test_morphisms,
+    _verdict,
     builtin_algebra,
     enumerate_interior_maps,
     search,
@@ -174,10 +182,54 @@ def test_search_context_builds_one_composite_per_pair():
     ctx = SearchContext(SearchBounds(algebras=("c2", "lukasiewicz3")))
     for a, b, c in product(ctx.grounds, repeat=3):
         for g1, g2 in product(all_morphisms(a, b), all_morphisms(b, c)):
-            first = ctx.composite(g2, g1)
+            first = ctx[_composite, g2, g1]
             assert first == compose(g2, g1)
             # equal legs built afresh find the same object
-            assert ctx.composite(*(GroundMorphism(g.dom, g.cod, g.f, g.phi_op) for g in (g2, g1))) is first
+            assert ctx[(_composite, *(GroundMorphism(g.dom, g.cod, g.f, g.phi_op) for g in (g2, g1)))] is first
+
+
+def test_a_memo_hit_calls_nothing_but_the_keys_hashes():
+    # once a value is built, looking it up again runs no build function,
+    # helper or closure: the only Python code a hit runs is the __hash__ of
+    # a Ground, GroundMorphism or InteriorMap in its key (an Arm hashes by
+    # identity)
+    ctx = SearchContext(SearchBounds(algebras=("c2", "lukasiewicz3")))
+    ground = ctx.grounds[-1]
+    g, space = identity_morphism(ground), discrete(ground)
+    word = space.words[0]
+
+    def lookups():
+        arm = ctx[_arm, g, space][0]
+        return (
+            arm,
+            ctx[_identity_arm, space],
+            ctx[_floors, arm],
+            ctx[_combined, "join", ground, word],
+            ctx[_verdict, is_productive, space],
+            ctx[_test_morphisms, ground],
+        )
+
+    built = lookups()
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        found = lookups()
+    finally:
+        sys.setprofile(None)
+    assert all(a is b for a, b in zip(found, built))
+    assert set(called) == {"__hash__", "lookups"} and called[0] == "lookups"
+    called.clear()
+    sys.setprofile(profile)
+    try:
+        ctx[_floors, built[0]]
+    finally:
+        sys.setprofile(None)
+    assert called == []
 
 
 # -- per-search verdict memos ---------------------------------------------------
@@ -364,12 +416,12 @@ def test_source_memos_tell_the_eight_set_twins_apart():
             case = {"domain": ground, "arms": arms}
             for prop in SOURCE_PROPS:
                 assert _checked(prop, case, shared) == _checked(prop, case, ctx)
-            prepared = [shared.arm(arm["morphism"], arm["interior"]) for arm in arms]
+            prepared = [shared[_arm, arm["morphism"], arm["interior"]] for arm in arms]
             lift, verdict = _folded_lift(shared, "join", ground, prepared)
             assert verdict.ok and lift == join_interiors([arm["interior"] for arm in arms])
             lifts[ground, pair] = lift.images
-            for arm in [shared.identity_arm(lift)] + [arm for arm, _ in prepared]:
-                assert shared.floors(arm) == packed_floors(arm, ctx.test_morphisms(ground))
+            for arm in [shared[_identity_arm, lift]] + [arm for arm, _ in prepared]:
+                assert shared.floors(arm) == packed_floors(arm, ctx[_test_morphisms, ground])
     assert sum(lifts[C2_CUBE, pair] != lifts[GODEL8_POINT, pair] for _, pair in lifts) == 2 * 60
 
 
@@ -430,6 +482,6 @@ def test_lift_arm_memos_match_the_oracle_across_test_grounds(case):
     # one lift arm meets every test morphism, from both twins among them
     domain, lift, arms = case
     prepared = [Arm(g, target) for g, target in arms]
-    tests = SearchContext(MEMO_BOUNDS).test_morphisms(domain)
+    tests = SearchContext(MEMO_BOUNDS)[_test_morphisms, domain]
     found = initiality_violation(tests, Arm(identity_morphism(domain), lift), prepared, lambda arm: packed_floors(arm, tests))
     assert found == naive_initiality_walk(tests, tuple(enumerate(lift.images)), prepared)

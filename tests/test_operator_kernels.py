@@ -1,10 +1,12 @@
-"""The interior-operator kernels against their oracles: the coatom-product
-count, the counted and streamed sample, the packed upset and downset words,
+"""The interior-operator kernels against their oracles: the per-point
+count, the counted and unranked sample, the packed upset and downset words,
 and the per-search verdict memo of operator-lattice-closure."""
 
+import time
 from functools import reduce
 from itertools import islice
-from operator import and_
+from math import prod
+from operator import and_, itemgetter
 
 import pytest
 from conftest import join_values, meet_values, naive_check_operator_lattice, naive_interior_sample, unvalidated
@@ -42,16 +44,55 @@ COUNTED = (
 WIDE = SearchBounds(max_tables=10**6)
 
 
-# -- the coatom-product count --------------------------------------------------
+# -- the per-point count --------------------------------------------------------
 
 @pytest.mark.parametrize("ground", COUNTED, ids=repr)
 def test_count_matches_the_stream(ground):
-    n = sum(1 for _ in enumerate_interior_maps(ground, WIDE))
+    # the axioms are pointwise: the maps are every combination of the
+    # functions u -> I(u)(x) the stream shows at each point x
+    values = ground.index.values
+    shown = [set() for _ in ground.points]
+    n = 0
+    for imap in enumerate_interior_maps(ground, WIDE):
+        n += 1
+        for functions, column in zip(shown, zip(*itemgetter(*imap.images)(values))):
+            functions.add(column)
+    assert prod(map(len, shown)) == n
     assert count_interior_maps(ground, WIDE) == n
     assert count_interior_maps(ground, SearchBounds(max_tables=n)) == n
     if n > 1:
         with pytest.raises(BoundsExceeded, match=f"more than {n - 1} interior maps"):
             count_interior_maps(ground, SearchBounds(max_tables=n - 1))
+
+
+# Dedekind numbers: the monotone Boolean functions of 0..4 variables
+DEDEKIND = (2, 3, 6, 20, 168)
+
+
+@pytest.mark.parametrize("n, expected", [(1, 1), (2, 4), (3, 125), (4, 130_321), (5, 129_891_985_607)])
+def test_c2_counts_match_the_dedekind_numbers(n, expected):
+    # at a point x, I(u)(x) is 1 only if u(x) is: a monotone function of
+    # the other n - 1 points that is 1 at top, any but the constant 0
+    assert expected == (DEDEKIND[n - 1] - 1) ** n
+    ground = Ground(tuple(f"p{i + 1}" for i in range(n)), builtin_algebra("c2"))
+    assert count_interior_maps(ground, SearchBounds(max_tables=expected)) == expected
+    if expected > 1:
+        with pytest.raises(BoundsExceeded, match=f"more than {expected - 1} interior maps"):
+            count_interior_maps(ground, SearchBounds(max_tables=expected - 1))
+
+
+@pytest.mark.parametrize(
+    "name, points, expected",
+    [("pentagon-meet", 2, 600_593_049), ("godel3", 3, 7_645_373_000)],
+)
+def test_counts_beyond_enumeration_are_pinned_and_quick(name, points, expected):
+    # 24,507 ** 2 and 1,970 ** 3: the stream would take minutes
+    ground = Ground(tuple(f"p{i + 1}" for i in range(points)), builtin_algebra(name))
+    start = time.monotonic()
+    assert count_interior_maps(ground, SearchBounds(max_tables=expected)) == expected
+    with pytest.raises(BoundsExceeded, match=f"more than {expected - 1} interior maps"):
+        count_interior_maps(ground, SearchBounds(max_tables=expected - 1))
+    assert time.monotonic() - start < 2.0
 
 
 def test_count_and_stream_both_refuse_a_ground_past_the_cap():
@@ -80,6 +121,23 @@ def test_sample_matches_list_and_stride(ground):
         assert sample == naive_interior_sample(maps, size)
         assert sample[0].images == (0,) * (ground.set_count() - 1) + (ground.set_count() - 1,)
         assert sample[-1].images == tuple(range(ground.set_count()))
+
+
+@pytest.mark.parametrize(
+    "name, points",
+    [("diamond-join", 2), ("pentagon-meet", 1), ("godel4", 2), ("lukasiewicz3", 2)],
+)
+def test_unranked_sample_matches_a_stride_through_the_stream(name, points):
+    # a stride of the listed stream, taken in one walk of it
+    ground = Ground(tuple(f"p{i + 1}" for i in range(points)), builtin_algebra(name))
+    total = count_interior_maps(ground, WIDE)
+    sizes = (2, 4, 64, 400)
+    wanted = {size: naive_interior_sample(range(total), size) for size in sizes}
+    kept = set().union(*wanted.values())
+    stream = {k: imap for k, imap in enumerate(enumerate_interior_maps(ground, WIDE)) if k in kept}
+    for size in sizes:
+        sample = interior_sample(ground, SearchBounds(max_tables=10**6, operator_sample=size))
+        assert sample == [stream[k] for k in wanted[size]]
 
 
 def test_sample_builds_only_the_kept_maps(monkeypatch, two_point_c3):

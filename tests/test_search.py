@@ -228,20 +228,33 @@ def test_time_budget_bounds_case_generation():
 
 @pytest.mark.parametrize("prop", ["composition-continuous", "operator-lattice-closure"])
 def test_time_budget_bounds_counting_and_enumerating_maps(prop):
-    # pentagon-meet on 2 points carries 600,593,049 interior maps: counting
-    # them (for the sample) or listing them (for the families) takes over a
-    # minute, so the budget must stop both loops, well inside max_tables
-    bounds = SearchBounds(algebras=("pentagon-meet",), max_tables=10**9, time_budget=0.05)
+    # godel4 on 2 points carries 470,596 interior maps, which take seconds
+    # to list (for the families); on 3 points one point's counting walk
+    # alone runs for over a minute (for the sample), far below max_tables,
+    # so the budget must stop both loops
+    bounds = SearchBounds(algebras=("godel4",), max_carrier=3, max_tables=10**9, time_budget=0.05)
     start = time.monotonic()
     with pytest.raises(BoundsExceeded, match="time budget"):
         search(prop, bounds)
     assert time.monotonic() - start < 2.0
 
 
+def test_the_budget_test_counts_a_ground_no_luck_can_count():
+    # the ground the budget test counts on cannot be counted by luck inside
+    # its budget: one second is not enough
+    ground = grounds_within(SearchBounds(algebras=("godel4",), max_carrier=3))[-1]
+    deadline = time.monotonic() + 1.0
+
+    def expire():
+        if time.monotonic() > deadline:
+            raise BoundsExceeded("time budget")
+
+    with pytest.raises(BoundsExceeded, match="time budget"):
+        count_interior_maps(ground, SearchBounds(max_tables=10**9), expire)
+
+
 def test_walks_over_interior_maps_read_the_deadline_every_1024_maps():
-    ground = grounds_within(SearchBounds(algebras=("c2",), max_carrier=4))[-1]
-    bounds = SearchBounds(max_tables=10**9)
-    total = 130_321
+    bounds = SearchBounds(max_tables=10**12)
     reads = {"count": 0, "enumerate": 0, "sample": 0}
 
     def expire(walk):
@@ -249,15 +262,20 @@ def test_walks_over_interior_maps_read_the_deadline_every_1024_maps():
             reads[walk] += 1
         return read
 
-    assert count_interior_maps(ground, bounds, expire("count")) == total
-    assert sum(1 for _ in enumerate_interior_maps(ground, bounds, expire("enumerate"))) == total
+    # the enumeration reads once per 1,024 maps it yields
+    c2_cube = grounds_within(SearchBounds(algebras=("c2",), max_carrier=4))[-1]
+    assert sum(1 for _ in enumerate_interior_maps(c2_cube, bounds, expire("enumerate"))) == 130_321
+    assert reads["enumerate"] == -(-130_321 // 1024)
+    # godel3 on 3 points: 7,645,373,000 = 1,970 ** 3 maps, one point's
+    # functions times the other two's.  Each point's counting walk leaves
+    # out the coatoms and reaches 1,132 leaves, read before the first and
+    # the 1,025th; listing a point's 1,970 functions for the sample reads
+    # the same way, and a kept map is not a read
+    ground = grounds_within(SearchBounds(algebras=("godel3",), max_carrier=3))[-1]
+    assert count_interior_maps(ground, bounds, expire("count")) == 1970**3
+    assert reads["count"] == 3 * 2
     assert len(interior_sample(ground, bounds, expire("sample"))) == 4
-    assert reads["enumerate"] == -(-total // 1024)
-    # a leaf of the count adds a product of candidate counts, so its total
-    # can jump by hundreds of maps between reads
-    assert total // 2048 < reads["count"] <= reads["enumerate"]
-    # the sample counts, then walks every map; a kept map is not a read
-    assert reads["sample"] >= reads["count"] + reads["enumerate"] - 4
+    assert reads["sample"] == reads["count"] + 3 * 2
 
 
 def test_no_module_level_caches_after_search():
