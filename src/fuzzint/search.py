@@ -297,20 +297,20 @@ def count_interior_maps(ground: Ground, bounds: SearchBounds | None = None, expi
 
 
 def interior_sample(ground: Ground, bounds: SearchBounds, expire=None):
-    """Deterministic spread of interior maps on the ground: the full stream
-    when it fits the sample budget, else an even stride that always keeps
-    the least (first) and discrete (last) maps.
+    """Deterministic spread of interior maps on the ground: an even stride
+    through the stream that always keeps the least (first) and discrete
+    (last) maps, and keeps every map when the stream fits the sample
+    budget (``operator_sample`` is at least 2, so the stride is then at
+    most 1).
 
-    The maps are counted first, which enforces ``max_tables``.  A stride
-    is then unranked (``_unrank``) from each point's functions, listed in
-    the order its own walk yields them, instead of walked; only the kept
-    maps are built.  Each point's walk calls ``expire`` before every
-    1,024th function.
+    The maps are counted first, which enforces ``max_tables``.  The kept
+    indices are then unranked (``_unrank``) from each point's functions,
+    listed in the order its own walk yields them, instead of walked; only
+    the kept maps are built.  Each point's walk calls ``expire`` before
+    every 1,024th function.
     """
     total = count_interior_maps(ground, bounds, expire)
     cap = bounds.operator_sample
-    if total <= cap:
-        return list(enumerate_interior_maps(ground, bounds, expire))
     covers = ground.index.covers
     top = len(covers) - 1
     up, per_point = _point_candidates(ground)

@@ -229,28 +229,15 @@ def test_time_budget_bounds_case_generation():
 @pytest.mark.parametrize("prop", ["composition-continuous", "operator-lattice-closure"])
 def test_time_budget_bounds_counting_and_enumerating_maps(prop):
     # godel4 on 2 points carries 470,596 interior maps, which take seconds
-    # to list (for the families); on 3 points one point's counting walk
-    # alone runs for over a minute (for the sample), far below max_tables,
-    # so the budget must stop both loops
+    # to list (for the families); on 3 points the first point's counting
+    # walk (for the sample) had not finished after 90 s on a 2-core host,
+    # far below max_tables, so no luck fits either loop in the budget and
+    # the budget must stop both
     bounds = SearchBounds(algebras=("godel4",), max_carrier=3, max_tables=10**9, time_budget=0.05)
     start = time.monotonic()
     with pytest.raises(BoundsExceeded, match="time budget"):
         search(prop, bounds)
     assert time.monotonic() - start < 2.0
-
-
-def test_the_budget_test_counts_a_ground_no_luck_can_count():
-    # the ground the budget test counts on cannot be counted by luck inside
-    # its budget: one second is not enough
-    ground = grounds_within(SearchBounds(algebras=("godel4",), max_carrier=3))[-1]
-    deadline = time.monotonic() + 1.0
-
-    def expire():
-        if time.monotonic() > deadline:
-            raise BoundsExceeded("time budget")
-
-    with pytest.raises(BoundsExceeded, match="time budget"):
-        count_interior_maps(ground, SearchBounds(max_tables=10**9), expire)
 
 
 def test_walks_over_interior_maps_read_the_deadline_every_1024_maps():
