@@ -29,8 +29,14 @@ when all composites are continuous.  The quantifier over test interiors is
 discharged exactly by a least-constrained-operator argument: at each test
 morphism the property holds iff two least test interiors agree, E above
 the lift's transported constraints and H, the join of the floors above
-each arm's.  The lift enters as one more ``Arm``, the identity morphism
-into (domain, lift), so E is that arm's floor.  ``packed_floors`` packs
+each arm's.  An arm's floor along a test morphism h is one more initial
+interior: the least interior above the arm's constraints transported
+along h is the initial interior along the composite, and since backward
+reverses composition and right adjoints compose, that is backward of h
+after the arm's initial interior after the right adjoint of h.  So every
+least interior here is built the one way ``initial_interior`` builds it.
+The lift enters as one more ``Arm``, the identity morphism into (domain,
+lift), so E is that arm's floor.  ``packed_floors`` packs
 an arm's floors along a list of test morphisms into one integer of
 upset words, and the AND of the source arms' integers holds H at every
 test.  The one kernel, ``initiality_violation``, decides every test with
@@ -139,8 +145,15 @@ def initial_interior(g: GroundMorphism, target: InteriorMap) -> InteriorMap:
     """
     if g.cod != target.ground:
         raise GroundMismatch("morphism codomain differs from the target space")
-    bw, images = g.backward, target.images
-    return InteriorMap(g.dom, tuple(bw[images[b]] for b in g.right_adjoint)).validated()
+    return InteriorMap(g.dom, _initial_images(g, target.images)).validated()
+
+
+def _initial_images(g: GroundMorphism, images: tuple) -> tuple:
+    """Image positions of the initial interior along ``g`` of the map with
+    ``images`` on its codomain: backward after that map after the right
+    adjoint."""
+    bw = g.backward
+    return tuple(bw[images[b]] for b in g.right_adjoint)
 
 
 def initial_from_source(s: StructuredSource) -> InteriorMap:
@@ -168,18 +181,24 @@ class Arm:
     morphism into (domain, lift), whose constraints are exactly the
     (u, lift(u)) pairs.
 
-    ``constraints`` are the arm's continuity constraints, as position
-    pairs.  ``moved`` transports them along a test morphism and ``floor``
-    computes the least test interior above them there; ``packed_floors``
-    packs the floors along a list of test morphisms into one integer, so
-    a caller that keeps the packing needs each floor once.
+    ``initial`` is the arm's initial interior, built and validated once;
+    ``constraints`` are its continuity constraints, as position pairs,
+    and ``moved`` transports them along a test morphism.  ``floor`` is
+    the least test interior above the transported constraints: the
+    initial interior along the composite of the test morphism and g,
+    which is backward of the test after ``initial`` after its right
+    adjoint, since backward reverses composition and right adjoints
+    compose.  ``packed_floors`` packs the floors along a list of test
+    morphisms into one integer, so a caller that keeps the packing needs
+    each floor once.
     """
 
-    __slots__ = ("morphism", "constraints")
+    __slots__ = ("morphism", "constraints", "initial")
 
     def __init__(self, g: GroundMorphism, target: InteriorMap):
         self.morphism = g
         self.constraints = tuple(continuity_constraints(g, target))
+        self.initial = initial_interior(g, target)
 
     def moved(self, g_test: GroundMorphism) -> tuple:
         """The constraints transported along ``g_test``, as position pairs
@@ -190,37 +209,7 @@ class Arm:
     def floor(self, g_test: GroundMorphism) -> tuple:
         """Images of the least test interior above the constraints
         transported along ``g_test``."""
-        return _least_above(g_test.dom, self.moved(g_test))
-
-
-def _least_above(ground: Ground, pairs) -> tuple:
-    """Images of the least interior map i with c <= i(w) for every
-    position pair (w, c).
-
-    Each c must lie below its w, as in every continuity constraint.  The
-    map sends top to top and any other a to the join of the c whose w lies
-    below a; it is contractive and monotone, and every interior map
-    satisfying the constraints dominates it pointwise.  The downset of a
-    is a together with the downsets of its lower covers, so the join is
-    swept in index order: each position's own pairs are folded into one
-    upset AND, then ANDed with the upsets of the images already given to
-    its lower covers, and the image is the lowest set bit.  That costs one
-    pass over the pairs and one over the cover edges.
-    """
-    index = ground.index
-    up, covers = index.up, index.covers
-    top = len(up) - 1
-    own = [up[0]] * (top + 1)
-    for w, c in pairs:
-        own[w] &= up[c]
-    images = []
-    for a in range(top):
-        common = own[a]
-        for b in covers[a]:
-            common &= up[images[b]]
-        images.append((common & -common).bit_length() - 1)
-    images.append(top)
-    return tuple(images)
+        return _initial_images(g_test, self.initial.images)
 
 
 def packed_floors(arm: Arm, tests) -> int:
@@ -317,7 +306,8 @@ def verify_initiality(s: StructuredSource, lift: InteriorMap, *, test_grounds) -
     morphism must be continuous into (domain, lift) exactly when all the
     composites through the source arms are continuous.  All test
     morphisms are decided at once by ``initiality_violation``; ``checked``
-    counts the directions decided.
+    counts the directions decided.  A lift that is not an interior map
+    raises NotAnInteriorMap.
     """
     if lift.ground != s.domain:
         raise GroundMismatch("lift lives on a different ground")

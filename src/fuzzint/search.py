@@ -374,26 +374,29 @@ class SearchContext(dict):
     objects, never an image tuple or word without its ground.  It may
     also hold an ``Arm``, which the context builds once per (morphism,
     target) and meets by identity.  Everything is dropped with the
-    context, so nothing is cached across searches.
+    context, so nothing is cached across searches.  ``checked`` counts
+    the cases the search has checked, which ``expire`` names wherever
+    the budget runs out.
     """
 
-    __slots__ = ("bounds", "deadline", "grounds")
+    __slots__ = ("bounds", "deadline", "grounds", "checked")
 
     def __init__(self, bounds: SearchBounds):
         super().__init__()
         self.bounds = bounds
         self.deadline = time.monotonic() + bounds.time_budget
         self.grounds = grounds_within(bounds)
+        self.checked = 0
 
     def __missing__(self, key: tuple):
         value = self[key] = key[0](self, *key[1:])
         return value
 
-    def expire(self, checked: int = 0) -> None:
+    def expire(self) -> None:
         """Raise once the time budget is spent."""
         if time.monotonic() > self.deadline:
             raise BoundsExceeded(
-                f"time budget {self.bounds.time_budget}s exhausted after {checked} cases"
+                f"time budget {self.bounds.time_budget}s exhausted after {self.checked} cases"
             )
 
     def floors(self, arm: Arm) -> int:
@@ -409,17 +412,17 @@ def _sample(ctx: SearchContext, ground: Ground) -> list:
     return interior_sample(ground, ctx.bounds, ctx.expire)
 
 
-def _arm(ctx: SearchContext, g: GroundMorphism, target: InteriorMap) -> tuple:
-    """The prepared arm and its initial interior, which is validated once
-    per (g, target)."""
-    return Arm(g, target), initial_interior(g, target)
+def _arm(ctx: SearchContext, g: GroundMorphism, target: InteriorMap) -> Arm:
+    """The prepared arm, whose initial interior is validated once per
+    (g, target)."""
+    return Arm(g, target)
 
 
 def _identity_arm(ctx: SearchContext, space: InteriorMap) -> Arm:
     """The identity arm into (ground, space), looked up once per space.  It
     is the prepared arm of that pair, so a source arm along the identity
     into the same space shares its floors."""
-    return ctx[_arm, identity_morphism(space.ground), space][0]
+    return ctx[_arm, identity_morphism(space.ground), space]
 
 
 def _floors(ctx: SearchContext, arm: Arm) -> int:
@@ -600,8 +603,7 @@ def _gen_sources(ctx: SearchContext, min_arms: int):
 
 
 def _case_source(case: dict, ctx: SearchContext):
-    """The source domain and its arms, each an (Arm, initial interior)
-    pair."""
+    """The source domain and its prepared arms."""
     return case["domain"], [ctx[_arm, arm["morphism"], arm["interior"]] for arm in case["arms"]]
 
 
@@ -613,8 +615,8 @@ def _folded_lift(ctx: SearchContext, how: str, dom: Ground, arms) -> tuple:
     empty meet, the AND of no words, decodes to the constant-top map."""
     which = 0 if how == "join" else 1
     word = -1
-    for _, initial in arms:
-        word &= initial.words[which]
+    for arm in arms:
+        word &= arm.initial.words[which]
     if not arms and how == "join":
         word = least(dom).words[0]
     return ctx[_combined, how, dom, word]
@@ -631,8 +633,8 @@ def _lost_arm(dom: Ground, arms, lift: InteriorMap, shown: str | None = None):
     """
     word = lift.words[0]
     down, values, images = dom.index.down, dom.index.values, lift.images
-    for index, (arm, initial) in enumerate(arms):
-        if not word & ~initial.words[0]:
+    for index, arm in enumerate(arms):
+        if not word & ~arm.initial.words[0]:
             continue
         for w, c in arm.constraints:
             if not down[images[w]] >> c & 1:
@@ -660,7 +662,7 @@ def _check_initiality(case: dict, ctx: SearchContext):
     lost = _lost_arm(dom, arms, lift)
     if lost is not None:
         return lost
-    found = initiality_violation(ctx[_test_morphisms, dom], ctx[_identity_arm, lift], [arm for arm, _ in arms], ctx.floors)
+    found = initiality_violation(ctx[_test_morphisms, dom], ctx[_identity_arm, lift], arms, ctx.floors)
     return None if found is None else {"stage": "initiality", **found[1]}
 
 
@@ -837,16 +839,15 @@ def search(
     ctx = SearchContext(bounds or SearchBounds())
     check = checker_for(prop, ctx)
     witness = None
-    checked = 0
     for case in PROPERTIES[prop][0](ctx):
-        ctx.expire(checked)
-        checked += 1
+        ctx.expire()
+        ctx.checked += 1
         found = check(case)
         if found is not None:
             witness = _bundle(prop, case, found)
             break
     status = "no-counterexample" if witness is None else "counterexample"
-    result = SearchResult(prop=prop, status=status, instances=checked, bundle=witness)
+    result = SearchResult(prop=prop, status=status, instances=ctx.checked, bundle=witness)
     if out is not None and witness is not None:
         with open(out, "w") as fh:
             json.dump(witness, fh, indent=2, sort_keys=True)

@@ -371,7 +371,7 @@ def naive_enumerate_interior_maps(ground):
 def naive_least_above(ground, pairs) -> tuple:
     """Images of the least interior map above position pairs (w, c), each
     position by a scan of every pair: the join of the c whose w lies below
-    it, and top at top (oracle for the cover-edge sweep)."""
+    it, and top at top (oracle for ``Arm.floor``)."""
     index = ground.index
     up = index.up
     top = len(up) - 1

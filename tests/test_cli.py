@@ -221,6 +221,17 @@ def test_named_algebra_is_searched_whatever_its_size(monkeypatch):
     )
 
 
+def test_budget_spent_inside_a_walk_reports_the_cases_checked(monkeypatch):
+    # the 1,023 families of pentagon-meet's 10 maps on 1 point take a few
+    # milliseconds; listing the 600,593,049 maps on 2 points takes over a
+    # minute, so the budget runs out inside that walk, after those cases
+    monkeypatch.setenv("FUZZINT_BOUNDS", "algebras=pentagon-meet,max_tables=1000000000,time_budget=0.3")
+    assert run_cli("search", "--property", "operator-lattice-closure") == (
+        1,
+        "error: bounds exceeded: time budget 0.3s exhausted after 1023 cases\n",
+    )
+
+
 def test_examples_write_reports(tmp_path):
     code, _ = run_cli("examples", "run", "2", "--out", str(tmp_path))
     assert code == 0

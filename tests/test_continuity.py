@@ -27,7 +27,7 @@ from fuzzint.continuity import (
     preserves_idempotency_check,
     verify_initiality,
 )
-from fuzzint.errors import GroundMismatch, NotContinuous, PropertyPreconditionFailed
+from fuzzint.errors import GroundMismatch, NotAnInteriorMap, NotContinuous, PropertyPreconditionFailed
 from fuzzint.interior import (
     InteriorMap,
     check_interior_axioms,
@@ -321,6 +321,15 @@ def test_verify_initiality_vacuous_without_test_objects(one_point_c3):
     assert verify_initiality(s, discrete(one_point_c3), test_grounds=[])
 
 
+def test_verify_initiality_refuses_a_lift_that_is_not_interior(one_point_c3):
+    # the lift enters as an arm, whose initial interior is the lift itself,
+    # validated; the constant-top map is not contractive
+    s = StructuredSource(domain=one_point_c3, arms=((identity_morphism(one_point_c3), discrete(one_point_c3)),))
+    top = InteriorMap(one_point_c3, (one_point_c3.set_count() - 1,) * one_point_c3.set_count())
+    with pytest.raises(NotAnInteriorMap, match="I1"):
+        verify_initiality(s, top, test_grounds=[one_point_c3])
+
+
 def test_reduced_mode_agrees_with_enumeration():
     """The principal-filter kernel against literal enumeration of test
     interiors, on one- and two-arm sources over 1- and 2-point domains,
@@ -388,7 +397,7 @@ def test_packed_decision_agrees_with_the_per_test_loop(small_bounds):
         dom = case["domain"]
         s = StructuredSource(dom, tuple((arm["morphism"], arm["interior"]) for arm in case["arms"]))
         tests = ctx[_test_morphisms, dom]
-        arms = [ctx[_arm, g, target][0] for g, target in s.arms]
+        arms = [ctx[_arm, g, target] for g, target in s.arms]
         per_arm = [initial_interior(g, target) for g, target in s.arms]
         lifts = {"join": join_interiors(per_arm), "meet": meet_interiors(per_arm), "discrete": discrete(dom), "least": least(dom)}
         for name, lift in lifts.items():

@@ -1,8 +1,9 @@
-"""The morphism-layer kernels against their oracles: the cover-edge sweep
-for least interiors, the equality fast path of the initiality kernel,
-binary productivity against the walk over every family, composites built
-once per search, and the per-search verdict memos against fresh
-contexts."""
+"""The morphism-layer kernels against their oracles: initial interiors
+along test morphisms against the pair scan for least interiors, with
+backward left adjoint to its right adjoint, the equality fast path of the
+initiality kernel, binary productivity against the walk over every
+family, composites built once per search, and the per-search verdict
+memos against fresh contexts."""
 
 import sys
 from itertools import combinations, product
@@ -18,7 +19,6 @@ import fuzzint.continuity as fcontinuity
 from fuzzint.continuity import (
     Arm,
     StructuredSource,
-    _least_above,
     compose,
     initial_from_source,
     initiality_violation,
@@ -48,6 +48,7 @@ from fuzzint.search import (
     _verdict,
     builtin_algebra,
     enumerate_interior_maps,
+    interior_sample,
     search,
 )
 
@@ -58,29 +59,49 @@ WALKABLE = [ground for ground in GROUNDS if 2 ** ground.set_count() <= 4096]
 MAPS = {ground: list(enumerate_interior_maps(ground)) for ground in WALKABLE}
 
 
-# -- least interiors above constraints --------------------------------------------
+# -- floors as initial interiors along test morphisms ------------------------------
 
-@st.composite
-def constraint_sets(draw):
-    """A ground and position pairs (w, c) with c below w."""
-    ground = draw(st.sampled_from(GROUNDS))
-    down = ground.index.down
-    pairs = []
-    for w in draw(st.lists(st.integers(0, ground.set_count() - 1), max_size=8)):
-        below = [c for c in range(w + 1) if down[w] >> c & 1]
-        pairs.append((w, draw(st.sampled_from(below))))
-    return ground, pairs
+ORACLE_ALGEBRAS = {
+    ("p1",): ("c2", "godel3", "lukasiewicz3", "diamond-join", "diamond-meet", "pentagon-meet"),
+    ("p1", "p2"): ("c2", "diamond-join"),
+}
+# the morphisms among the 1-point grounds of six algebras, three of them
+# not chains, and among the 2-point grounds of c2 and diamond-join
+ORACLE_GROUNDS = {points: [Ground(points, builtin_algebra(name)) for name in names] for points, names in ORACLE_ALGEBRAS.items()}
+ORACLE_TESTS = [ground for grounds in ORACLE_GROUNDS.values() for ground in grounds]
 
 
-@settings(PROPERTY, max_examples=400)
-@given(constraint_sets())
-def test_least_above_matches_pair_scan(case):
-    ground, pairs = case
-    images = _least_above(ground, pairs)
-    assert images == naive_least_above(ground, pairs)
-    assert check_interior_axioms(InteriorMap(ground, images)).ok
-    down = ground.index.down
-    assert all(down[images[w]] >> c & 1 for w, c in pairs)
+def _adjoint(g: GroundMorphism) -> bool:
+    """backward is left adjoint to right_adjoint: b <= ra(a) iff bw(b) <= a
+    for every position b on the codomain and a on the domain."""
+    down_cod, down_dom = g.cod.index.down, g.dom.index.down
+    bw, ra = g.backward, g.right_adjoint
+    return all(
+        bool(down_cod[ra[a]] >> b & 1) == bool(down_dom[a] >> bw[b] & 1)
+        for a in range(len(ra))
+        for b in range(len(bw))
+    )
+
+
+@pytest.mark.parametrize("points", list(ORACLE_GROUNDS), ids=len)
+def test_floors_are_the_least_interiors_above_the_moved_constraints(points):
+    # an arm's floor along h is backward(h) after its initial interior
+    # after ra(h); it must be the least interior above the constraints
+    # transported along h, found by the pair scan, on non-chain bases too,
+    # and both the arm's morphism and h must satisfy backward -| ra
+    bounds = SearchBounds(max_tables=1_000_000)
+    tests = {dom: [h for z in ORACLE_TESTS for h in all_morphisms(z, dom)] for dom in ORACLE_GROUNDS[points]}
+    assert all(_adjoint(h) for hs in tests.values() for h in hs)
+    floors = 0
+    for dom, cod in product(ORACLE_GROUNDS[points], repeat=2):
+        for g in all_morphisms(dom, cod):
+            assert _adjoint(g)
+            for target in interior_sample(cod, bounds):
+                arm = Arm(g, target)
+                for h in tests[dom]:
+                    assert arm.floor(h) == naive_least_above(h.dom, arm.moved(h))
+                    floors += 1
+    assert floors == {1: 3_420, 2: 8_000}[len(points)]
 
 
 # -- the initiality kernel ------------------------------------------------------
@@ -199,7 +220,7 @@ def test_a_memo_hit_calls_nothing_but_the_keys_hashes():
     word = space.words[0]
 
     def lookups():
-        arm = ctx[_arm, g, space][0]
+        arm = ctx[_arm, g, space]
         return (
             arm,
             ctx[_identity_arm, space],
@@ -420,7 +441,7 @@ def test_source_memos_tell_the_eight_set_twins_apart():
             lift, verdict = _folded_lift(shared, "join", ground, prepared)
             assert verdict.ok and lift == join_interiors([arm["interior"] for arm in arms])
             lifts[ground, pair] = lift.images
-            for arm in [shared[_identity_arm, lift]] + [arm for arm, _ in prepared]:
+            for arm in [shared[_identity_arm, lift]] + prepared:
                 assert shared.floors(arm) == packed_floors(arm, ctx[_test_morphisms, ground])
     assert sum(lifts[C2_CUBE, pair] != lifts[GODEL8_POINT, pair] for _, pair in lifts) == 2 * 60
 
@@ -442,31 +463,23 @@ def test_composition_search_scans_each_instance_once(monkeypatch):
 def test_initiality_search_builds_each_floor_once(monkeypatch):
     # an arm stands for the (morphism, target) it was built from; the lift
     # arm for (identity, lift)
-    built_from, floors, calls = {}, [], []
-    real_init, real_floor, real_least = Arm.__init__, Arm.floor, fcontinuity._least_above
+    built_from, floors = {}, []
+    real_init, real_floor = Arm.__init__, Arm.floor
 
     def init(arm, g, target):
         real_init(arm, g, target)
         built_from[id(arm)] = (g, target)
 
     def floor(arm, g_test):
-        before = len(calls)
-        found = real_floor(arm, g_test)
-        if len(calls) > before:
-            floors.append((built_from[id(arm)], g_test))
-        return found
-
-    def least_above(ground, pairs):
-        calls.append(ground)
-        return real_least(ground, pairs)
+        floors.append((built_from[id(arm)], g_test))
+        return real_floor(arm, g_test)
 
     monkeypatch.setattr(Arm, "__init__", init)
     monkeypatch.setattr(Arm, "floor", floor)
-    monkeypatch.setattr(fcontinuity, "_least_above", least_above)
     result = search("initiality", SearchBounds(algebras=("lukasiewicz3",)))
     assert result.ok and result.instances == 876
     assert len(set(built_from.values())) == len(built_from)
-    assert len(calls) == len(floors) == len(set(floors))
+    assert len(floors) == len(set(floors)) == 752
 
 
 @st.composite

@@ -209,6 +209,47 @@ def test_operator_lattice_search_clean_small():
     assert result.instances == (2**1 - 1) + (2**2 - 1)
 
 
+NON_CHAIN = SearchBounds(max_carrier=1, algebras=("diamond-join", "diamond-meet", "pentagon-meet"))
+
+
+@pytest.mark.parametrize(
+    "prop, instances, witness",
+    [
+        ("literal-trivial-interior", 1, {"axiom": "I1", "image": {"p1": "top"}, "u": {"p1": "a"}}),
+        ("operator-lattice-closure", 1053, None),
+        ("composition-continuous", 9803, None),
+        ("composition-open", 4094, None),
+        ("open-preimage", 1020, None),
+        ("initiality", 2572, None),
+        (
+            "literal-meet-source-lift",
+            5,
+            {
+                "arm": {"f": {"p1": "p1"}, "phi_op": {"a": "a", "b": "b", "bot": "bot", "top": "top"}},
+                "arm_index": 1,
+                "meet_lift_at_w": {"p1": "bot"},
+                "required": {"p1": "b"},
+                "stage": "arm-continuity",
+                "w": {"p1": "b"},
+            },
+        ),
+        ("preservation-idempotent", 109, None),
+        ("preservation-fully-productive", 120, None),
+        (
+            "meet-interchange",
+            3,
+            {"backward_of_meet": {"p1": "bot"}, "family": [{"p1": "a"}, {"p1": "b"}], "meet_of_backwards": {"p1": "a"}},
+        ),
+    ],
+)
+def test_searches_on_non_chain_bases_are_pinned(prop, instances, witness):
+    # the two diamonds and the pentagon on one point: every search's
+    # verdict, instance count and witness
+    result = search(prop, NON_CHAIN)
+    assert (result.status, result.instances) == ("no-counterexample" if witness is None else "counterexample", instances)
+    assert (result.bundle and result.bundle["witness"]) == witness
+
+
 def test_time_budget_enforced():
     with pytest.raises(BoundsExceeded):
         search("operator-lattice-closure", SearchBounds(time_budget=1e-9))
