@@ -2,7 +2,7 @@
 
 The package builds and validates the ground structures (finite complete
 lattices, quasi-monoidal carriers, GL-monoids), computes the powerset
-operator family with its adjoints, constructs and checks interior operators
+operators of ground morphisms, constructs and checks interior operators
 including initial lifts, and drives exhaustive bounded searches that
 confirm or refute the theory's propositions on finite instances.
 """
@@ -10,25 +10,7 @@ confirm or refute the theory's propositions on finite instances.
 from .errors import FuzzintError
 from .lattice import FiniteLattice, chain_lattice, diamond_lattice, pentagon_lattice, validate_lattice
 from .monoid import CQML, GLMonoid, builtin_chain, residuum, validate_cqml, validate_gl
-from .powerset import (
-    FuzzySet,
-    Ground,
-    GroundMorphism,
-    PointMap,
-    Verdict,
-    classical_image,
-    classical_preimage,
-    lift_phi_op,
-    lift_star_phi,
-    star_phi,
-    validate_ground_morphism,
-    vb_backward,
-    vb_forward,
-    vb_right_adjoint,
-    verify_adjunction,
-    zadeh_backward,
-    zadeh_forward,
-)
+from .powerset import FuzzySet, Ground, GroundMorphism, Verdict, validate_ground_morphism
 from .interior import (
     InteriorMap,
     LTopology,

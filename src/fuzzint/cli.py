@@ -33,7 +33,7 @@ from .gallery import (
 )
 from .interior import check_interior_axioms, closure_from_topology, interior_from_topology, literal_trivial
 from .monoid import GLMonoid, builtin_chain
-from .powerset import FuzzySet, Ground, right_adjoint_values, vb_forward
+from .powerset import Ground
 from .search import (
     PROPERTIES,
     SearchBounds,
@@ -211,13 +211,10 @@ def cmd_tables(args) -> int:
             rows = _position_rows(g.cod, g.backward, g.dom)
             header = "b |-> backward(b)"
         elif args.op == "forward":
-            for a in g.dom.index.values:
-                image = vb_forward(g, FuzzySet(g.dom, a)).values
-                rows.append([_format_values(g.dom, a), _format_values(g.cod, image)])
+            rows = _position_rows(g.dom, g.forward, g.cod)
             header = "a |-> forward(a)"
         else:
-            for u in g.dom.index.values:
-                rows.append([_format_values(g.dom, u), _format_values(g.cod, right_adjoint_values(g, u))])
+            rows = _position_rows(g.dom, g.right_adjoint, g.cod)
             header = "u |-> right_adjoint(u)"
     if args.json:
         print(json.dumps({"table": args.which, "rows": rows}, sort_keys=True))

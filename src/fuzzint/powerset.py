@@ -1,16 +1,19 @@
-"""Fuzzy powersets, ground morphisms and the powerset operator family.
+"""Fuzzy powersets, ground morphisms and their powerset operators.
 
 A fuzzy set over a ground (X, L) is a total map X -> L, stored as a tuple
 of lattice indices aligned with the carrier.  Inside the package L^X is
 read only through ``Ground.index``, as positions; ``FuzzySet`` is the view
 of one value tuple at the API's edge.  A ground morphism is the pair
 (f, phi_op): a point map X -> Y together with a concrete map M -> L that
-preserves arbitrary joins, the tensor and top.  Only phi_op is ever stored:
-every operator formula evaluates the concrete join-preserving direction.
+preserves arbitrary joins, the tensor and top.  Only phi_op is ever stored.
 
-The forward operators are left adjoints of the corresponding backward
-operators; ``verify_adjunction`` checks any such claim exhaustively on a
-finite instance and returns a witness pair if it fails.
+The powerset operators live on positions, as tables of ``GroundMorphism``:
+``backward`` (phi_op after b after f), its right adjoint, and ``forward``.
+Backward preserves joins, so its right adjoint always exists.  Forward is
+the meet of every b whose backward image lies above a; it is a left
+adjoint of backward only when phi_op preserves binary meets.  The
+classical and Zadeh image and preimage are the case of an identity
+phi_op (on the two-element chain for the classical ones).
 """
 
 from __future__ import annotations
@@ -86,6 +89,9 @@ class Ground:
             missing = set(self.points) - set(values)
             if missing:
                 raise CarrierMismatch(f"no value for points {sorted(missing)}")
+            extra = set(values) - set(self.points)
+            if extra:
+                raise CarrierMismatch(f"values for points {sorted(extra)} not on the carrier")
             vals = tuple(lat.index(values[x]) for x in self.points)
         else:
             vals = tuple(lat.index(v) for v in values)
@@ -243,75 +249,6 @@ class FuzzySet:
         return f"FuzzySet({body})"
 
 
-# ------------------------------------------------------------ point maps
-
-@dataclass(frozen=True)
-class PointMap:
-    """A total map between carriers, by target index."""
-
-    dom: tuple[str, ...]
-    cod: tuple[str, ...]
-    table: tuple[int, ...]
-
-    @classmethod
-    def from_dict(cls, mapping, dom, cod) -> "PointMap":
-        dom, cod = tuple(dom), tuple(cod)
-        missing = set(dom) - set(mapping)
-        if missing:
-            raise CarrierMismatch(f"point map undefined on {sorted(missing)}")
-        try:
-            table = tuple(cod.index(mapping[x]) for x in dom)
-        except ValueError:
-            bad = next(mapping[x] for x in dom if mapping[x] not in cod)
-            raise UnknownElement(bad) from None
-        return cls(dom, cod, table)
-
-    def __call__(self, x: str) -> str:
-        return self.cod[self.table[self.dom.index(x)]]
-
-    def fiber(self, y_index: int) -> tuple[int, ...]:
-        return tuple(i for i, t in enumerate(self.table) if t == y_index)
-
-
-def classical_image(f: PointMap, subset) -> frozenset[str]:
-    """{f(x) : x in A} for a crisp subset A of the domain."""
-    subset = set(subset)
-    for x in subset:
-        if x not in f.dom:
-            raise UnknownElement(x)
-    return frozenset(f.cod[f.table[f.dom.index(x)]] for x in subset)
-
-
-def classical_preimage(f: PointMap, subset) -> frozenset[str]:
-    """{x : f(x) in B} for a crisp subset B of the codomain."""
-    subset = set(subset)
-    for y in subset:
-        if y not in f.cod:
-            raise UnknownElement(y)
-    return frozenset(x for i, x in enumerate(f.dom) if f.cod[f.table[i]] in subset)
-
-
-def zadeh_forward(f: PointMap, a: FuzzySet) -> FuzzySet:
-    """Image by join over fibers: value at y is the join of a over f^-1(y)."""
-    if a.ground.points != f.dom:
-        raise CarrierMismatch("fuzzy set carrier differs from the map domain")
-    lat = a.ground.lattice
-    vals = []
-    for y in range(len(f.cod)):
-        vals.append(lat.join_i(a.values[x] for x in range(len(f.dom)) if f.table[x] == y))
-    return FuzzySet(Ground(f.cod, a.ground.algebra), tuple(vals))
-
-
-def zadeh_backward(f: PointMap, b: FuzzySet) -> FuzzySet:
-    """Preimage by composition: b after f."""
-    if b.ground.points != f.cod:
-        raise CarrierMismatch("fuzzy set carrier differs from the map codomain")
-    return FuzzySet(
-        Ground(f.dom, b.ground.algebra),
-        tuple(b.values[f.table[x]] for x in range(len(f.dom))),
-    )
-
-
 # ------------------------------------------------------- ground morphisms
 
 @dataclass(frozen=True)
@@ -349,16 +286,16 @@ class GroundMorphism:
     @cached_property
     def backward(self) -> tuple[int, ...]:
         """The backward operator on index positions: entry b is the domain
-        position of ``vb_backward`` of codomain position b."""
+        position of phi_op after b after f, for codomain position b."""
         position, phi_op, f = self.dom.index.position, self.phi_op, self.f
         return tuple(position[tuple(phi_op[v[y]] for y in f)] for v in self.cod.index.values)
 
     @cached_property
     def right_adjoint(self) -> tuple[int, ...]:
-        """The right adjoint of backward on index positions: entry a is the
-        codomain position of ``vb_right_adjoint`` of domain position a.
+        """The right adjoint of backward on index positions: entry a is a
+        codomain position, for domain position a.
 
-        That is the join of every b whose backward image lies below a.
+        It is the join of every b whose backward image lies below a.
         Backward preserves joins, so the join is one of those b and lies
         above the others; the index order is a linear extension, so it is
         the one with the highest position.
@@ -366,6 +303,20 @@ class GroundMorphism:
         bw, down = self.backward, self.dom.index.down
         top = len(bw) - 1
         return tuple(next(b for b in range(top, -1, -1) if down[a] >> bw[b] & 1) for a in range(len(down)))
+
+    @cached_property
+    def forward(self) -> tuple[int, ...]:
+        """The forward operator on index positions: entry a is the codomain
+        position of the meet of every b whose backward image lies above
+        domain position a.
+
+        Pointwise, that is the meet of every beta whose phi_op image lies
+        above the join of a over the fiber of y.  When phi_op preserves
+        binary meets, so does backward, the meet is itself one of those b,
+        and forward is a left adjoint of backward; otherwise it need not be.
+        """
+        bw, up, meet = self.backward, self.dom.index.up, self.cod.index.meet
+        return tuple(meet(b for b in range(len(bw)) if up[a] >> bw[b] & 1) for a in range(len(up)))
 
     def describe(self) -> dict:
         m_lat, l_lat = self.cod.lattice, self.dom.lattice
@@ -376,22 +327,24 @@ class GroundMorphism:
 
 
 def validate_ground_morphism(dom: Ground, cod: Ground, f, phi_op) -> GroundMorphism:
-    """Validate the morphism conditions on phi_op (and totality of f).
+    """Validate a morphism given f as a {point: point} dict and phi_op.
 
-    phi_op, by element names or indices of L, must carry top of M to top of
-    L and commute with the tensor and with every join of M (the empty join
-    forces bottom to bottom).  The first failing law is raised with its
-    witness.
+    f must be defined on exactly the domain points.  phi_op, as an
+    {element: element} dict on exactly M or a sequence of element names or
+    indices of L, must carry top of M to top of L and commute with the
+    tensor and with every join of M (the empty join forces bottom to
+    bottom).  The first failing law is raised with its witness.
     """
-    pm = f if isinstance(f, PointMap) else PointMap.from_dict(f, dom.points, cod.points)
-    if pm.dom != dom.points or pm.cod != cod.points:
-        raise CarrierMismatch("point map carriers differ from the grounds")
+    point_table = _point_table(dom, cod, f)
     l_alg, m_alg = dom.algebra, cod.algebra
     l_lat, m_lat = l_alg.lattice, m_alg.lattice
     if hasattr(phi_op, "keys"):
         missing = set(m_lat.elements) - set(phi_op)
         if missing:
             raise CarrierMismatch(f"phi_op undefined on {sorted(missing)}")
+        unknown = [b for b in phi_op if b not in m_lat.elements]
+        if unknown:
+            raise UnknownElement(unknown[0])
         table = tuple(l_lat.index(phi_op[m_lat.name(b)]) for b in range(len(m_lat)))
     else:
         table = tuple(l_lat.index(v) if isinstance(v, str) else v for v in phi_op)
@@ -413,7 +366,19 @@ def validate_ground_morphism(dom: Ground, cod: Ground, f, phi_op) -> GroundMorph
             raise TensorNotPreserved(names, l_lat.name(expected), l_lat.name(got))
         expected, got = table[m_lat.join_i(witness)], l_lat.join_i(table[b] for b in witness)
         raise JoinNotPreserved(names, l_lat.name(expected), l_lat.name(got))
-    return GroundMorphism(dom=dom, cod=cod, f=pm.table, phi_op=table)
+    return GroundMorphism(dom=dom, cod=cod, f=point_table, phi_op=table)
+
+
+def _point_table(dom: Ground, cod: Ground, f) -> tuple[int, ...]:
+    """The codomain point index of each domain point under a {point:
+    point} dict defined on exactly the domain points."""
+    missing = set(dom.points) - set(f)
+    if missing:
+        raise CarrierMismatch(f"point map undefined on {sorted(missing)}")
+    extra = set(f) - set(dom.points)
+    if extra:
+        raise CarrierMismatch(f"point map defined on {sorted(extra)}, not in the domain")
+    return tuple(cod.point_index(f[x]) for x in dom.points)
 
 
 def _broken_law(l_alg: CQML, m_alg: CQML, table):
@@ -467,99 +432,6 @@ def all_morphisms(dom: Ground, cod: Ground):
             yield GroundMorphism(dom=dom, cod=cod, f=f, phi_op=phi)
 
 
-# --------------------------------------------------- variable-basis layer
-
-def star_phi(g: GroundMorphism, alpha: str) -> str:
-    """The meet of every beta in M whose phi_op image dominates alpha."""
-    l_lat, m_lat = g.dom.lattice, g.cod.lattice
-    a = l_lat.index(alpha)
-    return m_lat.name(
-        m_lat.meet_i(b for b in range(len(m_lat)) if l_lat.leq[a][g.phi_op[b]])
-    )
-
-
-def _star_phi_table(g: GroundMorphism) -> tuple[int, ...]:
-    l_lat, m_lat = g.dom.lattice, g.cod.lattice
-    return tuple(
-        m_lat.meet_i(b for b in range(len(m_lat)) if l_lat.leq[a][g.phi_op[b]])
-        for a in range(len(l_lat))
-    )
-
-
-def lift_star_phi(g: GroundMorphism, a: FuzzySet) -> FuzzySet:
-    """Pointwise composition with star_phi: L-valued sets become M-valued."""
-    if a.ground.algebra != g.dom.algebra:
-        raise CarrierMismatch("fuzzy set algebra differs from the morphism domain algebra")
-    star = _star_phi_table(g)
-    return FuzzySet(
-        Ground(a.ground.points, g.cod.algebra),
-        tuple(star[v] for v in a.values),
-    )
-
-
-def lift_phi_op(g: GroundMorphism, b: FuzzySet) -> FuzzySet:
-    """Pointwise composition with phi_op: M-valued sets become L-valued."""
-    if b.ground.algebra != g.cod.algebra:
-        raise CarrierMismatch("fuzzy set algebra differs from the morphism codomain algebra")
-    return FuzzySet(
-        Ground(b.ground.points, g.dom.algebra),
-        tuple(g.phi_op[v] for v in b.values),
-    )
-
-
-def vb_backward(g: GroundMorphism, b: FuzzySet) -> FuzzySet:
-    """(f, phi)^<- : phi_op after b after f."""
-    if b.ground != g.cod:
-        raise CarrierMismatch("fuzzy set ground differs from the morphism codomain")
-    return FuzzySet(
-        g.dom,
-        tuple(g.phi_op[b.values[y]] for y in g.f),
-    )
-
-
-def vb_forward(g: GroundMorphism, a: FuzzySet) -> FuzzySet:
-    """(f, phi)^-> : the meet of all b whose phi_op lift dominates the image.
-
-    The condition on b is pointwise, so the meet is taken pointwise: star_phi
-    of the join of a over each fiber (tests cross-check this against the
-    meet over all candidates).
-    """
-    if a.ground != g.dom:
-        raise CarrierMismatch("fuzzy set ground differs from the morphism domain")
-    l_lat = g.dom.lattice
-    fibers = [[x for x in range(len(g.f)) if g.f[x] == y] for y in range(len(g.cod.points))]
-    image = [l_lat.join_i(a.values[x] for x in fib) for fib in fibers]
-    star = _star_phi_table(g)
-    return FuzzySet(g.cod, tuple(star[v] for v in image))
-
-
-def vb_right_adjoint(g: GroundMorphism, u: FuzzySet) -> FuzzySet:
-    """(f, phi)_* : right adjoint of the backward operator.
-
-    Value at y is the join of every beta whose phi_op image sits below the
-    meet of u over the fiber of y (top on empty fibers).
-    """
-    if u.ground != g.dom:
-        raise CarrierMismatch("fuzzy set ground differs from the morphism domain")
-    return FuzzySet(g.cod, right_adjoint_values(g, u.values))
-
-
-def right_adjoint_values(g: GroundMorphism, values: tuple) -> tuple:
-    """The value tuple of ``vb_right_adjoint`` at a domain value tuple."""
-    l_lat, m_lat = g.dom.lattice, g.cod.lattice
-    vals = []
-    for y in range(len(g.cod.points)):
-        fiber_meet = l_lat.meet_i(values[x] for x in range(len(g.f)) if g.f[x] == y)
-        vals.append(
-            m_lat.join_i(
-                b for b in range(len(m_lat)) if l_lat.leq[g.phi_op[b]][fiber_meet]
-            )
-        )
-    return tuple(vals)
-
-
-# --------------------------------------------------- adjunction checking
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of an exhaustive check: ok flag, witness, instances counted."""
@@ -579,33 +451,6 @@ class Verdict:
             "witness": self.witness,
             "instances_checked": self.checked,
         }
-
-
-def verify_adjunction(forward, backward, dom_elems, cod_elems, dom_leq, cod_leq) -> Verdict:
-    """Check F(p) <= q  iff  p <= G(q) over all pairs of two finite posets."""
-    dom_elems = list(dom_elems)
-    cod_elems = list(cod_elems)
-    checked = 0
-    for p in dom_elems:
-        fp = forward(p)
-        for q in cod_elems:
-            checked += 1
-            if cod_leq(fp, q) != dom_leq(p, backward(q)):
-                return Verdict(
-                    ok=False,
-                    prop="adjunction",
-                    witness={"p": _describe(p), "q": _describe(q)},
-                    checked=checked,
-                )
-    return Verdict(ok=True, prop="adjunction", witness=None, checked=checked)
-
-
-def _describe(x):
-    if isinstance(x, FuzzySet):
-        return x.as_dict()
-    if isinstance(x, frozenset):
-        return sorted(x)
-    return x
 
 
 def powerset(iterable):

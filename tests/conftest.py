@@ -74,13 +74,6 @@ def all_value_tuples(ground):
     return product(ground.lattice.ascending, repeat=len(ground.points))
 
 
-def all_sets(ground):
-    """All of L^X as fuzzy sets, in the order of ``all_value_tuples``."""
-    from fuzzint.powerset import FuzzySet
-
-    return (FuzzySet(ground, u) for u in all_value_tuples(ground))
-
-
 def leq_values(ground, u, v) -> bool:
     """The pointwise order of two value tuples, from the lattice's order
     table (oracle for the index's up and down bitmasks)."""
@@ -109,23 +102,24 @@ def meet_values(ground, tuples) -> tuple:
     return acc
 
 
-def fuzzy_leq(a, b) -> bool:
-    assert a.ground == b.ground
-    return leq_values(a.ground, a.values, b.values)
-
-
-def fuzzy_join(a, b):
-    from fuzzint.powerset import FuzzySet
-
-    assert a.ground == b.ground
-    return FuzzySet(a.ground, join_values(a.ground, (a.values, b.values)))
+def on_values(table, dom, cod):
+    """A table of positions of ``dom``'s index into ``cod``'s, as a map on
+    value tuples."""
+    position, values = dom.index.position, cod.index.values
+    return lambda u: values[table[position[u]]]
 
 
 def verify_powerset_adjunction(forward, backward, dom, cod):
-    """``verify_adjunction`` over two fuzzy powersets ordered pointwise."""
-    from fuzzint.powerset import verify_adjunction
-
-    return verify_adjunction(forward, backward, all_sets(dom), all_sets(cod), fuzzy_leq, fuzzy_leq)
+    """The first pair (p, q) of value tuples over ``dom`` and ``cod`` at
+    which forward(p) <= q and p <= backward(q) disagree, by a scan of every
+    pair; None when forward is left adjoint to backward (oracle)."""
+    cod_tuples = list(all_value_tuples(cod))
+    for p in all_value_tuples(dom):
+        fp = forward(p)
+        for q in cod_tuples:
+            if leq_values(cod, fp, q) != leq_values(dom, p, backward(q)):
+                return p, q
+    return None
 
 
 def naive_topology(ground, opens):
@@ -192,12 +186,31 @@ def frame_law_subset_witness(lat):
     return None
 
 
-def naive_vb_forward(g, a) -> tuple:
+def naive_backward(g, v) -> tuple:
+    """phi_op after ``v`` after f, on value tuples (oracle for
+    ``GroundMorphism.backward``)."""
+    return tuple(g.phi_op[v[y]] for y in g.f)
+
+
+def naive_right_adjoint(g, u) -> tuple:
+    """Value at y: the join of every beta whose phi_op image lies below the
+    meet of ``u`` over the fiber of y, top on an empty fiber (oracle for
+    ``GroundMorphism.right_adjoint``)."""
+    l_lat, m_lat = g.dom.lattice, g.cod.lattice
+    vals = []
+    for y in range(len(g.cod.points)):
+        fiber_meet = l_lat.meet_i(u[x] for x in range(len(g.f)) if g.f[x] == y)
+        vals.append(m_lat.join_i(b for b in range(len(m_lat)) if l_lat.leq[g.phi_op[b]][fiber_meet]))
+    return tuple(vals)
+
+
+def naive_vb_forward(g, u) -> tuple:
     """Forward image as the meet of every candidate over M^Y whose phi_op
-    lift dominates the fiber joins of ``a`` (oracle)."""
+    lift dominates the fiber joins of ``u`` (oracle for
+    ``GroundMorphism.forward``)."""
     l_lat = g.dom.lattice
     image = [
-        l_lat.join_i(a.values[x] for x in range(len(g.f)) if g.f[x] == y)
+        l_lat.join_i(u[x] for x in range(len(g.f)) if g.f[x] == y)
         for y in range(len(g.cod.points))
     ]
     qualifying = (
@@ -209,67 +222,62 @@ def naive_vb_forward(g, a) -> tuple:
 
 
 def naive_is_continuous(g, src, dst):
-    """Continuity over fuzzy sets: backward of the target interior below
+    """Continuity over value tuples: backward of the target interior below
     the source interior of backward, codomain set by set (oracle)."""
-    from fuzzint.powerset import Verdict, vb_backward
+    from fuzzint.powerset import Verdict
 
     checked = 0
-    for v in all_sets(dst.ground):
+    for v in all_value_tuples(dst.ground):
         checked += 1
-        lhs = vb_backward(g, dst.apply(v))
-        rhs = src.apply(vb_backward(g, v))
-        if not fuzzy_leq(lhs, rhs):
-            witness = {"v": v.as_dict(), "lhs": lhs.as_dict(), "rhs": rhs.as_dict()}
+        lhs = naive_backward(g, dst.apply_values(v))
+        rhs = src.apply_values(naive_backward(g, v))
+        if not leq_values(g.dom, lhs, rhs):
+            witness = {"v": g.cod.named(v), "lhs": g.dom.named(lhs), "rhs": g.dom.named(rhs)}
             return Verdict(False, "continuity", witness, checked)
     return Verdict(True, "continuity", None, checked)
 
 
 def naive_is_open_morphism(g, src, dst):
-    """Openness over fuzzy sets: source interior of backward below backward
-    of the target interior (oracle)."""
-    from fuzzint.powerset import Verdict, vb_backward
+    """Openness over value tuples: source interior of backward below
+    backward of the target interior (oracle)."""
+    from fuzzint.powerset import Verdict
 
     checked = 0
-    for v in all_sets(dst.ground):
+    for v in all_value_tuples(dst.ground):
         checked += 1
-        lhs = src.apply(vb_backward(g, v))
-        rhs = vb_backward(g, dst.apply(v))
-        if not fuzzy_leq(lhs, rhs):
-            witness = {"v": v.as_dict(), "lhs": lhs.as_dict(), "rhs": rhs.as_dict()}
+        lhs = src.apply_values(naive_backward(g, v))
+        rhs = naive_backward(g, dst.apply_values(v))
+        if not leq_values(g.dom, lhs, rhs):
+            witness = {"v": g.cod.named(v), "lhs": g.dom.named(lhs), "rhs": g.dom.named(rhs)}
             return Verdict(False, "openness", witness, checked)
     return Verdict(True, "openness", None, checked)
 
 
 def naive_initial_interior(g, target):
     """Backward after the target interior after the right adjoint, as a
-    rule on fuzzy sets (oracle)."""
+    rule on value tuples (oracle)."""
     from fuzzint.interior import InteriorMap
-    from fuzzint.powerset import FuzzySet, vb_backward, vb_right_adjoint
 
-    def rule(u):
-        lifted = vb_right_adjoint(g, FuzzySet(g.dom, u))
-        return vb_backward(g, target.apply(lifted)).values
-
-    return InteriorMap.from_rule(g.dom, rule)
+    return InteriorMap.from_rule(g.dom, lambda u: naive_backward(g, target.apply_values(naive_right_adjoint(g, u))))
 
 
 def naive_meet_interchange_report(g, max_family=3):
     """Backward against pointwise meets of every family of fuzzy sets up to
     ``max_family`` members, on value tuples (oracle)."""
-    from fuzzint.powerset import FuzzySet, Verdict, vb_backward
+    from fuzzint.powerset import Verdict
 
-    cod_sets = list(all_sets(g.cod))
+    cod_tuples = list(all_value_tuples(g.cod))
     checked = 0
     for size in range(max_family + 1):
-        for family in product(cod_sets, repeat=size):
+        for family in product(cod_tuples, repeat=size):
             checked += 1
-            lhs = vb_backward(g, FuzzySet(g.cod, meet_values(g.cod, (b.values for b in family))))
-            rhs_vals = meet_values(g.dom, (vb_backward(g, b).values for b in family))
-            if lhs.values != rhs_vals:
+            lhs = naive_backward(g, meet_values(g.cod, family))
+            rhs = meet_values(g.dom, (naive_backward(g, b) for b in family))
+            if lhs != rhs:
                 witness = {
-                    "family": [b.as_dict() for b in family],
-                    "backward_of_meet": lhs.as_dict(),
-                    "meet_of_backwards": g.dom.named(rhs_vals),
+                    "family": [g.cod.named(b) for b in family],
+                    "backward_of_meet": g.dom.named(lhs),
+                    "meet_of_backwards": g.dom.named(rhs),
                 }
                 return Verdict(False, "meet-interchange", witness, checked)
     return Verdict(True, "meet-interchange", None, checked)

@@ -54,6 +54,20 @@ GOLDEN_CASES = {
         0,
         ["tables", "collapse_morphism.json", "--which", "powerset-op", "--op", "right-adjoint"],
     ),
+    # diamond-join, phi_op b |-> top: phi_op keeps joins but not meets, so
+    # forward is not a left adjoint of backward
+    "tables_backward_diamond_join.txt": (
+        0,
+        ["tables", "diamond_join_morphism.json", "--which", "powerset-op", "--op", "backward"],
+    ),
+    "tables_forward_diamond_join.txt": (
+        0,
+        ["tables", "diamond_join_morphism.json", "--which", "powerset-op", "--op", "forward"],
+    ),
+    "tables_right_adjoint_diamond_join.txt": (
+        0,
+        ["tables", "diamond_join_morphism.json", "--which", "powerset-op", "--op", "right-adjoint"],
+    ),
     "check_continuity_ok.txt": (
         0,
         ["check", "continuity", "identity_morphism.json", "discrete_space.json", "least_space.json"],
@@ -458,6 +472,43 @@ def test_malformed_point_map_exits_2(tmp_path, f):
     code, text = run_cli("validate", path, "--json")
     assert code == 2
     assert json.loads(text) == {"status": "error", "error": "parse-error", "detail": detail}
+
+
+MORPHISM_TO_C2 = {
+    "dom": {"points": ["x"], "algebra": {"builtin": "godel", "n": 3}},
+    "cod": {"points": ["y"], "algebra": {"builtin": "godel", "n": 2}},
+    "f": {"x": "y"},
+    "phi_op": {"0": "0", "1": "1"},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, error, detail",
+    [
+        (
+            {**MORPHISM_TO_C2, "f": {"x": "y", "z": "y"}},
+            "CarrierMismatch",
+            "carrier mismatch: point map defined on ['z'], not in the domain",
+        ),
+        (
+            {**MORPHISM_TO_C2, "phi_op": {"0": "0", "1": "1", "1/2": "1"}},
+            "UnknownElement",
+            "unknown element '1/2'",
+        ),
+        (
+            {"carrier": ["p1"], "values": {"p1": "1/2", "p2": "1"}, "algebra": {"builtin": "godel", "n": 3}},
+            "CarrierMismatch",
+            "carrier mismatch: values for points ['p2'] not on the carrier",
+        ),
+    ],
+    ids=["point-map-off-the-domain", "phi-op-key-off-m", "values-off-the-carrier"],
+)
+def test_name_off_the_carrier_exits_1(tmp_path, doc, error, detail):
+    path = write(tmp_path, "input.json", doc)
+    assert run_cli("validate", path) == (1, f"error: {detail}\n")
+    code, text = run_cli("validate", path, "--json")
+    assert code == 1
+    assert json.loads(text) == {"status": "error", "error": error, "detail": detail}
 
 
 GODEL3_PAIR = {"points": ["p1", "p2"], "algebra": {"builtin": "godel", "n": 3}}

@@ -1,13 +1,16 @@
-"""The morphism layer on index positions against the fuzzy-set oracles:
-continuity, openness, initial interiors and meet interchange."""
+"""The morphism layer on index positions against the value-tuple oracles:
+backward and its right adjoint, continuity, openness, initial interiors
+and meet interchange."""
 
 import pytest
 from conftest import (
-    all_sets,
+    all_value_tuples,
+    naive_backward,
     naive_initial_interior,
     naive_is_continuous,
     naive_is_open_morphism,
     naive_meet_interchange_report,
+    naive_right_adjoint,
 )
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
@@ -22,7 +25,7 @@ from fuzzint.continuity import (
 from fuzzint.interior import InteriorMap
 from fuzzint.lattice import chain_lattice, diamond_lattice
 from fuzzint.monoid import join_tensor
-from fuzzint.powerset import Ground, all_morphisms, right_adjoint_values, vb_backward
+from fuzzint.powerset import Ground, all_morphisms
 
 # every pair of the 1-2-point grounds, with the morphisms between them
 PAIRS = [(dom, cod, list(all_morphisms(dom, cod))) for dom in GROUNDS for cod in GROUNDS]
@@ -109,15 +112,15 @@ def test_meet_interchange_diamond_join_failures_match_oracle():
 
 
 @pytest.mark.parametrize("pair", PAIRS[::7] + JOIN_PAIRS, ids=lambda p: f"{p[0]!r}->{p[1]!r}")
-def test_backward_positions_match_vb_backward(pair):
+def test_backward_positions_match_naive_backward(pair):
     dom, cod, morphisms = pair
     for g in morphisms:
-        for b, v in enumerate(all_sets(cod)):
-            assert dom.index.values[g.backward[b]] == vb_backward(g, v).values
+        for b, v in enumerate(all_value_tuples(cod)):
+            assert dom.index.values[g.backward[b]] == naive_backward(g, v)
 
 
 @pytest.mark.parametrize("pair", ADJOINT_PAIRS, ids=lambda p: f"{p[0]!r}->{p[1]!r}")
-def test_right_adjoint_positions_match_right_adjoint_values(pair):
+def test_right_adjoint_positions_match_naive_right_adjoint(pair):
     # the cached positions, and the Galois connection with backward:
     # backward(b) <= a iff b <= right_adjoint(a)
     dom, cod, morphisms = pair
@@ -125,6 +128,6 @@ def test_right_adjoint_positions_match_right_adjoint_values(pair):
     dom_down, cod_down = dom.index.down, cod.index.down
     for g in morphisms:
         ra, bw = g.right_adjoint, g.backward
-        assert ra == tuple(position[right_adjoint_values(g, u)] for u in values)
+        assert ra == tuple(position[naive_right_adjoint(g, u)] for u in values)
         for a in range(len(values)):
             assert [dom_down[a] >> bw[b] & 1 for b in range(len(bw))] == [cod_down[ra[a]] >> b & 1 for b in range(len(bw))]
