@@ -82,7 +82,9 @@ def lattice_from_json(doc, base: Path | None = None) -> FiniteLattice:
     doc, base = _resolve(doc, base)
     try:
         return validate_lattice(
-            doc["elements"], doc["leq"], closure=bool(doc.get("closure", False))
+            _field(doc, "elements", "a list of element names", _is_name_list),
+            _field(doc, "leq", "a list of [a, b] pairs of element names", _rows_of(2)),
+            closure=_field(doc, "closure", "true or false", _is_bool, False),
         )
     except KeyError as exc:
         raise ParseError(f"lattice file missing key {exc}")
@@ -102,15 +104,15 @@ def monoid_from_json(doc, base: Path | None = None) -> CQML:
     doc, base = _resolve(doc, base)
     if "builtin" in doc:
         try:
-            return builtin_chain(doc["builtin"], int(doc.get("n", 3)))
+            return builtin_chain(doc["builtin"], _field(doc, "n", "an integer", lambda n: type(n) is int, 3))
         except ValueError as exc:
             raise ParseError(str(exc))
     try:
         lat = lattice_from_json(doc["lattice"], base)
-        cq = validate_cqml(lat, doc["tensor"])
+        cq = validate_cqml(lat, _field(doc, "tensor", "a list of [a, b, a(x)b] triples of element names", _rows_of(3)))
     except KeyError as exc:
         raise ParseError(f"monoid file missing key {exc}")
-    if doc.get("gl", True):
+    if _field(doc, "gl", "true or false", _is_bool, True):
         return validate_gl(cq)
     return cq
 
@@ -134,13 +136,32 @@ def _is_name_list(row) -> bool:
     return isinstance(row, list) and all(isinstance(v, str) for v in row)
 
 
+def _is_name_map(items) -> bool:
+    return isinstance(items, dict) and _is_name_list(list(items.values()))
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, bool)
+
+
+def _rows_of(width: int):
+    """A check for a list of rows of ``width`` names each."""
+    return lambda rows: isinstance(rows, list) and all(_is_name_list(row) and len(row) == width for row in rows)
+
+
+def _field(doc, key: str, shape: str, ok, *default):
+    """``doc[key]``, or ``default`` when given and the key is absent; a
+    ParseError naming ``shape`` unless ``ok`` accepts it, so a string is
+    never read character by character nor a number iterated."""
+    value = doc.get(key, *default) if default else doc[key]
+    if not ok(value):
+        raise ParseError(f"{key} must be {shape}, got {value!r}")
+    return value
+
+
 def _point_names(doc, key: str) -> tuple:
-    """The point names under ``key``: a list of names, never a string read
-    character by character."""
-    names = doc[key]
-    if not _is_name_list(names):
-        raise ParseError(f"{key} must be a list of point names, got {names!r}")
-    return tuple(names)
+    """The point names under ``key``: a list of names."""
+    return tuple(_field(doc, key, "a list of point names", _is_name_list))
 
 
 def ground_from_json(doc, base: Path | None = None) -> Ground:
@@ -161,11 +182,12 @@ def fuzzyset_from_json(doc, base: Path | None = None) -> FuzzySet:
         ground = Ground(
             points=_point_names(doc, "carrier"), algebra=monoid_from_json(doc["algebra"], base)
         )
-        values = doc["values"]
+        values = _field(
+            doc, "values", "a {point: element} object or a list of element names",
+            lambda values: isinstance(values, dict) or _is_name_list(values),
+        )
     except KeyError as exc:
         raise ParseError(f"fuzzy set file missing key {exc}")
-    if not (isinstance(values, dict) or _is_name_list(values)):
-        raise ParseError(f"values must be a {{point: element}} object or a list of element names, got {values!r}")
     return ground.fuzzy(values)
 
 
@@ -182,13 +204,11 @@ def morphism_from_json(doc, base: Path | None = None) -> GroundMorphism:
     try:
         dom = ground_from_json(doc["dom"], base)
         cod = ground_from_json(doc["cod"], base)
-        f, phi_op = doc["f"], doc["phi_op"]
-        if not (isinstance(f, dict) and _is_name_list(list(f.values()))):
-            raise ParseError(f"f must be a {{point: point}} object, got {f!r}")
-        if not (_is_name_list(phi_op) or isinstance(phi_op, dict) and _is_name_list(list(phi_op.values()))):
-            raise ParseError(
-                f"phi_op must be an {{element: element}} object or a list of element names, got {phi_op!r}"
-            )
+        f = _field(doc, "f", "a {point: point} object", _is_name_map)
+        phi_op = _field(
+            doc, "phi_op", "an {element: element} object or a list of element names",
+            lambda phi_op: _is_name_list(phi_op) or _is_name_map(phi_op),
+        )
         return validate_ground_morphism(dom, cod, f, phi_op)
     except KeyError as exc:
         raise ParseError(f"morphism file missing key {exc}")
@@ -298,13 +318,14 @@ def source_from_json(doc, base: Path | None = None) -> StructuredSource:
     doc, base = _resolve(doc, base)
     try:
         domain = ground_from_json(doc["domain"], base)
-        arms = []
-        for arm in doc["arms"]:
-            g = morphism_from_json(arm["morphism"], base)
-            arms.append((g, space_from_json(arm["space"], base)))
+        listed = _field(
+            doc, "arms", "a list of {morphism, space} objects",
+            lambda arms: isinstance(arms, list) and all(isinstance(arm, dict) for arm in arms),
+        )
+        arms = tuple((morphism_from_json(arm["morphism"], base), space_from_json(arm["space"], base)) for arm in listed)
     except KeyError as exc:
         raise ParseError(f"source file missing key {exc}")
-    return StructuredSource(domain=domain, arms=tuple(arms))
+    return StructuredSource(domain=domain, arms=arms)
 
 
 def source_to_json(s: StructuredSource) -> dict:

@@ -72,8 +72,10 @@ from . import io as fio
 class SearchBounds:
     """Budget for the enumeration suites.
 
-    ``max_tables`` caps the interior maps streamed on any single ground:
-    the enumeration raises as soon as it would yield one more.
+    ``max_tables`` caps the interior maps streamed on any single ground
+    (the enumeration raises as soon as it would yield one more), the
+    total ``count_interior_maps`` reports, and the functions at one point
+    that a sample lists, one list per point.
     ``operator_sample`` is how many interior maps per ground the
     cross-product suites combine (the least and discrete maps are always
     in the sample, so it is at least 2; the rest is an even stride
@@ -162,9 +164,10 @@ def grounds_within(bounds: SearchBounds):
 # An interior map is monotone, lies below the identity and fixes top, and
 # all three axioms hold pointwise in the product order of L^X.  So a map is
 # one function g_x: L^X -> L per point x, chosen independently: monotone,
-# with g_x(u) <= u(x) and g_x(top) = top.  The maps on a ground number the
-# product of the per-point counts, and in the stream's order a map is the
-# interleaving of its per-point functions (see ``_unrank``).
+# with g_x(u) <= u(x) and g_x(top) = top.  Every point has as many, so the
+# maps on a ground number one point's count to the power of the number of
+# points, and in the stream's order a map is the interleaving of its
+# per-point functions (see ``_unrank``).
 
 def _backtrack(candidates, up, covers, order):
     """Every monotone assignment of values to the positions of L^X in
@@ -254,63 +257,63 @@ def enumerate_interior_maps(ground: Ground, bounds: SearchBounds | None = None, 
         yield InteriorMap(ground, tuple(assign))
 
 
+def _point_count(ground: Ground, limit: int, expire) -> int:
+    """The number of functions g_x at one point x, which every point has
+    (swapping two coordinates of L^X carries one point's onto another's),
+    or a running count past ``limit``; 1 with no point.  The walk leaves
+    out top's lower covers, the coatoms, and each leaf adds the product of
+    their candidate counts.  That is exact: top is the only position that
+    covers a coatom, so given the rest each coatom is bound only by its
+    own lower covers.  ``expire`` is called before every 1,024th leaf.
+    """
+    up, per_point = _point_candidates(ground)
+    if not per_point:
+        return 1
+    candidates, covers = per_point[0], ground.index.covers
+    coatoms = covers[-1]
+    order = [a for a in range(len(covers) - 1) if a not in coatoms]
+    count = 0
+    for leaf, assign in enumerate(_backtrack(candidates, up, covers, order)):
+        if not leaf & 1023 and expire is not None:
+            expire()
+        product = 1
+        for k in coatoms:
+            options = candidates[k]
+            for c in covers[k]:
+                options &= up[assign[c]]
+            product *= options.bit_count()
+        count += product
+        if count > limit:
+            break
+    return count
+
+
 def count_interior_maps(ground: Ground, bounds: SearchBounds | None = None, expire=None) -> int:
     """The number of interior maps on the ground, without building them:
-    the product of the per-point counts.
-
-    A point's functions are counted by ``_backtrack`` over every position
-    but top and its lower covers, the coatoms, and each completed
-    assignment adds the product of the coatoms' candidate counts.  That is
-    exact: a coatom's only upper cover is top, no cover edge joins two
-    coatoms, and no other position has a coatom as a lower cover, so given
-    the rest the coatoms' values are independent, each constrained only by
-    its own lower covers.  More than ``bounds.max_tables`` maps raise
-    ``BoundsExceeded`` as soon as a point's running count times the
-    product of the earlier points' counts passes the cap, which is exact
-    because every later point has at least one function, the least.
-    ``expire`` is called before every 1,024th leaf of each point's walk.
-    """
+    one point's count to the power of the number of points.  More than
+    ``bounds.max_tables`` raise ``BoundsExceeded``, during the walk once
+    one point's count alone passes the cap."""
     cap = (bounds or SearchBounds()).max_tables
-    covers = ground.index.covers
-    top = len(covers) - 1
-    coatoms = covers[top]
-    order = [a for a in range(top) if a not in coatoms]
-    up, per_point = _point_candidates(ground)
-    total = 1
-    for candidates in per_point:
-        limit = cap // total  # count * total > cap exactly when count > limit
-        count = 0
-        for leaf, assign in enumerate(_backtrack(candidates, up, covers, order)):
-            if not leaf & 1023 and expire is not None:
-                expire()
-            product = 1
-            for k in coatoms:
-                options = candidates[k]
-                for c in covers[k]:
-                    options &= up[assign[c]]
-                product *= options.bit_count()
-            count += product
-            if count > limit:
-                raise BoundsExceeded(f"more than {cap} interior maps on this ground")
-        total *= count
+    total = _point_count(ground, cap, expire) ** len(ground.points)
+    if total > cap:
+        raise BoundsExceeded(f"more than {cap} interior maps on this ground")
     return total
 
 
 def interior_sample(ground: Ground, bounds: SearchBounds, expire=None):
     """Deterministic spread of interior maps on the ground: an even stride
-    through the stream that always keeps the least (first) and discrete
-    (last) maps, and keeps every map when the stream fits the sample
-    budget (``operator_sample`` is at least 2, so the stride is then at
-    most 1).
+    through the stream that keeps the least (first) and discrete (last)
+    maps, and every map when the stream fits ``operator_sample``.
 
-    The maps are counted first, which enforces ``max_tables``.  The kept
-    indices are then unranked (``_unrank``) from each point's functions,
-    listed in the order its own walk yields them, instead of walked; only
-    the kept maps are built.  Each point's walk calls ``expire`` before
-    every 1,024th function.
+    The kept indices are unranked (``_unrank``) from each point's
+    functions, listed in the order its own walk yields them; only the kept
+    maps are built.  So ``max_tables`` caps one point's count, the length
+    of each list.  Counting and listing call ``expire`` every 1,024 functions.
     """
-    total = count_interior_maps(ground, bounds, expire)
-    cap = bounds.operator_sample
+    count = _point_count(ground, bounds.max_tables, expire)
+    if count > bounds.max_tables:
+        raise BoundsExceeded(f"more than {bounds.max_tables} functions at one point of this ground")
+    total, cap = count ** len(ground.points), bounds.operator_sample
     covers = ground.index.covers
     top = len(covers) - 1
     up, per_point = _point_candidates(ground)
@@ -497,6 +500,7 @@ def _check_literal_trivial(case: dict, ctx: SearchContext):
 
 def _gen_operator_lattice(ctx: SearchContext):
     for ground in ctx.grounds:
+        count_interior_maps(ground, ctx.bounds, ctx.expire)  # refuse a ground past the cap before listing it
         maps = list(enumerate_interior_maps(ground, ctx.bounds, ctx.expire))
         if 2 ** len(maps) <= 4096:
             for mask in range(1, 2 ** len(maps)):

@@ -197,20 +197,21 @@ def _clean(instances: int) -> dict:
 @pytest.mark.parametrize(
     "flag, key, value, default, code, report",
     [
-        # godel3 with two points has 400 interior maps
-        ("--max-tables", "max_tables", "399", "100000", 1, {
+        # godel3 with two points has 20 functions at each point, and a
+        # sample lists only those, not the 400 maps
+        ("--max-tables", "max_tables", "19", "100000", 1, {
             "status": "error",
             "error": "BoundsExceeded",
-            "detail": "bounds exceeded: more than 399 interior maps on this ground",
+            "detail": "bounds exceeded: more than 19 functions at one point of this ground",
         }),
-        ("--max-tables", "max_tables", "400", "100000", 0, _clean(132)),
+        ("--max-tables", "max_tables", "20", "100000", 0, _clean(132)),
         ("--algebras", "algebras", "c2+lukasiewicz3", "c2+godel3", 0, _clean(100)),
         ("--max-x", "max_carrier", "1", "2", 0, _clean(12)),
         ("--sample", "operator_sample", "2", "4", 0, _clean(108)),
         # the key takes the trailing "s" the flag takes
         ("--budget", "time_budget", "60s", "300s", 0, _clean(132)),
     ],
-    ids=["max-tables-399", "max-tables-400", "algebras-c2-lukasiewicz3", "max-x-1", "sample-2", "budget-60s"],
+    ids=["max-tables-19", "max-tables-20", "algebras-c2-lukasiewicz3", "max-x-1", "sample-2", "budget-60s"],
 )
 def test_search_flag_moves_its_bound_as_its_env_key_does(monkeypatch, flag, key, value, default, code, report):
     # in one process: the flag alone and the FUZZINT_BOUNDS key alone give
@@ -580,6 +581,59 @@ C2 = {"builtin": "godel", "n": 2}
     ids=["points-a-string", "point-not-a-name", "space-points-a-string", "values-a-string"],
 )
 def test_string_where_a_list_is_expected_exits_2(tmp_path, name, doc, detail):
+    path = write(tmp_path, name, doc)
+    assert run_cli("validate", path) == (2, f"error: cannot parse input: {detail}\n")
+    code, text = run_cli("validate", path, "--json")
+    assert code == 2
+    assert json.loads(text) == {"status": "error", "error": "parse-error", "detail": f"cannot parse input: {detail}"}
+
+
+C2_LATTICE = {"elements": ["0", "1"], "leq": [["0", "1"]], "closure": True}
+C2_TENSOR = [[a, b, min(a, b)] for a in "01" for b in "01"]
+LEQ_PAIRS = "leq must be a list of [a, b] pairs of element names"
+TENSOR_TRIPLES = "tensor must be a list of [a, b, a(x)b] triples of element names"
+ARM_OBJECTS = "arms must be a list of {morphism, space} objects"
+
+
+@pytest.mark.parametrize(
+    "name, doc, detail",
+    [
+        # elements written as a string, not read character by character
+        ("lattice.json", {**C2_LATTICE, "elements": "01"}, "elements must be a list of element names, got '01'"),
+        ("lattice.json", {**C2_LATTICE, "elements": 5}, "elements must be a list of element names, got 5"),
+        ("lattice.json", {**C2_LATTICE, "leq": 5}, f"{LEQ_PAIRS}, got 5"),
+        ("lattice.json", {**C2_LATTICE, "leq": [["0", "1", "1"]]}, f"{LEQ_PAIRS}, got [['0', '1', '1']]"),
+        # a string is not a truth value
+        ("lattice.json", {**C2_LATTICE, "closure": "no"}, "closure must be true or false, got 'no'"),
+        # an object keyed by two-character strings is not a list of triples
+        (
+            "monoid.json",
+            {"lattice": C2_LATTICE, "tensor": {"00": "0", "01": "0", "10": "0", "11": "1"}},
+            f"{TENSOR_TRIPLES}, got {{'00': '0', '01': '0', '10': '0', '11': '1'}}",
+        ),
+        ("monoid.json", {"lattice": C2_LATTICE, "tensor": 7}, f"{TENSOR_TRIPLES}, got 7"),
+        ("monoid.json", {"lattice": C2_LATTICE, "tensor": [["0", "0"]]}, f"{TENSOR_TRIPLES}, got [['0', '0']]"),
+        ("monoid.json", {"lattice": C2_LATTICE, "tensor": C2_TENSOR, "gl": "no"}, "gl must be true or false, got 'no'"),
+        ("monoid.json", {"builtin": "godel", "n": [3]}, "n must be an integer, got [3]"),
+        ("source.json", {"domain": {"points": ["x"], "algebra": C2}, "arms": 5}, f"{ARM_OBJECTS}, got 5"),
+        ("source.json", {"domain": {"points": ["x"], "algebra": C2}, "arms": [5]}, f"{ARM_OBJECTS}, got [5]"),
+    ],
+    ids=[
+        "elements-a-string",
+        "elements-a-number",
+        "leq-a-number",
+        "leq-row-of-three",
+        "closure-a-string",
+        "tensor-an-object",
+        "tensor-a-number",
+        "tensor-row-of-two",
+        "gl-a-string",
+        "n-a-list",
+        "arms-a-number",
+        "arm-a-number",
+    ],
+)
+def test_wrong_shaped_lattice_monoid_or_source_exits_2(tmp_path, name, doc, detail):
     path = write(tmp_path, name, doc)
     assert run_cli("validate", path) == (2, f"error: cannot parse input: {detail}\n")
     code, text = run_cli("validate", path, "--json")

@@ -65,6 +65,27 @@ def test_count_matches_the_stream(ground):
             count_interior_maps(ground, SearchBounds(max_tables=n - 1))
 
 
+@pytest.mark.parametrize(
+    "name, points",
+    [("c2", n) for n in (1, 2, 3, 4)]
+    + [("godel3", n) for n in (1, 2, 3)]
+    + [(name, 2) for name in ("godel4", "diamond-join", "diamond-meet")]
+    + [("pentagon-meet", n) for n in (1, 2)],
+)
+def test_every_point_has_one_count_and_the_maps_number_its_power(name, points):
+    # swapping two coordinates of L^X carries one point's functions onto
+    # another's; each point's list is walked in full, coatoms included
+    ground = Ground(tuple(f"p{i + 1}" for i in range(points)), builtin_algebra(name))
+    up, per_point = fsearch._point_candidates(ground)
+    covers = ground.index.covers
+    lengths = {
+        sum(1 for _ in fsearch._backtrack(candidates, up, covers, range(len(covers) - 1)))
+        for candidates in per_point
+    }
+    assert len(lengths) == 1
+    assert count_interior_maps(ground, SearchBounds(max_tables=10**10)) == lengths.pop() ** points
+
+
 # Dedekind numbers: the monotone Boolean functions of 0..4 variables
 DEDEKIND = (2, 3, 6, 20, 168)
 
@@ -110,22 +131,29 @@ def test_count_and_stream_both_refuse_a_ground_past_the_cap():
 @pytest.mark.parametrize("ground", GROUNDS, ids=repr)
 def test_sample_matches_list_and_stride(ground):
     bounds = SearchBounds()
+    least_images = (0,) * (ground.set_count() - 1) + (ground.set_count() - 1,)
+    discrete_images = tuple(range(ground.set_count()))
     try:
         maps = list(enumerate_interior_maps(ground, bounds))
     except BoundsExceeded:
-        with pytest.raises(BoundsExceeded):
-            interior_sample(ground, bounds)
+        # the stream passes the cap, but a sample lists only each point's
+        # functions, and refuses only once one point's count passes it
+        per_point = fsearch._point_count(ground, bounds.max_tables, None)
+        sample = interior_sample(ground, bounds)
+        assert [sample[0].images, sample[-1].images] == [least_images, discrete_images]
+        assert interior_sample(ground, SearchBounds(max_tables=per_point)) == sample
+        with pytest.raises(BoundsExceeded, match=f"more than {per_point - 1} functions at one point of this ground"):
+            interior_sample(ground, SearchBounds(max_tables=per_point - 1))
         return
     for size in (2, 3, 4, 8):
         sample = interior_sample(ground, SearchBounds(operator_sample=size))
         assert sample == naive_interior_sample(maps, size)
-        assert sample[0].images == (0,) * (ground.set_count() - 1) + (ground.set_count() - 1,)
-        assert sample[-1].images == tuple(range(ground.set_count()))
+        assert [sample[0].images, sample[-1].images] == [least_images, discrete_images]
 
 
 @pytest.mark.parametrize(
     "name, points",
-    [("diamond-join", 2), ("pentagon-meet", 1), ("godel4", 2), ("lukasiewicz3", 2)],
+    [("diamond-join", 2), ("diamond-meet", 2), ("pentagon-meet", 1), ("godel4", 2), ("lukasiewicz3", 2)],
 )
 def test_unranked_sample_matches_a_stride_through_the_stream(name, points):
     # a stride of the listed stream, taken in one walk of it

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from conftest import all_value_tuples, leq_values
+import fuzzint.search as fsearch
 from fuzzint.errors import BoundsExceeded, MalformedBundle, UnknownProperty
 from fuzzint.interior import check_interior_axioms, discrete, least
 from fuzzint.search import (
@@ -267,11 +268,51 @@ def test_time_budget_bounds_case_generation():
     assert time.monotonic() - start < 2.0
 
 
+@pytest.mark.parametrize(
+    "bounds, prop, status, instances",
+    [
+        ("algebras=godel4", "initiality", "no-counterexample", 27_360),
+        ("algebras=godel4", "open-preimage", "no-counterexample", 3_857),
+        ("algebras=godel4", "preservation-idempotent", "no-counterexample", 180),
+        ("algebras=godel4", "preservation-fully-productive", "no-counterexample", 200),
+        ("algebras=pentagon-meet", "initiality", "no-counterexample", 13_440),
+        ("algebras=pentagon-meet", "preservation-idempotent", "no-counterexample", 126),
+        ("max_carrier=3", "open-preimage", "no-counterexample", 18_432),
+        ("max_carrier=3", "preservation-idempotent", "no-counterexample", 834),
+        ("max_carrier=3", "preservation-fully-productive", "no-counterexample", 982),
+        ("max_carrier=3", "literal-meet-source-lift", "counterexample", 2_084),
+    ],
+)
+def test_sampled_searches_reach_grounds_whose_maps_pass_the_cap(bounds, prop, status, instances):
+    # at the default max_tables: a sample lists each point's functions, 686
+    # on godel4 and 24,507 on pentagon-meet with 2 points and 1,970 on
+    # godel3 with 3, not the 470,596, 600,593,049 and 7,645,373,000 maps
+    result = search(prop, bounds_from_env(bounds))
+    assert (result.status, result.instances) == (status, instances)
+
+
+def test_operator_lattice_closure_refuses_a_ground_before_listing_it(monkeypatch):
+    # godel3 with 3 points has 7,645,373,000 maps: the count refuses the
+    # ground, and its stream is never started
+    listed = []
+    stream = fsearch.enumerate_interior_maps
+
+    def recorded(ground, *args):
+        listed.append(ground)
+        return stream(ground, *args)
+
+    monkeypatch.setattr(fsearch, "enumerate_interior_maps", recorded)
+    bounds = SearchBounds(max_carrier=3)
+    with pytest.raises(BoundsExceeded, match="^bounds exceeded: more than 100000 interior maps on this ground$"):
+        search("operator-lattice-closure", bounds)
+    assert listed == grounds_within(bounds)[:-1]
+
+
 @pytest.mark.parametrize("prop", ["composition-continuous", "operator-lattice-closure"])
 def test_time_budget_bounds_counting_and_enumerating_maps(prop):
     # godel4 on 2 points carries 470,596 interior maps, which take seconds
-    # to list (for the families); on 3 points the first point's counting
-    # walk (for the sample) had not finished after 90 s on a 2-core host,
+    # to list (for the families); on 3 points one point's counting walk
+    # (for the sample) had not finished after 90 s on a 2-core host,
     # far below max_tables, so no luck fits either loop in the budget and
     # the budget must stop both
     bounds = SearchBounds(algebras=("godel4",), max_carrier=3, max_tables=10**9, time_budget=0.05)
@@ -294,14 +335,14 @@ def test_walks_over_interior_maps_read_the_deadline_every_1024_maps():
     c2_cube = grounds_within(SearchBounds(algebras=("c2",), max_carrier=4))[-1]
     assert sum(1 for _ in enumerate_interior_maps(c2_cube, bounds, expire("enumerate"))) == 130_321
     assert reads["enumerate"] == -(-130_321 // 1024)
-    # godel3 on 3 points: 7,645,373,000 = 1,970 ** 3 maps, one point's
-    # functions times the other two's.  Each point's counting walk leaves
-    # out the coatoms and reaches 1,132 leaves, read before the first and
-    # the 1,025th; listing a point's 1,970 functions for the sample reads
-    # the same way, and a kept map is not a read
+    # godel3 on 3 points: 7,645,373,000 = 1,970 ** 3 maps, every point
+    # having 1,970 functions.  The count walks one point, leaving out the
+    # coatoms: 1,132 leaves, read before the first and the 1,025th.  The
+    # sample takes the same count, then lists each point's 1,970
+    # functions, read the same way; a kept map is not a read
     ground = grounds_within(SearchBounds(algebras=("godel3",), max_carrier=3))[-1]
     assert count_interior_maps(ground, bounds, expire("count")) == 1970**3
-    assert reads["count"] == 3 * 2
+    assert reads["count"] == 2
     assert len(interior_sample(ground, bounds, expire("sample"))) == 4
     assert reads["sample"] == reads["count"] + 3 * 2
 
