@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 from . import io as fio
@@ -136,11 +135,11 @@ def _bounds(args) -> SearchBounds:
     Only the commands that search read them."""
     bounds = bounds_from_env(os.environ.get("FUZZINT_BOUNDS"))
     flags = {
-        f.name: parse_bound(f.name, getattr(args, f.name))
-        for f in fields(SearchBounds)
-        if getattr(args, f.name, None) is not None
+        name: parse_bound(name, getattr(args, name))
+        for name in SearchBounds._fields
+        if getattr(args, name, None) is not None
     }
-    return replace(bounds, **flags)
+    return bounds.replace(**flags)
 
 
 # ----------------------------------------------------------------- validate

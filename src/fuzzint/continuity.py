@@ -49,7 +49,6 @@ over test interiors lives in the test suite as its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import GroundMismatch, NotContinuous, PropertyPreconditionFailed
@@ -61,21 +60,21 @@ from .powerset import (
     all_morphisms,
     identity_morphism,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class StructuredSource:
+class StructuredSource(Value):
     """A domain ground with a family of morphisms into structured spaces."""
 
-    domain: Ground
-    arms: tuple  # of (GroundMorphism, InteriorMap)
+    _fields = ("domain", "arms")
 
-    def __post_init__(self):
-        for g, target in self.arms:
-            if g.dom != self.domain:
+    def __init__(self, domain: Ground, arms: tuple):  # arms: of (GroundMorphism, InteriorMap)
+        for g, target in arms:
+            if g.dom != domain:
                 raise GroundMismatch("arm morphism does not start at the source domain")
             if g.cod != target.ground:
                 raise GroundMismatch("arm morphism does not end at its space")
+        self.__dict__.update(domain=domain, arms=arms)
 
 
 # -- continuity and openness --------------------------------------------------

@@ -14,25 +14,26 @@ exact dyadic or decimal fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import EmptyCarrier, InvalidTopology
 from .interior import LTopology, closure_from_topology, interior_from_topology
 from .monoid import GLMonoid
 from .powerset import powerset
+from .value import Value
 
 FLOAT_TOLERANCE = 1e-12
 
 
 # -- finite topological spaces -------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteTopSpace:
+class FiniteTopSpace(Value):
     """A finite point set with a family of open subsets."""
 
-    points: tuple[str, ...]
-    opens: frozenset  # of frozenset[str]
+    _fields = ("points", "opens")
+
+    def __init__(self, points: tuple[str, ...], opens: frozenset):  # opens: of frozenset[str]
+        self.__dict__.update(points=points, opens=opens)
 
 
 def validate_topology(points, opens) -> FiniteTopSpace:

@@ -20,11 +20,10 @@ form honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CarrierMismatch, GroundMismatch, NotAnInteriorMap, NotGLGround, TopMissingFromTopology
 from .monoid import GLMonoid
 from .powerset import FuzzySet, Ground, Verdict, positions_in
+from .value import Value
 
 
 class InteriorMap:
@@ -266,8 +265,7 @@ def open_sets(i: InteriorMap) -> tuple[int, ...]:
 
 # -- topologies ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LTopology:
+class LTopology(Value):
     """A designated family of open fuzzy sets over one ground.
 
     ``opens`` is a bitmask of the ground's index positions.  Only the
@@ -275,9 +273,10 @@ class LTopology:
     top); closure under joins is reported, not required.
     """
 
-    ground: Ground
-    opens: int
-    join_closed: bool
+    _fields = ("ground", "opens", "join_closed")
+
+    def __init__(self, ground: Ground, opens: int, join_closed: bool):
+        self.__dict__.update(ground=ground, opens=opens, join_closed=join_closed)
 
 
 def ltopology(ground: Ground, opens) -> LTopology:

@@ -11,7 +11,6 @@ construction does and rejects non-distributive carriers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import (
@@ -21,37 +20,40 @@ from .errors import (
     TopEqualsBottom,
     UnknownElement,
 )
+from .value import Value
 
 #: Carriers above this size are refused by default; exhaustive suites assume
 #: desk scale.  Pass ``max_size`` to :func:`validate_lattice` to override.
 DEFAULT_MAX_SIZE = 64
 
 
-@dataclass(frozen=True)
-class FiniteLattice:
+class FiniteLattice(Value):
     """A validated finite complete lattice.
 
     ``leq``, ``join2`` and ``meet2`` are index-based tables; ``elements``
     maps indices back to the user's identifiers.  ``distributive`` reports
     whether the (finite) frame laws hold, with a witness triple when not.
+    ``ascending`` lists every index in a linear extension of the order.
     """
 
-    elements: tuple[str, ...]
-    leq: tuple[tuple[bool, ...], ...]
-    join2: tuple[tuple[int, ...], ...]
-    meet2: tuple[tuple[int, ...], ...]
-    top: int
-    bottom: int
-    distributive: bool
-    distributivity_witness: tuple[str, str, str] | None
-    _index: dict = field(default=None, init=False, repr=False, compare=False)
-    #: Every index, listed in a linear extension of the order.
-    ascending: tuple[int, ...] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
-        object.__setattr__(self, "ascending", _linear_extension(self.leq))
-        object.__setattr__(self, "_hash", hash((self.elements, self.leq)))
+    def __init__(
+        self,
+        elements: tuple[str, ...],
+        leq: tuple[tuple[bool, ...], ...],
+        join2: tuple[tuple[int, ...], ...],
+        meet2: tuple[tuple[int, ...], ...],
+        top: int,
+        bottom: int,
+        distributive: bool,
+        distributivity_witness: tuple[str, str, str] | None,
+    ):
+        self.__dict__.update(
+            elements=elements, leq=leq, join2=join2, meet2=meet2, top=top, bottom=bottom,
+            distributive=distributive, distributivity_witness=distributivity_witness,
+            _index={e: i for i, e in enumerate(elements)},
+            ascending=_linear_extension(leq),
+            _hash=hash((elements, leq)),
+        )
 
     def __hash__(self):
         return self._hash

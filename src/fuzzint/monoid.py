@@ -9,9 +9,8 @@ computations consult it in inner loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .errors import (
     DistributivityViolation,
@@ -26,16 +25,19 @@ from .errors import (
     UnknownElement,
 )
 from .lattice import FiniteLattice, chain_lattice, validate_lattice
+from .value import Value
 
-@dataclass(frozen=True)
-class CQML:
-    """Complete lattice with an isotone tensor whose top is idempotent."""
 
-    lattice: FiniteLattice
-    tensor: tuple[tuple[int, ...], ...]
+class CQML(Value):
+    """Complete lattice with an isotone tensor whose top is idempotent.
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.lattice, self.tensor)))
+    Equality and the hash read the lattice and the tensor only, so a
+    GL-monoid equals the carrier of its tables: its residuum is determined
+    by them.
+    """
+
+    def __init__(self, lattice: FiniteLattice, tensor: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(lattice=lattice, tensor=tensor, _hash=hash((lattice, tensor)))
 
     def __hash__(self):
         return self._hash
@@ -52,7 +54,6 @@ class CQML:
         return lat.name(self.tensor[lat.index(a)][lat.index(b)])
 
 
-@dataclass(frozen=True)
 class GLMonoid(CQML):
     """Validated GL-monoid with its residuum table.
 
@@ -61,8 +62,15 @@ class GLMonoid(CQML):
     each comparable pair a <= b (and -1 elsewhere), kept for diagnostics.
     """
 
-    residuum: tuple[tuple[int, ...], ...] = ()
-    division_witness: tuple[tuple[int, ...], ...] = ()
+    def __init__(
+        self,
+        lattice: FiniteLattice,
+        tensor: tuple[tuple[int, ...], ...],
+        residuum: tuple[tuple[int, ...], ...] = (),
+        division_witness: tuple[tuple[int, ...], ...] = (),
+    ):
+        super().__init__(lattice, tensor)
+        self.__dict__.update(residuum=residuum, division_witness=division_witness)
 
     def residuum_names(self, a: str, b: str) -> str:
         lat = self.lattice
@@ -199,7 +207,7 @@ def builtin_chain(kind: str, n: int) -> GLMonoid:
     """
     if n < 2:
         raise ValueError(f"chain length must be at least 2, got {n}")
-    names = tuple(str(Fraction(i, n - 1)) for i in range(n))
+    names = tuple(_fraction_name(i, n - 1) for i in range(n))
     lat = chain_lattice(names)
     if kind == "godel":
         table = {(names[i], names[j]): names[min(i, j)] for i in range(n) for j in range(n)}
@@ -212,6 +220,12 @@ def builtin_chain(kind: str, n: int) -> GLMonoid:
     else:
         raise ValueError(f"unknown chain kind {kind!r}")
     return validate_gl(validate_cqml(lat, table))
+
+
+def _fraction_name(i: int, n: int) -> str:
+    """i/n in lowest terms, spelled as ``str(fractions.Fraction(i, n))``."""
+    d = gcd(i, n)
+    return str(i // d) if d == n else f"{i // d}/{n // d}"
 
 
 def pointwise_power(m: CQML, k: int) -> CQML:

@@ -18,7 +18,6 @@ phi_op (on the two-element chain for the classical ones).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
 
@@ -31,23 +30,20 @@ from .errors import (
     UnknownElement,
 )
 from .monoid import CQML
+from .value import Value
 
 #: Largest fuzzy powerset a ground indexes; exhaustive checks on interior
 #: maps refuse larger grounds.
 MATERIALIZATION_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class Ground:
+class Ground(Value):
     """A carrier set together with its value algebra."""
 
-    points: tuple[str, ...]
-    algebra: CQML
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.points, self.algebra)))
-        if len(set(self.points)) != len(self.points):
-            raise CarrierMismatch(f"duplicate point names in {self.points}")
+    def __init__(self, points: tuple[str, ...], algebra: CQML):
+        if len(set(points)) != len(points):
+            raise CarrierMismatch(f"duplicate point names in {points}")
+        self.__dict__.update(points=points, algebra=algebra, _hash=hash((points, algebra)))
 
     def __hash__(self):
         return self._hash
@@ -222,18 +218,15 @@ def positions_in(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class FuzzySet:
+class FuzzySet(Value):
     """An element of L^X: a total map from the carrier into the lattice."""
 
-    ground: Ground
-    values: tuple[int, ...]
+    _fields = ("ground", "values")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.ground.points):
-            raise CarrierMismatch(
-                f"{len(self.values)} values for {len(self.ground.points)} points"
-            )
+    def __init__(self, ground: Ground, values: tuple[int, ...]):
+        if len(values) != len(ground.points):
+            raise CarrierMismatch(f"{len(values)} values for {len(ground.points)} points")
+        self.__dict__.update(ground=ground, values=values)
 
     def __hash__(self):
         return hash(self.values)
@@ -251,8 +244,7 @@ class FuzzySet:
 
 # ------------------------------------------------------- ground morphisms
 
-@dataclass(frozen=True)
-class GroundMorphism:
+class GroundMorphism(Value):
     """A pair (f, phi_op) from (X, L) to (Y, M).
 
     ``f`` maps domain point indices to codomain point indices; ``phi_op``
@@ -260,13 +252,8 @@ class GroundMorphism:
     preserves arbitrary joins, the tensor and top.
     """
 
-    dom: Ground
-    cod: Ground
-    f: tuple[int, ...]
-    phi_op: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.dom, self.cod, self.f, self.phi_op)))
+    def __init__(self, dom: Ground, cod: Ground, f: tuple[int, ...], phi_op: tuple[int, ...]):
+        self.__dict__.update(dom=dom, cod=cod, f=f, phi_op=phi_op, _hash=hash((dom, cod, f, phi_op)))
 
     def __hash__(self):
         return self._hash
@@ -432,14 +419,13 @@ def all_morphisms(dom: Ground, cod: Ground):
             yield GroundMorphism(dom=dom, cod=cod, f=f, phi_op=phi)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Outcome of an exhaustive check: ok flag, witness, instances counted."""
 
-    ok: bool
-    prop: str
-    witness: dict | None
-    checked: int
+    _fields = ("ok", "prop", "witness", "checked")
+
+    def __init__(self, ok: bool, prop: str, witness: dict | None, checked: int):
+        self.__dict__.update(ok=ok, prop=prop, witness=witness, checked=checked)
 
     def __bool__(self):
         return self.ok

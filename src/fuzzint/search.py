@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, fields, replace
 from itertools import combinations
 from math import prod
 from operator import itemgetter
@@ -63,13 +62,13 @@ from .interior import (
 from .lattice import diamond_lattice, pentagon_lattice
 from .monoid import builtin_chain, godel_tensor, join_tensor
 from .powerset import FuzzySet, Ground, GroundMorphism, Verdict, all_morphisms, identity_morphism
+from .value import Value
 from . import io as fio
 
 
 # ---------------------------------------------------------------- bounds
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(Value):
     """Budget for the enumeration suites.
 
     ``max_tables`` caps the interior maps streamed on any single ground
@@ -80,35 +79,49 @@ class SearchBounds:
     cross-product suites combine (the least and discrete maps are always
     in the sample, so it is at least 2; the rest is an even stride
     through the full enumeration).  Every number must be positive; a NaN
-    time budget would never expire and is refused too.
+    time budget would never expire and is refused too.  ``algebras``
+    must name at least one algebra.
     """
 
-    max_carrier: int = 2
-    max_tables: int = 100_000
-    time_budget: float = 300.0
-    algebras: tuple[str, ...] = ("c2", "godel3")
-    operator_sample: int = 4
+    _fields = ("max_carrier", "max_tables", "time_budget", "algebras", "operator_sample")
 
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
+    def __init__(
+        self,
+        max_carrier: int = 2,
+        max_tables: int = 100_000,
+        time_budget: float = 300.0,
+        algebras: tuple[str, ...] = ("c2", "godel3"),
+        operator_sample: int = 4,
+    ):
+        self.__dict__.update(
+            max_carrier=max_carrier, max_tables=max_tables, time_budget=time_budget,
+            algebras=algebras, operator_sample=operator_sample,
+        )
+        for name, v in zip(self._fields, self._key()):
             if isinstance(v, (int, float)) and not v > 0:  # NaN fails this too
-                raise BoundsExceeded(f"{f.name} must be positive, got {v}")
-        if self.operator_sample < 2:
+                raise BoundsExceeded(f"{name} must be positive, got {v}")
+        if operator_sample < 2:
             raise BoundsExceeded(
-                f"operator_sample must be at least 2 (the least and the discrete map), got {self.operator_sample}"
+                f"operator_sample must be at least 2 (the least and the discrete map), got {operator_sample}"
             )
+        if not algebras:
+            raise BoundsExceeded("algebras must name at least one algebra")
+
+    def replace(self, **changes) -> "SearchBounds":
+        """A copy with the named bounds changed, validated afresh."""
+        return SearchBounds(**{**self.__dict__, **changes})
 
 
 def parse_bound(key: str, text: str):
     """The value of bound ``key`` written as text, for FUZZINT_BOUNDS and
     the search flags alike: ``algebras`` plus-separated names,
     ``time_budget`` seconds with an optional trailing "s", every other
-    bound an integer.  BoundsExceeded for an unknown key or a bad value."""
-    if key not in {f.name for f in fields(SearchBounds)}:
+    bound an integer.  BoundsExceeded for an unknown key or a bad value;
+    an empty algebra list is left to ``SearchBounds`` to refuse."""
+    if key not in SearchBounds._fields:
         raise BoundsExceeded(f"unknown bounds key {key!r}")
     if key == "algebras":
-        return tuple(text.split("+"))
+        return tuple(text.split("+")) if text else ()
     try:
         return float(text.removesuffix("s")) if key == "time_budget" else int(text)
     except ValueError:
@@ -129,7 +142,7 @@ def bounds_from_env(text: str | None, base: SearchBounds | None = None) -> Searc
         key, _, value = item.partition("=")
         key = key.strip().replace("-", "_")
         updates[key] = parse_bound(key, value.strip())
-    return replace(bounds, **updates)
+    return bounds.replace(**updates)
 
 
 def builtin_algebra(name: str):
@@ -151,11 +164,21 @@ def builtin_algebra(name: str):
 
 def grounds_within(bounds: SearchBounds):
     """One ground per carrier size up to ``max_carrier`` and named algebra,
-    small carriers first; the algebra list alone decides the bases."""
+    small carriers first; the algebra list alone decides the bases.  Each
+    algebra is built once, so the grounds of one name share it.  Two names
+    that build equal algebras (c2 and godel2, or one name twice) would
+    check every case of that base twice: BoundsExceeded names both."""
+    algebras = {}
+    for name in bounds.algebras:
+        algebra = builtin_algebra(name)
+        same = next((other for other, built in algebras.items() if built == algebra), None)
+        if same is not None:
+            raise BoundsExceeded(f"algebras {same!r} and {name!r} build the same algebra")
+        algebras[name] = algebra
     return [
-        Ground(points=tuple(f"p{i + 1}" for i in range(size)), algebra=builtin_algebra(name))
+        Ground(points=tuple(f"p{i + 1}" for i in range(size)), algebra=algebra)
         for size in range(1, bounds.max_carrier + 1)
-        for name in bounds.algebras
+        for algebra in algebras.values()
     ]
 
 
@@ -799,12 +822,20 @@ HYPOTHESES = {
 
 # ------------------------------------------------------------------ driver
 
-@dataclass
 class SearchResult:
-    prop: str
-    status: str  # "no-counterexample" | "counterexample"
-    instances: int
-    bundle: dict | None
+    """The outcome of a search or a replay; unlike the value classes, a
+    plain mutable record, compared field by field."""
+
+    def __init__(self, prop: str, status: str, instances: int, bundle: dict | None):
+        self.prop = prop
+        self.status = status  # "no-counterexample" | "counterexample"
+        self.instances = instances
+        self.bundle = bundle
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:

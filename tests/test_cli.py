@@ -402,6 +402,12 @@ def test_malformed_table_row_in_a_space_exits_2(tmp_path):
         (None, ["--budget", "xyz"], "time_budget must be a number, got 'xyz'"),
         ("time_budget=nan", [], "time_budget must be positive, got nan"),
         ("max_lattice=4", [], "unknown bounds key 'max_lattice'"),
+        # an empty algebra list quantifies over nothing, and two names of
+        # one algebra would check its every case twice
+        ("algebras=", [], "algebras must name at least one algebra"),
+        (None, ["--algebras", ""], "algebras must name at least one algebra"),
+        ("algebras=c2+godel2", [], "algebras 'c2' and 'godel2' build the same algebra"),
+        (None, ["--algebras", "godel3+c2+c2"], "algebras 'c2' and 'c2' build the same algebra"),
     ],
     ids=[
         "sample-flag-1",
@@ -411,6 +417,10 @@ def test_malformed_table_row_in_a_space_exits_2(tmp_path):
         "budget-flag-xyz",
         "budget-env-nan",
         "max-lattice-env-unknown",
+        "algebras-env-empty",
+        "algebras-flag-empty",
+        "algebras-env-c2-godel2",
+        "algebras-flag-c2-twice",
     ],
 )
 def test_search_rejects_unusable_bounds(monkeypatch, env, flags, detail):

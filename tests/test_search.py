@@ -94,6 +94,29 @@ def test_grounds_within_defaults():
     ]
 
 
+def test_grounds_of_one_name_share_one_algebra():
+    names = ("c2", "lukasiewicz3", "diamond-join")
+    grounds = grounds_within(SearchBounds(algebras=names, max_carrier=3))
+    # small carriers first: every len(names)-th ground has the same name
+    for k in range(len(names)):
+        assert len({id(g.algebra) for g in grounds[k :: len(names)]}) == 1
+    assert len({id(g.algebra) for g in grounds}) == len(names)
+
+
+@pytest.mark.parametrize(
+    "algebras, first, second",
+    [(("c2", "godel2"), "c2", "godel2"), (("c2", "c2"), "c2", "c2"), (("godel3", "lukasiewicz2", "c2"), "lukasiewicz2", "c2")],
+    ids=["c2-godel2", "c2-twice", "lukasiewicz2-c2"],
+)
+def test_names_of_one_algebra_are_refused(algebras, first, second):
+    # each would check every case of the two-element chain twice
+    detail = f"^bounds exceeded: algebras '{first}' and '{second}' build the same algebra$"
+    with pytest.raises(BoundsExceeded, match=detail):
+        grounds_within(SearchBounds(algebras=algebras))
+    with pytest.raises(BoundsExceeded, match=detail):
+        search("meet-interchange", SearchBounds(algebras=algebras))
+
+
 def test_builtin_algebra_names():
     assert len(builtin_algebra("godel4").lattice) == 4
     assert len(builtin_algebra("lukasiewicz5").lattice) == 5
@@ -114,8 +137,8 @@ def test_bounds_env_parsing():
 
 @pytest.mark.parametrize(
     "update",
-    [{"time_budget": float("nan")}, {"operator_sample": 1}, {"operator_sample": 0}, {"max_tables": -1}],
-    ids=["nan-budget", "sample-1", "sample-0", "negative-tables"],
+    [{"time_budget": float("nan")}, {"operator_sample": 1}, {"operator_sample": 0}, {"max_tables": -1}, {"algebras": ()}],
+    ids=["nan-budget", "sample-1", "sample-0", "negative-tables", "no-algebras"],
 )
 def test_bounds_refuse_values_that_cannot_bound_a_search(update):
     with pytest.raises(BoundsExceeded):
