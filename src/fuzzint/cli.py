@@ -3,11 +3,11 @@
 Subcommands: validate, tables, check, search, replay, examples.  Exit
 codes are 0 for a clean verdict; 1 for a property failure or for an input
 that parses but breaks a definition, with the first witness in the report;
-2 for unreadable input (missing file, JSON syntax, missing key, unknown
-property).  Output is deterministic for fixed inputs and flags: rows are
-sorted and no timestamps are printed.  The FUZZINT_BOUNDS environment
-variable overrides default search bounds; only the commands that search
-read it.
+2 for unreadable input (missing file, a directory or a file that is not
+UTF-8, JSON syntax, missing key, unknown property).  Output is
+deterministic for fixed inputs and flags: rows are sorted and no
+timestamps are printed.  The FUZZINT_BOUNDS environment variable
+overrides default search bounds; only the commands that search read it.
 """
 
 from __future__ import annotations

@@ -95,7 +95,10 @@ def _scan(g: GroundMorphism, src: InteriorMap, dst: InteriorMap, prop: str) -> V
     """The first codomain position b at which backward(dst(b)) and
     src(backward(b)) are out of order: the first below the second for
     continuity, the second below the first for openness."""
-    _check_ends(g, src, dst)
+    if g.dom != src.ground:
+        raise GroundMismatch("morphism domain differs from the source space")
+    if g.cod != dst.ground:
+        raise GroundMismatch("morphism codomain differs from the target space")
     bw, inner, outer = g.backward, src.images, dst.images
     down = g.dom.index.down
     reverse = prop == "openness"
@@ -112,13 +115,6 @@ def _scan(g: GroundMorphism, src: InteriorMap, dst: InteriorMap, prop: str) -> V
             }
             return Verdict(ok=False, prop=prop, witness=witness, checked=b + 1)
     return Verdict(ok=True, prop=prop, witness=None, checked=len(outer))
-
-
-def _check_ends(g: GroundMorphism, src: InteriorMap, dst: InteriorMap) -> None:
-    if g.dom != src.ground:
-        raise GroundMismatch("morphism domain differs from the source space")
-    if g.cod != dst.ground:
-        raise GroundMismatch("morphism codomain differs from the target space")
 
 
 def compose(g2: GroundMorphism, g1: GroundMorphism) -> GroundMorphism:
@@ -358,23 +354,22 @@ def meet_interchange_report(g: GroundMorphism) -> Verdict:
 
 def preserves_idempotency_check(g: GroundMorphism, target: InteriorMap) -> Verdict:
     """Initial interiors of idempotent targets are idempotent."""
-    precondition = is_idempotent(target)
-    if not precondition:
-        raise PropertyPreconditionFailed("idempotency", precondition.witness)
-    lifted = initial_interior(g, target)
-    verdict = is_idempotent(lifted)
-    return Verdict(verdict.ok, "preserves-idempotency", verdict.witness, verdict.checked)
+    return _preserves(g, target, is_idempotent, "idempotency", "preserves-idempotency")
 
 
 def preserves_full_productivity_check(g: GroundMorphism, target: InteriorMap) -> Verdict:
     """Initial interiors of fully productive targets are fully productive
     (``is_productive`` decides full productivity of an interior map)."""
-    precondition = is_productive(target)
+    return _preserves(g, target, is_productive, "full productivity", "preserves-full-productivity")
+
+
+def _preserves(g: GroundMorphism, target: InteriorMap, predicate, name: str, prop: str) -> Verdict:
+    """Does the initial interior along ``g`` keep ``predicate`` of ``target``?"""
+    precondition = predicate(target)
     if not precondition:
-        raise PropertyPreconditionFailed("full productivity", precondition.witness)
-    lifted = initial_interior(g, target)
-    verdict = is_productive(lifted)
-    return Verdict(verdict.ok, "preserves-full-productivity", verdict.witness, verdict.checked)
+        raise PropertyPreconditionFailed(name, precondition.witness)
+    verdict = predicate(initial_interior(g, target))
+    return Verdict(verdict.ok, prop, verdict.witness, verdict.checked)
 
 
 def preimage_of_open_is_open(g: GroundMorphism, src: InteriorMap, dst: InteriorMap, v: int) -> Verdict:

@@ -9,7 +9,15 @@ from __future__ import annotations
 
 
 class FuzzintError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``fields`` are the witness parts; they become attributes and make up
+    :meth:`payload`.
+    """
+
+    def __init__(self, message: str, **fields):
+        self.__dict__.update(fields)
+        super().__init__(message)
 
     def payload(self) -> dict:
         """Witness data as JSON-ready primitives."""
@@ -24,16 +32,12 @@ class LatticeError(FuzzintError):
 
 class NotAPartialOrder(LatticeError):
     def __init__(self, law: str, witness: tuple):
-        self.law = law
-        self.witness = witness
-        super().__init__(f"relation is not a partial order: {law} fails at {witness}")
+        super().__init__(f"relation is not a partial order: {law} fails at {witness}", law=law, witness=witness)
 
 
 class MissingBound(LatticeError):
     def __init__(self, kind: str, pair: tuple):
-        self.kind = kind
-        self.pair = pair
-        super().__init__(f"pair {pair} has no {kind}")
+        super().__init__(f"pair {pair} has no {kind}", kind=kind, pair=pair)
 
 
 class TopEqualsBottom(LatticeError):
@@ -43,25 +47,22 @@ class TopEqualsBottom(LatticeError):
 
 class DistributivityViolation(LatticeError):
     def __init__(self, witness: tuple):
-        self.witness = witness
         super().__init__(
             f"distributive law fails at triple {witness}: "
             f"({witness[0]} v {witness[1]}) ^ {witness[2]} != "
-            f"({witness[0]} ^ {witness[2]}) v ({witness[1]} ^ {witness[2]})"
+            f"({witness[0]} ^ {witness[2]}) v ({witness[1]} ^ {witness[2]})",
+            witness=witness,
         )
 
 
 class UnknownElement(LatticeError):
     def __init__(self, name):
-        self.name = name
-        super().__init__(f"unknown element {name!r}")
+        super().__init__(f"unknown element {name!r}", name=name)
 
 
 class CarrierTooLarge(LatticeError):
     def __init__(self, size: int, limit: int):
-        self.size = size
-        self.limit = limit
-        super().__init__(f"carrier size {size} exceeds the configured limit {limit}")
+        super().__init__(f"carrier size {size} exceeds the configured limit {limit}", size=size, limit=limit)
 
 
 # ------------------------------------------------------- monoid structures
@@ -72,54 +73,48 @@ class MonoidError(FuzzintError):
 
 class NotIsotone(MonoidError):
     def __init__(self, witness: tuple):
-        self.witness = witness
-        super().__init__(f"tensor is not isotone: witness {witness}")
+        super().__init__(f"tensor is not isotone: witness {witness}", witness=witness)
 
 
 class TopNotIdempotent(MonoidError):
     def __init__(self, got):
-        self.got = got
-        super().__init__(f"top (x) top must be top, got {got!r}")
+        super().__init__(f"top (x) top must be top, got {got!r}", got=got)
 
 
 class NotCommutative(MonoidError):
     def __init__(self, witness: tuple):
-        self.witness = witness
-        super().__init__(f"tensor is not commutative at {witness}")
+        super().__init__(f"tensor is not commutative at {witness}", witness=witness)
 
 
 class NotAssociative(MonoidError):
     def __init__(self, witness: tuple):
-        self.witness = witness
-        super().__init__(f"tensor is not associative at {witness}")
+        super().__init__(f"tensor is not associative at {witness}", witness=witness)
 
 
 class NotIntegral(MonoidError):
     def __init__(self, witness: tuple):
-        self.witness = witness
-        super().__init__(f"top is not a unit: {witness[0]} (x) top = {witness[1]}")
+        super().__init__(f"top is not a unit: {witness[0]} (x) top = {witness[1]}", witness=witness)
 
 
 class NoZero(MonoidError):
     def __init__(self, witness: tuple):
-        self.witness = witness
-        super().__init__(f"bottom is not a zero: {witness[0]} (x) bottom = {witness[1]}")
+        super().__init__(f"bottom is not a zero: {witness[0]} (x) bottom = {witness[1]}", witness=witness)
 
 
 class NotJoinDistributive(MonoidError):
     def __init__(self, witness: tuple):
-        self.witness = witness
         super().__init__(
-            f"tensor does not distribute over the join of {witness[1]} with {witness[0]}"
+            f"tensor does not distribute over the join of {witness[1]} with {witness[0]}",
+            witness=witness,
         )
 
 
 class NotDivisible(MonoidError):
     def __init__(self, witness: tuple):
-        self.witness = witness
         super().__init__(
             f"no gamma with {witness[0]} = {witness[1]} (x) gamma although "
-            f"{witness[0]} <= {witness[1]}"
+            f"{witness[0]} <= {witness[1]}",
+            witness=witness,
         )
 
 
@@ -131,40 +126,33 @@ class MorphismError(FuzzintError):
 
 class JoinNotPreserved(MorphismError):
     def __init__(self, subset: tuple, expected, got):
-        self.subset = subset
-        self.expected = expected
-        self.got = got
         super().__init__(
-            f"phi_op does not preserve the join of {subset}: expected {expected!r}, got {got!r}"
+            f"phi_op does not preserve the join of {subset}: expected {expected!r}, got {got!r}",
+            subset=subset, expected=expected, got=got,
         )
 
 
 class TensorNotPreserved(MorphismError):
     def __init__(self, pair: tuple, expected, got):
-        self.pair = pair
-        self.expected = expected
-        self.got = got
         super().__init__(
-            f"phi_op does not preserve the tensor of {pair}: expected {expected!r}, got {got!r}"
+            f"phi_op does not preserve the tensor of {pair}: expected {expected!r}, got {got!r}",
+            pair=pair, expected=expected, got=got,
         )
 
 
 class TopNotPreserved(MorphismError):
     def __init__(self, got):
-        self.got = got
-        super().__init__(f"phi_op maps top to {got!r}, not top")
+        super().__init__(f"phi_op maps top to {got!r}, not top", got=got)
 
 
 class CarrierMismatch(MorphismError):
     def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(f"carrier mismatch: {detail}")
+        super().__init__(f"carrier mismatch: {detail}", detail=detail)
 
 
 class GroundMismatch(MorphismError):
     def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(f"ground mismatch: {detail}")
+        super().__init__(f"ground mismatch: {detail}", detail=detail)
 
 
 # ------------------------------------------------------ interior operators
@@ -175,16 +163,14 @@ class InteriorError(FuzzintError):
 
 class NotAnInteriorMap(InteriorError):
     def __init__(self, witness: dict):
-        self.witness = witness
-        super().__init__(f"not an interior map: {witness}")
+        super().__init__(f"not an interior map: {witness}", witness=witness)
 
 
 class GroundTooLarge(InteriorError):
     def __init__(self, size: int, limit: int):
-        self.size = size
-        self.limit = limit
         super().__init__(
-            f"fuzzy powerset has {size} elements, above the materialization limit {limit}"
+            f"fuzzy powerset has {size} elements, above the materialization limit {limit}",
+            size=size, limit=limit,
         )
 
 
@@ -195,27 +181,22 @@ class TopMissingFromTopology(InteriorError):
 
 class NotGLGround(InteriorError):
     def __init__(self, detail: str = "residuum required"):
-        self.detail = detail
-        super().__init__(f"ground algebra is not a GL-monoid: {detail}")
+        super().__init__(f"ground algebra is not a GL-monoid: {detail}", detail=detail)
 
 
 class PropertyPreconditionFailed(InteriorError):
     def __init__(self, prop: str, witness):
-        self.prop = prop
-        self.witness = witness
-        super().__init__(f"target interior lacks {prop}: witness {witness}")
+        super().__init__(f"target interior lacks {prop}: witness {witness}", prop=prop, witness=witness)
 
 
 class NotContinuous(InteriorError):
     def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"morphism is not continuous: witness {witness}")
+        super().__init__(f"morphism is not continuous: witness {witness}", witness=witness)
 
 
 class NotOpen(InteriorError):
     def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"morphism is not open: witness {witness}")
+        super().__init__(f"morphism is not open: witness {witness}", witness=witness)
 
 
 # ----------------------------------------------------------------- search
@@ -226,35 +207,29 @@ class SearchError(FuzzintError):
 
 class UnknownProperty(SearchError):
     def __init__(self, name: str, known: tuple):
-        self.name = name
-        self.known = known
-        super().__init__(f"unknown property {name!r}; known: {', '.join(known)}")
+        super().__init__(f"unknown property {name!r}; known: {', '.join(known)}", name=name, known=known)
 
 
 class BoundsExceeded(SearchError):
     def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(f"bounds exceeded: {detail}")
+        super().__init__(f"bounds exceeded: {detail}", detail=detail)
 
 
 class MalformedBundle(SearchError):
     def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(f"malformed witness bundle: {detail}")
+        super().__init__(f"malformed witness bundle: {detail}", detail=detail)
 
 
 # --------------------------------------------------------------------- io
 
 class ParseError(FuzzintError):
     def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(f"cannot parse input: {detail}")
+        super().__init__(f"cannot parse input: {detail}", detail=detail)
 
 
 class InvalidTopology(FuzzintError):
     def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(f"not a topology: {detail}")
+        super().__init__(f"not a topology: {detail}", detail=detail)
 
 
 class EmptyCarrier(FuzzintError):

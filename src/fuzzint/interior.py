@@ -91,13 +91,6 @@ class InteriorMap:
         index = self.ground.index
         return index.values[self.images[index.position[values]]]
 
-    def apply(self, u: FuzzySet) -> FuzzySet:
-        if u.ground != self.ground:
-            raise GroundMismatch("fuzzy set belongs to a different ground")
-        return FuzzySet(self.ground, self.apply_values(u.values))
-
-    __call__ = apply
-
     def table(self) -> dict:
         values = self.ground.index.values
         return {u: values[i] for u, i in zip(values, self.images)}
@@ -226,12 +219,8 @@ def is_idempotent(i: InteriorMap) -> Verdict:
     images = i.images
     for a, image in enumerate(images):
         if images[image] != image:
-            return Verdict(
-                ok=False,
-                prop="idempotent",
-                witness={"u": i.ground.named(values[a])},
-                checked=a + 1,
-            )
+            witness = {"u": i.ground.named(values[a])}
+            return Verdict(ok=False, prop="idempotent", witness=witness, checked=a + 1)
     return Verdict(ok=True, prop="idempotent", witness=None, checked=len(images))
 
 
@@ -245,15 +234,8 @@ def is_productive(i: InteriorMap) -> Verdict:
     for a in range(n):
         for b in range(n):
             if images[index.meet((a, b))] != index.meet((images[a], images[b])):
-                return Verdict(
-                    ok=False,
-                    prop="productive",
-                    witness={
-                        "u": ground.named(index.values[a]),
-                        "v": ground.named(index.values[b]),
-                    },
-                    checked=a * n + b + 1,
-                )
+                witness = {"u": ground.named(index.values[a]), "v": ground.named(index.values[b])}
+                return Verdict(ok=False, prop="productive", witness=witness, checked=a * n + b + 1)
     return Verdict(ok=True, prop="productive", witness=None, checked=n * n)
 
 

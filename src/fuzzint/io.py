@@ -34,12 +34,17 @@ from .powerset import FuzzySet, Ground, GroundMorphism, positions_in, validate_g
 
 
 def load_json(path) -> dict:
+    """A UTF-8 JSON file; one that cannot be read or decoded is a ParseError."""
     path = Path(path)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}")
 

@@ -107,16 +107,8 @@ class FiniteLattice(Value):
         return self.name(self.meet_i(self.index(a) for a in subset))
 
     def frame_law_witness(self) -> tuple[str, str, str] | None:
-        """First triple violating binary distributivity, if any.
-
-        On a finite lattice the frame laws over arbitrary subsets reduce to
-        the binary law by induction, so a triple scan decides them.
-        """
-        n = len(self.elements)
-        for a, b, c in product(range(n), repeat=3):
-            if self.meet2[self.join2[a][b]][c] != self.join2[self.meet2[a][c]][self.meet2[b][c]]:
-                return (self.elements[a], self.elements[b], self.elements[c])
-        return None
+        """First triple violating binary distributivity, if any."""
+        return _frame_law_witness(self.elements, self.join2, self.meet2)
 
 
 def _linear_extension(leq) -> tuple[int, ...]:
@@ -132,6 +124,19 @@ def _linear_extension(leq) -> tuple[int, ...]:
         order.append(a)
         rest.remove(a)
     return tuple(order)
+
+
+def _frame_law_witness(elements, join2, meet2) -> tuple[str, str, str] | None:
+    """First triple violating binary distributivity in the given tables.
+
+    On a finite lattice the frame laws over arbitrary subsets reduce to
+    the binary law by induction, so a triple scan decides them.
+    """
+    n = len(elements)
+    for a, b, c in product(range(n), repeat=3):
+        if meet2[join2[a][b]][c] != join2[meet2[a][c]][meet2[b][c]]:
+            return (elements[a], elements[b], elements[c])
+    return None
 
 
 def _lub(leq, candidates, i, j):
@@ -200,56 +205,34 @@ def validate_lattice(
                         raise NotAPartialOrder("transitivity", (elements[i], elements[j], elements[k]))
 
     rng = range(n)
-    join2 = [[0] * n for _ in range(n)]
-    meet2 = [[0] * n for _ in range(n)]
-    for i in rng:
-        for j in rng:
-            u = _lub(rel, rng, i, j)
-            if u is None:
-                raise MissingBound("least upper bound", (elements[i], elements[j]))
-            join2[i][j] = u
-            # glb is the lub in the reversed order
-            lbs = [k for k in rng if rel[k][i] and rel[k][j]]
-            glb = None
-            for l in lbs:
-                if all(rel[v][l] for v in lbs):
-                    glb = l
-                    break
-            if glb is None:
-                raise MissingBound("greatest lower bound", (elements[i], elements[j]))
-            meet2[i][j] = glb
+    rev = [list(col) for col in zip(*rel)]  # the glb is the lub in the reversed order
+    join2 = [[0] * n for _ in rng]
+    meet2 = [[0] * n for _ in rng]
+    for i, j in product(rng, repeat=2):
+        for table, order, kind in ((join2, rel, "least upper bound"), (meet2, rev, "greatest lower bound")):
+            bound = _lub(order, rng, i, j)
+            if bound is None:
+                raise MissingBound(kind, (elements[i], elements[j]))
+            table[i][j] = bound
 
-    top = 0
-    bottom = 0
-    for i in rng:
-        top = join2[top][i]
-        bottom = meet2[bottom][i]
+    top = next(k for k in rng if all(row[k] for row in rel))
+    bottom = next(k for k in rng if all(rel[k]))
     if top == bottom:
         raise TopEqualsBottom()
 
-    lat = FiniteLattice(
+    join2 = tuple(tuple(row) for row in join2)
+    meet2 = tuple(tuple(row) for row in meet2)
+    witness = _frame_law_witness(elements, join2, meet2)
+    return FiniteLattice(
         elements=elements,
         leq=tuple(tuple(row) for row in rel),
-        join2=tuple(tuple(row) for row in join2),
-        meet2=tuple(tuple(row) for row in meet2),
+        join2=join2,
+        meet2=meet2,
         top=top,
         bottom=bottom,
-        distributive=True,
-        distributivity_witness=None,
+        distributive=witness is None,
+        distributivity_witness=witness,
     )
-    witness = lat.frame_law_witness()
-    if witness is not None:
-        lat = FiniteLattice(
-            elements=lat.elements,
-            leq=lat.leq,
-            join2=lat.join2,
-            meet2=lat.meet2,
-            top=lat.top,
-            bottom=lat.bottom,
-            distributive=False,
-            distributivity_witness=witness,
-        )
-    return lat
 
 
 # -- stock carriers used throughout the test and example suites ------------
@@ -257,6 +240,8 @@ def validate_lattice(
 def chain_lattice(names) -> FiniteLattice:
     """Chain in the listed order (first element is bottom)."""
     names = tuple(names)
+    if len(names) > DEFAULT_MAX_SIZE:  # refused before its n^2 pairs are built
+        raise CarrierTooLarge(len(names), DEFAULT_MAX_SIZE)
     pairs = [(names[i], names[j]) for i in range(len(names)) for j in range(i, len(names))]
     return validate_lattice(names, pairs)
 

@@ -13,6 +13,7 @@ from itertools import product
 from math import gcd
 
 from .errors import (
+    CarrierTooLarge,
     DistributivityViolation,
     NoZero,
     NotAssociative,
@@ -24,7 +25,7 @@ from .errors import (
     TopNotIdempotent,
     UnknownElement,
 )
-from .lattice import FiniteLattice, chain_lattice, validate_lattice
+from .lattice import DEFAULT_MAX_SIZE, FiniteLattice, chain_lattice, validate_lattice
 from .value import Value
 
 
@@ -207,6 +208,8 @@ def builtin_chain(kind: str, n: int) -> GLMonoid:
     """
     if n < 2:
         raise ValueError(f"chain length must be at least 2, got {n}")
+    if n > DEFAULT_MAX_SIZE:  # refused before its n names and n^2 pairs are spelled
+        raise CarrierTooLarge(n, DEFAULT_MAX_SIZE)
     names = tuple(_fraction_name(i, n - 1) for i in range(n))
     lat = chain_lattice(names)
     if kind == "godel":

@@ -231,9 +231,6 @@ class FuzzySet(Value):
     def __hash__(self):
         return hash(self.values)
 
-    def value(self, x: str) -> str:
-        return self.ground.lattice.name(self.values[self.ground.point_index(x)])
-
     def as_dict(self) -> dict[str, str]:
         return self.ground.named(self.values)
 
@@ -393,13 +390,8 @@ def _broken_law(l_alg: CQML, m_alg: CQML, table):
 
 
 def identity_morphism(ground: Ground) -> GroundMorphism:
-    n = len(ground.lattice)
-    return GroundMorphism(
-        dom=ground,
-        cod=ground,
-        f=tuple(range(len(ground.points))),
-        phi_op=tuple(range(n)),
-    )
+    points, values = tuple(range(len(ground.points))), tuple(range(len(ground.lattice)))
+    return GroundMorphism(dom=ground, cod=ground, f=points, phi_op=values)
 
 
 def all_phi_ops(l_alg: CQML, m_alg: CQML):

@@ -821,3 +821,56 @@ def test_powerset_op_tables_above_the_materialization_limit_exit_1(tmp_path, op)
     path = write(tmp_path, "morphism.json", morphism)
     assert run_cli("validate", path) == (0, "ok: morphism valid\n")
     assert run_cli("tables", path, "--which", "powerset-op", "--op", op) == (1, TOO_LARGE)
+
+
+@pytest.fixture(params=["directory", "not-utf8"])
+def unreadable(request, tmp_path):
+    """A path the loaders cannot read: a directory, or a file that is not UTF-8."""
+    if request.param == "directory":
+        return str(tmp_path)
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe\x00{}")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "PATH"],
+        ["tables", "PATH", "--which", "residuum"],
+        ["check", "continuity", "PATH", "discrete_space.json", "least_space.json"],
+        # a space file whose ground names the unreadable path
+        ["check", "continuity", "identity_morphism.json", "NESTED", "NESTED"],
+        ["replay", "PATH"],
+    ],
+    ids=["validate", "tables", "check-continuity", "check-continuity-nested", "replay"],
+)
+def test_unreadable_input_exits_2(tmp_path, unreadable, argv):
+    nested = write(tmp_path, "nested_space.json", {"ground": unreadable, "interior": {"table": EXPANDING}})
+    argv = [{"PATH": unreadable, "NESTED": nested}.get(a, a) for a in resolve(argv)]
+    code, text = run_cli(*argv)
+    assert code == 2
+    assert text.startswith("error: cannot parse input: ") and unreadable in text
+    code, text = run_cli(*argv, "--json")
+    assert code == 2
+    report = json.loads(text)
+    assert report["status"] == "error" and report["error"] == "parse-error"
+    assert report["detail"].startswith("cannot parse input: ") and unreadable in report["detail"]
+
+
+@pytest.mark.parametrize("prop", [["x"], {"name": "x"}, 3], ids=["list", "object", "number"])
+def test_replay_of_a_property_that_is_not_a_name_exits_2(tmp_path, prop):
+    path = write(tmp_path, "bundle.json", {"property": prop, "case": {}, "witness": {}})
+    code, text = run_cli("replay", path)
+    assert code == 2
+    assert text.startswith(f"error: unknown property {prop!r}; known: ")
+    code, text = run_cli("replay", path, "--json")
+    assert code == 2
+    report = json.loads(text)
+    assert report["status"] == "error" and report["error"] == "unknown-property"
+    assert report["detail"].startswith(f"unknown property {prop!r}; known: ")
+
+
+def test_search_refuses_a_chain_above_the_carrier_limit():
+    code, text = run_cli("search", "--property", "meet-interchange", "--algebras", "godel2000")
+    assert (code, text) == (1, "error: carrier size 2000 exceeds the configured limit 64\n")

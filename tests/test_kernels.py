@@ -39,6 +39,7 @@ from fuzzint.search import (
     SearchBounds,
     SearchContext,
     _arm,
+    _case_source,
     _combined,
     _composite,
     _floors,
@@ -498,3 +499,21 @@ def test_lift_arm_memos_match_the_oracle_across_test_grounds(case):
     tests = SearchContext(MEMO_BOUNDS)[_test_morphisms, domain]
     found = initiality_violation(tests, Arm(identity_morphism(domain), lift), prepared, lambda arm: packed_floors(arm, tests))
     assert found == naive_initiality_walk(tests, tuple(enumerate(lift.images)), prepared)
+
+
+@pytest.mark.parametrize("bounds", [SearchBounds(), SearchBounds(algebras=("c2", "diamond-join"))], ids=["default", "c2+diamond-join"])
+def test_join_form_lift_word_is_the_and_of_its_arms_initial_words(bounds):
+    # the join-form lift lies above every arm's initial interior, so it keeps
+    # every arm continuous and the initiality checker need not test that
+    ctx = SearchContext(bounds)
+    cases = 0
+    for case in PROPERTIES["initiality"][0](ctx):
+        dom, arms = _case_source(case, ctx)
+        lift, verdict = _folded_lift(ctx, "join", dom, arms)
+        word = -1
+        for arm in arms:
+            word &= arm.initial.words[0]
+        assert verdict.ok
+        assert lift.words[0] == word
+        cases += 1
+    assert cases == search("initiality", bounds).instances

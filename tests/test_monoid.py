@@ -1,8 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from fuzzint.errors import (
+    CarrierTooLarge,
     DistributivityViolation,
     NoZero,
     NotCommutative,
@@ -211,3 +213,24 @@ def test_lukasiewicz_four_chain_divisible():
 
     m = validate_gl(validate_cqml(lat, tensor_table(names, luk)))
     assert m.residuum
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: builtin_chain("godel", 2000),
+        lambda: builtin_chain("lukasiewicz", 2000),
+        lambda: chain_lattice(str(i) for i in range(2000)),
+    ],
+    ids=["godel", "lukasiewicz", "chain_lattice"],
+)
+def test_a_chain_above_the_carrier_limit_is_refused_before_it_is_built(build):
+    # 2,000 names and their 2,001,000 order pairs would cost about 130 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CarrierTooLarge, match="^carrier size 2000 exceeds the configured limit 64$"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
