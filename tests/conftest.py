@@ -464,3 +464,24 @@ def naive_check_operator_lattice(ground, members):
         if not verdict.ok:
             return {"operation": how, **verdict.witness}
     return None
+
+
+def naive_gen_operator_lattice(ctx):
+    """Every family of a ground's maps when it has at most 12, else every
+    pair, one case each, then the whole ground (oracle for the pairs that
+    operator-lattice-closure decides a ground at a time)."""
+    from itertools import combinations
+
+    from fuzzint.search import count_interior_maps, enumerate_interior_maps
+
+    for ground in ctx.grounds:
+        count_interior_maps(ground, ctx.bounds, ctx.expire)
+        maps = list(enumerate_interior_maps(ground, ctx.bounds, ctx.expire))
+        if 2 ** len(maps) <= 4096:
+            for mask in range(1, 2 ** len(maps)):
+                members = [maps[k] for k in range(len(maps)) if mask >> k & 1]
+                yield {"kind": "subset", "ground": ground, "members": members}
+        else:
+            for a, b in combinations(maps, 2):
+                yield {"kind": "pair", "ground": ground, "members": [a, b]}
+            yield {"kind": "full", "ground": ground, "members": maps}

@@ -408,6 +408,13 @@ def test_malformed_table_row_in_a_space_exits_2(tmp_path):
         (None, ["--algebras", ""], "algebras must name at least one algebra"),
         ("algebras=c2+godel2", [], "algebras 'c2' and 'godel2' build the same algebra"),
         (None, ["--algebras", "godel3+c2+c2"], "algebras 'c2' and 'c2' build the same algebra"),
+        # an unknown name, a chain size int() cannot read, and a chain below
+        # two elements are refused alike
+        (None, ["--algebras", "c2+nope"], "unknown algebra name 'nope'"),
+        (None, ["--algebras", "godel\u00b2"], "unknown algebra name 'godel\u00b2'"),
+        ("algebras=godel1", [], "unknown algebra name 'godel1': a chain has at least 2 elements"),
+        (None, ["--algebras", "godel0"], "unknown algebra name 'godel0': a chain has at least 2 elements"),
+        (None, ["--algebras", "c2+lukasiewicz1"], "unknown algebra name 'lukasiewicz1': a chain has at least 2 elements"),
     ],
     ids=[
         "sample-flag-1",
@@ -421,6 +428,11 @@ def test_malformed_table_row_in_a_space_exits_2(tmp_path):
         "algebras-flag-empty",
         "algebras-env-c2-godel2",
         "algebras-flag-c2-twice",
+        "algebras-flag-unknown",
+        "algebras-flag-superscript-digit",
+        "algebras-env-godel1",
+        "algebras-flag-godel0",
+        "algebras-flag-lukasiewicz1",
     ],
 )
 def test_search_rejects_unusable_bounds(monkeypatch, env, flags, detail):

@@ -1,15 +1,22 @@
 """The interior-operator kernels against their oracles: the per-point
 count, the counted and unranked sample, the packed upset and downset words,
-and the per-search verdict memo of operator-lattice-closure."""
+and the per-search verdict memo and bulk pairs of operator-lattice-closure."""
 
 import time
 from functools import reduce
-from itertools import islice
+from itertools import combinations, islice
 from math import prod
 from operator import and_, itemgetter
 
 import pytest
-from conftest import join_values, meet_values, naive_check_operator_lattice, naive_interior_sample, unvalidated
+from conftest import (
+    join_values,
+    meet_values,
+    naive_check_operator_lattice,
+    naive_gen_operator_lattice,
+    naive_interior_sample,
+    unvalidated,
+)
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 from test_index import BASES, GROUNDS, PROPERTY, TOP_FIRST, TOP_FIRST_GROUNDS, candidate_tables
@@ -17,7 +24,7 @@ from test_index import BASES, GROUNDS, PROPERTY, TOP_FIRST, TOP_FIRST_GROUNDS, c
 import fuzzint.search as fsearch
 from fuzzint.errors import BoundsExceeded
 from fuzzint.interior import InteriorMap, check_interior_axioms
-from fuzzint.powerset import Ground
+from fuzzint.powerset import Ground, Verdict
 from fuzzint.search import (
     SearchBounds,
     SearchContext,
@@ -327,3 +334,81 @@ def test_search_checks_each_combined_map_once(monkeypatch):
     assert result.ok and result.instances == 7767
     assert len(checked) == len(set(checked))
     assert len(checked) <= sum(count_interior_maps(g) for g in grounds_within(bounds))
+
+
+# -- the pairs of operator-lattice-closure, decided a ground at a time ---------
+
+@settings(PROPERTY, max_examples=300)
+@given(candidate_tables())
+def test_a_map_passes_iff_it_passes_at_each_point(case):
+    # the lemma behind the bulk pairs: the axioms hold point by point, so a
+    # map passes iff, at every point x, the map that agrees with it at x and
+    # with the identity elsewhere passes (candidate_tables reaches every
+    # verdict, see test_index)
+    ground, table = case
+    at = [unvalidated(ground, lambda u, x=x: u[:x] + table[u][x:x + 1] + u[x + 1:]) for x in range(len(ground.points))]
+    assert check_interior_axioms(unvalidated(ground, table)).ok == all(check_interior_axioms(m).ok for m in at)
+
+
+@pytest.mark.parametrize(
+    "ground",
+    [Ground(("p1", "p2", "p3"), builtin_algebra("c2")), Ground(TWO, builtin_algebra("godel3")), *TOP_FIRST_GROUNDS],
+    ids=repr,
+)
+def test_near_maps_agree_with_the_identity_off_their_point(ground):
+    maps = list(enumerate_interior_maps(ground))
+    values = ground.index.values
+    off = lambda x, a: values[a][:x] + values[a][x + 1:]  # noqa: E731
+    assert fsearch._near_maps(SearchContext(SearchBounds()), ground, maps) == [
+        [m for m in maps if all(off(x, a) == off(x, b) for a, b in enumerate(m.images))] for x in range(len(ground.points))
+    ]
+
+
+def _scanned(bounds, monkeypatch):
+    """The search with one case per pair, as the oracle generates them."""
+    _, check, describe = fsearch.PROPERTIES["operator-lattice-closure"]
+    with monkeypatch.context() as patch:
+        patch.setitem(fsearch.PROPERTIES, "operator-lattice-closure", (naive_gen_operator_lattice, check, describe))
+        return search("operator-lattice-closure", bounds)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        SearchBounds(),
+        SearchBounds(algebras=("c2",), max_carrier=3),
+        SearchBounds(algebras=("godel3", "diamond-join", "diamond-meet", "pentagon-meet"), max_carrier=1),
+    ],
+    ids=["default", "c2-3-points", "1-point"],
+)
+def test_bulk_pairs_match_the_pair_scan(bounds, monkeypatch):
+    result = search("operator-lattice-closure", bounds)
+    assert result.ok
+    assert result == _scanned(bounds, monkeypatch)
+
+
+def test_a_failing_pair_of_near_maps_yields_every_pair(monkeypatch):
+    # the checker rejects the join of two maps that differ from the
+    # identity at the last point only: the bulk decision fails, and every
+    # pair is yielded, so the first counterexample is the pair scan's
+    bounds = SearchBounds(algebras=("c2",), max_carrier=3)
+    ground = grounds_within(bounds)[-1]
+    index = ground.index
+    values = index.values
+    near = [m for m in enumerate_interior_maps(ground) if all(values[a][:-1] == values[b][:-1] for a, b in enumerate(m.images))]
+    rejected = next(
+        joined
+        for a, b in combinations(near, 2)
+        if (joined := tuple(map(index.join, zip(a.images, b.images)))) not in (a.images, b.images)
+    )
+    real = fsearch.check_interior_axioms
+
+    def rejecting(imap):
+        if (imap.ground, imap.images) == (ground, rejected):
+            return Verdict(False, "interior-axioms", {"axiom": "I2", "rejected": True}, 1)
+        return real(imap)
+
+    monkeypatch.setattr(fsearch, "check_interior_axioms", rejecting)
+    result = search("operator-lattice-closure", bounds)
+    assert result.status == "counterexample" and result.bundle["witness"]["rejected"]
+    assert result == _scanned(bounds, monkeypatch)

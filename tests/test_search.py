@@ -163,6 +163,12 @@ def test_unknown_property():
         search("no-such-property")
 
 
+@pytest.mark.parametrize("prop", [["x"], {"p": 1}, None], ids=repr)
+def test_a_property_that_is_not_a_string_is_unknown(prop):
+    with pytest.raises(UnknownProperty):
+        search(prop)
+
+
 def test_literal_trivial_search_finds_half_witness():
     result = search("literal-trivial-interior")
     assert result.status == "counterexample"
