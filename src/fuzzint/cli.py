@@ -4,7 +4,8 @@ Subcommands: validate, tables, check, search, replay, examples.  Exit
 codes are 0 for a clean verdict; 1 for a property failure or for an input
 that parses but breaks a definition, with the first witness in the report;
 2 for unreadable input (missing file, a directory or a file that is not
-UTF-8, JSON syntax, missing key, unknown property).  Output is
+UTF-8, JSON syntax, missing key, unknown property); 141 when the reader
+closes stdout before the output is written.  Output is
 deterministic for fixed inputs and flags: rows are sorted and no
 timestamps are printed.  The FUZZINT_BOUNDS environment variable
 overrides default search bounds; only the commands that search read it.
@@ -56,16 +57,24 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except ParseError as exc:
-        _emit_error(args, str(exc), code="parse-error")
-        return 2
-    except UnknownProperty as exc:
-        _emit_error(args, str(exc), code="unknown-property")
-        return 2
-    except FuzzintError as exc:
-        _emit_error(args, str(exc), code=type(exc).__name__)
-        return 1
+        try:
+            code = args.handler(args)
+        except ParseError as exc:
+            _emit_error(args, str(exc), code="parse-error")
+            code = 2
+        except UnknownProperty as exc:
+            _emit_error(args, str(exc), code="unknown-property")
+            code = 2
+        except FuzzintError as exc:
+            _emit_error(args, str(exc), code=type(exc).__name__)
+            code = 1
+        sys.stdout.flush()  # a buffered write to a closed pipe fails only here
+    except BrokenPipeError:
+        # the reader closed stdout: the interpreter's last flush goes to
+        # devnull, and the exit code is a SIGPIPE's, 128 + 13
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 def _emit_error(args, message: str, code: str) -> None:

@@ -11,8 +11,9 @@ embeds the full instance.
 A search runs in one process, and its verdict is deterministic for fixed
 bounds and property: cases are checked in generation order and the first
 failing case wins.  Every case is counted and decided, one at a time but
-for the pairs of operator-lattice-closure, which it decides a ground at a
-time; and a search decides each distinct instance once: its
+for the pairs and the whole ground of operator-lattice-closure, which it
+decides a ground at a time from each point's functions; and a search
+decides each distinct instance once: its
 ``SearchContext`` memoises the verdicts the checkers read, keyed by exactly
 the objects each verdict depends on.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_right
-from itertools import combinations
+from itertools import chain, combinations
 from math import prod
 from operator import itemgetter
 from pathlib import Path
@@ -300,9 +301,7 @@ def _point_count(ground: Ground, limit: int, expire) -> int:
     coatoms = covers[-1]
     order = [a for a in range(len(covers) - 1) if a not in coatoms]
     count = 0
-    for leaf, assign in enumerate(_backtrack(candidates, up, covers, order)):
-        if not leaf & 1023 and expire is not None:
-            expire()
+    for assign in _paced(_backtrack(candidates, up, covers, order), expire):
         product = 1
         for k in coatoms:
             options = candidates[k]
@@ -333,33 +332,46 @@ def interior_sample(ground: Ground, bounds: SearchBounds, expire=None):
     maps, and every map when the stream fits ``operator_sample``.
 
     The kept indices are unranked (``_unrank``) from each point's
-    functions, listed in the order its own walk yields them; only the kept
-    maps are built.  So ``max_tables`` caps one point's count, the length
-    of each list.  Counting and listing call ``expire`` every 1,024 functions.
+    functions (``_point_functions``); only the kept maps are built.  So
+    ``max_tables`` caps one point's count, the length of each list.
+    Counting and listing call ``expire`` every 1,024 functions.
     """
     count = _point_count(ground, bounds.max_tables, expire)
     if count > bounds.max_tables:
         raise BoundsExceeded(f"more than {bounds.max_tables} functions at one point of this ground")
     total, cap = count ** len(ground.points), bounds.operator_sample
+    functions, top = _point_functions(ground, expire), len(ground.index.values) - 1
+    kept = sorted({round(k * (total - 1) / (cap - 1)) for k in range(cap)})
+    return [_assembled(ground, _unrank(functions, n, top)) for n in kept]
+
+
+def _paced(items, expire):
+    """The items, with ``expire``, if any, called before every 1,024th."""
+    for k, item in enumerate(items):
+        if not k & 1023 and expire is not None:
+            expire()
+        yield item
+
+
+def _point_functions(ground: Ground, expire=None) -> list:
+    """Each point's functions g_x, as tuples of lattice ranks by position,
+    listed once in the order its own walk yields them, so the projection
+    u -> u(x) comes last; ``expire`` is called before every 1,024th
+    function of each point."""
     covers = ground.index.covers
-    top = len(covers) - 1
     up, per_point = _point_candidates(ground)
-    functions = []
-    for candidates in per_point:
-        listed = []
-        for assign in _backtrack(candidates, up, covers, range(top)):
-            if not len(listed) & 1023 and expire is not None:
-                expire()
-            listed.append(tuple(assign))
-        functions.append(listed)
+    walks = (_backtrack(candidates, up, covers, range(len(covers) - 1)) for candidates in per_point)
+    return [[tuple(assign) for assign in _paced(walk, expire)] for walk in walks]
+
+
+def _assembled(ground: Ground, functions) -> InteriorMap:
+    """The map with these functions, one per point in order: a position's
+    ranks, read in base |L|."""
     width = len(ground.lattice)
-    kept = []
-    for n in sorted({round(k * (total - 1) / (cap - 1)) for k in range(cap)}):
-        images = [0] * (top + 1)
-        for function in _unrank(functions, n, top):  # a position's ranks, read in base |L|
-            images = [image * width + rank for image, rank in zip(images, function)]
-        kept.append(InteriorMap(ground, tuple(images)))
-    return kept
+    images = [0] * len(ground.index.values)
+    for function in functions:
+        images = [image * width + rank for image, rank in zip(images, function)]
+    return InteriorMap(ground, tuple(images))
 
 
 def _unrank(functions, n: int, top: int) -> list:
@@ -406,7 +418,8 @@ class SearchContext(dict):
     target) and meets by identity.  Everything is dropped with the
     context, so nothing is cached across searches.  ``checked`` counts
     the cases the search has checked, with those a generator decided in
-    bulk, and ``expire`` names it wherever the budget runs out.
+    bulk (a ground's pairs and the whole ground), and ``expire`` names it
+    wherever the budget runs out.
     """
 
     __slots__ = ("bounds", "deadline", "grounds", "checked")
@@ -525,61 +538,51 @@ def _check_literal_trivial(case: dict, ctx: SearchContext):
     return None if verdict.ok else verdict.witness
 
 
-def _near_maps(ctx: SearchContext, ground: Ground, maps: list) -> list:
+def _near_maps(ctx: SearchContext, ground: Ground) -> list:
     """For each point x, the maps that agree with the discrete map off x,
-    in stream order; the discrete map is near at every point.  A map lies
-    below the discrete map, so it agrees with it off x iff it lies above
-    the map that drops the coordinate x of its argument to bottom: one test
-    of upset words.  Packing every map's words reads the deadline every
-    1,024 maps, and leaves them for the ``full`` case to fold."""
-    index, bottom = ground.index, ground.lattice.bottom
-    beyond = [
-        ~index.words([index.position[u[:x] + (bottom,) + u[x + 1:]] for u in index.values])[0]
-        for x in range(len(ground.points))
+    in stream order: the projection, each point's last function, at every
+    point but x, and each of x's functions at x.  Listing and assembling
+    both read the deadline every 1,024 functions."""
+    functions = _point_functions(ground, ctx.expire)
+    projection = [listed[-1] for listed in functions]
+    return [
+        [_assembled(ground, projection[:x] + [g] + projection[x + 1:]) for g in _paced(listed, ctx.expire)]
+        for x, listed in enumerate(functions)
     ]
-    near = [[] for _ in beyond]
-    for k, m in enumerate(maps):
-        if not k & 1023:
-            ctx.expire()
-        word = m.words[0]
-        for group, outside in zip(near, beyond):
-            if not word & outside:
-                group.append(m)
-    return near
 
 
 def _gen_operator_lattice(ctx: SearchContext):
     """Every family of a ground's maps when it has at most 12, else every
-    pair and then the whole ground.
+    pair and then the whole ground, decided in bulk without listing them.
 
-    The pairs are decided in bulk.  The axioms hold point by point, and a
-    pair's join (meet) at x is the join (meet) of its two functions at x,
-    so a pair passes iff at every point x the pair of its functions there
-    does.  That is the pair of maps near at x (``_near_maps``) that carry
-    the two functions at x.  So when every pair of maps near at one point
-    passes, every pair passes, and the pairs are counted without a case
-    each; else every pair is yielded, and the first failing one is the
-    search's as it would be without the shortcut."""
+    The axioms hold point by point, and a family's join (meet) at x is the
+    join (meet) of its functions at x.  So a pair passes iff at every
+    point x the pair of maps near at x (``_near_maps``) that carry its two
+    functions there passes.  At each x the distinct near maps carry every
+    function and the projection, so their join and meet are the whole
+    ground's.  When every pair of maps near at one point passes, and then
+    the family of all distinct near maps, the ground's pairs and the whole
+    ground are counted without a case each; else the first failing family
+    is yielded as the counterexample."""
     for ground in ctx.grounds:
-        count_interior_maps(ground, ctx.bounds, ctx.expire)  # refuse a ground past the cap before listing it
-        maps = list(enumerate_interior_maps(ground, ctx.bounds, ctx.expire))
-        if 2 ** len(maps) <= 4096:
-            for mask in range(1, 2 ** len(maps)):
-                members = [maps[k] for k in range(len(maps)) if mask >> k & 1]
+        count = count_interior_maps(ground, ctx.bounds, ctx.expire)
+        if count <= 12:
+            maps = list(enumerate_interior_maps(ground, ctx.bounds, ctx.expire))
+            for mask in range(1, 2 ** count):
+                members = [maps[k] for k in range(count) if mask >> k & 1]
                 yield {"kind": "subset", "ground": ground, "members": members}
             continue
-        near_pairs = (pair for near in _near_maps(ctx, ground, maps) for pair in combinations(near, 2))
-        if all(_pair_passes(ctx, ground, pair) for pair in near_pairs):
-            ctx.checked += len(maps) * (len(maps) - 1) // 2
+        near = _near_maps(ctx, ground)
+        pairs = (("pair", pair) for group in near for pair in combinations(group, 2))
+        whole = ("subset", dict.fromkeys(m for group in near for m in group))
+        for kind, members in chain(pairs, [whole]):
+            ctx.expire()
+            case = {"kind": kind, "ground": ground, "members": list(members)}
+            if _check_operator_lattice(case, ctx) is not None:
+                yield case
+                break
         else:
-            for a, b in combinations(maps, 2):
-                yield {"kind": "pair", "ground": ground, "members": [a, b]}
-        yield {"kind": "full", "ground": ground, "members": maps}
-
-
-def _pair_passes(ctx: SearchContext, ground: Ground, pair: tuple) -> bool:
-    ctx.expire()
-    return _check_operator_lattice({"ground": ground, "members": pair}, ctx) is None
+            ctx.checked += count * (count - 1) // 2 + 1
 
 
 def _check_operator_lattice(case: dict, ctx: SearchContext):

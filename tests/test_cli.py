@@ -804,6 +804,22 @@ def test_python_dash_m_fuzzint_runs_the_command_line():
     assert report["instances_checked"] == 16
 
 
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+def test_a_closed_stdout_exits_141_quietly(flags, unbuffered):
+    # the test closes its end of the pipe before the child writes: whether
+    # the write fails at print or at the last flush, the child exits as a
+    # SIGPIPE would, with nothing on stderr
+    env = {key: value for key, value in os.environ.items() if key != "FUZZINT_BOUNDS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(HERE.parent / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONUNBUFFERED"] = unbuffered
+    argv = [sys.executable, "-m", "fuzzint", "search", "--property", "initiality", *flags]
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    _, stderr = child.communicate(timeout=120)
+    assert (child.returncode, stderr) == (141, b"")
+
 C2_THIRTEEN = {"points": [f"p{k}" for k in range(1, 14)], "algebra": {"builtin": "godel", "n": 2}}
 TOO_LARGE = "error: fuzzy powerset has 8192 elements, above the materialization limit 4096\n"
 

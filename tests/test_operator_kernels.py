@@ -2,6 +2,7 @@
 count, the counted and unranked sample, the packed upset and downset words,
 and the per-search verdict memo and bulk pairs of operator-lattice-closure."""
 
+import json
 import time
 from functools import reduce
 from itertools import combinations, islice
@@ -22,8 +23,9 @@ from hypothesis import strategies as st
 from test_index import BASES, GROUNDS, PROPERTY, TOP_FIRST, TOP_FIRST_GROUNDS, candidate_tables
 
 import fuzzint.search as fsearch
+from fuzzint import io
 from fuzzint.errors import BoundsExceeded
-from fuzzint.interior import InteriorMap, check_interior_axioms
+from fuzzint.interior import InteriorMap, check_interior_axioms, join_interiors, least, meet_interiors
 from fuzzint.powerset import Ground, Verdict
 from fuzzint.search import (
     SearchBounds,
@@ -34,6 +36,7 @@ from fuzzint.search import (
     enumerate_interior_maps,
     grounds_within,
     interior_sample,
+    replay,
     search,
 )
 
@@ -359,9 +362,35 @@ def test_near_maps_agree_with_the_identity_off_their_point(ground):
     maps = list(enumerate_interior_maps(ground))
     values = ground.index.values
     off = lambda x, a: values[a][:x] + values[a][x + 1:]  # noqa: E731
-    assert fsearch._near_maps(SearchContext(SearchBounds()), ground, maps) == [
+    assert fsearch._near_maps(SearchContext(SearchBounds()), ground) == [
         [m for m in maps if all(off(x, a) == off(x, b) for a, b in enumerate(m.images))] for x in range(len(ground.points))
     ]
+
+
+def _distinct_near_maps(ground):
+    """The maps near at some point, each once, in the order the search
+    checks them as a family."""
+    return list(dict.fromkeys(m for group in fsearch._near_maps(SearchContext(SearchBounds()), ground) for m in group))
+
+
+@pytest.mark.parametrize(
+    "ground",
+    [
+        Ground(("p1", "p2", "p3"), builtin_algebra("c2")),
+        Ground(TWO, builtin_algebra("godel3")),
+        Ground(TWO, builtin_algebra("lukasiewicz3")),
+        Ground(ONE, builtin_algebra("diamond-join")),
+        *TOP_FIRST_GROUNDS,
+    ],
+    ids=repr,
+)
+def test_near_maps_join_and_meet_to_the_whole_grounds(ground):
+    # at each point the distinct near maps carry every function and the
+    # projection, so their pointwise join and meet are those of every map
+    near = _distinct_near_maps(ground)
+    maps = list(enumerate_interior_maps(ground))
+    assert join_interiors(near) == join_interiors(maps)
+    assert meet_interiors(near) == meet_interiors(maps)
 
 
 def _scanned(bounds, monkeypatch):
@@ -387,20 +416,17 @@ def test_bulk_pairs_match_the_pair_scan(bounds, monkeypatch):
     assert result == _scanned(bounds, monkeypatch)
 
 
-def test_a_failing_pair_of_near_maps_yields_every_pair(monkeypatch):
-    # the checker rejects the join of two maps that differ from the
-    # identity at the last point only: the bulk decision fails, and every
-    # pair is yielded, so the first counterexample is the pair scan's
-    bounds = SearchBounds(algebras=("c2",), max_carrier=3)
-    ground = grounds_within(bounds)[-1]
-    index = ground.index
-    values = index.values
-    near = [m for m in enumerate_interior_maps(ground) if all(values[a][:-1] == values[b][:-1] for a, b in enumerate(m.images))]
-    rejected = next(
-        joined
-        for a, b in combinations(near, 2)
-        if (joined := tuple(map(index.join, zip(a.images, b.images)))) not in (a.images, b.images)
-    )
+def test_a_ground_past_12_maps_is_decided_as_pairs_and_the_whole_ground(monkeypatch):
+    # godel5 with 1 point has 14 maps: 91 pairs and the whole ground, where
+    # every family would be 16,383
+    bounds = SearchBounds(algebras=("godel5",), max_carrier=1)
+    result = search("operator-lattice-closure", bounds)
+    assert (result.ok, result.instances) == (True, 14 * 13 // 2 + 1)
+    assert result == _scanned(bounds, monkeypatch)
+
+
+def _rejecting(monkeypatch, ground, rejected):
+    """Make the axiom check reject the map with these images on the ground."""
     real = fsearch.check_interior_axioms
 
     def rejecting(imap):
@@ -409,6 +435,40 @@ def test_a_failing_pair_of_near_maps_yields_every_pair(monkeypatch):
         return real(imap)
 
     monkeypatch.setattr(fsearch, "check_interior_axioms", rejecting)
-    result = search("operator-lattice-closure", bounds)
-    assert result.status == "counterexample" and result.bundle["witness"]["rejected"]
-    assert result == _scanned(bounds, monkeypatch)
+
+
+C2_UP_TO_3 = SearchBounds(algebras=("c2",), max_carrier=3)
+
+
+def test_the_failing_near_pair_is_the_counterexample(monkeypatch):
+    # the checker rejects the join of two maps that differ from the
+    # identity at the last point only: that pair, the first whose join or
+    # meet is rejected, is the counterexample, after the 1 + 15 families of
+    # the smaller grounds
+    ground = grounds_within(C2_UP_TO_3)[-1]
+    index = ground.index
+    values = index.values
+    near = [m for m in enumerate_interior_maps(ground) if all(values[a][:-1] == values[b][:-1] for a, b in enumerate(m.images))]
+    combined = lambda a, b: (tuple(map(index.join, zip(a.images, b.images))), tuple(map(index.meet, zip(a.images, b.images))))  # noqa: E731
+    rejected = next(joined for a, b in combinations(near, 2) if (joined := combined(a, b)[0]) not in (a.images, b.images))
+    pair = next([a, b] for a, b in combinations(near, 2) if rejected in combined(a, b))
+    _rejecting(monkeypatch, ground, rejected)
+    result = search("operator-lattice-closure", C2_UP_TO_3)
+    assert (result.status, result.instances) == ("counterexample", 17)
+    assert result.bundle["case"] == io.case_to_json({"kind": "pair", "ground": ground, "members": pair})
+    assert result.bundle["witness"] == {"operation": "join", "axiom": "I2", "rejected": True}
+    assert replay(json.loads(json.dumps(result.bundle))).bundle == result.bundle
+
+
+def test_a_failing_whole_ground_is_the_near_family(monkeypatch):
+    # only the meet of every map reaches the least map on three points, so
+    # when the checker rejects it every near pair passes, and the family of
+    # all distinct near maps is the counterexample
+    ground = grounds_within(C2_UP_TO_3)[-1]
+    _rejecting(monkeypatch, ground, least(ground).images)
+    result = search("operator-lattice-closure", C2_UP_TO_3)
+    assert (result.status, result.instances) == ("counterexample", 17)
+    near = _distinct_near_maps(ground)
+    assert result.bundle["case"] == io.case_to_json({"kind": "subset", "ground": ground, "members": near})
+    assert result.bundle["witness"] == {"operation": "meet", "axiom": "I2", "rejected": True}
+    assert replay(json.loads(json.dumps(result.bundle))).bundle == result.bundle

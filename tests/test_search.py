@@ -1,8 +1,11 @@
 import inspect
 import json
+import os
+import subprocess
 import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,8 @@ from fuzzint.search import (
     replay,
     search,
 )
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 def naive_interior_maps(ground):
@@ -322,7 +327,8 @@ def test_sampled_searches_reach_grounds_whose_maps_pass_the_cap(bounds, prop, st
 
 def test_operator_lattice_closure_refuses_a_ground_before_listing_it(monkeypatch):
     # godel3 with 3 points has 7,645,373,000 maps: the count refuses the
-    # ground, and its stream is never started
+    # ground, and its stream is never started; nor is the stream of a ground
+    # with more than 12 maps, whose pairs are decided from its near maps
     listed = []
     stream = fsearch.enumerate_interior_maps
 
@@ -332,15 +338,42 @@ def test_operator_lattice_closure_refuses_a_ground_before_listing_it(monkeypatch
 
     monkeypatch.setattr(fsearch, "enumerate_interior_maps", recorded)
     bounds = SearchBounds(max_carrier=3)
+    grounds = grounds_within(bounds)
     with pytest.raises(BoundsExceeded, match="^bounds exceeded: more than 100000 interior maps on this ground$"):
         search("operator-lattice-closure", bounds)
-    assert listed == grounds_within(bounds)[:-1]
+    assert listed == [g for g in grounds[:-1] if count_interior_maps(g) <= 12]
+    assert [count_interior_maps(g) for g in listed] == [1, 2, 4]
+
+
+def test_operator_lattice_closure_keeps_its_memory_flat_until_the_budget_runs_out():
+    # pentagon-meet with 2 points has 600,593,049 maps, within max_tables,
+    # and 24,507 functions at each point: the search holds its near maps
+    # and decides their pairs until the budget stops it.  The child reads
+    # its own peak, which pytest's would hide
+    child = """if True:
+        import resource
+        from fuzzint.errors import BoundsExceeded
+        from fuzzint.search import SearchBounds, search
+        bounds = SearchBounds(algebras=("pentagon-meet",), max_tables=10**9, time_budget=2)
+        try:
+            search("operator-lattice-closure", bounds)
+        except BoundsExceeded as exc:
+            print(exc)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    message, peak_mb = done.stdout.splitlines()
+    assert message == "bounds exceeded: time budget 2s exhausted after 1023 cases"
+    assert int(peak_mb) < 128
 
 
 @pytest.mark.parametrize("prop", ["composition-continuous", "operator-lattice-closure"])
 def test_time_budget_bounds_counting_and_enumerating_maps(prop):
-    # godel4 on 2 points carries 470,596 interior maps, which take seconds
-    # to list (for the families); on 3 points one point's counting walk
+    # godel4 on 2 points carries 470,596 interior maps, whose near pairs
+    # take about a second to decide (for the families); on 3 points one
+    # point's counting walk
     # (for the sample) had not finished after 90 s on a 2-core host,
     # far below max_tables, so no luck fits either loop in the budget and
     # the budget must stop both
@@ -374,6 +407,18 @@ def test_walks_over_interior_maps_read_the_deadline_every_1024_maps():
     assert reads["count"] == 2
     assert len(interior_sample(ground, bounds, expire("sample"))) == 4
     assert reads["sample"] == reads["count"] + 3 * 2
+
+
+def test_near_maps_read_the_deadline_every_1024_functions(monkeypatch):
+    # godel3 on 3 points: 1,970 functions at each point, read before the
+    # first and the 1,025th while each point's functions are listed, and
+    # again while its near maps are built from them
+    reads = []
+    monkeypatch.setattr(fsearch.SearchContext, "expire", lambda ctx: reads.append(ctx))
+    ground = grounds_within(SearchBounds(algebras=("godel3",), max_carrier=3))[-1]
+    near = fsearch._near_maps(fsearch.SearchContext(SearchBounds()), ground)
+    assert [len(group) for group in near] == [1970] * 3
+    assert len(reads) == 3 * 2 + 3 * 2
 
 
 def test_no_module_level_caches_after_search():
