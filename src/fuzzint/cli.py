@@ -54,7 +54,8 @@ TRIVIAL_NOTE = (
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         try:
@@ -84,15 +85,30 @@ def _emit_error(args, message: str, code: str) -> None:
         print(f"error: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subcommand ``command`` only, when it names one:
+    the metavar keeps the usage line the full parser's.  Otherwise, for
+    help or an unknown command, the parser with every subcommand."""
     parser = argparse.ArgumentParser(prog="fuzzint")
-    sub = parser.add_subparsers(dest="command", required=True)
+    adds = dict(_COMMANDS)
+    if command in adds:
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(adds) + "}")
+        adds[command](sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in adds.values():
+            add(sub)
+    return parser
 
+
+def _add_validate(sub) -> None:
     p = sub.add_parser("validate", help="validate a definition file")
     p.add_argument("path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_validate)
 
+
+def _add_tables(sub) -> None:
     p = sub.add_parser("tables", help="print a derived table")
     p.add_argument("path")
     p.add_argument(
@@ -105,12 +121,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_tables)
 
+
+def _add_check(sub) -> None:
     p = sub.add_parser("check", help="check a property of supplied instances")
     p.add_argument("prop", metavar="property")
     p.add_argument("files", nargs="*")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_check)
 
+
+def _add_search(sub) -> None:
     p = sub.add_parser("search", help="counterexample search over bounded instances")
     p.add_argument("--property", required=True, dest="prop")
     # each bound flag's dest is its SearchBounds field, so _bounds reads it
@@ -124,11 +144,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_search)
 
+
+def _add_replay(sub) -> None:
     p = sub.add_parser("replay", help="re-evaluate a witness bundle")
     p.add_argument("path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_replay)
 
+
+def _add_examples(sub) -> None:
     p = sub.add_parser("examples", help="run the worked example suites")
     p.add_argument("action", choices=["run"])
     p.add_argument("which", nargs="?", default="all", choices=["1", "2", "3", "all"])
@@ -136,7 +160,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="directory for JSON reports")
     p.set_defaults(handler=cmd_examples)
 
-    return parser
+
+# each subcommand with what adds its parser, in the order the full parser
+# lists them
+_COMMANDS = (
+    ("validate", _add_validate),
+    ("tables", _add_tables),
+    ("check", _add_check),
+    ("search", _add_search),
+    ("replay", _add_replay),
+    ("examples", _add_examples),
+)
 
 
 def _bounds(args) -> SearchBounds:

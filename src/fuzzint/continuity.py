@@ -17,6 +17,14 @@ operator, which is not continuous into the discrete target).  A regression
 property keeps that corrected polarity honest, mirroring the corrected
 least operator.
 
+Continuity and openness are also each one test of upset words
+(``PowersetIndex.words``) against a bound of the morphism and the target
+(``passes_bound``): an interior map makes the morphism continuous iff it
+lies above the initial interior (``continuity_bound``), and open iff it
+lies below the meets of ``openness_bound``.  A search builds each bound
+once per (morphism, target) and tests every source against it; a single
+check scans (``is_continuous``, ``is_open_morphism``).
+
 A structured space is an ``InteriorMap``: its ground and its interior in
 one object.  Every check here works on powerset index positions: a map's
 images are a tuple of image positions, a morphism's backward operator another
@@ -89,6 +97,52 @@ def is_open_morphism(g: GroundMorphism, src: InteriorMap, dst: InteriorMap) -> V
     """The reverse inequality: source interior of backward below backward of
     the target interior."""
     return _scan(g, src, dst, "openness")
+
+
+def passes_bound(open_mode: bool, up: int, bound: int) -> bool:
+    """The word test of openness (``open_mode``) or continuity: a map with
+    upset word ``up`` passes iff the word holds every bit of the openness
+    bound, or has none outside the continuity bound."""
+    return not (bound & ~up if open_mode else up & ~bound)
+
+
+def continuity_bound(g: GroundMorphism, dst: InteriorMap) -> int:
+    """The upset word (``PowersetIndex.words``) of the initial interior
+    along ``g`` of ``dst``.
+
+    A monotone map i on the domain lies above it iff i's upset word has no
+    bit outside it, and that holds iff ``g`` is continuous from i into a
+    monotone ``dst``: above it, i(backward(b)) >= backward(dst(r(backward
+    (b)))) >= backward(dst(b)), r the right adjoint, since r(backward(b))
+    >= b; and if ``g`` is continuous, i(a) >= i(backward(r(a))) >=
+    backward(dst(r(a))), since backward(r(a)) <= a.
+    """
+    if g.cod != dst.ground:
+        raise GroundMismatch("morphism codomain differs from the target space")
+    return g.dom.index.words(_initial_images(g, dst.images))[0]
+
+
+def openness_bound(g: GroundMorphism, dst: InteriorMap) -> int:
+    """The openness mask of ``g`` into ``dst``: an upset word's layout,
+    with one bit in field w for each w that is backward(b) for some
+    codomain position b, at the meet of backward(dst(b)) over those b.
+
+    A map i on the domain makes ``g`` open iff i(w) lies below that meet
+    at every such w, that is iff i's upset word holds every bit of the
+    mask.  The AND of downsets, read at its highest bit, is the meet.
+    """
+    if g.cod != dst.ground:
+        raise GroundMismatch("morphism codomain differs from the target space")
+    bw, down = g.backward, g.dom.index.down
+    common: dict = {}
+    for b, image in enumerate(dst.images):
+        w = bw[b]
+        common[w] = common.get(w, -1) & down[bw[image]]
+    width = len(down)
+    mask = 0
+    for w, below in common.items():
+        mask |= 1 << (w * width + below.bit_length() - 1)
+    return mask
 
 
 def _scan(g: GroundMorphism, src: InteriorMap, dst: InteriorMap, prop: str) -> Verdict:
@@ -372,6 +426,13 @@ def _preserves(g: GroundMorphism, target: InteriorMap, predicate, name: str, pro
     return Verdict(verdict.ok, prop, verdict.witness, verdict.checked)
 
 
+def fixes_preimage(g: GroundMorphism, src: InteriorMap, v: int) -> bool:
+    """Whether ``src`` fixes the backward image of codomain position ``v``:
+    that image is open in the source."""
+    w = g.backward[v]
+    return src.images[w] == w
+
+
 def preimage_of_open_is_open(g: GroundMorphism, src: InteriorMap, dst: InteriorMap, v: int) -> Verdict:
     """Backward images of open sets along continuous morphisms are open;
     ``v`` is a position of the codomain's index."""
@@ -383,8 +444,8 @@ def preimage_of_open_is_open(g: GroundMorphism, src: InteriorMap, dst: InteriorM
         raise GroundMismatch(f"position {v} is not on the codomain's index")
     if dst.images[v] != v:
         raise PropertyPreconditionFailed("openness of v", cod.named(cod.index.values[v]))
-    w = g.backward[v]
-    if src.images[w] == w:
+    if fixes_preimage(g, src, v):
         return Verdict(ok=True, prop="open-preimage", witness=None, checked=1)
+    w = g.backward[v]
     witness = {"v": cod.named(cod.index.values[v]), "preimage": dom.named(dom.index.values[w])}
     return Verdict(ok=False, prop="open-preimage", witness=witness, checked=1)

@@ -10,12 +10,17 @@ embeds the full instance.
 
 A search runs in one process, and its verdict is deterministic for fixed
 bounds and property: cases are checked in generation order and the first
-failing case wins.  Every case is counted and decided, one at a time but
-for the pairs and the whole ground of operator-lattice-closure, which it
-decides a ground at a time from each point's functions; and a search
-decides each distinct instance once: its
-``SearchContext`` memoises the verdicts the checkers read, keyed by exactly
-the objects each verdict depends on.
+failing case wins.  Every case is counted and decided, most one at a time.
+Two kinds are decided in bulk, with the same count and the same first
+counterexample as one at a time.  operator-lattice-closure decides its
+pairs and the whole ground a ground at a time, from each point's
+functions.  The leg searches (composition-continuous, composition-open and
+open-preimage) decide a leg's cases at once: one word test against a
+bound built once per (morphism, target), and only a leg that fails it has
+its cases checked one by one.  A search decides each distinct instance
+once: its ``SearchContext`` memoises the verdicts and bounds the
+generators and checkers read, keyed by exactly the objects each depends
+on.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_right
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import prod
 from operator import itemgetter
 from pathlib import Path
@@ -32,12 +37,16 @@ from .continuity import (
     Arm,
     StructuredSource,
     compose,
+    continuity_bound,
+    fixes_preimage,
     initial_interior,
     initiality_violation,
     is_continuous,
     is_open_morphism,
     meet_interchange_report,
+    openness_bound,
     packed_floors,
+    passes_bound,
     preimage_of_open_is_open,
     preserves_full_productivity_check,
     preserves_idempotency_check,
@@ -334,13 +343,11 @@ def interior_sample(ground: Ground, bounds: SearchBounds, expire=None):
     The kept indices are unranked (``_unrank``) from each point's
     functions (``_point_functions``); only the kept maps are built.  So
     ``max_tables`` caps one point's count, the length of each list.
-    Counting and listing call ``expire`` every 1,024 functions.
+    Listing and counting call ``expire`` every 1,024 functions.
     """
-    count = _point_count(ground, bounds.max_tables, expire)
-    if count > bounds.max_tables:
-        raise BoundsExceeded(f"more than {bounds.max_tables} functions at one point of this ground")
-    total, cap = count ** len(ground.points), bounds.operator_sample
-    functions, top = _point_functions(ground, expire), len(ground.index.values) - 1
+    functions = _point_functions(ground, expire, bounds.max_tables)
+    total, cap = prod(map(len, functions)), bounds.operator_sample
+    top = len(ground.index.values) - 1
     kept = sorted({round(k * (total - 1) / (cap - 1)) for k in range(cap)})
     return [_assembled(ground, _unrank(functions, n, top)) for n in kept]
 
@@ -353,15 +360,34 @@ def _paced(items, expire):
         yield item
 
 
-def _point_functions(ground: Ground, expire=None) -> list:
+_UNCOUNTED = 4096  # functions a point lists before its count is checked
+
+
+def _point_functions(ground: Ground, expire=None, limit: int | None = None) -> list:
     """Each point's functions g_x, as tuples of lattice ranks by position,
     listed once in the order its own walk yields them, so the projection
     u -> u(x) comes last; ``expire`` is called before every 1,024th
-    function of each point."""
+    function of each point.
+
+    More than ``limit`` functions at one point raise BoundsExceeded.  The
+    first point's list is its count when it stops short of 4,096
+    functions; past that, the functions are counted (``_point_count``)
+    before any more are listed, so a refusal holds at most 4,096.  Every
+    point has as many functions as the first.
+    """
     covers = ground.index.covers
     up, per_point = _point_candidates(ground)
-    walks = (_backtrack(candidates, up, covers, range(len(covers) - 1)) for candidates in per_point)
-    return [[tuple(assign) for assign in _paced(walk, expire)] for walk in walks]
+    functions = []
+    for candidates in per_point:
+        walk = _paced(_backtrack(candidates, up, covers, range(len(covers) - 1)), expire)
+        listed = [tuple(assign) for assign in islice(walk, _UNCOUNTED)]
+        if limit is not None and not functions:
+            count = len(listed) if len(listed) < _UNCOUNTED else _point_count(ground, limit, expire)
+            if count > limit:
+                raise BoundsExceeded(f"more than {limit} functions at one point of this ground")
+        listed.extend(map(tuple, walk))
+        functions.append(listed)
+    return functions
 
 
 def _assembled(ground: Ground, functions) -> InteriorMap:
@@ -418,8 +444,8 @@ class SearchContext(dict):
     target) and meets by identity.  Everything is dropped with the
     context, so nothing is cached across searches.  ``checked`` counts
     the cases the search has checked, with those a generator decided in
-    bulk (a ground's pairs and the whole ground), and ``expire`` names it
-    wherever the budget runs out.
+    bulk (a ground's pairs and the whole ground, a leg's cases), and
+    ``expire`` names it wherever the budget runs out.
     """
 
     __slots__ = ("bounds", "deadline", "grounds", "checked")
@@ -609,30 +635,94 @@ def _check_operator_lattice(case: dict, ctx: SearchContext):
     return None
 
 
-def _continuous_legs(ctx: SearchContext, open_mode: bool) -> dict:
+def _bounds(ctx: SearchContext, open_mode: bool, g: GroundMorphism) -> list:
+    """``openness_bound`` or ``continuity_bound`` of ``g`` into each map of
+    its codomain's sample, in sample order, built once per morphism."""
+    bound = openness_bound if open_mode else continuity_bound
+    return [bound(g, dst) for dst in ctx[_sample, g.cod]]
+
+
+def _legs(ctx: SearchContext, open_mode: bool) -> dict:
     """All (morphism, src map, dst map) passing the chosen test, grouped
     by source map, in the order each source first passes, for
-    composition joins."""
-    test = is_open_morphism if open_mode else is_continuous
+    composition joins.  Each (morphism, target) bound is built once, and
+    each candidate leg is one word test."""
     by_source: dict = {}
     for dom in ctx.grounds:
+        sources = ctx[_sample, dom]
         for cod in ctx.grounds:
+            targets = ctx[_sample, cod]
             for g in all_morphisms(dom, cod):
                 g = ctx[_interned, g]
-                for src in ctx[_sample, dom]:
-                    for dst in ctx[_sample, cod]:
-                        ctx.expire()
-                        if ctx[_verdict, test, g, src, dst]:
+                bounds = ctx[_bounds, open_mode, g]
+                for src in sources:
+                    ctx.expire()
+                    up = src.words[0]
+                    for dst, bound in zip(targets, bounds):
+                        if passes_bound(open_mode, up, bound):
                             by_source.setdefault(src, []).append((g, src, dst))
     return by_source
 
 
+def _onward_bound(ctx: SearchContext, open_mode: bool, g1: GroundMorphism, mid: InteriorMap) -> int:
+    """One bound for every composite through the leg (g1, mid) and a leg
+    out of ``mid``: a source passes it iff it passes each composite's.  An
+    upset word holds every bit of each openness bound iff it holds every
+    bit of their OR, and has no bit outside each continuity bound iff it
+    has none outside their AND."""
+    bound = 0 if open_mode else -1
+    for g2, positions in ctx[_onward, open_mode, mid]:
+        words = ctx[_bounds, open_mode, ctx[_composite, g2, g1]]
+        for k in positions:
+            bound = bound | words[k] if open_mode else bound & words[k]
+    return bound
+
+
+def _onward(ctx: SearchContext, open_mode: bool, mid: InteriorMap) -> list:
+    """The legs out of ``mid``, as (morphism, sample positions of its
+    targets) pairs, so a composite's bounds are read by position."""
+    onward: dict = {}
+    for g2, _, dst in ctx[_legs, open_mode].get(mid, ()):
+        onward.setdefault(g2, []).append(ctx[_position, dst])
+    return list(onward.items())
+
+
+def _position(ctx: SearchContext, imap: InteriorMap) -> int:
+    """The position of a sampled map in its ground's sample."""
+    return ctx[_sample, imap.ground].index(imap)
+
+
+def _first_failing(ctx: SearchContext, cases, check):
+    """The first case that ``check`` fails, counting each one before it as
+    checked; None, with every case counted, when all pass."""
+    for case in cases:
+        if check(case, ctx) is not None:
+            return case
+        ctx.checked += 1
+    return None
+
+
 def _gen_composition(ctx: SearchContext, open_mode: bool):
-    by_source = _continuous_legs(ctx, open_mode)
+    """Composable pairs of legs, decided leg by leg: a first leg (g1, src,
+    mid) whose source passes ``_onward_bound`` counts its cases, one per
+    leg out of ``mid``, in bulk; else they are checked in order, and the
+    first that fails is yielded."""
+    by_source = ctx[_legs, open_mode]
     for legs in by_source.values():
         for g1, src, mid in legs:
-            for g2, _, dst in by_source.get(mid, ()):
-                yield {"open": open_mode, "first": g1, "second": g2, "interiors": [src, mid, dst]}
+            ctx.expire()
+            onward = by_source.get(mid, ())
+            if passes_bound(open_mode, src.words[0], ctx[_onward_bound, open_mode, g1, mid]):
+                ctx.checked += len(onward)
+                continue
+            cases = (
+                {"open": open_mode, "first": g1, "second": g2, "interiors": [src, mid, dst]}
+                for g2, _, dst in onward
+            )
+            case = _first_failing(ctx, cases, _check_composition)
+            if case is not None:
+                yield case
+                return
 
 
 def _check_composition(case: dict, ctx: SearchContext):
@@ -643,10 +733,23 @@ def _check_composition(case: dict, ctx: SearchContext):
 
 
 def _gen_open_preimage(ctx: SearchContext):
-    for legs in _continuous_legs(ctx, open_mode=False).values():
+    """The open sets of each continuous leg's target, decided leg by leg:
+    when the source fixes the backward image of each, they are counted in
+    bulk; else they are checked in order, and the first that fails is
+    yielded."""
+    for legs in ctx[_legs, False].values():
         for g, src, dst in legs:
-            for v in open_sets(dst):
-                yield {"morphism": g, "src": src, "dst": dst, "v": FuzzySet(dst.ground, dst.ground.index.values[v])}
+            ctx.expire()
+            opens = open_sets(dst)
+            if all(fixes_preimage(g, src, v) for v in opens):
+                ctx.checked += len(opens)
+                continue
+            values = dst.ground.index.values
+            cases = ({"morphism": g, "src": src, "dst": dst, "v": FuzzySet(dst.ground, values[v])} for v in opens)
+            case = _first_failing(ctx, cases, _check_open_preimage)
+            if case is not None:
+                yield case
+                return
 
 
 def _check_open_preimage(case: dict, ctx: SearchContext):
@@ -704,14 +807,14 @@ def _lost_arm(dom: Ground, arms, lift: InteriorMap):
     the lift's value where it falls short, or None.
 
     An interior map keeps an arm continuous iff it lies above the arm's
-    initial interior, which is one test of upset words per arm: no field
-    of the lift's word may hold a position outside the initial's.  Only
+    initial interior, which is one test of upset words per arm: the
+    continuity test of ``passes_bound`` against the initial's word.  Only
     an arm that fails it has its constraints scanned, for the witness.
     """
     word = lift.words[0]
     down, values, images = dom.index.down, dom.index.values, lift.images
     for index, arm in enumerate(arms):
-        if not word & ~arm.initial.words[0]:
+        if passes_bound(False, word, arm.initial.words[0]):
             continue
         for w, c in arm.constraints:
             if not down[images[w]] >> c & 1:

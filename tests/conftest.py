@@ -485,3 +485,54 @@ def naive_gen_operator_lattice(ctx):
             for a, b in combinations(maps, 2):
                 yield {"kind": "pair", "ground": ground, "members": [a, b]}
             yield {"kind": "full", "ground": ground, "members": maps}
+
+
+def naive_legs(ctx, open_mode):
+    """Every (morphism, src, dst) over the search's samples that the
+    value-tuple oracle of openness (continuity) passes, grouped by source
+    map in the order each source first passes (oracle for the legs of the
+    composition and open-preimage searches)."""
+    from fuzzint.powerset import all_morphisms
+    from fuzzint.search import _sample
+
+    test = naive_is_open_morphism if open_mode else naive_is_continuous
+    by_source = {}
+    for dom in ctx.grounds:
+        for cod in ctx.grounds:
+            for g in all_morphisms(dom, cod):
+                for src in ctx[_sample, dom]:
+                    for dst in ctx[_sample, cod]:
+                        ctx.expire()
+                        if test(g, src, dst).ok:
+                            by_source.setdefault(src, []).append((g, src, dst))
+    return by_source
+
+
+def naive_gen_composition(ctx, open_mode):
+    """Every composable pair of legs, one case each, in the order of the
+    first leg's source, the first leg, then the second leg (oracle for the
+    composition searches, which decide their cases leg by leg)."""
+    by_source = naive_legs(ctx, open_mode)
+    for legs in by_source.values():
+        for g1, src, mid in legs:
+            for g2, _, dst in by_source.get(mid, ()):
+                yield {"open": open_mode, "first": g1, "second": g2, "interiors": [src, mid, dst]}
+
+
+def naive_gen_open_preimage(ctx):
+    """Every open set of every continuous leg's target, one case each
+    (oracle for open-preimage, which decides its cases leg by leg)."""
+    from fuzzint import search as fsearch
+    from fuzzint.powerset import FuzzySet
+
+    for legs in naive_legs(ctx, open_mode=False).values():
+        for g, src, dst in legs:
+            for v in fsearch.open_sets(dst):
+                yield {"morphism": g, "src": src, "dst": dst, "v": FuzzySet(dst.ground, dst.ground.index.values[v])}
+
+
+NAIVE_LEG_GENERATORS = {
+    "composition-continuous": lambda ctx: naive_gen_composition(ctx, open_mode=False),
+    "composition-open": lambda ctx: naive_gen_composition(ctx, open_mode=True),
+    "open-preimage": naive_gen_open_preimage,
+}

@@ -182,6 +182,58 @@ def test_search_refuses_the_removed_max_l_flag(capsys):
     assert "unrecognized arguments: --max-l 3" in capsys.readouterr().err
 
 
+COMMANDS = ["validate", "tables", "check", "search", "replay", "examples"]
+# every help, and usage errors of the top-level parser and of each
+# subcommand's: a missing argument, an unknown flag after a complete
+# command (reported by the top-level parser, with its usage line), a bad
+# choice and a flag without its value
+PARSER_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["--bogus"],
+    ["-h", "search"],
+    *([name, "-h"] for name in COMMANDS),
+    *([name] for name in COMMANDS),
+    ["validate", "x.json", "--bogus"],
+    ["tables", "x.json", "--which", "nope"],
+    ["tables", "x.json", "--which", "residuum", "--op"],
+    ["check", "continuity", "--bogus"],
+    ["search", "--property", "meet-interchange", "--max-x"],
+    ["search", "--property", "meet-interchange", "--workers", "2"],
+    ["replay", "x.json", "extra"],
+    ["examples", "run", "9"],
+    ["examples", "walk"],
+]
+
+
+def _parsed(argv, capsys):
+    """Exit code, stdout and stderr of ``cli.main`` on a usage error or a
+    help request."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_usage_errors_and_help_match_the_full_parser(argv, capsys, monkeypatch):
+    # main builds only the subcommand named first; what any parse that
+    # stops prints and returns is the full parser's, byte for byte
+    alone = _parsed(argv, capsys)
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full(None))
+    assert alone == _parsed(argv, capsys)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_main_builds_only_the_subcommand_it_runs(command):
+    subcommands = next(a for a in cli._build_parser(command)._actions if a.dest == "command")
+    assert list(subcommands.choices) == [command]
+    assert list(next(a for a in cli._build_parser()._actions if a.dest == "command").choices) == COMMANDS
+
+
 def test_search_respects_env_bounds(monkeypatch):
     monkeypatch.setenv("FUZZINT_BOUNDS", "max_carrier=1,algebras=c2")
     code, text = run_cli("search", "--property", "literal-trivial-interior", "--json")

@@ -2,7 +2,7 @@
 along test morphisms against the pair scan for least interiors, with
 backward left adjoint to its right adjoint, the equality fast path of the
 initiality kernel, binary productivity against the walk over every
-family, composites built once per search, and the per-search verdict
+family, leg bounds built once per search, and the per-search verdict
 memos against fresh contexts."""
 
 import sys
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from test_index import BASES, GROUNDS, PROPERTY
 from test_morphism_index import PAIRS
 
-import fuzzint.continuity as fcontinuity
+from fuzzint import search as fsearch
 from fuzzint.continuity import (
     Arm,
     StructuredSource,
@@ -447,18 +447,16 @@ def test_source_memos_tell_the_eight_set_twins_apart():
     assert sum(lifts[C2_CUBE, pair] != lifts[GODEL8_POINT, pair] for _, pair in lifts) == 2 * 60
 
 
-def test_composition_search_scans_each_instance_once(monkeypatch):
-    scanned = []
-    real = fcontinuity._scan
-
-    def counting(g, src, dst, prop):
-        scanned.append((prop, g, src, dst))
-        return real(g, src, dst, prop)
-
-    monkeypatch.setattr(fcontinuity, "_scan", counting)
-    result = search("composition-continuous", SearchBounds(algebras=("c2", "lukasiewicz3")))
-    assert result.ok and result.instances == 10602
-    assert len(scanned) == len(set(scanned))
+@pytest.mark.parametrize("prop", ["composition-continuous", "composition-open", "open-preimage"])
+def test_composition_searches_build_each_bound_once(prop, monkeypatch):
+    # per (morphism, target): a leg's bound and a composite's
+    built = []
+    for name in ("continuity_bound", "openness_bound"):
+        real = getattr(fsearch, name)
+        monkeypatch.setattr(fsearch, name, lambda g, dst, real=real, name=name: built.append((name, g, dst)) or real(g, dst))
+    result = search(prop, SearchBounds(algebras=("c2", "lukasiewicz3")))
+    assert result.ok
+    assert built and len(built) == len(set(built))
 
 
 def test_initiality_search_builds_each_floor_once(monkeypatch):

@@ -17,15 +17,20 @@ from hypothesis import strategies as st
 from test_index import BASES, GROUNDS, PROPERTY
 
 from fuzzint.continuity import (
+    _scan,
+    continuity_bound,
     initial_interior,
     is_continuous,
     is_open_morphism,
     meet_interchange_report,
+    openness_bound,
+    passes_bound,
 )
 from fuzzint.interior import InteriorMap
 from fuzzint.lattice import chain_lattice, diamond_lattice
 from fuzzint.monoid import join_tensor
 from fuzzint.powerset import Ground, all_morphisms
+from fuzzint.search import SearchBounds, builtin_algebra, enumerate_interior_maps, grounds_within
 
 # every pair of the 1-2-point grounds, with the morphisms between them
 PAIRS = [(dom, cod, list(all_morphisms(dom, cod))) for dom in GROUNDS for cod in GROUNDS]
@@ -68,6 +73,34 @@ def morphisms_of(pairs):
 def test_continuity_and_openness_match_oracle(case):
     for fast, naive in CHECKS.values():
         assert fast(*case) == naive(*case)
+
+
+# the default grounds, and one point of each non-chain base: the grounds,
+# their (g, src, dst) count, and whether whole verdicts are compared too
+WORD_GROUNDS = {
+    "default": (grounds_within(SearchBounds()), 1_948_527),
+    "non-chain": ([Ground(("p1",), builtin_algebra(name)) for name in ("diamond-join", "diamond-meet", "pentagon-meet")], 1_308),
+}
+
+
+@pytest.mark.parametrize("grounds, triples", WORD_GROUNDS.values(), ids=WORD_GROUNDS)
+def test_word_tests_match_the_scan_on_every_triple(grounds, triples):
+    # continuity: the source's upset word has no bit outside the bound;
+    # openness: it holds every bit of the mask.  Each agrees with the scan
+    # on every (g, src, dst) over all interior maps
+    maps = {ground: list(enumerate_interior_maps(ground)) for ground in grounds}
+    seen = disagree = 0
+    for dom in grounds:
+        for cod in grounds:
+            for g in all_morphisms(dom, cod):
+                for dst in maps[cod]:
+                    continuous, open_ = continuity_bound(g, dst), openness_bound(g, dst)
+                    for src in maps[dom]:
+                        up = src.words[0]
+                        seen += 1
+                        disagree += passes_bound(False, up, continuous) != _scan(g, src, dst, "continuity").ok
+                        disagree += passes_bound(True, up, open_) != _scan(g, src, dst, "openness").ok
+    assert (seen, disagree) == (triples, 0)
 
 
 @pytest.mark.parametrize("prop", sorted(CHECKS))

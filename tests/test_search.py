@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -291,10 +292,11 @@ def test_time_budget_enforced():
 
 
 def test_time_budget_bounds_case_generation():
-    # building every continuous leg of this suite takes several seconds;
-    # the budget must stop it there, not after the legs are built
+    # building and deciding every continuous leg of this suite takes about
+    # 4 s (2,695,971,805 cases); the budget must stop it there, not after
+    # the legs are built
     bounds = SearchBounds(
-        time_budget=0.5, operator_sample=40, algebras=("c2", "godel3", "lukasiewicz3")
+        time_budget=0.5, operator_sample=256, algebras=("c2", "godel3", "lukasiewicz3")
     )
     start = time.monotonic()
     with pytest.raises(BoundsExceeded):
@@ -369,6 +371,31 @@ def test_operator_lattice_closure_keeps_its_memory_flat_until_the_budget_runs_ou
     assert int(peak_mb) < 128
 
 
+SAMPLE_REFUSALS = {
+    "max-tables": ({}, "more than 100000 functions at one point of this ground"),
+    "time-budget": ({"max_tables": 10**9, "time_budget": 1}, "time budget 1s exhausted after 0 cases"),
+}
+
+
+@pytest.mark.parametrize("extra, message", SAMPLE_REFUSALS.values(), ids=SAMPLE_REFUSALS)
+def test_a_sample_keeps_its_memory_flat_until_it_refuses(extra, message):
+    # godel4 with 3 points has more than 100,000 functions at each point,
+    # of about 570 bytes each: a sample lists at most 4,096 of them before
+    # it counts, so neither the cap nor the budget is reached holding a
+    # long list.  tracemalloc's peak counts only what the search allocates;
+    # a child's ru_maxrss would start at this process's own peak
+    bounds = SearchBounds(algebras=("godel4",), max_carrier=3, **extra)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundsExceeded) as refused:
+            search("composition-continuous", bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == f"bounds exceeded: {message}"
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("prop", ["composition-continuous", "operator-lattice-closure"])
 def test_time_budget_bounds_counting_and_enumerating_maps(prop):
     # godel4 on 2 points carries 470,596 interior maps, whose near pairs
@@ -400,13 +427,14 @@ def test_walks_over_interior_maps_read_the_deadline_every_1024_maps():
     # godel3 on 3 points: 7,645,373,000 = 1,970 ** 3 maps, every point
     # having 1,970 functions.  The count walks one point, leaving out the
     # coatoms: 1,132 leaves, read before the first and the 1,025th.  The
-    # sample takes the same count, then lists each point's 1,970
-    # functions, read the same way; a kept map is not a read
+    # sample does not count a point with fewer than 4,096 functions: it
+    # lists each point's 1,970, read the same way, and takes the count
+    # from the first list; a kept map is not a read
     ground = grounds_within(SearchBounds(algebras=("godel3",), max_carrier=3))[-1]
     assert count_interior_maps(ground, bounds, expire("count")) == 1970**3
     assert reads["count"] == 2
     assert len(interior_sample(ground, bounds, expire("sample"))) == 4
-    assert reads["sample"] == reads["count"] + 3 * 2
+    assert reads["sample"] == 3 * 2
 
 
 def test_near_maps_read_the_deadline_every_1024_functions(monkeypatch):
