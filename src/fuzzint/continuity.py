@@ -22,8 +22,10 @@ Continuity and openness are also each one test of upset words
 (``passes_bound``): an interior map makes the morphism continuous iff it
 lies above the initial interior (``continuity_bound``), and open iff it
 lies below the meets of ``openness_bound``.  A search builds each bound
-once per (morphism, target) and tests every source against it; a single
-check scans (``is_continuous``, ``is_open_morphism``).
+once per (morphism, target) and tests every source against it.  A single
+check (``is_continuous``, ``is_open_morphism``) and every continuity
+witness come from one loop over codomain positions
+(``first_failing_position``).
 
 A structured space is an ``InteriorMap``: its ground and its interior in
 one object.  Every check here works on powerset index positions: a map's
@@ -34,25 +36,22 @@ position.  Value tuples and element names appear only in witnesses.
 ``verify_initiality`` checks the defining universal property extensionally:
 a morphism from any bounded test space is continuous into the lift exactly
 when all composites are continuous.  The quantifier over test interiors is
-discharged exactly by a least-constrained-operator argument: at each test
-morphism the property holds iff two least test interiors agree, E above
-the lift's transported constraints and H, the join of the floors above
-each arm's.  An arm's floor along a test morphism h is one more initial
-interior: the least interior above the arm's constraints transported
-along h is the initial interior along the composite, and since backward
-reverses composition and right adjoints compose, that is backward of h
-after the arm's initial interior after the right adjoint of h.  So every
-least interior here is built the one way ``initial_interior`` builds it.
-The lift enters as one more ``Arm``, the identity morphism into (domain,
-lift), so E is that arm's floor.  ``packed_floors`` packs
-an arm's floors along a list of test morphisms into one integer of
-upset words, and the AND of the source arms' integers holds H at every
-test.  The one kernel, ``initiality_violation``, decides every test with
-one comparison of E and H, for both ``verify_initiality`` and the
-``initiality`` search; only when they differ does it read the first
-differing test's floors back off the two integers and scan the
-transported constraints to name the violation.  A literal enumeration
-over test interiors lives in the test suite as its oracle.
+discharged exactly by a least-operator argument: at each test morphism h
+the property holds iff two least test interiors agree, E making h
+continuous into the lift and H, the join of the least ones making each
+composite through an arm continuous.  Each is an initial interior along a
+composite, which is backward of h after the arm's initial interior after
+the right adjoint of h, since backward reverses composition and right
+adjoints compose: the arm's floor.  The lift enters as one more ``Arm``,
+the identity morphism into (domain, lift), so E is that arm's floor.
+``packed_floors`` packs an arm's floors along a list of test morphisms
+into one integer of upset words, and the AND of the source arms' integers
+holds H at every test.  The one kernel, ``initiality_violation``, decides
+every test with one comparison of E and H, for both ``verify_initiality``
+and the ``initiality`` search; only when they differ does it read the
+first differing test's floors back off the two integers and scan the
+composites to name the violation.  A literal enumeration over test
+interiors lives in the test suite as its oracle.
 """
 
 from __future__ import annotations
@@ -145,30 +144,42 @@ def openness_bound(g: GroundMorphism, dst: InteriorMap) -> int:
     return mask
 
 
+def first_failing_position(backward: tuple, inner: tuple, outer: tuple, down: tuple, reverse: bool = False):
+    """The first codomain position b at which backward(outer(b)) does not
+    lie below inner(backward(b)) (with ``reverse``, inner(backward(b)) not
+    below backward(outer(b))), or None: the one position-by-position test
+    of continuity and openness.  ``down`` holds the domain's downsets."""
+    for b, image in enumerate(outer):
+        lhs, rhs = backward[image], inner[backward[b]]
+        if reverse:
+            lhs, rhs = rhs, lhs
+        if not down[rhs] >> lhs & 1:
+            return b
+    return None
+
+
 def _scan(g: GroundMorphism, src: InteriorMap, dst: InteriorMap, prop: str) -> Verdict:
-    """The first codomain position b at which backward(dst(b)) and
-    src(backward(b)) are out of order: the first below the second for
-    continuity, the second below the first for openness."""
+    """Continuity or openness of ``g`` from ``src`` into ``dst``, with the
+    first failing codomain position as witness."""
     if g.dom != src.ground:
         raise GroundMismatch("morphism domain differs from the source space")
     if g.cod != dst.ground:
         raise GroundMismatch("morphism codomain differs from the target space")
     bw, inner, outer = g.backward, src.images, dst.images
-    down = g.dom.index.down
     reverse = prop == "openness"
-    for b, image in enumerate(outer):
-        lhs, rhs = bw[image], inner[bw[b]]
-        if reverse:
-            lhs, rhs = rhs, lhs
-        if not down[rhs] >> lhs & 1:
-            values = g.dom.index.values
-            witness = {
-                "v": g.cod.named(g.cod.index.values[b]),
-                "lhs": g.dom.named(values[lhs]),
-                "rhs": g.dom.named(values[rhs]),
-            }
-            return Verdict(ok=False, prop=prop, witness=witness, checked=b + 1)
-    return Verdict(ok=True, prop=prop, witness=None, checked=len(outer))
+    b = first_failing_position(bw, inner, outer, g.dom.index.down, reverse)
+    if b is None:
+        return Verdict(ok=True, prop=prop, witness=None, checked=len(outer))
+    lhs, rhs = bw[outer[b]], inner[bw[b]]
+    if reverse:
+        lhs, rhs = rhs, lhs
+    values = g.dom.index.values
+    witness = {
+        "v": g.cod.named(g.cod.index.values[b]),
+        "lhs": g.dom.named(values[lhs]),
+        "rhs": g.dom.named(values[rhs]),
+    }
+    return Verdict(ok=False, prop=prop, witness=witness, checked=b + 1)
 
 
 def compose(g2: GroundMorphism, g1: GroundMorphism) -> GroundMorphism:
@@ -216,48 +227,31 @@ def initial_from_source(s: StructuredSource) -> InteriorMap:
 
 # -- initiality verification ----------------------------------------------------
 
-def continuity_constraints(g: GroundMorphism, target: InteriorMap) -> list:
-    """(backward(v), backward(interior(v))) position pairs on the domain,
-    one per codomain position v; an interior i on the domain makes g
-    continuous into the target iff c <= i(w) for every pair (w, c)."""
-    bw = g.backward
-    return [(bw[v], bw[image]) for v, image in enumerate(target.images)]
-
-
 class Arm:
     """One arm (g, target interior) of a structured source, prepared for
     initiality checks.  A lift enters as one more arm: the identity
-    morphism into (domain, lift), whose constraints are exactly the
-    (u, lift(u)) pairs.
+    morphism into (domain, lift).
 
-    ``initial`` is the arm's initial interior, built and validated once;
-    ``constraints`` are its continuity constraints, as position pairs,
-    and ``moved`` transports them along a test morphism.  ``floor`` is
-    the least test interior above the transported constraints: the
-    initial interior along the composite of the test morphism and g,
-    which is backward of the test after ``initial`` after its right
-    adjoint, since backward reverses composition and right adjoints
-    compose.  ``packed_floors`` packs the floors along a list of test
-    morphisms into one integer, so a caller that keeps the packing needs
-    each floor once.
+    ``initial`` is the arm's initial interior, built and validated once.
+    ``floor`` is the least test interior making the composite of a test
+    morphism and g continuous into ``target``: the initial interior along
+    the composite, which is backward of the test after ``initial`` after
+    its right adjoint, since backward reverses composition and right
+    adjoints compose.  ``packed_floors`` packs the floors along a list of
+    test morphisms into one integer, so a caller that keeps the packing
+    needs each floor once.
     """
 
-    __slots__ = ("morphism", "constraints", "initial")
+    __slots__ = ("morphism", "target", "initial")
 
     def __init__(self, g: GroundMorphism, target: InteriorMap):
         self.morphism = g
-        self.constraints = tuple(continuity_constraints(g, target))
+        self.target = target
         self.initial = initial_interior(g, target)
 
-    def moved(self, g_test: GroundMorphism) -> tuple:
-        """The constraints transported along ``g_test``, as position pairs
-        on its domain."""
-        bw = g_test.backward
-        return tuple((bw[w], bw[c]) for w, c in self.constraints)
-
     def floor(self, g_test: GroundMorphism) -> tuple:
-        """Images of the least test interior above the constraints
-        transported along ``g_test``."""
+        """Images of the least test interior making the composite of
+        ``g_test`` and the arm's morphism continuous."""
         return _initial_images(g_test, self.initial.images)
 
 
@@ -296,13 +290,14 @@ def initiality_violation(tests, lift_arm: Arm, arms, floors):
     floors ("only-if"), and E, the lift arm's floor ("if").  With no arms
     H is the least interior, the floor of the least space's identity arm.
 
-    E and H are each least above their own constraints, so "only-if"
-    holds iff H >= E and "if" iff E >= H: the property holds exactly when
-    E == H, at every test at once when the two packings are equal.
-    Otherwise the lowest differing bit lies in the first failing test's
-    field; its E and H are decoded from there and its transported
-    constraints scanned, "only-if" then "if", for the violation.  Returns
-    (the test's index in ``tests``, the violation), or None.
+    So "only-if" holds iff H >= E and "if" iff E >= H: the property
+    holds exactly when E == H, at every test at once when the two
+    packings are equal.  Otherwise the lowest differing bit lies in the
+    first failing test's field; its E and H are decoded from there, and
+    the test morphism is scanned from H into the lift ("only-if"), then
+    each composite from E into its arm's target ("if"), for the
+    violation.  Returns (the test's index in ``tests``, the violation), or
+    None.
     """
     dom = lift_arm.morphism.dom
     hard = -1
@@ -320,16 +315,16 @@ def initiality_violation(tests, lift_arm: Arm, arms, floors):
         if first < shift + width:
             break
         shift += width
-    down = index.down
     easy_at, hard_at = index.join_positions(easy >> shift), index.join_positions(hard >> shift)
-    for w, c in lift_arm.moved(g_test):
-        if not down[hard_at[w]] >> c & 1:
-            return k, _violation(g_test, "only-if", w, c, hard_at[w])
-    for arm in arms:
-        for w, c in arm.moved(g_test):
-            if not down[easy_at[w]] >> c & 1:
-                return k, _violation(g_test, "if", w, c, easy_at[w])
-    raise AssertionError("the floors differ at a test morphism, yet no constraint fails there")
+    bw = g_test.backward
+    for arm, at, direction in [(lift_arm, hard_at, "only-if")] + [(arm, easy_at, "if") for arm in arms]:
+        table = tuple(bw[w] for w in arm.morphism.backward)
+        outer = arm.target.images
+        b = first_failing_position(table, at, outer, index.down)
+        if b is not None:
+            w = table[b]
+            return k, _violation(g_test, direction, w, table[outer[b]], at[w])
+    raise AssertionError("the floors differ at a test morphism, yet no position fails its scan")
 
 
 def _violation(g_test: GroundMorphism, direction: str, w: int, c: int, at_w: int) -> dict:
@@ -426,11 +421,14 @@ def _preserves(g: GroundMorphism, target: InteriorMap, predicate, name: str, pro
     return Verdict(verdict.ok, prop, verdict.witness, verdict.checked)
 
 
-def fixes_preimage(g: GroundMorphism, src: InteriorMap, v: int) -> bool:
-    """Whether ``src`` fixes the backward image of codomain position ``v``:
-    that image is open in the source."""
+def open_preimage_witness(g: GroundMorphism, src: InteriorMap, v: int):
+    """The witness that ``src`` does not fix the backward image of
+    codomain position ``v`` (that image is not open in the source), or
+    None."""
     w = g.backward[v]
-    return src.images[w] == w
+    if src.images[w] == w:
+        return None
+    return {"v": g.cod.named(g.cod.index.values[v]), "preimage": g.dom.named(g.dom.index.values[w])}
 
 
 def preimage_of_open_is_open(g: GroundMorphism, src: InteriorMap, dst: InteriorMap, v: int) -> Verdict:
@@ -439,13 +437,10 @@ def preimage_of_open_is_open(g: GroundMorphism, src: InteriorMap, dst: InteriorM
     cont = is_continuous(g, src, dst)
     if not cont:
         raise NotContinuous(cont.witness)
-    cod, dom = dst.ground, src.ground
+    cod = dst.ground
     if not 0 <= v < len(dst.images):
         raise GroundMismatch(f"position {v} is not on the codomain's index")
     if dst.images[v] != v:
         raise PropertyPreconditionFailed("openness of v", cod.named(cod.index.values[v]))
-    if fixes_preimage(g, src, v):
-        return Verdict(ok=True, prop="open-preimage", witness=None, checked=1)
-    w = g.backward[v]
-    witness = {"v": cod.named(cod.index.values[v]), "preimage": dom.named(dom.index.values[w])}
-    return Verdict(ok=False, prop="open-preimage", witness=witness, checked=1)
+    witness = open_preimage_witness(g, src, v)
+    return Verdict(ok=witness is None, prop="open-preimage", witness=witness, checked=1)

@@ -38,12 +38,13 @@ from .continuity import (
     StructuredSource,
     compose,
     continuity_bound,
-    fixes_preimage,
+    first_failing_position,
     initial_interior,
     initiality_violation,
     is_continuous,
     is_open_morphism,
     meet_interchange_report,
+    open_preimage_witness,
     openness_bound,
     packed_floors,
     passes_bound,
@@ -741,7 +742,7 @@ def _gen_open_preimage(ctx: SearchContext):
         for g, src, dst in legs:
             ctx.expire()
             opens = open_sets(dst)
-            if all(fixes_preimage(g, src, v) for v in opens):
+            if all(open_preimage_witness(g, src, v) is None for v in opens):
                 ctx.checked += len(opens)
                 continue
             values = dst.ground.index.values
@@ -753,11 +754,8 @@ def _gen_open_preimage(ctx: SearchContext):
 
 
 def _check_open_preimage(case: dict, ctx: SearchContext):
-    g, src, v = case["morphism"], case["src"], case["v"].values
-    w = g.backward[g.cod.index.position[v]]
-    if src.images[w] != w:
-        return {"v": g.cod.named(v), "preimage": g.dom.named(g.dom.index.values[w])}
-    return None
+    g = case["morphism"]
+    return open_preimage_witness(g, case["src"], g.cod.index.position[case["v"].values])
 
 
 # -- structured sources -------------------------------------------------------
@@ -809,23 +807,26 @@ def _lost_arm(dom: Ground, arms, lift: InteriorMap):
     An interior map keeps an arm continuous iff it lies above the arm's
     initial interior, which is one test of upset words per arm: the
     continuity test of ``passes_bound`` against the initial's word.  Only
-    an arm that fails it has its constraints scanned, for the witness.
+    an arm that fails it is scanned position by position, for the witness.
     """
     word = lift.words[0]
     down, values, images = dom.index.down, dom.index.values, lift.images
     for index, arm in enumerate(arms):
         if passes_bound(False, word, arm.initial.words[0]):
             continue
-        for w, c in arm.constraints:
-            if not down[images[w]] >> c & 1:
-                return {
-                    "stage": "arm-continuity",
-                    "arm_index": index,
-                    "arm": arm.morphism.describe(),
-                    "w": dom.named(values[w]),
-                    "required": dom.named(values[c]),
-                    "meet_lift_at_w": dom.named(values[images[w]]),
-                }
+        bw, outer = arm.morphism.backward, arm.target.images
+        b = first_failing_position(bw, images, outer, down)
+        if b is None:
+            raise AssertionError("the lift fails an arm's word test, yet no position fails its scan")
+        w = bw[b]
+        return {
+            "stage": "arm-continuity",
+            "arm_index": index,
+            "arm": arm.morphism.describe(),
+            "w": dom.named(values[w]),
+            "required": dom.named(values[bw[outer[b]]]),
+            "meet_lift_at_w": dom.named(values[images[w]]),
+        }
     return None
 
 

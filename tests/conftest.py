@@ -376,6 +376,22 @@ def naive_enumerate_interior_maps(ground):
     yield from backtrack(0)
 
 
+def continuity_constraints(g, target) -> list:
+    """(backward(v), backward(target(v))) position pairs on the domain, one
+    per codomain position v: an interior i on the domain makes g
+    continuous into the target iff c <= i(w) for every pair (w, c)
+    (oracle for the position scan of continuity)."""
+    bw = g.backward
+    return [(bw[v], bw[image]) for v, image in enumerate(target.images)]
+
+
+def transported(pairs, g_test) -> tuple:
+    """Position pairs (w, c) carried along ``g_test`` to its domain, as
+    (backward(w), backward(c))."""
+    bw = g_test.backward
+    return tuple((bw[w], bw[c]) for w, c in pairs)
+
+
 def naive_least_above(ground, pairs) -> tuple:
     """Images of the least interior map above position pairs (w, c), each
     position by a scan of every pair: the join of the c whose w lies below
@@ -396,18 +412,18 @@ def naive_initiality_violation(g_test, lift_pairs, arms):
 
     z = g_test.dom
     index = z.index
-    down, bw = index.down, g_test.backward
+    down = index.down
     floors = []
     for arm in arms:
-        moved = tuple((bw[w], bw[c]) for w, c in arm.constraints)
+        moved = transported(continuity_constraints(arm.morphism, arm.target), g_test)
         floors.append((naive_least_above(z, moved), moved))
     tables = [table for table, _ in floors] or [naive_least_above(z, ())]
     hard = tuple(index.join(column) for column in zip(*tables))
-    for u, lu in lift_pairs:
-        w, c = bw[u], bw[lu]
+    lift_moved = transported(lift_pairs, g_test)
+    for w, c in lift_moved:
         if not down[hard[w]] >> c & 1:
             return _violation(g_test, "only-if", w, c, hard[w])
-    easy = naive_least_above(z, [(bw[u], bw[lu]) for u, lu in lift_pairs])
+    easy = naive_least_above(z, lift_moved)
     for _, moved in floors:
         for w, c in moved:
             if not down[easy[w]] >> c & 1:

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     all_value_tuples,
+    continuity_constraints,
     leq_values,
     meet_values,
     naive_backward,
@@ -15,7 +16,6 @@ from fuzzint import io as fio
 from fuzzint.continuity import (
     StructuredSource,
     compose,
-    continuity_constraints,
     initial_from_source,
     initial_interior,
     initiality_violation,

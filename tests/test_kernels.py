@@ -1,16 +1,26 @@
 """The morphism-layer kernels against their oracles: initial interiors
 along test morphisms against the pair scan for least interiors, with
 backward left adjoint to its right adjoint, the equality fast path of the
-initiality kernel, binary productivity against the walk over every
-family, leg bounds built once per search, and the per-search verdict
-memos against fresh contexts."""
+initiality kernel, the meet-form lift's lost arm and the open-preimage
+witness against scans on value tuples, binary productivity against the
+walk over every family, leg bounds built once per search, and the
+per-search verdict memos against fresh contexts."""
 
 import sys
 from itertools import combinations, product
 
 import pytest
-from conftest import naive_initiality_violation, naive_initiality_walk, naive_is_fully_productive, naive_least_above
-from hypothesis import Phase, find, given, settings
+from conftest import (
+    continuity_constraints,
+    leq_values,
+    naive_backward,
+    naive_initiality_violation,
+    naive_initiality_walk,
+    naive_is_fully_productive,
+    naive_least_above,
+    transported,
+)
+from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 from test_index import BASES, GROUNDS, PROPERTY
 from test_morphism_index import PAIRS
@@ -21,7 +31,10 @@ from fuzzint.continuity import (
     StructuredSource,
     compose,
     initial_from_source,
+    initial_interior,
     initiality_violation,
+    is_continuous,
+    open_preimage_witness,
     packed_floors,
 )
 from fuzzint.interior import (
@@ -32,6 +45,7 @@ from fuzzint.interior import (
     join_interiors,
     least,
     meet_interiors,
+    open_sets,
 )
 from fuzzint.powerset import Ground, GroundMorphism, all_morphisms, identity_morphism
 from fuzzint.search import (
@@ -49,6 +63,7 @@ from fuzzint.search import (
     _verdict,
     builtin_algebra,
     enumerate_interior_maps,
+    grounds_within,
     interior_sample,
     search,
 )
@@ -99,21 +114,23 @@ def test_floors_are_the_least_interiors_above_the_moved_constraints(points):
             assert _adjoint(g)
             for target in interior_sample(cod, bounds):
                 arm = Arm(g, target)
+                pairs = continuity_constraints(g, target)
                 for h in tests[dom]:
-                    assert arm.floor(h) == naive_least_above(h.dom, arm.moved(h))
+                    assert arm.floor(h) == naive_least_above(h.dom, transported(pairs, h))
                     floors += 1
     assert floors == {1: 3_420, 2: 8_000}[len(points)]
 
 
 # -- the initiality kernel ------------------------------------------------------
 
-LIFTS = ("correct", "join", "meet", "least", "discrete")
+LIFTS = ("correct", "join", "meet", "other", "least", "discrete")
 
 
 def _source(draw, grounds, homs, bases):
     """A source of up to two arms over ``grounds``, as (domain, lift,
     arms): its join-form lift or a perturbation of it (joined or met with
-    another map, or the least or discrete map)."""
+    another map, that map itself, which need not be comparable with the
+    lift, or the least or discrete map)."""
     domain = draw(st.sampled_from(grounds))
     arms = []
     for _ in range(draw(st.integers(0, 2))):
@@ -122,9 +139,9 @@ def _source(draw, grounds, homs, bases):
         arms.append((g, InteriorMap(cod, draw(st.sampled_from(bases[cod])))))
     lift = initial_from_source(StructuredSource(domain, tuple(arms)))
     how = draw(st.sampled_from(LIFTS))
-    if how in ("join", "meet"):
+    if how in ("join", "meet", "other"):
         other = InteriorMap(domain, draw(st.sampled_from(bases[domain])))
-        lift = (join_interiors if how == "join" else meet_interiors)([lift, other])
+        lift = other if how == "other" else (join_interiors if how == "join" else meet_interiors)([lift, other])
     elif how != "correct":
         lift = (least if how == "least" else discrete)(domain)
     return domain, lift, arms
@@ -166,6 +183,110 @@ def test_initiality_cases_reach_every_outcome(direction):
         return (found and found["direction"]) == direction
 
     assert find(sources_with_test_morphisms(), reaches, settings=PROPERTY)
+
+
+# -- the meet-form lift's lost arm and the open-preimage witness -------------------
+
+# every arm the literal-meet-source-lift search draws on c2 and the
+# join-tensor diamond up to 2 points, from 16 sampled targets per ground
+MEET_BOUNDS = SearchBounds(algebras=("c2", "diamond-join"), operator_sample=16, time_budget=10**6)
+MEET_ARMS = {dom: fsearch._arm_family(SearchContext(MEET_BOUNDS), dom) for dom in grounds_within(MEET_BOUNDS)}
+meet_sources = st.sampled_from(list(MEET_ARMS)).flatmap(
+    lambda dom: st.tuples(st.just(dom), st.lists(st.sampled_from(MEET_ARMS[dom]), min_size=2, max_size=2))
+)
+
+
+def _lost_arm_oracle(dom, arms):
+    """The pointwise meet of the arms' initial interiors, and the first
+    continuity pair (w, c) of the first arm it fails, c not below lift(w)
+    on value tuples, as the search's witness."""
+    lift = meet_interiors([initial_interior(arm["morphism"], arm["interior"]) for arm in arms])
+    values = dom.index.values
+    for index, arm in enumerate(arms):
+        for w, c in continuity_constraints(arm["morphism"], arm["interior"]):
+            at_w = lift.apply_values(values[w])
+            if not leq_values(dom, values[c], at_w):
+                return {
+                    "stage": "arm-continuity",
+                    "arm_index": index,
+                    "arm": arm["morphism"].describe(),
+                    "w": dom.named(values[w]),
+                    "required": dom.named(values[c]),
+                    "meet_lift_at_w": dom.named(at_w),
+                }
+    return None
+
+
+def _lost_arm(source):
+    dom, arms = source
+    return fsearch._check_literal_meet_lift({"domain": dom, "arms": arms}, SearchContext(MEET_BOUNDS))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(meet_sources)
+def test_meet_lift_loses_the_arm_the_pair_scan_finds(source):
+    assert _lost_arm(source) == _lost_arm_oracle(*source)
+
+
+@pytest.mark.parametrize("algebra", ["c2", "diamond-join"])
+def test_meet_lift_sources_lose_arms_on_each_base(algebra):
+    def reaches(source):
+        return source[0].lattice == builtin_algebra(algebra).lattice and _lost_arm(source) is not None
+
+    assert find(meet_sources, reaches, settings=PROPERTY)
+
+
+def test_an_arm_failing_its_word_test_but_no_position_is_an_internal_error(monkeypatch):
+    # the word test and the scan decide the same order: when they disagree
+    # the lost arm raises rather than move on to the next arm
+    source = find(meet_sources, lambda source: _lost_arm(source) is not None, settings=PROPERTY)
+    monkeypatch.setattr(fsearch, "first_failing_position", lambda *args: None)
+    with pytest.raises(AssertionError, match="no position fails its scan"):
+        _lost_arm(source)
+
+
+def _open_preimage_oracle(g, src, v):
+    """Backward of the fuzzy set at ``v`` on value tuples, and whether the
+    source fixes it, as the search's witness."""
+    u = g.cod.index.values[v]
+    preimage = naive_backward(g, u)
+    if src.apply_values(preimage) == preimage:
+        return None
+    return {"v": g.cod.named(u), "preimage": g.dom.named(preimage)}
+
+
+# the legs whose initial interior is not the least map: only there can a
+# source fail continuity
+NARROW_LEGS = [
+    (g, dst)
+    for dom, cod, morphisms in PAIRS
+    for g in morphisms
+    for dst in (InteriorMap(cod, images) for images in BASES[cod])
+    if initial_interior(g, dst) != least(dom)
+]
+
+
+@st.composite
+def discontinuous_open_sets(draw):
+    """A leg that is not continuous, where a backward image of an open set
+    need not be open, and an open set of its target.  Its source is the
+    meet of the initial interior with another map, continuous only when
+    that map lies above the initial interior."""
+    g, dst = draw(st.sampled_from(NARROW_LEGS))
+    other = InteriorMap(g.dom, draw(st.sampled_from(BASES[g.dom])))
+    src = meet_interiors([initial_interior(g, dst), other])
+    assume(not is_continuous(g, src, dst))
+    return g, src, draw(st.sampled_from(open_sets(dst)))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(discontinuous_open_sets())
+def test_open_preimage_witness_matches_the_value_oracle_off_continuity(case):
+    assert open_preimage_witness(*case) == _open_preimage_oracle(*case)
+
+
+def test_discontinuous_legs_reach_a_preimage_that_is_not_open():
+    assert find(discontinuous_open_sets(), lambda case: open_preimage_witness(*case) is not None, settings=PROPERTY)
 
 
 # -- full productivity ----------------------------------------------------------

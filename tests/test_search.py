@@ -1,12 +1,9 @@
 import inspect
 import json
-import os
-import subprocess
 import sys
 import time
 import tracemalloc
 from itertools import product
-from pathlib import Path
 
 import pytest
 
@@ -25,8 +22,6 @@ from fuzzint.search import (
     replay,
     search,
 )
-
-SRC = Path(__file__).parent.parent / "src"
 
 
 def naive_interior_maps(ground):
@@ -350,25 +345,19 @@ def test_operator_lattice_closure_refuses_a_ground_before_listing_it(monkeypatch
 def test_operator_lattice_closure_keeps_its_memory_flat_until_the_budget_runs_out():
     # pentagon-meet with 2 points has 600,593,049 maps, within max_tables,
     # and 24,507 functions at each point: the search holds its near maps
-    # and decides their pairs until the budget stops it.  The child reads
-    # its own peak, which pytest's would hide
-    child = """if True:
-        import resource
-        from fuzzint.errors import BoundsExceeded
-        from fuzzint.search import SearchBounds, search
-        bounds = SearchBounds(algebras=("pentagon-meet",), max_tables=10**9, time_budget=2)
-        try:
+    # and decides their pairs until the budget stops it.  tracemalloc's
+    # peak counts only what the search allocates; a child's ru_maxrss
+    # would start at this process's own peak
+    bounds = SearchBounds(algebras=("pentagon-meet",), max_tables=10**9, time_budget=2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundsExceeded) as refused:
             search("operator-lattice-closure", bounds)
-        except BoundsExceeded as exc:
-            print(exc)
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
-    """
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    message, peak_mb = done.stdout.splitlines()
-    assert message == "bounds exceeded: time budget 2s exhausted after 1023 cases"
-    assert int(peak_mb) < 128
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == "bounds exceeded: time budget 2s exhausted after 1023 cases"
+    assert peak < 64 * 2**20
 
 
 SAMPLE_REFUSALS = {
