@@ -17,15 +17,16 @@ operator, which is not continuous into the discrete target).  A regression
 property keeps that corrected polarity honest, mirroring the corrected
 least operator.
 
-Continuity and openness are also each one test of upset words
-(``PowersetIndex.words``) against a bound of the morphism and the target
-(``passes_bound``): an interior map makes the morphism continuous iff it
-lies above the initial interior (``continuity_bound``), and open iff it
-lies below the meets of ``openness_bound``.  A search builds each bound
-once per (morphism, target) and tests every source against it.  A single
-check (``is_continuous``, ``is_open_morphism``) and every continuity
-witness come from one loop over codomain positions
-(``first_failing_position``).
+Continuity and openness are also each one word test (``passes_bound``)
+against a bound of the morphism and the target: an interior map makes
+the morphism continuous iff it lies above a floor, the initial interior,
+so iff its upset word (``PowersetIndex.words``) has no bit outside the
+floor's (``continuity_bound``); and open iff it lies below a ceiling, so
+iff its downset word has no bit outside the ceiling's
+(``openness_bound``).  A search builds each bound once per (morphism,
+target) and tests every source against it.  A single check
+(``is_continuous``, ``is_open_morphism``) and every continuity witness
+come from one loop over codomain positions (``first_failing_position``).
 
 A structured space is an ``InteriorMap``: its ground and its interior in
 one object.  Every check here works on powerset index positions: a map's
@@ -98,11 +99,11 @@ def is_open_morphism(g: GroundMorphism, src: InteriorMap, dst: InteriorMap) -> V
     return _scan(g, src, dst, "openness")
 
 
-def passes_bound(open_mode: bool, up: int, bound: int) -> bool:
-    """The word test of openness (``open_mode``) or continuity: a map with
-    upset word ``up`` passes iff the word holds every bit of the openness
-    bound, or has none outside the continuity bound."""
-    return not (bound & ~up if open_mode else up & ~bound)
+def passes_bound(word: int, bound: int) -> bool:
+    """The word test of continuity and openness: a map passes iff its
+    word has no bit outside the bound, its upset word against
+    ``continuity_bound`` and its downset word against ``openness_bound``."""
+    return not word & ~bound
 
 
 def continuity_bound(g: GroundMorphism, dst: InteriorMap) -> int:
@@ -122,26 +123,24 @@ def continuity_bound(g: GroundMorphism, dst: InteriorMap) -> int:
 
 
 def openness_bound(g: GroundMorphism, dst: InteriorMap) -> int:
-    """The openness mask of ``g`` into ``dst``: an upset word's layout,
-    with one bit in field w for each w that is backward(b) for some
-    codomain position b, at the meet of backward(dst(b)) over those b.
+    """The downset word (``PowersetIndex.words``) of the ceiling of ``g``
+    into ``dst``: top everywhere, but at each w that is backward(b) for
+    some codomain position b, the meet of backward(dst(b)) over those b.
 
-    A map i on the domain makes ``g`` open iff i(w) lies below that meet
-    at every such w, that is iff i's upset word holds every bit of the
-    mask.  The AND of downsets, read at its highest bit, is the meet.
+    A map i on the domain makes ``g`` open iff i(backward(b)) lies below
+    backward(dst(b)) at every b, that is iff i lies below the ceiling,
+    iff i's downset word has no bit outside this one.  The AND of
+    downsets, read at its highest bit, is the meet.
     """
     if g.cod != dst.ground:
         raise GroundMismatch("morphism codomain differs from the target space")
-    bw, down = g.backward, g.dom.index.down
-    common: dict = {}
+    bw, index = g.backward, g.dom.index
+    down = index.down
+    ceiling = [len(down) - 1] * len(down)
     for b, image in enumerate(dst.images):
         w = bw[b]
-        common[w] = common.get(w, -1) & down[bw[image]]
-    width = len(down)
-    mask = 0
-    for w, below in common.items():
-        mask |= 1 << (w * width + below.bit_length() - 1)
-    return mask
+        ceiling[w] = (down[ceiling[w]] & down[bw[image]]).bit_length() - 1
+    return index.words(ceiling)[1]
 
 
 def first_failing_position(backward: tuple, inner: tuple, outer: tuple, down: tuple, reverse: bool = False):

@@ -23,6 +23,7 @@ to the referencing file.
 from __future__ import annotations
 
 import json
+from functools import wraps
 from pathlib import Path
 
 from .continuity import StructuredSource
@@ -81,18 +82,31 @@ def _resolve(doc, base: Path | None):
     return doc, base
 
 
+def _loader(label: str):
+    """A schema reader, ``read(doc, base)``, as a loader: its document is
+    resolved first (``_resolve``), and a key it misses is a ParseError
+    naming ``label``."""
+    def wrap(read):
+        @wraps(read)
+        def load(doc, base: Path | None = None):
+            doc, base = _resolve(doc, base)
+            try:
+                return read(doc, base)
+            except KeyError as exc:
+                raise ParseError(f"{label} missing key {exc}")
+        return load
+    return wrap
+
+
 # -- individual schemas ------------------------------------------------------
 
-def lattice_from_json(doc, base: Path | None = None) -> FiniteLattice:
-    doc, base = _resolve(doc, base)
-    try:
-        return validate_lattice(
-            _field(doc, "elements", "a list of element names", _is_name_list),
-            _field(doc, "leq", "a list of [a, b] pairs of element names", _rows_of(2)),
-            closure=_field(doc, "closure", "true or false", _is_bool, False),
-        )
-    except KeyError as exc:
-        raise ParseError(f"lattice file missing key {exc}")
+@_loader("lattice file")
+def lattice_from_json(doc, base) -> FiniteLattice:
+    return validate_lattice(
+        _field(doc, "elements", "a list of element names", _is_name_list),
+        _field(doc, "leq", "a list of [a, b] pairs of element names", _rows_of(2)),
+        closure=_field(doc, "closure", "true or false", _is_bool, False),
+    )
 
 
 def lattice_to_json(lat: FiniteLattice) -> dict:
@@ -105,18 +119,15 @@ def lattice_to_json(lat: FiniteLattice) -> dict:
     return {"elements": list(lat.elements), "leq": pairs}
 
 
-def monoid_from_json(doc, base: Path | None = None) -> CQML:
-    doc, base = _resolve(doc, base)
+@_loader("monoid file")
+def monoid_from_json(doc, base) -> CQML:
     if "builtin" in doc:
         try:
             return builtin_chain(doc["builtin"], _field(doc, "n", "an integer", lambda n: type(n) is int, 3))
         except ValueError as exc:
             raise ParseError(str(exc))
-    try:
-        lat = lattice_from_json(doc["lattice"], base)
-        cq = validate_cqml(lat, _field(doc, "tensor", "a list of [a, b, a(x)b] triples of element names", _rows_of(3)))
-    except KeyError as exc:
-        raise ParseError(f"monoid file missing key {exc}")
+    lat = lattice_from_json(doc["lattice"], base)
+    cq = validate_cqml(lat, _field(doc, "tensor", "a list of [a, b, a(x)b] triples of element names", _rows_of(3)))
     if _field(doc, "gl", "true or false", _is_bool, True):
         return validate_gl(cq)
     return cq
@@ -169,30 +180,22 @@ def _point_names(doc, key: str) -> tuple:
     return tuple(_field(doc, key, "a list of point names", _is_name_list))
 
 
-def ground_from_json(doc, base: Path | None = None) -> Ground:
-    doc, base = _resolve(doc, base)
-    try:
-        return Ground(points=_point_names(doc, "points"), algebra=monoid_from_json(doc["algebra"], base))
-    except KeyError as exc:
-        raise ParseError(f"ground missing key {exc}")
+@_loader("ground")
+def ground_from_json(doc, base) -> Ground:
+    return Ground(points=_point_names(doc, "points"), algebra=monoid_from_json(doc["algebra"], base))
 
 
 def ground_to_json(g: Ground) -> dict:
     return {"points": list(g.points), "algebra": monoid_to_json(g.algebra)}
 
 
-def fuzzyset_from_json(doc, base: Path | None = None) -> FuzzySet:
-    doc, base = _resolve(doc, base)
-    try:
-        ground = Ground(
-            points=_point_names(doc, "carrier"), algebra=monoid_from_json(doc["algebra"], base)
-        )
-        values = _field(
-            doc, "values", "a {point: element} object or a list of element names",
-            lambda values: isinstance(values, dict) or _is_name_list(values),
-        )
-    except KeyError as exc:
-        raise ParseError(f"fuzzy set file missing key {exc}")
+@_loader("fuzzy set file")
+def fuzzyset_from_json(doc, base) -> FuzzySet:
+    ground = Ground(points=_point_names(doc, "carrier"), algebra=monoid_from_json(doc["algebra"], base))
+    values = _field(
+        doc, "values", "a {point: element} object or a list of element names",
+        lambda values: _is_name_map(values) or _is_name_list(values),
+    )
     return ground.fuzzy(values)
 
 
@@ -204,19 +207,16 @@ def fuzzyset_to_json(a: FuzzySet) -> dict:
     }
 
 
-def morphism_from_json(doc, base: Path | None = None) -> GroundMorphism:
-    doc, base = _resolve(doc, base)
-    try:
-        dom = ground_from_json(doc["dom"], base)
-        cod = ground_from_json(doc["cod"], base)
-        f = _field(doc, "f", "a {point: point} object", _is_name_map)
-        phi_op = _field(
-            doc, "phi_op", "an {element: element} object or a list of element names",
-            lambda phi_op: _is_name_list(phi_op) or _is_name_map(phi_op),
-        )
-        return validate_ground_morphism(dom, cod, f, phi_op)
-    except KeyError as exc:
-        raise ParseError(f"morphism file missing key {exc}")
+@_loader("morphism file")
+def morphism_from_json(doc, base) -> GroundMorphism:
+    dom = ground_from_json(doc["dom"], base)
+    cod = ground_from_json(doc["cod"], base)
+    f = _field(doc, "f", "a {point: point} object", _is_name_map)
+    phi_op = _field(
+        doc, "phi_op", "an {element: element} object or a list of element names",
+        lambda phi_op: _is_name_list(phi_op) or _is_name_map(phi_op),
+    )
+    return validate_ground_morphism(dom, cod, f, phi_op)
 
 
 def morphism_to_json(g: GroundMorphism) -> dict:
@@ -229,14 +229,9 @@ def morphism_to_json(g: GroundMorphism) -> dict:
     }
 
 
-def interior_from_json(doc, base: Path | None = None) -> InteriorMap:
-    doc, base = _resolve(doc, base)
-    try:
-        ground = ground_from_json(doc["ground"], base)
-        rows = doc["table"]
-    except KeyError as exc:
-        raise ParseError(f"interior file missing key {exc}")
-    return _table_interior(ground, rows)
+@_loader("interior file")
+def interior_from_json(doc, base) -> InteriorMap:
+    return _table_interior(ground_from_json(doc["ground"], base), doc["table"])
 
 
 def _table_interior(ground: Ground, rows) -> InteriorMap:
@@ -274,14 +269,9 @@ def _topology(ground: Ground, opens) -> LTopology:
     return ltopology(ground, [tuple(lat.index(v) for v in row) for row in opens])
 
 
-def topology_from_json(doc, base: Path | None = None) -> LTopology:
-    doc, base = _resolve(doc, base)
-    try:
-        ground = ground_from_json(doc["ground"], base)
-        opens = doc["opens"]
-    except KeyError as exc:
-        raise ParseError(f"topology file missing key {exc}")
-    return _topology(ground, opens)
+@_loader("topology file")
+def topology_from_json(doc, base) -> LTopology:
+    return _topology(ground_from_json(doc["ground"], base), doc["opens"])
 
 
 def topology_to_json(t: LTopology) -> dict:
@@ -295,14 +285,11 @@ def topology_to_json(t: LTopology) -> dict:
     }
 
 
-def space_from_json(doc, base: Path | None = None) -> InteriorMap:
+@_loader("space file")
+def space_from_json(doc, base) -> InteriorMap:
     """A space is its interior map, which carries the ground."""
-    doc, base = _resolve(doc, base)
-    try:
-        ground = ground_from_json(doc["ground"], base)
-        body = doc["interior"]
-    except KeyError as exc:
-        raise ParseError(f"space file missing key {exc}")
+    ground = ground_from_json(doc["ground"], base)
+    body = doc["interior"]
     if body == "discrete":
         return discrete(ground)
     if body == "least":
@@ -319,17 +306,14 @@ def space_to_json(s: InteriorMap) -> dict:
     return {"ground": body["ground"], "interior": {"table": body["table"]}}
 
 
-def source_from_json(doc, base: Path | None = None) -> StructuredSource:
-    doc, base = _resolve(doc, base)
-    try:
-        domain = ground_from_json(doc["domain"], base)
-        listed = _field(
-            doc, "arms", "a list of {morphism, space} objects",
-            lambda arms: isinstance(arms, list) and all(isinstance(arm, dict) for arm in arms),
-        )
-        arms = tuple((morphism_from_json(arm["morphism"], base), space_from_json(arm["space"], base)) for arm in listed)
-    except KeyError as exc:
-        raise ParseError(f"source file missing key {exc}")
+@_loader("source file")
+def source_from_json(doc, base) -> StructuredSource:
+    domain = ground_from_json(doc["domain"], base)
+    listed = _field(
+        doc, "arms", "a list of {morphism, space} objects",
+        lambda arms: isinstance(arms, list) and all(isinstance(arm, dict) for arm in arms),
+    )
+    arms = tuple((morphism_from_json(arm["morphism"], base), space_from_json(arm["space"], base)) for arm in listed)
     return StructuredSource(domain=domain, arms=arms)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_right
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from math import prod
 from operator import itemgetter
 from pathlib import Path
@@ -85,8 +85,8 @@ class SearchBounds(Value):
 
     ``max_tables`` caps the interior maps streamed on any single ground
     (the enumeration raises as soon as it would yield one more), the
-    total ``count_interior_maps`` reports, and the functions at one point
-    that a sample lists, one list per point.
+    total ``count_interior_maps`` reports, and one point's count of
+    functions, which a sample checks before it lists any.
     ``operator_sample`` is how many interior maps per ground the
     cross-product suites combine (the least and discrete maps are always
     in the sample, so it is at least 2; the rest is an even stride
@@ -341,12 +341,15 @@ def interior_sample(ground: Ground, bounds: SearchBounds, expire=None):
     through the stream that keeps the least (first) and discrete (last)
     maps, and every map when the stream fits ``operator_sample``.
 
-    The kept indices are unranked (``_unrank``) from each point's
-    functions (``_point_functions``); only the kept maps are built.  So
-    ``max_tables`` caps one point's count, the length of each list.
-    Listing and counting call ``expire`` every 1,024 functions.
+    One point's functions are counted first (``_point_count``), and more
+    than ``max_tables`` are refused before any is listed.  The kept
+    indices are then unranked (``_unrank``) from each point's functions
+    (``_point_functions``); only the kept maps are built.  Counting and
+    listing call ``expire`` every 1,024 functions.
     """
-    functions = _point_functions(ground, expire, bounds.max_tables)
+    if _point_count(ground, bounds.max_tables, expire) > bounds.max_tables:
+        raise BoundsExceeded(f"more than {bounds.max_tables} functions at one point of this ground")
+    functions = _point_functions(ground, expire)
     total, cap = prod(map(len, functions)), bounds.operator_sample
     top = len(ground.index.values) - 1
     kept = sorted({round(k * (total - 1) / (cap - 1)) for k in range(cap)})
@@ -361,34 +364,15 @@ def _paced(items, expire):
         yield item
 
 
-_UNCOUNTED = 4096  # functions a point lists before its count is checked
-
-
-def _point_functions(ground: Ground, expire=None, limit: int | None = None) -> list:
+def _point_functions(ground: Ground, expire=None) -> list:
     """Each point's functions g_x, as tuples of lattice ranks by position,
     listed once in the order its own walk yields them, so the projection
     u -> u(x) comes last; ``expire`` is called before every 1,024th
-    function of each point.
-
-    More than ``limit`` functions at one point raise BoundsExceeded.  The
-    first point's list is its count when it stops short of 4,096
-    functions; past that, the functions are counted (``_point_count``)
-    before any more are listed, so a refusal holds at most 4,096.  Every
-    point has as many functions as the first.
-    """
+    function of each point."""
     covers = ground.index.covers
     up, per_point = _point_candidates(ground)
-    functions = []
-    for candidates in per_point:
-        walk = _paced(_backtrack(candidates, up, covers, range(len(covers) - 1)), expire)
-        listed = [tuple(assign) for assign in islice(walk, _UNCOUNTED)]
-        if limit is not None and not functions:
-            count = len(listed) if len(listed) < _UNCOUNTED else _point_count(ground, limit, expire)
-            if count > limit:
-                raise BoundsExceeded(f"more than {limit} functions at one point of this ground")
-        listed.extend(map(tuple, walk))
-        functions.append(listed)
-    return functions
+    walks = (_backtrack(candidates, up, covers, range(len(covers) - 1)) for candidates in per_point)
+    return [[tuple(assign) for assign in _paced(walk, expire)] for walk in walks]
 
 
 def _assembled(ground: Ground, functions) -> InteriorMap:
@@ -658,24 +642,23 @@ def _legs(ctx: SearchContext, open_mode: bool) -> dict:
                 bounds = ctx[_bounds, open_mode, g]
                 for src in sources:
                     ctx.expire()
-                    up = src.words[0]
+                    word = src.words[open_mode]
                     for dst, bound in zip(targets, bounds):
-                        if passes_bound(open_mode, up, bound):
+                        if passes_bound(word, bound):
                             by_source.setdefault(src, []).append((g, src, dst))
     return by_source
 
 
 def _onward_bound(ctx: SearchContext, open_mode: bool, g1: GroundMorphism, mid: InteriorMap) -> int:
     """One bound for every composite through the leg (g1, mid) and a leg
-    out of ``mid``: a source passes it iff it passes each composite's.  An
-    upset word holds every bit of each openness bound iff it holds every
-    bit of their OR, and has no bit outside each continuity bound iff it
-    has none outside their AND."""
-    bound = 0 if open_mode else -1
+    out of ``mid``: a source passes it iff it passes each composite's,
+    since a word has no bit outside each bound iff it has none outside
+    their AND."""
+    bound = -1
     for g2, positions in ctx[_onward, open_mode, mid]:
         words = ctx[_bounds, open_mode, ctx[_composite, g2, g1]]
         for k in positions:
-            bound = bound | words[k] if open_mode else bound & words[k]
+            bound &= words[k]
     return bound
 
 
@@ -713,7 +696,7 @@ def _gen_composition(ctx: SearchContext, open_mode: bool):
         for g1, src, mid in legs:
             ctx.expire()
             onward = by_source.get(mid, ())
-            if passes_bound(open_mode, src.words[0], ctx[_onward_bound, open_mode, g1, mid]):
+            if passes_bound(src.words[open_mode], ctx[_onward_bound, open_mode, g1, mid]):
                 ctx.checked += len(onward)
                 continue
             cases = (
@@ -805,14 +788,14 @@ def _lost_arm(dom: Ground, arms, lift: InteriorMap):
     the lift's value where it falls short, or None.
 
     An interior map keeps an arm continuous iff it lies above the arm's
-    initial interior, which is one test of upset words per arm: the
-    continuity test of ``passes_bound`` against the initial's word.  Only
-    an arm that fails it is scanned position by position, for the witness.
+    initial interior, which is one test of upset words per arm:
+    ``passes_bound`` against the initial's word.  Only an arm that fails
+    it is scanned position by position, for the witness.
     """
     word = lift.words[0]
     down, values, images = dom.index.down, dom.index.values, lift.images
     for index, arm in enumerate(arms):
-        if passes_bound(False, word, arm.initial.words[0]):
+        if passes_bound(word, arm.initial.words[0]):
             continue
         bw, outer = arm.morphism.backward, arm.target.images
         b = first_failing_position(bw, images, outer, down)

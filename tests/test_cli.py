@@ -667,6 +667,7 @@ C2_TENSOR = [[a, b, min(a, b)] for a in "01" for b in "01"]
 LEQ_PAIRS = "leq must be a list of [a, b] pairs of element names"
 TENSOR_TRIPLES = "tensor must be a list of [a, b, a(x)b] triples of element names"
 ARM_OBJECTS = "arms must be a list of {morphism, space} objects"
+POINT_VALUES = "values must be a {point: element} object or a list of element names"
 
 
 @pytest.mark.parametrize(
@@ -691,6 +692,9 @@ ARM_OBJECTS = "arms must be a list of {morphism, space} objects"
         ("monoid.json", {"builtin": "godel", "n": [3]}, "n must be an integer, got [3]"),
         ("source.json", {"domain": {"points": ["x"], "algebra": C2}, "arms": 5}, f"{ARM_OBJECTS}, got 5"),
         ("source.json", {"domain": {"points": ["x"], "algebra": C2}, "arms": [5]}, f"{ARM_OBJECTS}, got [5]"),
+        # a fuzzy set's value that is not an element name
+        ("fuzzyset.json", {"carrier": ["p1"], "values": {"p1": [["0", "1"]]}, "algebra": C2}, f"{POINT_VALUES}, got {{'p1': [['0', '1']]}}"),
+        ("fuzzyset.json", {"carrier": ["p1"], "values": {"p1": 5}, "algebra": C2}, f"{POINT_VALUES}, got {{'p1': 5}}"),
     ],
     ids=[
         "elements-a-string",
@@ -705,6 +709,8 @@ ARM_OBJECTS = "arms must be a list of {morphism, space} objects"
         "n-a-list",
         "arms-a-number",
         "arm-a-number",
+        "value-a-list",
+        "value-a-number",
     ],
 )
 def test_wrong_shaped_lattice_monoid_or_source_exits_2(tmp_path, name, doc, detail):
@@ -817,6 +823,11 @@ def test_replay_of_a_mismatched_bundle_exits_1(tmp_path, prop, case, error, deta
             "interiors must list the three maps [src, mid, dst], got 2",
         ),
         ("composition-open", {"open": "yes"}, "open must be true or false, got 'yes'"),
+        (
+            "open-preimage",
+            {"v": {"carrier": ["p1", "p2"], "values": {"p1": [["0", "1"]], "p2": "0"}, "algebra": C2}},
+            f"{POINT_VALUES}, got {{'p1': [['0', '1']], 'p2': '0'}}",
+        ),
     ],
     ids=[
         "missing-key",
@@ -825,6 +836,7 @@ def test_replay_of_a_mismatched_bundle_exits_1(tmp_path, prop, case, error, deta
         "member-not-an-object",
         "two-interiors",
         "open-not-a-boolean",
+        "value-a-list",
     ],
 )
 def test_replay_of_a_malformed_case_exits_2(tmp_path, prop, case, detail):

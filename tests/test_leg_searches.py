@@ -77,7 +77,7 @@ def test_an_injected_composite_failure_is_the_oracles_first_counterexample(open_
     def onward_bound(ctx, mode, g1, mid):
         onward = ctx[_legs, mode].get(mid, ())
         if any(compose(g2, g1) == bad and d == dst for g2, _, d in onward):
-            return -1 if mode else 0  # a bound no source passes
+            return 0  # a bound no source passes
         return real_bound(ctx, mode, g1, mid)
 
     monkeypatch.setattr(fsearch, name, rejecting)
@@ -126,7 +126,7 @@ def test_an_onward_bound_decides_every_composite_through_its_leg(open_mode, boun
                     for g1 in all_morphisms(dom, mid_ground):
                         bound = ctx[_onward_bound, open_mode, g1, mid]
                         for src in ctx[_sample, dom]:
-                            passes = passes_bound(open_mode, src.words[0], bound)
+                            passes = passes_bound(src.words[open_mode], bound)
                             assert passes == all(fcontinuity._scan(compose(g2, g1), src, dst, prop).ok for g2, _, dst in onward)
                             outcomes.add(passes)
     assert outcomes == {True, False}

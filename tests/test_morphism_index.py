@@ -85,9 +85,9 @@ WORD_GROUNDS = {
 
 @pytest.mark.parametrize("grounds, triples", WORD_GROUNDS.values(), ids=WORD_GROUNDS)
 def test_word_tests_match_the_scan_on_every_triple(grounds, triples):
-    # continuity: the source's upset word has no bit outside the bound;
-    # openness: it holds every bit of the mask.  Each agrees with the scan
-    # on every (g, src, dst) over all interior maps
+    # continuity: the source's upset word has no bit outside the floor's;
+    # openness: its downset word has no bit outside the ceiling's.  Each
+    # agrees with the scan on every (g, src, dst) over all interior maps
     maps = {ground: list(enumerate_interior_maps(ground)) for ground in grounds}
     seen = disagree = 0
     for dom in grounds:
@@ -96,10 +96,10 @@ def test_word_tests_match_the_scan_on_every_triple(grounds, triples):
                 for dst in maps[cod]:
                     continuous, open_ = continuity_bound(g, dst), openness_bound(g, dst)
                     for src in maps[dom]:
-                        up = src.words[0]
+                        up, down = src.words
                         seen += 1
-                        disagree += passes_bound(False, up, continuous) != _scan(g, src, dst, "continuity").ok
-                        disagree += passes_bound(True, up, open_) != _scan(g, src, dst, "openness").ok
+                        disagree += passes_bound(up, continuous) != _scan(g, src, dst, "continuity").ok
+                        disagree += passes_bound(down, open_) != _scan(g, src, dst, "openness").ok
     assert (seen, disagree) == (triples, 0)
 
 

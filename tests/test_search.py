@@ -369,10 +369,11 @@ SAMPLE_REFUSALS = {
 @pytest.mark.parametrize("extra, message", SAMPLE_REFUSALS.values(), ids=SAMPLE_REFUSALS)
 def test_a_sample_keeps_its_memory_flat_until_it_refuses(extra, message):
     # godel4 with 3 points has more than 100,000 functions at each point,
-    # of about 570 bytes each: a sample lists at most 4,096 of them before
-    # it counts, so neither the cap nor the budget is reached holding a
-    # long list.  tracemalloc's peak counts only what the search allocates;
-    # a child's ru_maxrss would start at this process's own peak
+    # of about 570 bytes each: a sample counts one point's functions
+    # before it lists any, so neither the cap nor the budget is reached
+    # holding a list.  tracemalloc's peak counts only what the search
+    # allocates; a child's ru_maxrss would start at this process's own
+    # peak
     bounds = SearchBounds(algebras=("godel4",), max_carrier=3, **extra)
     tracemalloc.start()
     try:
@@ -416,14 +417,28 @@ def test_walks_over_interior_maps_read_the_deadline_every_1024_maps():
     # godel3 on 3 points: 7,645,373,000 = 1,970 ** 3 maps, every point
     # having 1,970 functions.  The count walks one point, leaving out the
     # coatoms: 1,132 leaves, read before the first and the 1,025th.  The
-    # sample does not count a point with fewer than 4,096 functions: it
-    # lists each point's 1,970, read the same way, and takes the count
-    # from the first list; a kept map is not a read
+    # sample counts the same way, then lists each point's 1,970
+    # functions, read before the first and the 1,025th; a kept map is not
+    # a read
     ground = grounds_within(SearchBounds(algebras=("godel3",), max_carrier=3))[-1]
     assert count_interior_maps(ground, bounds, expire("count")) == 1970**3
     assert reads["count"] == 2
     assert len(interior_sample(ground, bounds, expire("sample"))) == 4
-    assert reads["sample"] == 3 * 2
+    assert reads["sample"] == 2 + 3 * 2
+
+
+def test_a_sample_past_the_cap_lists_no_function(monkeypatch):
+    # c2 with 4 points has 19 functions at each point: the count refuses
+    # a cap of 18 before any point's functions are listed
+    listed = []
+    real = fsearch._point_functions
+    monkeypatch.setattr(fsearch, "_point_functions", lambda *args: listed.append(args) or real(*args))
+    ground = grounds_within(SearchBounds(algebras=("c2",), max_carrier=4))[-1]
+    with pytest.raises(BoundsExceeded, match="^bounds exceeded: more than 18 functions at one point of this ground$"):
+        interior_sample(ground, SearchBounds(max_tables=18))
+    assert listed == []
+    assert len(interior_sample(ground, SearchBounds(max_tables=19))) == 4
+    assert len(listed) == 1
 
 
 def test_near_maps_read_the_deadline_every_1024_functions(monkeypatch):
