@@ -4,10 +4,10 @@ Subcommands: validate, tables, check, search, replay, examples.  Exit
 codes are 0 for a clean verdict; 1 for a property failure or for an input
 that parses but breaks a definition, with the first witness in the report;
 2 for unreadable input (missing file, a directory or a file that is not
-UTF-8, JSON syntax, missing key, unknown property); 141 when the reader
-closes stdout before the output is written.  Output is
-deterministic for fixed inputs and flags: rows are sorted and no
-timestamps are printed.  The FUZZINT_BOUNDS environment variable
+UTF-8, JSON syntax, missing key, unknown property) or an ``--out`` path
+that cannot be written; 141 when the reader closes stdout before the
+output is written.  Output is deterministic for fixed inputs and flags:
+rows are sorted and no timestamps are printed.  The FUZZINT_BOUNDS environment variable
 overrides default search bounds; only the commands that search read it.
 """
 
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import io as fio
 from .continuity import initial_from_source, is_continuous, is_open_morphism, verify_initiality
-from .errors import FuzzintError, ParseError, UnknownProperty
+from .errors import FuzzintError, ParseError, UnknownProperty, WriteError
 from .gallery import (
     all_topologies,
     check_ij_continuity_claims,
@@ -65,6 +65,9 @@ def main(argv=None) -> int:
             code = 2
         except UnknownProperty as exc:
             _emit_error(args, str(exc), code="unknown-property")
+            code = 2
+        except WriteError as exc:
+            _emit_error(args, str(exc), code="write-error")
             code = 2
         except FuzzintError as exc:
             _emit_error(args, str(exc), code=type(exc).__name__)
@@ -414,11 +417,8 @@ def cmd_examples(args) -> int:
     if "example3" in reports:
         ok = ok and reports["example3"]["closures"]["extensional"]["extensive"]
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         for name, report in reports.items():
-            with open(os.path.join(args.out, f"{name}.json"), "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            fio.save_json(os.path.join(args.out, f"{name}.json"), report, parents=True)
     if args.json:
         print(json.dumps(reports, sort_keys=True))
     else:

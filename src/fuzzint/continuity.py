@@ -43,14 +43,16 @@ continuous into the lift and H, the join of the least ones making each
 composite through an arm continuous.  Each is an initial interior along a
 composite, which is backward of h after the arm's initial interior after
 the right adjoint of h, since backward reverses composition and right
-adjoints compose: the arm's floor.  The lift enters as one more ``Arm``,
-the identity morphism into (domain, lift), so E is that arm's floor.
-``packed_floors`` packs an arm's floors along a list of test morphisms
-into one integer of upset words, and the AND of the source arms' integers
-holds H at every test.  The one kernel, ``initiality_violation``, decides
-every test with one comparison of E and H, for both ``verify_initiality``
-and the ``initiality`` search; only when they differ does it read the
-first differing test's floors back off the two integers and scan the
+adjoints compose: the floor of that initial interior along h.  The lift
+is its own initial interior along the identity, so E is the lift's floor.
+A floor depends on nothing but the initial interior and h:
+``packed_floors`` packs an initial interior's floors along a list of test
+morphisms into one integer of upset words, so the lift's integer holds E
+at every test and the AND of the arms' initial interiors' integers holds
+H.  The one kernel, ``initiality_violation``, decides every test with one
+comparison of E and H, for both ``verify_initiality`` and the
+``initiality`` search; only when they differ does it read the first
+differing test's floors back off the two integers and scan the
 composites to name the violation.  A literal enumeration over test
 interiors lives in the test suite as its oracle.
 """
@@ -61,13 +63,7 @@ from itertools import product
 
 from .errors import GroundMismatch, NotContinuous, PropertyPreconditionFailed
 from .interior import InteriorMap, is_idempotent, is_productive, join_interiors, least
-from .powerset import (
-    Ground,
-    GroundMorphism,
-    Verdict,
-    all_morphisms,
-    identity_morphism,
-)
+from .powerset import Ground, GroundMorphism, Verdict, all_morphisms
 from .value import Value
 
 
@@ -228,17 +224,9 @@ def initial_from_source(s: StructuredSource) -> InteriorMap:
 
 class Arm:
     """One arm (g, target interior) of a structured source, prepared for
-    initiality checks.  A lift enters as one more arm: the identity
-    morphism into (domain, lift).
-
-    ``initial`` is the arm's initial interior, built and validated once.
-    ``floor`` is the least test interior making the composite of a test
-    morphism and g continuous into ``target``: the initial interior along
-    the composite, which is backward of the test after ``initial`` after
-    its right adjoint, since backward reverses composition and right
-    adjoints compose.  ``packed_floors`` packs the floors along a list of
-    test morphisms into one integer, so a caller that keeps the packing
-    needs each floor once.
+    initiality checks: ``initial`` is the arm's initial interior, built
+    and validated once.  The arm's floors are those of ``initial``
+    (``packed_floors``), so arms with equal initial interiors share them.
     """
 
     __slots__ = ("morphism", "target", "initial")
@@ -248,46 +236,44 @@ class Arm:
         self.target = target
         self.initial = initial_interior(g, target)
 
-    def floor(self, g_test: GroundMorphism) -> tuple:
-        """Images of the least test interior making the composite of
-        ``g_test`` and the arm's morphism continuous."""
-        return _initial_images(g_test, self.initial.images)
 
+def packed_floors(initial: InteriorMap, tests) -> int:
+    """The floors of ``initial`` along every test morphism in ``tests``,
+    as one integer: test by test, from the lowest bits up, the upset word
+    (``PowersetIndex.words``) of the initial interior along the test of
+    ``initial``, N*N bits on a test ground with N fuzzy sets.
 
-def packed_floors(arm: Arm, tests) -> int:
-    """The arm's floors along every test morphism in ``tests``, as one
-    integer: test by test, from the lowest bits up, the upset word of the
-    floor (``PowersetIndex.words``), N*N bits on a test ground with N
-    fuzzy sets.
-
-    An upset word decodes to exactly one image tuple, so two packings
-    along the same tests are equal iff the floors agree at every test.
-    The AND of upset words is the upset word of the pointwise join, so
-    the AND of the source arms' packings holds H at every test, and the
-    lift arm's packing holds E.
+    Along a test h, that floor is the least test interior making the
+    composite of h and g continuous, for any arm g whose initial interior
+    is ``initial``.  An upset word decodes to exactly one image tuple, so
+    two packings along the same tests are equal iff the floors agree at
+    every test.  The AND of upset words is the upset word of the
+    pointwise join, so the AND of the packings of a source's arms'
+    initial interiors holds H at every test, and the lift's packing
+    holds E.
     """
     word = shift = 0
     for g_test in tests:
         index = g_test.dom.index
-        word |= index.words(arm.floor(g_test))[0] << shift
+        word |= index.words(_initial_images(g_test, initial.images))[0] << shift
         shift += len(index.values) ** 2
     return word
 
 
-def initiality_violation(tests, lift_arm: Arm, arms, floors):
-    """Decide the universal property of a lift at every test morphism in
+def initiality_violation(tests, lift: InteriorMap, arms, floors):
+    """Decide the universal property of ``lift`` at every test morphism in
     ``tests``.
 
     Each test morphism runs from a test ground into the source domain;
-    ``lift_arm`` is the identity arm into (domain, lift), ``arms`` the
-    source's prepared arms, and ``floors(arm)`` the arm's
-    ``packed_floors`` along ``tests``.  A test morphism must be continuous
-    into the lift, at a test interior, exactly when every composite
-    through an arm is.  The interiors making a family of morphisms
-    continuous form a principal filter, so each direction is decided at
-    the least element of the opposite filter: H, the join of the arms'
-    floors ("only-if"), and E, the lift arm's floor ("if").  With no arms
-    H is the least interior, the floor of the least space's identity arm.
+    ``arms`` are the source's prepared arms, and ``floors(initial)`` the
+    ``packed_floors`` of an initial interior along ``tests``.  A test
+    morphism must be continuous into the lift, at a test interior, exactly
+    when every composite through an arm is.  The interiors making a family
+    of morphisms continuous form a principal filter, so each direction is
+    decided at the least element of the opposite filter: H, the join of
+    the floors of the arms' initial interiors ("only-if"), and E, the
+    floor of the lift, which is its own initial interior along the
+    identity ("if").  With no arms H is the floor of the least interior.
 
     So "only-if" holds iff H >= E and "if" iff E >= H: the property
     holds exactly when E == H, at every test at once when the two
@@ -298,11 +284,10 @@ def initiality_violation(tests, lift_arm: Arm, arms, floors):
     violation.  Returns (the test's index in ``tests``, the violation), or
     None.
     """
-    dom = lift_arm.morphism.dom
     hard = -1
-    for arm in arms or [Arm(identity_morphism(dom), least(dom))]:
-        hard &= floors(arm)
-    easy = floors(lift_arm)
+    for initial in [arm.initial for arm in arms] or [least(lift.ground)]:
+        hard &= floors(initial)
+    easy = floors(lift)
     if easy == hard:
         return None
     diff = easy ^ hard
@@ -316,9 +301,9 @@ def initiality_violation(tests, lift_arm: Arm, arms, floors):
         shift += width
     easy_at, hard_at = index.join_positions(easy >> shift), index.join_positions(hard >> shift)
     bw = g_test.backward
-    for arm, at, direction in [(lift_arm, hard_at, "only-if")] + [(arm, easy_at, "if") for arm in arms]:
-        table = tuple(bw[w] for w in arm.morphism.backward)
-        outer = arm.target.images
+    scans = [(bw, hard_at, lift.images, "only-if")]
+    scans += [(tuple(bw[w] for w in arm.morphism.backward), easy_at, arm.target.images, "if") for arm in arms]
+    for table, at, outer, direction in scans:
         b = first_failing_position(table, at, outer, index.down)
         if b is not None:
             w = table[b]
@@ -357,9 +342,9 @@ def verify_initiality(s: StructuredSource, lift: InteriorMap, *, test_grounds) -
     tests = [g for z_ground in test_grounds for g in all_morphisms(z_ground, s.domain)]
     found = initiality_violation(
         tests,
-        Arm(identity_morphism(s.domain), lift),
+        lift.validated(),
         [Arm(g, target) for g, target in s.arms],
-        lambda arm: packed_floors(arm, tests),
+        lambda initial: packed_floors(initial, tests),
     )
     if found is None:
         return Verdict(ok=True, prop="initiality", witness=None, checked=2 * len(tests))

@@ -227,6 +227,11 @@ class ParseError(FuzzintError):
         super().__init__(f"cannot parse input: {detail}", detail=detail)
 
 
+class WriteError(FuzzintError):
+    def __init__(self, detail: str):
+        super().__init__(f"cannot write output: {detail}", detail=detail)
+
+
 class InvalidTopology(FuzzintError):
     def __init__(self, detail: str):
         super().__init__(f"not a topology: {detail}", detail=detail)

@@ -27,7 +27,7 @@ from functools import wraps
 from pathlib import Path
 
 from .continuity import StructuredSource
-from .errors import ParseError
+from .errors import ParseError, WriteError
 from .interior import InteriorMap, LTopology, discrete, interior_from_topology, least, ltopology
 from .lattice import FiniteLattice, validate_lattice
 from .monoid import CQML, builtin_chain, validate_cqml, validate_gl
@@ -48,6 +48,21 @@ def load_json(path) -> dict:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}")
+
+
+def save_json(path, doc, *, parents: bool = False) -> None:
+    """Write ``doc`` as indented JSON with sorted keys and a final
+    newline, creating the missing parent directories with ``parents``;
+    a path that cannot be written is a WriteError."""
+    path = Path(path)
+    try:
+        if parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise WriteError(f"{exc.filename or path}: {exc.strerror or exc}")
 
 
 def detect_schema(doc) -> str:

@@ -25,7 +25,6 @@ on.
 
 from __future__ import annotations
 
-import json
 import time
 from bisect import bisect_right
 from itertools import chain, combinations
@@ -73,7 +72,7 @@ from .interior import (
 )
 from .lattice import diamond_lattice, pentagon_lattice
 from .monoid import builtin_chain, godel_tensor, join_tensor
-from .powerset import FuzzySet, Ground, GroundMorphism, Verdict, all_morphisms, identity_morphism
+from .powerset import FuzzySet, Ground, GroundMorphism, Verdict, all_morphisms
 from .value import Value
 from . import io as fio
 
@@ -422,15 +421,16 @@ class SearchContext(dict):
     a dict whose key ``(build, *args)`` holds ``build(context, *args)``,
     built by ``__missing__`` on first lookup, so a hit is one dict lookup
     that builds no closure and calls nothing but the hashes of the key's
-    own objects.  The functions below are the memo's kinds.  A key holds
+    own objects (and their equality, for an equal key that is another
+    object).  The functions below are the memo's kinds.  A key holds
     its grounds as ``Ground``, ``InteriorMap`` or ``GroundMorphism``
-    objects, never an image tuple or word without its ground.  It may
-    also hold an ``Arm``, which the context builds once per (morphism,
-    target) and meets by identity.  Everything is dropped with the
-    context, so nothing is cached across searches.  ``checked`` counts
-    the cases the search has checked, with those a generator decided in
-    bulk (a ground's pairs and the whole ground, a leg's cases), and
-    ``expire`` names it wherever the budget runs out.
+    objects, never an image tuple or word without its ground.  Equal maps
+    on one ground share an entry: arms with equal initial interiors, and
+    a lift equal to one of them, share their floors.  Everything is
+    dropped with the context, so nothing is cached across searches.
+    ``checked`` counts the cases the search has checked, with those a
+    generator decided in bulk (a ground's pairs and the whole ground, a
+    leg's cases), and ``expire`` names it wherever the budget runs out.
     """
 
     __slots__ = ("bounds", "deadline", "grounds", "checked")
@@ -453,10 +453,10 @@ class SearchContext(dict):
                 f"time budget {self.bounds.time_budget}s exhausted after {self.checked} cases"
             )
 
-    def floors(self, arm: Arm) -> int:
-        """The memoised ``_floors`` of the arm, as the callable that
-        ``initiality_violation`` takes."""
-        return self[_floors, arm]
+    def floors(self, initial: InteriorMap) -> int:
+        """The memoised ``_floors`` of an initial interior, as the callable
+        that ``initiality_violation`` takes."""
+        return self[_floors, initial]
 
 
 # The memo's kinds: ``ctx[build, *args]`` is ``build(ctx, *args)``, built
@@ -472,17 +472,10 @@ def _arm(ctx: SearchContext, g: GroundMorphism, target: InteriorMap) -> Arm:
     return Arm(g, target)
 
 
-def _identity_arm(ctx: SearchContext, space: InteriorMap) -> Arm:
-    """The identity arm into (ground, space), looked up once per space.  It
-    is the prepared arm of that pair, so a source arm along the identity
-    into the same space shares its floors."""
-    return ctx[_arm, identity_morphism(space.ground), space]
-
-
-def _floors(ctx: SearchContext, arm: Arm) -> int:
-    """``packed_floors`` of the arm along every test morphism into its
-    domain, packed once per arm."""
-    return packed_floors(arm, ctx[_test_morphisms, arm.morphism.dom])
+def _floors(ctx: SearchContext, initial: InteriorMap) -> int:
+    """``packed_floors`` of an initial interior, an arm's or a lift, along
+    every test morphism into its ground, packed once per interior map."""
+    return packed_floors(initial, ctx[_test_morphisms, initial.ground])
 
 
 def _interned(ctx: SearchContext, g: GroundMorphism) -> GroundMorphism:
@@ -816,14 +809,15 @@ def _lost_arm(dom: Ground, arms, lift: InteriorMap):
 def _check_initiality(case: dict, ctx: SearchContext):
     """Join-form lift: the axioms, then the universal property at every
     test morphism, decided by ``initiality_violation`` from the packed
-    floors the context keeps per arm.  The lift's upset word is the AND
-    of the arms' initial ones, so it keeps every arm continuous: arm
-    continuity is reported only by ``literal-meet-source-lift``."""
+    floors the context keeps per initial interior.  The lift's upset word
+    is the AND of the arms' initial ones, so it keeps every arm
+    continuous: arm continuity is reported only by
+    ``literal-meet-source-lift``."""
     dom, arms = _case_source(case, ctx)
     lift, verdict = _folded_lift(ctx, "join", dom, arms)
     if not verdict.ok:
         return {"stage": "axioms", **verdict.witness}
-    found = initiality_violation(ctx[_test_morphisms, dom], ctx[_identity_arm, lift], arms, ctx.floors)
+    found = initiality_violation(ctx[_test_morphisms, dom], lift, arms, ctx.floors)
     return None if found is None else {"stage": "initiality", **found[1]}
 
 
@@ -1018,9 +1012,7 @@ def search(
     status = "no-counterexample" if witness is None else "counterexample"
     result = SearchResult(prop=prop, status=status, instances=ctx.checked, bundle=witness)
     if out is not None and witness is not None:
-        with open(out, "w") as fh:
-            json.dump(witness, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        fio.save_json(out, witness)
     return result
 
 

@@ -395,7 +395,7 @@ def transported(pairs, g_test) -> tuple:
 def naive_least_above(ground, pairs) -> tuple:
     """Images of the least interior map above position pairs (w, c), each
     position by a scan of every pair: the join of the c whose w lies below
-    it, and top at top (oracle for ``Arm.floor``)."""
+    it, and top at top (oracle for the floors of ``packed_floors``)."""
     index = ground.index
     up = index.up
     top = len(up) - 1

@@ -81,6 +81,9 @@ GOLDEN_CASES = {
         ["check", "openness", "identity_morphism.json", "discrete_space.json", "least_space.json"],
     ),
     "check_initiality.txt": (0, ["check", "initiality", "two_arm_source.json"]),
+    # two_arm_source.json with no arms: its lift is the least map, and all 20
+    # directions at the test morphisms into godel3 with 1 point hold
+    "check_initiality_empty_json.txt": (0, ["check", "initiality", "empty_source.json", "--json"]),
     "check_trivial_literal.txt": (1, ["check", "trivial-literal"]),
     "check_trivial_literal_json.txt": (1, ["check", "trivial-literal", "--json"]),
     "examples_run.txt": (0, ["examples", "run", "all"]),
@@ -948,6 +951,32 @@ def test_unreadable_input_exits_2(tmp_path, unreadable, argv):
     report = json.loads(text)
     assert report["status"] == "error" and report["error"] == "parse-error"
     assert report["detail"].startswith("cannot parse input: ") and unreadable in report["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["search", "--property", "literal-meet-source-lift"], "missing/b.json"),
+        (["search", "--property", "literal-meet-source-lift"], "."),
+        (["examples", "run", "3"], "file"),
+        (["examples", "run", "3"], "file/sub"),
+    ],
+    ids=["search-missing-directory", "search-directory", "examples-file", "examples-under-a-file"],
+)
+def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, argv, out):
+    # the search finds its counterexample, or the example its report, and
+    # only the write fails: one error line, or one JSON error report
+    (tmp_path / "file").write_text("")
+    argv = [*argv, "--out", str(tmp_path / out)]
+    code, text = run_cli(*argv)
+    assert code == 2
+    assert text.startswith("error: cannot write output: ") and text.count("\n") == 1
+    code, text = run_cli(*argv, "--json")
+    assert code == 2
+    report = json.loads(text)
+    assert report["status"] == "error" and report["error"] == "write-error"
+    assert report["detail"].startswith(f"cannot write output: {tmp_path}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 @pytest.mark.parametrize("prop", [["x"], {"name": "x"}, 3], ids=["list", "object", "number"])

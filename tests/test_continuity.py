@@ -50,7 +50,6 @@ from fuzzint.search import (
     SearchBounds,
     SearchContext,
     _arm,
-    _identity_arm,
     _test_morphisms,
     builtin_algebra,
     checker_for,
@@ -318,8 +317,8 @@ def test_verify_initiality_vacuous_without_test_objects(one_point_c3):
 
 
 def test_verify_initiality_refuses_a_lift_that_is_not_interior(one_point_c3):
-    # the lift enters as an arm, whose initial interior is the lift itself,
-    # validated; the constant-top map is not contractive
+    # the lift is its own initial interior along the identity, validated;
+    # the constant-top map is not contractive
     s = StructuredSource(domain=one_point_c3, arms=((identity_morphism(one_point_c3), discrete(one_point_c3)),))
     top = InteriorMap(one_point_c3, (one_point_c3.set_count() - 1,) * one_point_c3.set_count())
     with pytest.raises(NotAnInteriorMap, match="I1"):
@@ -328,8 +327,12 @@ def test_verify_initiality_refuses_a_lift_that_is_not_interior(one_point_c3):
 
 def test_reduced_mode_agrees_with_enumeration():
     """The principal-filter kernel against literal enumeration of test
-    interiors, on one- and two-arm sources over 1- and 2-point domains,
-    for the join lift and the wrong ones: discrete, least and meet."""
+    interiors, on the empty, one- and two-arm sources over 1- and 2-point
+    domains, for the join lift and the wrong ones: discrete, least and
+    meet (the empty source's meet is the constant-top map, no interior
+    map).  The empty source's lift is the least map, and discrete, which
+    differs from it on every domain here, fails wherever a test morphism
+    exists."""
     c2, godel3, luk3 = (builtin_algebra(n) for n in ("c2", "godel3", "lukasiewicz3"))
     one = lambda alg: Ground(("p1",), alg)
     two = lambda alg: Ground(("p1", "p2"), alg)
@@ -349,23 +352,27 @@ def test_reduced_mode_agrees_with_enumeration():
             for g in all_morphisms(dom, cod)
             for i in interior_sample(cod, sample)
         ]
-        sources = [(a,) for a in arms] + list(combinations(arms, 2))
+        sources = [()] + [(a,) for a in arms] + list(combinations(arms, 2))
         for arm_pairs in sources:
             s = StructuredSource(domain=dom, arms=arm_pairs)
             lifts = {
                 "join": initial_from_source(s),
-                "meet": meet_lift(s),
+                "meet": meet_lift(s) if arm_pairs else None,
                 "discrete": discrete(dom),
                 "least": least(dom),
             }
             for name, lift in lifts.items():
+                if lift is None:
+                    continue
                 reduced = verify_initiality(s, lift, test_grounds=test_grounds)
                 literal = naive_verify_initiality(s, lift, test_grounds)
                 assert reduced.ok == (literal is None), (name, s)
                 if name == "join":
                     assert reduced.ok
+                if not arm_pairs:
+                    assert reduced.ok == (name != "discrete")
                 seen.add((len(arm_pairs), reduced.ok))
-    assert seen == {(1, True), (1, False), (2, True), (2, False)}
+    assert seen == {(0, True), (0, False), (1, True), (1, False), (2, True), (2, False)}
 
 
 def test_search_checker_agrees_with_verify_initiality():
@@ -383,23 +390,32 @@ def test_search_checker_agrees_with_verify_initiality():
 
 
 def test_packed_decision_agrees_with_the_per_test_loop(small_bounds):
-    # every 1- and 2-arm source of the search, with its join-form lift and
-    # three lifts that are not initial, with the search's memoised arms and
-    # floors; verify_initiality, which builds its own, on the 1-arm sources
+    # the empty source on each domain and every 1- and 2-arm source of the
+    # search, with its join-form lift and three lifts that are not initial
+    # (the empty source's meet is no interior map), with the search's
+    # memoised arms and floors; verify_initiality, which builds its own,
+    # on the empty and 1-arm sources
     ctx = SearchContext(small_bounds)
     test_grounds = grounds_within(small_bounds)
     outcomes = set()
-    for case in PROPERTIES["initiality"][0](ctx):
+    empty = [{"domain": dom, "arms": []} for dom in ctx.grounds]
+    for case in empty + list(PROPERTIES["initiality"][0](ctx)):
         dom = case["domain"]
         s = StructuredSource(dom, tuple((arm["morphism"], arm["interior"]) for arm in case["arms"]))
         tests = ctx[_test_morphisms, dom]
         arms = [ctx[_arm, g, target] for g, target in s.arms]
         per_arm = [initial_interior(g, target) for g, target in s.arms]
-        lifts = {"join": join_interiors(per_arm), "meet": meet_interiors(per_arm), "discrete": discrete(dom), "least": least(dom)}
+        lifts = {"discrete": discrete(dom), "least": least(dom)}
+        if per_arm:
+            lifts.update(join=join_interiors(per_arm), meet=meet_interiors(per_arm))
         for name, lift in lifts.items():
             looped = naive_initiality_walk(tests, tuple(enumerate(lift.images)), arms)
-            assert initiality_violation(tests, ctx[_identity_arm, lift], arms, ctx.floors) == looped
-            if len(arms) == 1:
+            assert initiality_violation(tests, lift, arms, ctx.floors) == looped
+            if not arms:
+                # the empty source's lift is the least map, which the
+                # discrete map is only on a two-set ground
+                assert (looped is None) == (lift == least(dom))
+            if len(arms) <= 1:
                 verdict = verify_initiality(s, lift, test_grounds=test_grounds)
                 assert verdict.witness == (looped and looped[1])
                 directions = 2 * len(tests) if looped is None else 2 * looped[0] + 1 + (looped[1]["direction"] == "if")
@@ -407,6 +423,7 @@ def test_packed_decision_agrees_with_the_per_test_loop(small_bounds):
             outcomes.add((len(arms), name, looped and looped[1]["direction"]))
     assert {(arity, "join", None) for arity in (1, 2)} <= outcomes
     assert {(2, "meet", "if"), (2, "discrete", "only-if"), (2, "least", "if"), (1, "least", "if")} <= outcomes
+    assert {(0, "least", None), (0, "discrete", "only-if")} <= outcomes
 
 
 def test_zero_arm_initiality_bundle_replays_clean(one_point_c3):

@@ -30,9 +30,9 @@ CLASSES = [
     if isinstance(cls, type) and issubclass(cls, errors.FuzzintError)
 ]
 
-# unreadable input exits 2 under a fixed code; every other error exits 1
-# under its class name
-INPUT_CODES = {errors.ParseError: "parse-error", errors.UnknownProperty: "unknown-property"}
+# unreadable input and an unwritable output path exit 2 under a fixed code;
+# every other error exits 1 under its class name
+INPUT_CODES = {errors.ParseError: "parse-error", errors.UnknownProperty: "unknown-property", errors.WriteError: "write-error"}
 
 
 def _parameters(cls):
@@ -112,6 +112,7 @@ TEXTS = {
     "TopNotPreserved": "phi_op maps top to 'b', not top",
     "UnknownElement": "unknown element 'x'",
     "UnknownProperty": "unknown property 'x'; known: p, q",
+    "WriteError": "cannot write output: x",
 }
 
 

@@ -58,7 +58,6 @@ from fuzzint.search import (
     _composite,
     _floors,
     _folded_lift,
-    _identity_arm,
     _test_morphisms,
     _verdict,
     builtin_algebra,
@@ -101,10 +100,11 @@ def _adjoint(g: GroundMorphism) -> bool:
 
 @pytest.mark.parametrize("points", list(ORACLE_GROUNDS), ids=len)
 def test_floors_are_the_least_interiors_above_the_moved_constraints(points):
-    # an arm's floor along h is backward(h) after its initial interior
-    # after ra(h); it must be the least interior above the constraints
-    # transported along h, found by the pair scan, on non-chain bases too,
-    # and both the arm's morphism and h must satisfy backward -| ra
+    # the floor along h of an arm's initial interior, read back off its
+    # packing along h, is backward(h) after that interior after ra(h); it
+    # must be the least interior above the constraints transported along
+    # h, found by the pair scan, on non-chain bases too, and both the
+    # arm's morphism and h must satisfy backward -| ra
     bounds = SearchBounds(max_tables=1_000_000)
     tests = {dom: [h for z in ORACLE_TESTS for h in all_morphisms(z, dom)] for dom in ORACLE_GROUNDS[points]}
     assert all(_adjoint(h) for hs in tests.values() for h in hs)
@@ -113,10 +113,11 @@ def test_floors_are_the_least_interiors_above_the_moved_constraints(points):
         for g in all_morphisms(dom, cod):
             assert _adjoint(g)
             for target in interior_sample(cod, bounds):
-                arm = Arm(g, target)
+                initial = initial_interior(g, target)
                 pairs = continuity_constraints(g, target)
                 for h in tests[dom]:
-                    assert arm.floor(h) == naive_least_above(h.dom, transported(pairs, h))
+                    floor = h.dom.index.join_positions(packed_floors(initial, [h]))
+                    assert floor == naive_least_above(h.dom, transported(pairs, h))
                     floors += 1
     assert floors == {1: 3_420, 2: 8_000}[len(points)]
 
@@ -159,13 +160,13 @@ def sources_with_test_morphisms(draw):
 
 def _kernel(case, violation):
     """``violation`` at the case's one test morphism: the kernel takes the
-    lift as the identity arm into it and packs the floors along that test,
+    lift as its own initial interior and packs the floors along that test,
     the oracle takes the lift as its (u, lift(u)) pairs."""
     g_test, lift, arms = case
     prepared = [Arm(g, target) for g, target in arms]
     if violation is initiality_violation:
         tests = [g_test]
-        found = violation(tests, Arm(identity_morphism(lift.ground), lift), prepared, lambda arm: packed_floors(arm, tests))
+        found = violation(tests, lift, prepared, lambda initial: packed_floors(initial, tests))
         return found and found[1]
     return violation(g_test, tuple(enumerate(lift.images)), prepared)
 
@@ -334,8 +335,7 @@ def test_search_context_builds_one_composite_per_pair():
 def test_a_memo_hit_calls_nothing_but_the_keys_hashes():
     # once a value is built, looking it up again runs no build function,
     # helper or closure: the only Python code a hit runs is the __hash__ of
-    # a Ground, GroundMorphism or InteriorMap in its key (an Arm hashes by
-    # identity)
+    # a Ground, GroundMorphism or InteriorMap in its key
     ctx = SearchContext(SearchBounds(algebras=("c2", "lukasiewicz3")))
     ground = ctx.grounds[-1]
     g, space = identity_morphism(ground), discrete(ground)
@@ -345,8 +345,7 @@ def test_a_memo_hit_calls_nothing_but_the_keys_hashes():
         arm = ctx[_arm, g, space]
         return (
             arm,
-            ctx[_identity_arm, space],
-            ctx[_floors, arm],
+            ctx[_floors, arm.initial],
             ctx[_combined, "join", ground, word],
             ctx[_verdict, is_productive, space],
             ctx[_test_morphisms, ground],
@@ -366,13 +365,10 @@ def test_a_memo_hit_calls_nothing_but_the_keys_hashes():
         sys.setprofile(None)
     assert all(a is b for a, b in zip(found, built))
     assert set(called) == {"__hash__", "lookups"} and called[0] == "lookups"
-    called.clear()
-    sys.setprofile(profile)
-    try:
-        ctx[_floors, built[0]]
-    finally:
-        sys.setprofile(None)
-    assert called == []
+    # the identity arm's initial interior equals the space, so the space
+    # as a lift finds the arm's floors
+    assert ctx[_floors, space] is built[1]
+    assert [key for key in ctx if key[0] is _floors] == [(_floors, space)]
 
 
 # -- per-search verdict memos ---------------------------------------------------
@@ -563,8 +559,8 @@ def test_source_memos_tell_the_eight_set_twins_apart():
             lift, verdict = _folded_lift(shared, "join", ground, prepared)
             assert verdict.ok and lift == join_interiors([arm["interior"] for arm in arms])
             lifts[ground, pair] = lift.images
-            for arm in [shared[_identity_arm, lift]] + prepared:
-                assert shared.floors(arm) == packed_floors(arm, ctx[_test_morphisms, ground])
+            for initial in [lift] + [arm.initial for arm in prepared]:
+                assert shared.floors(initial) == packed_floors(initial, ctx[_test_morphisms, ground])
     assert sum(lifts[C2_CUBE, pair] != lifts[GODEL8_POINT, pair] for _, pair in lifts) == 2 * 60
 
 
@@ -580,26 +576,21 @@ def test_composition_searches_build_each_bound_once(prop, monkeypatch):
     assert built and len(built) == len(set(built))
 
 
-def test_initiality_search_builds_each_floor_once(monkeypatch):
-    # an arm stands for the (morphism, target) it was built from; the lift
-    # arm for (identity, lift)
-    built_from, floors = {}, []
-    real_init, real_floor = Arm.__init__, Arm.floor
-
-    def init(arm, g, target):
-        real_init(arm, g, target)
-        built_from[id(arm)] = (g, target)
-
-    def floor(arm, g_test):
-        floors.append((built_from[id(arm)], g_test))
-        return real_floor(arm, g_test)
-
-    monkeypatch.setattr(Arm, "__init__", init)
-    monkeypatch.setattr(Arm, "floor", floor)
-    result = search("initiality", SearchBounds(algebras=("lukasiewicz3",)))
-    assert result.ok and result.instances == 876
-    assert len(set(built_from.values())) == len(built_from)
-    assert len(floors) == len(set(floors)) == 752
+@pytest.mark.parametrize(
+    "algebras, instances, packings, floors",
+    [(("lukasiewicz3",), 876, 26, 296), (SearchBounds().algebras, 5_202, 31, 792)],
+    ids=["lukasiewicz3", "default"],
+)
+def test_initiality_search_builds_each_floor_once(algebras, instances, packings, floors, monkeypatch):
+    # one packing per distinct initial interior, an arm's or a lift, and
+    # one floor per (initial interior, test morphism)
+    packed = []
+    real = fsearch.packed_floors
+    monkeypatch.setattr(fsearch, "packed_floors", lambda initial, tests: packed.append((initial, tests)) or real(initial, tests))
+    result = search("initiality", SearchBounds(algebras=algebras))
+    assert result.ok and result.instances == instances
+    assert len(packed) == len({initial for initial, _ in packed}) == packings
+    assert sum(len(tests) for _, tests in packed) == floors
 
 
 @st.composite
@@ -611,12 +602,13 @@ def memo_sources(draw):
 
 @settings(PROPERTY, max_examples=60)
 @given(memo_sources())
-def test_lift_arm_memos_match_the_oracle_across_test_grounds(case):
-    # one lift arm meets every test morphism, from both twins among them
+def test_lift_floors_match_the_oracle_across_test_grounds(case):
+    # one packing of the lift's floors meets every test morphism, from
+    # both twins among them
     domain, lift, arms = case
     prepared = [Arm(g, target) for g, target in arms]
     tests = SearchContext(MEMO_BOUNDS)[_test_morphisms, domain]
-    found = initiality_violation(tests, Arm(identity_morphism(domain), lift), prepared, lambda arm: packed_floors(arm, tests))
+    found = initiality_violation(tests, lift, prepared, lambda initial: packed_floors(initial, tests))
     assert found == naive_initiality_walk(tests, tuple(enumerate(lift.images)), prepared)
 
 
