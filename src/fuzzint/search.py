@@ -421,13 +421,12 @@ class SearchContext(dict):
     a dict whose key ``(build, *args)`` holds ``build(context, *args)``,
     built by ``__missing__`` on first lookup, so a hit is one dict lookup
     that builds no closure and calls nothing but the hashes of the key's
-    own objects (and their equality, for an equal key that is another
-    object).  The functions below are the memo's kinds.  A key holds
+    own objects.  The functions below are the memo's kinds.  A key holds
     its grounds as ``Ground``, ``InteriorMap`` or ``GroundMorphism``
-    objects, never an image tuple or word without its ground.  Equal maps
-    on one ground share an entry: arms with equal initial interiors, and
-    a lift equal to one of them, share their floors.  Everything is
-    dropped with the context, so nothing is cached across searches.
+    objects, never an image tuple or word without its ground.  Arms'
+    initial interiors and lifts are interned, so equal ones share their
+    floors.  Everything is dropped with the context, so nothing is
+    cached across searches.
     ``checked`` counts the cases the search has checked, with those a
     generator decided in bulk (a ground's pairs and the whole ground, a
     leg's cases), and ``expire`` names it wherever the budget runs out.
@@ -468,8 +467,10 @@ def _sample(ctx: SearchContext, ground: Ground) -> list:
 
 def _arm(ctx: SearchContext, g: GroundMorphism, target: InteriorMap) -> Arm:
     """The prepared arm, whose initial interior is validated once per
-    (g, target)."""
-    return Arm(g, target)
+    (g, target) and interned."""
+    arm = Arm(g, target)
+    arm.initial = ctx[_interned, arm.initial]
+    return arm
 
 
 def _floors(ctx: SearchContext, initial: InteriorMap) -> int:
@@ -478,10 +479,11 @@ def _floors(ctx: SearchContext, initial: InteriorMap) -> int:
     return packed_floors(initial, ctx[_test_morphisms, initial.ground])
 
 
-def _interned(ctx: SearchContext, g: GroundMorphism) -> GroundMorphism:
-    """The search's one object equal to ``g``: it builds its backward
-    positions once, and the verdict memo meets it by identity."""
-    return g
+def _interned(ctx: SearchContext, value):
+    """The search's one object equal to ``value``, a morphism (which
+    builds its backward positions once) or an interior map, so the memos
+    keyed by it meet it by identity."""
+    return value
 
 
 def _composite(ctx: SearchContext, g2: GroundMorphism, g1: GroundMorphism) -> GroundMorphism:
@@ -514,7 +516,7 @@ def _combined(ctx: SearchContext, how: str, ground: Ground, word: int) -> tuple:
     ``_axioms``."""
     index = ground.index
     images = (index.join_positions if how == "join" else index.meet_positions)(word)
-    return InteriorMap(ground, images), ctx[_axioms, ground, images]
+    return ctx[_interned, InteriorMap(ground, images)], ctx[_axioms, ground, images]
 
 
 def _test_morphisms(ctx: SearchContext, dom: Ground) -> list:

@@ -577,18 +577,29 @@ def test_composition_searches_build_each_bound_once(prop, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "algebras, instances, packings, floors",
-    [(("lukasiewicz3",), 876, 26, 296), (SearchBounds().algebras, 5_202, 31, 792)],
+    "algebras, instances, arms, packings, floors",
+    [(("lukasiewicz3",), 876, 56, 26, 296), (SearchBounds().algebras, 5_202, 192, 31, 792)],
     ids=["lukasiewicz3", "default"],
 )
-def test_initiality_search_builds_each_floor_once(algebras, instances, packings, floors, monkeypatch):
-    # one packing per distinct initial interior, an arm's or a lift, and
-    # one floor per (initial interior, test morphism)
-    packed = []
-    real = fsearch.packed_floors
-    monkeypatch.setattr(fsearch, "packed_floors", lambda initial, tests: packed.append((initial, tests)) or real(initial, tests))
+def test_initiality_search_builds_each_floor_once(algebras, instances, arms, packings, floors, monkeypatch):
+    # one arm per (morphism, target); arms' initial interiors and lifts
+    # are one object per map, so the kernel meets each packing by
+    # identity; one packing per distinct initial interior, an arm's or a
+    # lift, and one floor per (initial interior, test morphism)
+    built, packed, looked_up = [], [], []
+    real_init, real_pack, real_floors = Arm.__init__, fsearch.packed_floors, SearchContext.floors
+
+    def init(arm, g, target):
+        real_init(arm, g, target)
+        built.append(((g, target), arm))
+
+    monkeypatch.setattr(Arm, "__init__", init)
+    monkeypatch.setattr(fsearch, "packed_floors", lambda initial, tests: packed.append((initial, tests)) or real_pack(initial, tests))
+    monkeypatch.setattr(SearchContext, "floors", lambda ctx, initial: looked_up.append(initial) or real_floors(ctx, initial))
     result = search("initiality", SearchBounds(algebras=algebras))
     assert result.ok and result.instances == instances
+    assert len(built) == len({key for key, _ in built}) == arms
+    assert len({id(initial) for initial in looked_up}) == packings
     assert len(packed) == len({initial for initial, _ in packed}) == packings
     assert sum(len(tests) for _, tests in packed) == floors
 
