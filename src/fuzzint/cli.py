@@ -243,10 +243,9 @@ def cmd_tables(args) -> int:
     elif args.which == "closure":
         if kind != "topology":
             raise ParseError("closure tables need a topology file")
-        algebra = obj.ground.algebra
-        if not isinstance(algebra, GLMonoid):
+        if not isinstance(obj.ground.algebra, GLMonoid):
             raise ParseError("closure tables need a GL-monoid ground")
-        rows = _position_rows(obj.ground, closure_from_topology(obj, algebra, args.mode), obj.ground)
+        rows = _position_rows(obj.ground, closure_from_topology(obj, args.mode), obj.ground)
         header = f"u |-> c(u) [{args.mode}]"
     else:  # powerset-op
         if kind != "morphism":
@@ -397,7 +396,7 @@ def _example3_report() -> dict:
     from .interior import ltopology
 
     topo = ltopology(ground, [(m.lattice.bottom,), (m.lattice.top,)])
-    return example3_roundtrip(m, topo)
+    return example3_roundtrip(topo)
 
 
 def cmd_examples(args) -> int:

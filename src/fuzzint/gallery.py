@@ -18,7 +18,6 @@ from itertools import product
 
 from .errors import EmptyCarrier, InvalidTopology
 from .interior import LTopology, closure_from_topology, interior_from_topology
-from .monoid import GLMonoid
 from .powerset import powerset
 from .value import Value
 
@@ -219,10 +218,11 @@ def example2_idempotency_scan(n_max: int, grid) -> dict:
 
 # -- interior/closure round trip over a GL-monoid --------------------------------
 
-def example3_roundtrip(m: GLMonoid, t: LTopology) -> dict:
-    """Interior from the open family plus both closure readings, with the
-    closure axioms each reading satisfies on this instance.  Monotonicity
-    is checked along the cover edges of L^X, which decides it."""
+def example3_roundtrip(t: LTopology) -> dict:
+    """Interior from the open family plus both closure readings over the
+    ground's GL-monoid, with the closure axioms each reading satisfies on
+    this instance.  Monotonicity is checked along the cover edges of L^X,
+    which decides it."""
     index = t.ground.index
     lat = t.ground.lattice
     up = index.up
@@ -236,7 +236,7 @@ def example3_roundtrip(m: GLMonoid, t: LTopology) -> dict:
         "closures": {},
     }
     for mode in ("literal", "extensional"):
-        images = closure_from_topology(t, m, mode)
+        images = closure_from_topology(t, mode)
         report["closures"][mode] = {
             "table": {key(a): key(image) for a, image in enumerate(images)},
             "extensive": all(up[a] >> image & 1 for a, image in enumerate(images)),

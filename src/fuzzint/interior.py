@@ -207,9 +207,26 @@ def _combine(family, how: str) -> InteriorMap:
     for i in family[1:]:
         if i.ground != ground:
             raise GroundMismatch("family members live on different grounds")
+    return map_of_word(ground, how, folded_word(family, how)).validated()
+
+
+def folded_word(family, how: str) -> int:
+    """The AND of the family's upset words (``how`` is "join") or downset
+    words ("meet"): the upset word of its pointwise join, or the downset
+    word of its pointwise meet (``PowersetIndex.words``).  The members
+    need not be interior maps; an empty family folds to -1."""
+    which = 0 if how == "join" else 1
+    word = -1
+    for i in family:
+        word &= i.words[which]
+    return word
+
+
+def map_of_word(ground: Ground, how: str, word: int) -> InteriorMap:
+    """The unvalidated map whose images a ``folded_word`` holds, decoded
+    field by field: the package's one pointwise join and meet of maps."""
     index = ground.index
-    fold = index.join if how == "join" else index.meet
-    return InteriorMap(ground, tuple(fold(column) for column in zip(*(i.images for i in family)))).validated()
+    return InteriorMap(ground, (index.join_positions if how == "join" else index.meet_positions)(word))
 
 
 # -- derived predicates -------------------------------------------------------
@@ -285,9 +302,9 @@ def interior_from_topology(t: LTopology) -> InteriorMap:
     return InteriorMap(t.ground, images).validated()
 
 
-def closure_from_topology(t: LTopology, m: GLMonoid, mode: str = "extensional") -> tuple[int, ...]:
-    """The closure candidate derived from a topology over a GL-monoid, as
-    one image position per position of the ground's index.
+def closure_from_topology(t: LTopology, mode: str = "extensional") -> tuple[int, ...]:
+    """The closure candidate derived from a topology over a GL-monoid
+    ground, as one image position per position of the ground's index.
 
     Each open v contributes its pointwise pseudo-complement v -> 0.  In
     "literal" mode the meet ranges over opens above u; in "extensional"
@@ -295,16 +312,14 @@ def closure_from_topology(t: LTopology, m: GLMonoid, mode: str = "extensional") 
     u <= c(u) hold by construction.  Both readings are provided because
     neither is canonically "the" closure; callers pick via ``mode``.
     """
-    if not isinstance(m, GLMonoid):
-        raise NotGLGround("a GL-monoid with a residuum table is required")
     ground = t.ground
-    if m.lattice != ground.lattice:
-        raise NotGLGround("monoid lattice differs from the ground lattice")
+    if not isinstance(ground.algebra, GLMonoid):
+        raise NotGLGround("a GL-monoid with a residuum table is required")
     if mode not in ("literal", "extensional"):
         raise ValueError(f"unknown closure mode {mode!r}")
     index = ground.index
     bot = ground.lattice.bottom
-    res = m.residuum
+    res = ground.algebra.residuum
     pseudo = {v: index.position[tuple(res[x][bot] for x in index.values[v])] for v in positions_in(t.opens)}
     if mode == "literal":
         return tuple(index.meet(pseudo[v] for v in positions_in(t.opens & above)) for above in index.up)

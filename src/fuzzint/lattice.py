@@ -22,8 +22,7 @@ from .errors import (
 )
 from .value import Value
 
-#: Carriers above this size are refused by default; exhaustive suites assume
-#: desk scale.  Pass ``max_size`` to :func:`validate_lattice` to override.
+#: Carriers above this size are refused: exhaustive suites assume desk scale.
 DEFAULT_MAX_SIZE = 64
 
 
@@ -106,10 +105,6 @@ class FiniteLattice(Value):
         """Greatest lower bound of a subset of element names."""
         return self.name(self.meet_i(self.index(a) for a in subset))
 
-    def frame_law_witness(self) -> tuple[str, str, str] | None:
-        """First triple violating binary distributivity, if any."""
-        return _frame_law_witness(self.elements, self.join2, self.meet2)
-
 
 def _linear_extension(leq) -> tuple[int, ...]:
     """Indices ordered so that each follows every element below it.
@@ -148,13 +143,7 @@ def _lub(leq, candidates, i, j):
     return None
 
 
-def validate_lattice(
-    elements,
-    leq_pairs,
-    *,
-    closure: bool = False,
-    max_size: int = DEFAULT_MAX_SIZE,
-) -> FiniteLattice:
+def validate_lattice(elements, leq_pairs, *, closure: bool = False) -> FiniteLattice:
     """Validate a raw order relation and derive all lattice tables.
 
     ``leq_pairs`` lists related pairs (a, b) meaning a <= b.  With
@@ -168,8 +157,8 @@ def validate_lattice(
         raise NotAPartialOrder("nonempty carrier", ())
     if len(set(elements)) != len(elements):
         raise NotAPartialOrder("distinct element names", (elements,))
-    if len(elements) > max_size:
-        raise CarrierTooLarge(len(elements), max_size)
+    if len(elements) > DEFAULT_MAX_SIZE:
+        raise CarrierTooLarge(len(elements), DEFAULT_MAX_SIZE)
     n = len(elements)
     index = {e: i for i, e in enumerate(elements)}
 

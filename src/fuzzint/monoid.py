@@ -56,26 +56,24 @@ class CQML(Value):
 
 
 class GLMonoid(CQML):
-    """Validated GL-monoid with its residuum table.
+    """Validated GL-monoid with its residuum table, built only by
+    ``validate_gl``, which derives both tables.
 
-    ``residuum[a][b]`` is a -> b, the largest x with a (x) x <= b.
-    ``division_witness[a][b]`` records one gamma with a = b (x) gamma for
-    each comparable pair a <= b (and -1 elsewhere), kept for diagnostics.
+    ``residuum[a][b]`` is a -> b, the largest x with a (x) x <= b;
+    ``monoid.residuum`` reads it by element names.  ``division_witness[a][b]``
+    records one gamma with a = b (x) gamma for each comparable pair
+    a <= b (and -1 elsewhere), kept for diagnostics.
     """
 
     def __init__(
         self,
         lattice: FiniteLattice,
         tensor: tuple[tuple[int, ...], ...],
-        residuum: tuple[tuple[int, ...], ...] = (),
-        division_witness: tuple[tuple[int, ...], ...] = (),
+        residuum: tuple[tuple[int, ...], ...],
+        division_witness: tuple[tuple[int, ...], ...],
     ):
         super().__init__(lattice, tensor)
         self.__dict__.update(residuum=residuum, division_witness=division_witness)
-
-    def residuum_names(self, a: str, b: str) -> str:
-        lat = self.lattice
-        return lat.name(self.residuum[lat.index(a)][lat.index(b)])
 
 
 def validate_cqml(lattice: FiniteLattice, tensor) -> CQML:
@@ -125,9 +123,9 @@ def validate_gl(cqml: CQML) -> GLMonoid:
     top, zero at bottom, distribute over arbitrary joins and be divisible.
     On a finite lattice every nonempty join folds from binary ones, and the
     empty join is the zero law, so a triple scan of binary joins decides
-    join-distributivity, as ``FiniteLattice.frame_law_witness`` decides
-    the frame laws.  The residuation law is verified on every triple
-    before returning.
+    join-distributivity, as the triple scan behind
+    ``FiniteLattice.distributivity_witness`` decides the frame laws.  The
+    residuation law is verified on every triple before returning.
     """
     lat = cqml.lattice
     if not lat.distributive:
@@ -187,7 +185,8 @@ def validate_gl(cqml: CQML) -> GLMonoid:
 
 def residuum(m: GLMonoid, a: str, b: str) -> str:
     """a -> b, the join of every x with a (x) x <= b."""
-    return m.residuum_names(a, b)
+    lat = m.lattice
+    return lat.name(m.residuum[lat.index(a)][lat.index(b)])
 
 
 def godel_tensor(lattice: FiniteLattice) -> CQML:

@@ -127,7 +127,9 @@ class PowersetIndex:
     its downset words the downset word of its pointwise meet, whether or
     not the images form an interior map.  ``join_positions`` and
     ``meet_positions`` read the images back, field by field, with the
-    same lowest and highest set bits as ``join`` and ``meet``.
+    same lowest and highest set bits as ``join`` and ``meet``.  That fold
+    (``interior.folded_word`` and ``interior.map_of_word``) is the
+    package's one pointwise join and meet of maps.
     """
 
     __slots__ = ("values", "position", "up", "down", "covers")
@@ -186,12 +188,17 @@ class PowersetIndex:
 
     def words(self, images) -> tuple[int, int]:
         """The upset word and the downset word of a tuple of image
-        positions, one N-bit field per position."""
+        positions, one N-bit field per position, packed 64 fields to a
+        block so that no shift moves the whole word once per field."""
         width = len(self.values)
         up = down = 0
-        for image in reversed(images):
-            up = up << width | self.up[image]
-            down = down << width | self.down[image]
+        for start in reversed(range(0, len(images), 64)):
+            block_up = block_down = 0
+            for image in reversed(images[start:start + 64]):
+                block_up = block_up << width | self.up[image]
+                block_down = block_down << width | self.down[image]
+            up = up << 64 * width | block_up
+            down = down << 64 * width | block_down
         return up, down
 
     def join_positions(self, word: int) -> tuple[int, ...]:
@@ -205,9 +212,13 @@ class PowersetIndex:
         return tuple(common.bit_length() - 1 for common in self._fields(word))
 
     def _fields(self, word: int):
+        """The N fields of a word, lowest first, cut block by block."""
         width = len(self.values)
-        mask = (1 << width) - 1
-        return (word >> shift & mask for shift in range(0, width * width, width))
+        mask, block = (1 << width) - 1, (1 << 64 * width) - 1
+        for start in range(0, width, 64):
+            fields = word >> start * width & block
+            for shift in range(0, min(64, width - start) * width, width):
+                yield fields >> shift & mask
 
 
 def positions_in(mask: int):

@@ -64,10 +64,12 @@ from .errors import (
 from .interior import (
     InteriorMap,
     check_interior_axioms,
+    folded_word,
     is_idempotent,
     is_productive,
     least,
     literal_trivial,
+    map_of_word,
     open_sets,
 )
 from .lattice import diamond_lattice, pentagon_lattice
@@ -140,10 +142,10 @@ def parse_bound(key: str, text: str):
         raise BoundsExceeded(f"{key} must be {kind}, got {text!r}") from None
 
 
-def bounds_from_env(text: str | None, base: SearchBounds | None = None) -> SearchBounds:
+def bounds_from_env(text: str | None) -> SearchBounds:
     """Parse a FUZZINT_BOUNDS override, e.g.
     "max_carrier=2,algebras=c2+godel3,time_budget=120"."""
-    bounds = base or SearchBounds()
+    bounds = SearchBounds()
     if not text:
         return bounds
     updates = {}
@@ -343,16 +345,17 @@ def interior_sample(ground: Ground, bounds: SearchBounds, expire=None):
     One point's functions are counted first (``_point_count``), and more
     than ``max_tables`` are refused before any is listed.  The kept
     indices are then unranked (``_unrank``) from each point's functions
-    (``_point_functions``); only the kept maps are built.  Counting and
-    listing call ``expire`` every 1,024 functions.
+    (``_point_functions``); only the kept maps are built, at most the
+    whole stream.  Counting, listing and building call ``expire`` every
+    1,024 functions or maps.
     """
     if _point_count(ground, bounds.max_tables, expire) > bounds.max_tables:
         raise BoundsExceeded(f"more than {bounds.max_tables} functions at one point of this ground")
     functions = _point_functions(ground, expire)
     total, cap = prod(map(len, functions)), bounds.operator_sample
     top = len(ground.index.values) - 1
-    kept = sorted({round(k * (total - 1) / (cap - 1)) for k in range(cap)})
-    return [_assembled(ground, _unrank(functions, n, top)) for n in kept]
+    kept = range(total) if cap >= total else sorted({round(k * (total - 1) / (cap - 1)) for k in range(cap)})
+    return [_assembled(ground, _unrank(functions, n, top)) for n in _paced(kept, expire)]
 
 
 def _paced(items, expire):
@@ -423,10 +426,10 @@ class SearchContext(dict):
     that builds no closure and calls nothing but the hashes of the key's
     own objects.  The functions below are the memo's kinds.  A key holds
     its grounds as ``Ground``, ``InteriorMap`` or ``GroundMorphism``
-    objects, never an image tuple or word without its ground.  Arms'
-    initial interiors and lifts are interned, so equal ones share their
-    floors.  Everything is dropped with the context, so nothing is
-    cached across searches.
+    objects, never a word without its ground.  Arms' initial interiors
+    and the joins and meets of families and arms are interned, so equal
+    ones share their floors and their axiom verdicts.  Everything is
+    dropped with the context, so nothing is cached across searches.
     ``checked`` counts the cases the search has checked, with those a
     generator decided in bulk (a ground's pairs and the whole ground, a
     leg's cases), and ``expire`` names it wherever the budget runs out.
@@ -500,30 +503,21 @@ def _verdict(ctx: SearchContext, check, *args) -> Verdict:
     return check(*args)
 
 
-def _axioms(ctx: SearchContext, ground: Ground, images: tuple) -> Verdict:
-    """``check_interior_axioms`` of the map with these image positions on
-    the ground, run once per ground and image tuple per search.  The key
-    holds the ground beside the tuple rather than a new map: one
-    ``InteriorMap`` built per lookup made operator-lattice-closure about a
-    quarter slower."""
-    return check_interior_axioms(InteriorMap(ground, images))
-
-
 def _combined(ctx: SearchContext, how: str, ground: Ground, word: int) -> tuple:
-    """A family's pointwise join (``how`` is "join", ``word`` its upset
-    word) or meet ("meet", its downset word) and its axiom verdict, looked
-    up per (how, ground, word).  Only a new word is decoded and handed to
-    ``_axioms``."""
-    index = ground.index
-    images = (index.join_positions if how == "join" else index.meet_positions)(word)
-    return ctx[_interned, InteriorMap(ground, images)], ctx[_axioms, ground, images]
+    """A family's pointwise join or meet, from its ``folded_word``, and
+    its axiom verdict, looked up per (how, ground, word).  Only a new word
+    is decoded (``map_of_word``); the map is interned, and its verdict is
+    decided once per distinct map, so a join and a meet that agree share
+    one ``check_interior_axioms``."""
+    combined = ctx[_interned, map_of_word(ground, how, word)]
+    return combined, ctx[_verdict, check_interior_axioms, combined]
 
 
 def _test_morphisms(ctx: SearchContext, dom: Ground) -> list:
-    """Every morphism from a test ground into ``dom``.  Each one computes
-    its backward positions on first use and keeps them, so they are built
-    once per search."""
-    return [g for z in ctx.grounds for g in all_morphisms(z, dom)]
+    """Every morphism from a test ground into ``dom``, listed with the
+    deadline read every 1,024.  Each one computes its backward positions
+    on first use and keeps them, so they are built once per search."""
+    return list(_paced((g for z in ctx.grounds for g in all_morphisms(z, dom)), ctx.expire))
 
 
 # ------------------------------------------------------------- properties
@@ -595,21 +589,14 @@ def _check_operator_lattice(case: dict, ctx: SearchContext):
     """The pointwise join, then the meet, of the family against the
     interior axioms: the first failing operation with its witness, or None.
 
-    The family is folded with one AND over its members' upset words and
-    one over their downset words (``InteriorMap.words``), which gives the
-    upset word of the join and the downset word of the meet.  Each is
-    looked up per (how, ground, word) in the ``_combined`` memo, so a
-    case costs two ANDs per member and two lookups; only a new word is
-    decoded, and the per-(ground, image tuple) axiom memo still runs
-    ``check_interior_axioms`` at most once per distinct map.
+    Each operation folds the members' words (``folded_word``) and looks
+    the word up in the ``_combined`` memo, so a case costs one AND per
+    member and one lookup per operation; only a new word is decoded, and
+    ``check_interior_axioms`` runs at most once per distinct map.
     """
-    up = down = -1
-    for member in case["members"]:
-        member_up, member_down = member.words
-        up &= member_up
-        down &= member_down
-    for how, word in (("join", up), ("meet", down)):
-        _, verdict = ctx[_combined, how, case["ground"], word]
+    ground, members = case["ground"], case["members"]
+    for how in ("join", "meet"):
+        _, verdict = ctx[_combined, how, ground, folded_word(members, how)]
         if not verdict.ok:
             return {"operation": how, **verdict.witness}
     return None
@@ -712,23 +699,20 @@ def _check_composition(case: dict, ctx: SearchContext):
 
 
 def _gen_open_preimage(ctx: SearchContext):
-    """The open sets of each continuous leg's target, decided leg by leg:
-    when the source fixes the backward image of each, they are counted in
-    bulk; else they are checked in order, and the first that fails is
-    yielded."""
+    """The open sets of each continuous leg's target, decided leg by leg
+    in one pass: the sets whose backward image the source fixes are
+    counted, and the first that fails is yielded."""
     for legs in ctx[_legs, False].values():
         for g, src, dst in legs:
             ctx.expire()
             opens = open_sets(dst)
-            if all(open_preimage_witness(g, src, v) is None for v in opens):
-                ctx.checked += len(opens)
-                continue
-            values = dst.ground.index.values
-            cases = ({"morphism": g, "src": src, "dst": dst, "v": FuzzySet(dst.ground, values[v])} for v in opens)
-            case = _first_failing(ctx, cases, _check_open_preimage)
-            if case is not None:
-                yield case
-                return
+            for k, v in enumerate(opens):
+                if open_preimage_witness(g, src, v) is not None:
+                    ctx.checked += k
+                    values = dst.ground.index.values
+                    yield {"morphism": g, "src": src, "dst": dst, "v": FuzzySet(dst.ground, values[v])}
+                    return
+            ctx.checked += len(opens)
 
 
 def _check_open_preimage(case: dict, ctx: SearchContext):
@@ -739,13 +723,15 @@ def _check_open_preimage(case: dict, ctx: SearchContext):
 # -- structured sources -------------------------------------------------------
 
 def _arm_family(ctx: SearchContext, dom: Ground):
-    """Every {morphism, target interior} arm out of a domain."""
-    return [
+    """Every {morphism, target interior} arm out of a domain, listed with
+    the deadline read every 1,024."""
+    arms = (
         {"morphism": g, "interior": target}
         for cod in ctx.grounds
         for g in all_morphisms(dom, cod)
         for target in ctx[_sample, cod]
-    ]
+    )
+    return list(_paced(arms, ctx.expire))
 
 
 def _gen_sources(ctx: SearchContext, min_arms: int):
@@ -765,17 +751,13 @@ def _case_source(case: dict, ctx: SearchContext):
 
 def _folded_lift(ctx: SearchContext, how: str, dom: Ground, arms) -> tuple:
     """The pointwise join (``how`` is "join") or meet ("meet") of the
-    arms' initial interiors, with its axiom verdict: one AND of their
-    upset or downset words, decoded once per (how, domain, word) by
-    the ``_combined`` memo.  The empty join is the least map; the
-    empty meet, the AND of no words, decodes to the constant-top map."""
-    which = 0 if how == "join" else 1
-    word = -1
-    for arm in arms:
-        word &= arm.initial.words[which]
+    arms' initial interiors, with its axiom verdict: their
+    ``folded_word``, decoded once per (how, domain, word) by the
+    ``_combined`` memo.  The empty join is the least map; the empty
+    meet, the fold of no words, decodes to the constant-top map."""
     if not arms and how == "join":
-        word = least(dom).words[0]
-    return ctx[_combined, how, dom, word]
+        return ctx[_combined, how, dom, least(dom).words[0]]
+    return ctx[_combined, how, dom, folded_word([arm.initial for arm in arms], how)]
 
 
 def _lost_arm(dom: Ground, arms, lift: InteriorMap):
@@ -835,11 +817,12 @@ def _check_literal_meet_lift(case: dict, ctx: SearchContext):
 
 def _gen_preservation(ctx: SearchContext, predicate):
     """Every morphism into every sampled target that meets the predicate.
-    The morphisms of a pair of grounds are built once, so each computes
-    its right adjoint once for all its targets."""
+    The morphisms of a pair of grounds are listed once, with the deadline
+    read every 1,024, so each computes its right adjoint once for all its
+    targets."""
     for dom in ctx.grounds:
         for cod in ctx.grounds:
-            homs = list(all_morphisms(dom, cod))
+            homs = list(_paced(all_morphisms(dom, cod), ctx.expire))
             for target in ctx[_sample, cod]:
                 if not ctx[_verdict, predicate, target]:
                     continue

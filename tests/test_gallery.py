@@ -205,7 +205,7 @@ def test_idempotency_scan_identifies_one_and_infinity():
 def test_example3_roundtrip_tables(godel3):
     ground = Ground(("p1",), godel3)
     tau = ltopology(ground, [(0,), (2,)])
-    report = example3_roundtrip(godel3, tau)
+    report = example3_roundtrip(tau)
     assert report["interior"] == {"0": "0", "1/2": "0", "1": "1"}
     ext = report["closures"]["extensional"]
     assert ext["extensive"]
@@ -218,5 +218,5 @@ def test_example3_roundtrip_tables(godel3):
 def test_example3_full_powerset_topology_is_identity(godel3):
     ground = Ground(("p1",), godel3)
     tau = ltopology(ground, list(all_value_tuples(ground)))
-    report = example3_roundtrip(godel3, tau)
+    report = example3_roundtrip(tau)
     assert all(k == v for k, v in report["interior"].items())

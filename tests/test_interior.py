@@ -289,9 +289,9 @@ def test_interior_from_open_sets_below_original(one_point_c3, two_point_c2):
 
 # -- closures -------------------------------------------------------------------
 
-def test_closure_examples_extensional(one_point_c3, godel3):
+def test_closure_examples_extensional(one_point_c3):
     tau = ltopology(one_point_c3, [(0,), (2,)])
-    images = closure_from_topology(tau, godel3, "extensional")
+    images = closure_from_topology(tau, "extensional")
     index = one_point_c3.index
     bot = one_point_c3.bottom_set().values
     top = one_point_c3.top_set().values
@@ -301,9 +301,9 @@ def test_closure_examples_extensional(one_point_c3, godel3):
     assert index.values[images[index.position[half]]] == top
 
 
-def test_closure_literal_mode_not_extensive(one_point_c3, godel3):
+def test_closure_literal_mode_not_extensive(one_point_c3):
     tau = ltopology(one_point_c3, [(0,), (2,)])
-    images = closure_from_topology(tau, godel3, "literal")
+    images = closure_from_topology(tau, "literal")
     index = one_point_c3.index
     half = one_point_c3.fuzzy(["1/2"]).values
     # the literal reading sends 1/2 to 0: it is not above its argument
@@ -319,15 +319,16 @@ def test_closure_extensional_always_extensive(godel3, luk3):
             for family in powerset(tuples):
                 opens = set(family) | {top}
                 tau = ltopology(ground, opens)
-                images = closure_from_topology(tau, algebra, "extensional")
+                images = closure_from_topology(tau, "extensional")
                 for u, cu in zip(ground.index.values, images):
                     assert leq_values(ground, u, ground.index.values[cu])
 
 
-def test_closure_requires_gl(one_point_c3, diamond_join):
-    tau = ltopology(one_point_c3, [(2,)])
+def test_closure_requires_gl(diamond_join):
+    ground = Ground(("p1",), diamond_join)
+    tau = ltopology(ground, [ground.top_set()])
     with pytest.raises(NotGLGround):
-        closure_from_topology(tau, diamond_join, "extensional")
+        closure_from_topology(tau, "extensional")
 
 
 def top_first_gl():
@@ -356,7 +357,7 @@ def test_topology_layer_matches_the_value_tuple_oracles(godel3, luk3, c2):
             assert tau.join_closed == join_closed
             assert interior_from_topology(tau).table() == table
             for mode in ("literal", "extensional"):
-                images = closure_from_topology(tau, ground.algebra, mode)
+                images = closure_from_topology(tau, mode)
                 expected = naive_closure_from_topology(ground, opens, ground.algebra, mode)
                 assert {u: values[c] for u, c in zip(values, images)} == expected
 

@@ -4,10 +4,9 @@ and the per-search verdict memo and bulk pairs of operator-lattice-closure."""
 
 import json
 import time
-from functools import reduce
 from itertools import combinations, islice
 from math import prod
-from operator import and_, itemgetter
+from operator import itemgetter
 
 import pytest
 from conftest import (
@@ -15,6 +14,7 @@ from conftest import (
     meet_values,
     naive_check_operator_lattice,
     naive_gen_operator_lattice,
+    naive_initial_interior,
     naive_interior_sample,
     unvalidated,
 )
@@ -25,7 +25,16 @@ from test_index import BASES, GROUNDS, PROPERTY, TOP_FIRST, TOP_FIRST_GROUNDS, c
 import fuzzint.search as fsearch
 from fuzzint import io
 from fuzzint.errors import BoundsExceeded
-from fuzzint.interior import InteriorMap, check_interior_axioms, join_interiors, least, meet_interiors
+from fuzzint.continuity import StructuredSource, initial_from_source
+from fuzzint.interior import (
+    InteriorMap,
+    check_interior_axioms,
+    folded_word,
+    join_interiors,
+    least,
+    map_of_word,
+    meet_interiors,
+)
 from fuzzint.powerset import Ground, Verdict
 from fuzzint.search import (
     SearchBounds,
@@ -41,6 +50,7 @@ from fuzzint.search import (
 )
 
 ONE, TWO = ("p1",), ("p1", "p2")
+SEVEN = tuple(f"p{i}" for i in range(1, 8))
 COUNTED = (
     [
         Ground(points, builtin_algebra(name))
@@ -218,30 +228,67 @@ def word_families(draw):
 @given(word_families())
 def test_anded_words_decode_to_the_pointwise_join_and_meet(case):
     ground, members = case
-    index = ground.index
-    values = index.values
-    joins = index.join_positions(reduce(and_, (m.words[0] for m in members)))
-    meets = index.meet_positions(reduce(and_, (m.words[1] for m in members)))
-    columns = list(zip(*(m.images for m in members)))
-    assert joins == tuple(map(index.join, columns))
-    assert meets == tuple(map(index.meet, columns))
+    for how, oracle in (("join", join_values), ("meet", meet_values)):
+        combined = map_of_word(ground, how, folded_word(members, how))
+        assert combined.table() == pointwise(oracle, ground, members)
+
+
+def pointwise(oracle, ground, members) -> dict:
+    """{u: the oracle's join or meet of the members' images of u}."""
     tables = [m.table() for m in members]
-    assert [values[a] for a in joins] == [join_values(ground, [t[u] for t in tables]) for u in values]
-    assert [values[a] for a in meets] == [meet_values(ground, [t[u] for t in tables]) for u in values]
+    return {u: oracle(ground, [t[u] for t in tables]) for u in ground.index.values}
+
+
+@st.composite
+def interior_families(draw):
+    """One to four interior maps on a ground of ``WORD_GROUNDS``."""
+    ground = draw(st.sampled_from(WORD_GROUNDS))
+    picks = draw(st.lists(st.sampled_from(BASES[ground]), min_size=1, max_size=4))
+    return ground, [InteriorMap(ground, images) for images in picks]
+
+
+@settings(PROPERTY, max_examples=100)
+@given(interior_families())
+def test_joins_and_meets_of_interior_maps_are_the_pointwise_ones(case):
+    ground, members = case
+    assert join_interiors(members).table() == pointwise(join_values, ground, members)
+    assert meet_interiors(members).table() == pointwise(meet_values, ground, members)
+
+
+LIFT_ARMS = {dom: fsearch._arm_family(SearchContext(SearchBounds()), dom) for dom in grounds_within(SearchBounds())}
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@settings(PROPERTY, max_examples=50)
+@given(data=st.data())
+def test_the_initial_lift_is_the_pointwise_join_of_the_arms_initials(count, data):
+    dom = data.draw(st.sampled_from(list(LIFT_ARMS)))
+    arms = data.draw(st.lists(st.sampled_from(LIFT_ARMS[dom]), min_size=count, max_size=count))
+    lift = initial_from_source(StructuredSource(dom, tuple((arm["morphism"], arm["interior"]) for arm in arms)))
+    initials = [naive_initial_interior(arm["morphism"], arm["interior"]) for arm in arms]
+    assert lift.table() == pointwise(join_values, dom, initials)
 
 
 def test_word_families_hold_maps_that_fail_the_axioms():
     assert find(word_families(), lambda case: any(not check_interior_axioms(m).ok for m in case[1]), settings=PROPERTY)
 
 
-@pytest.mark.parametrize("ground", WORD_GROUNDS, ids=repr)
+# 81 and 128 fields: more than the 64 that words pack and cut per block
+BLOCK_GROUNDS = [Ground(("p1", "p2", "p3", "p4"), builtin_algebra("godel3")), Ground(SEVEN, builtin_algebra("c2"))]
+
+
+@pytest.mark.parametrize("ground", WORD_GROUNDS + BLOCK_GROUNDS, ids=repr)
 def test_words_of_each_enumerated_map_decode_to_its_images(ground):
     # the first 5,000 maps where the stream is longer (pentagon-meet on two
     # points has 600,593,049)
+    index = ground.index
+    width = len(index.values)
     for imap in islice(enumerate_interior_maps(ground, WIDE), 5000):
         up, down = imap.words
-        assert ground.index.join_positions(up) == imap.images
-        assert ground.index.meet_positions(down) == imap.images
+        assert up == sum(index.up[image] << a * width for a, image in enumerate(imap.images))
+        assert down == sum(index.down[image] << a * width for a, image in enumerate(imap.images))
+        assert index.join_positions(up) == imap.images
+        assert index.meet_positions(down) == imap.images
 
 
 def test_word_memo_tells_grounds_apart():

@@ -386,15 +386,23 @@ def test_a_sample_keeps_its_memory_flat_until_it_refuses(extra, message):
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("prop", ["composition-continuous", "operator-lattice-closure"])
-def test_time_budget_bounds_counting_and_enumerating_maps(prop):
+@pytest.mark.parametrize(
+    "prop, changes",
+    [
+        pytest.param("composition-continuous", {}, id="composition-continuous"),
+        pytest.param("operator-lattice-closure", {}, id="operator-lattice-closure"),
+        pytest.param("composition-continuous", {"max_carrier": 2, "operator_sample": 10**6}, id="oversized-sample"),
+    ],
+)
+def test_time_budget_bounds_counting_and_enumerating_maps(prop, changes):
     # godel4 on 2 points carries 470,596 interior maps, whose near pairs
-    # take about a second to decide (for the families); on 3 points one
+    # take about a second to decide (for the families), and which a sample
+    # of a million keeps, built one by one for about 20 s; on 3 points one
     # point's counting walk
     # (for the sample) had not finished after 90 s on a 2-core host,
-    # far below max_tables, so no luck fits either loop in the budget and
-    # the budget must stop both
-    bounds = SearchBounds(algebras=("godel4",), max_carrier=3, max_tables=10**9, time_budget=0.05)
+    # far below max_tables, so no luck fits any of these loops in the
+    # budget and the budget must stop each
+    bounds = SearchBounds(algebras=("godel4",), max_carrier=3, max_tables=10**9, time_budget=0.05).replace(**changes)
     start = time.monotonic()
     with pytest.raises(BoundsExceeded, match="time budget"):
         search(prop, bounds)
@@ -418,13 +426,41 @@ def test_walks_over_interior_maps_read_the_deadline_every_1024_maps():
     # having 1,970 functions.  The count walks one point, leaving out the
     # coatoms: 1,132 leaves, read before the first and the 1,025th.  The
     # sample counts the same way, then lists each point's 1,970
-    # functions, read before the first and the 1,025th; a kept map is not
-    # a read
+    # functions, read before the first and the 1,025th, and builds its 4
+    # kept maps, read before the first
     ground = grounds_within(SearchBounds(algebras=("godel3",), max_carrier=3))[-1]
     assert count_interior_maps(ground, bounds, expire("count")) == 1970**3
     assert reads["count"] == 2
     assert len(interior_sample(ground, bounds, expire("sample"))) == 4
-    assert reads["sample"] == 2 + 3 * 2
+    assert reads["sample"] == 2 + 3 * 2 + 1
+
+
+def test_a_sample_past_the_stream_is_the_whole_stream():
+    # the sample keeps each index of the stream once, without a pass per
+    # index it asks for
+    bounds = SearchBounds(algebras=("c2", "godel3", "godel4", "diamond-join"), max_carrier=1, operator_sample=10**12)
+    for ground in grounds_within(bounds):
+        assert interior_sample(ground, bounds) == list(enumerate_interior_maps(ground, bounds))
+
+
+@pytest.mark.parametrize("listing", ["test-morphisms", "arms", "preservation"])
+def test_morphism_lists_read_the_deadline_every_1024_items(monkeypatch, listing):
+    # c2 with 6 points has 6**6 = 46,656 morphisms into itself; with a
+    # sample of 2 maps they make 93,312 arms
+    reads = []
+    monkeypatch.setattr(fsearch.SearchContext, "expire", lambda ctx: reads.append(ctx))
+    ground = grounds_within(SearchBounds(algebras=("c2",), max_carrier=6))[-1]
+    ctx = fsearch.SearchContext(SearchBounds(algebras=("c2",)))
+    ctx.grounds = [ground]
+    ctx[fsearch._sample, ground] = [least(ground), discrete(ground)]
+    if listing == "test-morphisms":
+        assert len(fsearch._test_morphisms(ctx, ground)) == 46_656
+    elif listing == "arms":
+        assert len(fsearch._arm_family(ctx, ground)) == 93_312
+    else:
+        next(fsearch._gen_preservation(ctx, fsearch.is_idempotent))
+    listed = 93_312 if listing == "arms" else 46_656
+    assert len(reads) == -(-listed // 1024)
 
 
 def test_a_sample_past_the_cap_lists_no_function(monkeypatch):
