@@ -35,7 +35,7 @@ from .interior import check_interior_axioms, closure_from_topology, interior_fro
 from .monoid import GLMonoid, builtin_chain
 from .powerset import Ground
 from .search import (
-    PROPERTIES,
+    CLAIMS,
     SearchBounds,
     bounds_from_env,
     builtin_algebra,
@@ -295,11 +295,11 @@ def cmd_check(args) -> int:
         report["property"] = "literal-trivial-interior"
         report["note"] = TRIVIAL_NOTE
         return _print_verdict(args, report)
-    if prop in PROPERTIES:
+    if prop in CLAIMS:
         result = search(prop, _bounds(args))
         report = result.to_json()
         return _print_verdict(args, report, ok=result.ok)
-    raise UnknownProperty(prop, ("continuity", "openness", "initiality", "trivial-literal") + tuple(PROPERTIES))
+    raise UnknownProperty(prop, ("continuity", "openness", "initiality", "trivial-literal") + tuple(CLAIMS))
 
 
 def _print_verdict(args, report: dict, ok: bool | None = None) -> int:

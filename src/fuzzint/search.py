@@ -4,7 +4,7 @@ Everything the suites claim "exhaustively" funnels through here.
 Interior maps are streamed in lexicographic order with monotonicity
 pruning, or counted and sampled point by point without the stream; grounds
 and morphisms are enumerated from named algebra families; and each
-registered property pairs a deterministic case generator with a pure
+registered claim pairs a deterministic case generator with a pure
 checker.  A counterexample is returned as a replayable witness bundle that
 embeds the full instance.
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
+from functools import partial
 from itertools import chain, combinations
 from math import prod
 from operator import itemgetter
@@ -520,13 +521,13 @@ def _test_morphisms(ctx: SearchContext, dom: Ground) -> list:
     return list(_paced((g for z in ctx.grounds for g in all_morphisms(z, dom)), ctx.expire))
 
 
-# ------------------------------------------------------------- properties
+# ------------------------------------------------------------- generators
 #
 # A generator yields cases with the keys of a bundle's case, each holding a
 # live Ground, InteriorMap, GroundMorphism or FuzzySet; ``io.case_to_json``
 # writes one into a bundle and ``io.case_from_json`` reads it back, so a
 # replay runs the search's own checker.  A checker trusts its case to meet
-# the theorem's hypotheses; ``HYPOTHESES`` holds a replayed case to them.
+# the claim's hypotheses; its ``CLAIMS`` entry holds a replayed case to them.
 
 def _gen_literal_trivial(ctx: SearchContext):
     for ground in ctx.grounds:
@@ -850,33 +851,11 @@ def _check_meet_interchange(case: dict, ctx: SearchContext):
     return None if verdict.ok else verdict.witness
 
 
-PROPERTIES = {
-    "literal-trivial-interior": (_gen_literal_trivial, _check_literal_trivial, fio.case_to_json),
-    "operator-lattice-closure": (_gen_operator_lattice, _check_operator_lattice, fio.case_to_json),
-    "composition-continuous": (lambda ctx: _gen_composition(ctx, open_mode=False), _check_composition, fio.case_to_json),
-    "composition-open": (lambda ctx: _gen_composition(ctx, open_mode=True), _check_composition, fio.case_to_json),
-    "open-preimage": (_gen_open_preimage, _check_open_preimage, fio.case_to_json),
-    "initiality": (lambda ctx: _gen_sources(ctx, min_arms=1), _check_initiality, fio.case_to_json),
-    "literal-meet-source-lift": (lambda ctx: _gen_sources(ctx, min_arms=2), _check_literal_meet_lift, fio.case_to_json),
-    "preservation-idempotent": (
-        lambda ctx: _gen_preservation(ctx, is_idempotent),
-        lambda case, ctx: _check_preservation(case, ctx, is_idempotent),
-        fio.case_to_json,
-    ),
-    "preservation-fully-productive": (
-        lambda ctx: _gen_preservation(ctx, is_productive),
-        lambda case, ctx: _check_preservation(case, ctx, is_productive),
-        fio.case_to_json,
-    ),
-    "meet-interchange": (_gen_meet_interchange, _check_meet_interchange, fio.case_to_json),
-}
-
-
 # -------------------------------------------------------------- hypotheses
 #
-# Replay only.  Each entry reads the keys its checker reads (a missing one is
-# a ParseError) and raises unless the case's parts fit together and meet the
-# theorem's hypotheses, checked by the public checks' own preconditions.
+# Replay only.  Each reads the keys its checker reads (a missing one is a
+# ParseError) and raises unless the case's parts fit together and meet the
+# claim's hypotheses, checked by the public checks' own preconditions.
 
 def _keys(case: dict, *keys: str) -> list:
     """The case's values under ``keys``; a missing key is a ParseError."""
@@ -884,6 +863,13 @@ def _keys(case: dict, *keys: str) -> list:
         if key not in case:
             raise ParseError(f"case missing key {key!r}")
     return [case[key] for key in keys]
+
+
+def _fits(case: dict, keys: tuple, check=None) -> None:
+    """The case has ``keys``, and ``check``, if any, accepts their values."""
+    values = _keys(case, *keys)
+    if check is not None:
+        check(*values)
 
 
 def _family_on_its_ground(case: dict) -> None:
@@ -894,9 +880,11 @@ def _family_on_its_ground(case: dict) -> None:
         raise GroundMismatch("a member lives on another ground than the case")
 
 
-def _legs_pass(case: dict) -> None:
-    """Both legs pass the test the composite is held to."""
-    open_mode, g1, g2, (src, mid, dst) = _keys(case, "open", "first", "second", "interiors")
+def _legs_pass(case: dict, open_mode: bool) -> None:
+    """The case is held to the claim's test, and both legs pass it."""
+    flag, g1, g2, (src, mid, dst) = _keys(case, "open", "first", "second", "interiors")
+    if flag != open_mode:
+        raise MalformedBundle(f"open must be {str(open_mode).lower()} for this property, got {str(flag).lower()}")
     test, error = (is_open_morphism, NotOpen) if open_mode else (is_continuous, NotContinuous)
     for g, a, b in ((g1, src, mid), (g2, mid, dst)):
         verdict = test(g, a, b)
@@ -911,25 +899,42 @@ def _v_open_along_continuous(case: dict) -> None:
     preimage_of_open_is_open(g, src, dst, dst.ground.index.position[v.values])
 
 
-def _arms_fit(case: dict) -> None:
-    """Every arm starts at the domain and ends at its space."""
+def _arms_fit(case: dict, armless: bool) -> None:
+    """Every arm starts at the domain and ends at its space; a source
+    with no arms only where ``armless`` allows it."""
     domain, arms = _keys(case, "domain", "arms")
+    if not arms and not armless:
+        raise MalformedBundle("a literal-meet-source-lift case needs at least one arm")
     StructuredSource(domain, tuple(_keys(arm, "morphism", "interior") for arm in arms))
 
 
-HYPOTHESES = {
-    "literal-trivial-interior": lambda case: _keys(case, "ground"),
-    "operator-lattice-closure": _family_on_its_ground,
-    "composition-continuous": _legs_pass,
-    "composition-open": _legs_pass,
-    "open-preimage": _v_open_along_continuous,
-    "initiality": _arms_fit,
-    "literal-meet-source-lift": _arms_fit,
-    "preservation-idempotent": lambda case: preserves_idempotency_check(*_keys(case, "morphism", "interior")),
-    "preservation-fully-productive": (
-        lambda case: preserves_full_productivity_check(*_keys(case, "morphism", "interior"))
+# Each claim's generator, checker, replay hypothesis and outcome at the
+# default bounds, "holds" or "fails": the two literal readings must fail.
+CLAIMS = {
+    "literal-trivial-interior": (_gen_literal_trivial, _check_literal_trivial, partial(_fits, keys=("ground",)), "fails"),
+    "operator-lattice-closure": (_gen_operator_lattice, _check_operator_lattice, _family_on_its_ground, "holds"),
+    "composition-continuous": (
+        partial(_gen_composition, open_mode=False), _check_composition, partial(_legs_pass, open_mode=False), "holds"
     ),
-    "meet-interchange": lambda case: _keys(case, "morphism"),
+    "composition-open": (
+        partial(_gen_composition, open_mode=True), _check_composition, partial(_legs_pass, open_mode=True), "holds"
+    ),
+    "open-preimage": (_gen_open_preimage, _check_open_preimage, _v_open_along_continuous, "holds"),
+    "initiality": (partial(_gen_sources, min_arms=1), _check_initiality, partial(_arms_fit, armless=True), "holds"),
+    "literal-meet-source-lift": (
+        partial(_gen_sources, min_arms=2), _check_literal_meet_lift, partial(_arms_fit, armless=False), "fails"
+    ),
+    "preservation-idempotent": (
+        partial(_gen_preservation, predicate=is_idempotent),
+        partial(_check_preservation, predicate=is_idempotent),
+        partial(_fits, keys=("morphism", "interior"), check=preserves_idempotency_check), "holds",
+    ),
+    "preservation-fully-productive": (
+        partial(_gen_preservation, predicate=is_productive),
+        partial(_check_preservation, predicate=is_productive),
+        partial(_fits, keys=("morphism", "interior"), check=preserves_full_productivity_check), "holds",
+    ),
+    "meet-interchange": (_gen_meet_interchange, _check_meet_interchange, partial(_fits, keys=("morphism",)), "holds"),
 }
 
 
@@ -964,8 +969,8 @@ class SearchResult:
 
 
 def checker_for(name: str, context: SearchContext):
-    """The per-case checker of a property, bound to one search's context."""
-    check = PROPERTIES[name][1]
+    """The per-case checker of a claim, bound to one search's context."""
+    check = CLAIMS[name][1]
     return lambda case: check(case, context)
 
 
@@ -982,17 +987,17 @@ def search(
     the time budget, while generating cases or checking them, raises
     rather than returning a false all-clear.
     """
-    if not isinstance(prop, str) or prop not in PROPERTIES:
-        raise UnknownProperty(prop, tuple(PROPERTIES))
+    if not isinstance(prop, str) or prop not in CLAIMS:
+        raise UnknownProperty(prop, tuple(CLAIMS))
     ctx = SearchContext(bounds or SearchBounds())
     check = checker_for(prop, ctx)
     witness = None
-    for case in PROPERTIES[prop][0](ctx):
+    for case in CLAIMS[prop][0](ctx):
         ctx.expire()
         ctx.checked += 1
         found = check(case)
         if found is not None:
-            witness = _bundle(prop, case, found)
+            witness = {"property": prop, "case": fio.case_to_json(case), "witness": found}
             break
     status = "no-counterexample" if witness is None else "counterexample"
     result = SearchResult(prop=prop, status=status, instances=ctx.checked, bundle=witness)
@@ -1001,14 +1006,9 @@ def search(
     return result
 
 
-def _bundle(prop: str, case: dict, witness: dict) -> dict:
-    describe = PROPERTIES[prop][2]
-    return {"property": prop, "case": describe(case), "witness": witness}
-
-
 def replay(bundle: dict, base: Path | None = None) -> SearchResult:
     """Re-evaluate a witness bundle deterministically: load its case, hold
-    it to ``HYPOTHESES``, then run the search's own checker on it.  A file
+    it to its claim's hypothesis, then run the search's own checker on it.  A file
     name in the case is read relative to ``base``, the bundle's
     directory."""
     if not isinstance(bundle, dict):
@@ -1017,10 +1017,10 @@ def replay(bundle: dict, base: Path | None = None) -> SearchResult:
         if key not in bundle or bundle[key] is None:
             raise MalformedBundle(f"missing {key!r} (summaries carry no witness)")
     prop = bundle["property"]
-    if not isinstance(prop, str) or prop not in PROPERTIES:
-        raise UnknownProperty(prop, tuple(PROPERTIES))
+    if not isinstance(prop, str) or prop not in CLAIMS:
+        raise UnknownProperty(prop, tuple(CLAIMS))
     case = fio.case_from_json(bundle["case"], base)
-    HYPOTHESES[prop](case)
+    CLAIMS[prop][2](case)
     found = checker_for(prop, SearchContext(SearchBounds()))(case)
     status = "no-counterexample" if found is None else "counterexample"
     witness = None if found is None else {"property": prop, "case": bundle["case"], "witness": found}

@@ -765,6 +765,26 @@ LEG_WITNESS = "witness {'v': {'p1': '0', 'p2': '1'}, 'lhs': {'p1': '0', 'p2': '1
         ("initiality", OFF_DOMAIN_SOURCE, "GroundMismatch", OFF_DOMAIN),
         ("literal-meet-source-lift", OFF_DOMAIN_SOURCE, "GroundMismatch", OFF_DOMAIN),
         (
+            # the meet of no arms is the constant-top map, not an interior map
+            "literal-meet-source-lift",
+            {"domain": C2_POINT, "arms": []},
+            "MalformedBundle",
+            "malformed witness bundle: a literal-meet-source-lift case needs at least one arm",
+        ),
+        (
+            # both legs are open, yet the composite is not continuous
+            "composition-continuous",
+            {"open": True, "first": PAIR_IDENTITY, "second": PAIR_IDENTITY, "interiors": [PAIR_LEAST, PAIR_DISCRETE, PAIR_DISCRETE]},
+            "MalformedBundle",
+            "malformed witness bundle: open must be false for this property, got true",
+        ),
+        (
+            "composition-open",
+            {"open": False, "first": PAIR_IDENTITY, "second": PAIR_IDENTITY, "interiors": [PAIR_LEAST, PAIR_LEAST, PAIR_LEAST]},
+            "MalformedBundle",
+            "malformed witness bundle: open must be true for this property, got false",
+        ),
+        (
             "composition-continuous",
             {"open": False, "first": PAIR_IDENTITY, "second": PAIR_IDENTITY, "interiors": [PAIR_LEAST, PAIR_LEAST, PAIR_DISCRETE]},
             "NotContinuous",
@@ -799,6 +819,9 @@ LEG_WITNESS = "witness {'v': {'p1': '0', 'p2': '1'}, 'lhs': {'p1': '0', 'p2': '1
         "foreign-member",
         "initiality-off-domain",
         "meet-lift-off-domain",
+        "meet-lift-no-arms",
+        "continuous-case-marked-open",
+        "open-case-marked-continuous",
         "second-leg-not-continuous",
         "second-leg-not-open",
         "v-not-open",

@@ -46,7 +46,7 @@ from fuzzint.powerset import (
     validate_ground_morphism,
 )
 from fuzzint.search import (
-    PROPERTIES,
+    CLAIMS,
     SearchBounds,
     SearchContext,
     _arm,
@@ -378,7 +378,7 @@ def test_reduced_mode_agrees_with_enumeration():
 def test_search_checker_agrees_with_verify_initiality():
     bounds = SearchBounds(max_carrier=1)
     ctx = SearchContext(bounds)
-    generate, _, _ = PROPERTIES["initiality"]
+    generate = CLAIMS["initiality"][0]
     check = checker_for("initiality", ctx)
     cases = 0
     for case in generate(ctx):
@@ -399,7 +399,7 @@ def test_packed_decision_agrees_with_the_per_test_loop(small_bounds):
     test_grounds = grounds_within(small_bounds)
     outcomes = set()
     empty = [{"domain": dom, "arms": []} for dom in ctx.grounds]
-    for case in empty + list(PROPERTIES["initiality"][0](ctx)):
+    for case in empty + list(CLAIMS["initiality"][0](ctx)):
         dom = case["domain"]
         s = StructuredSource(dom, tuple((arm["morphism"], arm["interior"]) for arm in case["arms"]))
         tests = ctx[_test_morphisms, dom]

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from fuzzint.errors import NotAnInteriorMap
 from fuzzint.interior import InteriorMap, check_interior_axioms, discrete
-from fuzzint.lattice import validate_lattice
-from fuzzint.monoid import godel_tensor
+from fuzzint.lattice import chain_lattice, validate_lattice
+from fuzzint.monoid import godel_tensor, join_tensor
 from fuzzint.powerset import Ground
 from fuzzint.search import builtin_algebra, count_interior_maps, enumerate_interior_maps
 
@@ -31,6 +31,21 @@ GROUNDS = [
 # a three-element chain whose elements are listed top first
 TOP_FIRST = godel_tensor(validate_lattice(("1", "1/2", "0"), [("0", "1/2"), ("1/2", "1")], closure=True))
 TOP_FIRST_GROUNDS = [Ground(points, TOP_FIRST) for points in (("p1",), ("p1", "p2"))]
+# the algebras of the parametrised grounds, by the name their ids give them
+ID_ALGEBRAS = {
+    **{name: builtin_algebra(name) for name in ("c2", "godel3", "godel4", "lukasiewicz3", "diamond-meet", "diamond-join", "pentagon-meet")},
+    "top-first": TOP_FIRST,
+    "c3-join": join_tensor(chain_lattice(["0", "1/2", "1"])),
+}
+
+
+def ground_id(ground: Ground) -> str:
+    """A parameter id naming the ground's algebra and its point count, e.g.
+    godel3-2, so that a test's id is the same on every run."""
+    name = next(name for name, algebra in ID_ALGEBRAS.items() if algebra == ground.algebra)
+    return f"{name}-{len(ground.points)}"
+
+
 # starting points for candidates: the least and discrete maps and a
 # stride through the start of each ground's stream
 BASES = {
@@ -41,7 +56,7 @@ BASES = {
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
 
-@pytest.mark.parametrize("ground", GROUNDS, ids=repr)
+@pytest.mark.parametrize("ground", GROUNDS, ids=ground_id)
 def test_bitmask_join_and_meet_match_pointwise(ground):
     index = ground.index
     values = index.values
@@ -124,7 +139,7 @@ def test_candidate_tables_reach_every_verdict(axiom):
     assert found is not None
 
 
-@pytest.mark.parametrize("ground", GROUNDS, ids=repr)
+@pytest.mark.parametrize("ground", GROUNDS, ids=ground_id)
 def test_enumeration_stream_matches_oracle_in_order(ground):
     values = ground.index.values
     limit = 500

@@ -22,7 +22,7 @@ from conftest import (
 )
 from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
-from test_index import BASES, GROUNDS, PROPERTY
+from test_index import BASES, GROUNDS, PROPERTY, ground_id
 from test_morphism_index import PAIRS
 
 from fuzzint import search as fsearch
@@ -49,7 +49,7 @@ from fuzzint.interior import (
 )
 from fuzzint.powerset import Ground, GroundMorphism, all_morphisms, identity_morphism
 from fuzzint.search import (
-    PROPERTIES,
+    CLAIMS,
     SearchBounds,
     SearchContext,
     _arm,
@@ -295,7 +295,7 @@ def test_discontinuous_legs_reach_a_preimage_that_is_not_open():
 interior_maps = st.sampled_from(WALKABLE).flatmap(lambda ground: st.sampled_from(MAPS[ground]))
 
 
-@pytest.mark.parametrize("ground", WALKABLE, ids=repr)
+@pytest.mark.parametrize("ground", WALKABLE, ids=ground_id)
 def test_productive_decides_full_productivity(ground):
     # binary meets and the top axiom give every meet of a finite family
     for i in MAPS[ground]:
@@ -480,7 +480,7 @@ def memo_runs(draw):
 
 
 def _checked(prop, case, ctx):
-    return PROPERTIES[prop][1](case, ctx)
+    return CLAIMS[prop][1](case, ctx)
 
 
 @settings(PROPERTY, max_examples=150)
@@ -629,7 +629,7 @@ def test_join_form_lift_word_is_the_and_of_its_arms_initial_words(bounds):
     # every arm continuous and the initiality checker need not test that
     ctx = SearchContext(bounds)
     cases = 0
-    for case in PROPERTIES["initiality"][0](ctx):
+    for case in CLAIMS["initiality"][0](ctx):
         dom, arms = _case_source(case, ctx)
         lift, verdict = _folded_lift(ctx, "join", dom, arms)
         word = -1

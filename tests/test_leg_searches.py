@@ -29,9 +29,9 @@ LEG_BOUNDS = {"default": SearchBounds(), "c2-lukasiewicz3": LUK, "non-chain": NO
 def _scanned(prop, bounds, monkeypatch):
     """The search with one case per leg pair or open set, as the oracle
     generates them, and the property's own checker."""
-    _, check, describe = fsearch.PROPERTIES[prop]
+    _, *rest = fsearch.CLAIMS[prop]
     with monkeypatch.context() as patch:
-        patch.setitem(fsearch.PROPERTIES, prop, (NAIVE_LEG_GENERATORS[prop], check, describe))
+        patch.setitem(fsearch.CLAIMS, prop, (NAIVE_LEG_GENERATORS[prop], *rest))
         return search(prop, bounds)
 
 

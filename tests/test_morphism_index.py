@@ -14,7 +14,7 @@ from conftest import (
 )
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
-from test_index import BASES, GROUNDS, PROPERTY
+from test_index import BASES, GROUNDS, PROPERTY, ground_id
 
 from fuzzint.continuity import (
     _scan,
@@ -172,7 +172,7 @@ def test_meet_interchange_diamond_join_failures_match_oracle():
     assert failures
 
 
-@pytest.mark.parametrize("pair", PAIRS[::7] + JOIN_PAIRS, ids=lambda p: f"{p[0]!r}->{p[1]!r}")
+@pytest.mark.parametrize("pair", PAIRS[::7] + JOIN_PAIRS, ids=lambda p: f"{ground_id(p[0])}->{ground_id(p[1])}")
 def test_backward_positions_match_naive_backward(pair):
     dom, cod, morphisms = pair
     for g in morphisms:
@@ -180,7 +180,7 @@ def test_backward_positions_match_naive_backward(pair):
             assert dom.index.values[g.backward[b]] == naive_backward(g, v)
 
 
-@pytest.mark.parametrize("pair", ADJOINT_PAIRS, ids=lambda p: f"{p[0]!r}->{p[1]!r}")
+@pytest.mark.parametrize("pair", ADJOINT_PAIRS, ids=lambda p: f"{ground_id(p[0])}->{ground_id(p[1])}")
 def test_right_adjoint_positions_match_naive_right_adjoint(pair):
     # the cached positions, and the Galois connection with backward:
     # backward(b) <= a iff b <= right_adjoint(a)

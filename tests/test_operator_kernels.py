@@ -20,7 +20,7 @@ from conftest import (
 )
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
-from test_index import BASES, GROUNDS, PROPERTY, TOP_FIRST, TOP_FIRST_GROUNDS, candidate_tables
+from test_index import BASES, GROUNDS, PROPERTY, TOP_FIRST, TOP_FIRST_GROUNDS, candidate_tables, ground_id
 
 import fuzzint.search as fsearch
 from fuzzint import io
@@ -66,7 +66,7 @@ WIDE = SearchBounds(max_tables=10**6)
 
 # -- the per-point count --------------------------------------------------------
 
-@pytest.mark.parametrize("ground", COUNTED, ids=repr)
+@pytest.mark.parametrize("ground", COUNTED, ids=ground_id)
 def test_count_matches_the_stream(ground):
     # the axioms are pointwise: the maps are every combination of the
     # functions u -> I(u)(x) the stream shows at each point x
@@ -148,7 +148,7 @@ def test_count_and_stream_both_refuse_a_ground_past_the_cap():
 
 # -- the streamed sample -------------------------------------------------------
 
-@pytest.mark.parametrize("ground", GROUNDS, ids=repr)
+@pytest.mark.parametrize("ground", GROUNDS, ids=ground_id)
 def test_sample_matches_list_and_stride(ground):
     bounds = SearchBounds()
     least_images = (0,) * (ground.set_count() - 1) + (ground.set_count() - 1,)
@@ -277,7 +277,7 @@ def test_word_families_hold_maps_that_fail_the_axioms():
 BLOCK_GROUNDS = [Ground(("p1", "p2", "p3", "p4"), builtin_algebra("godel3")), Ground(SEVEN, builtin_algebra("c2"))]
 
 
-@pytest.mark.parametrize("ground", WORD_GROUNDS + BLOCK_GROUNDS, ids=repr)
+@pytest.mark.parametrize("ground", WORD_GROUNDS + BLOCK_GROUNDS, ids=ground_id)
 def test_words_of_each_enumerated_map_decode_to_its_images(ground):
     # the first 5,000 maps where the stream is longer (pentagon-meet on two
     # points has 600,593,049)
@@ -403,7 +403,7 @@ def test_a_map_passes_iff_it_passes_at_each_point(case):
 @pytest.mark.parametrize(
     "ground",
     [Ground(("p1", "p2", "p3"), builtin_algebra("c2")), Ground(TWO, builtin_algebra("godel3")), *TOP_FIRST_GROUNDS],
-    ids=repr,
+    ids=ground_id,
 )
 def test_near_maps_agree_with_the_identity_off_their_point(ground):
     maps = list(enumerate_interior_maps(ground))
@@ -429,7 +429,7 @@ def _distinct_near_maps(ground):
         Ground(ONE, builtin_algebra("diamond-join")),
         *TOP_FIRST_GROUNDS,
     ],
-    ids=repr,
+    ids=ground_id,
 )
 def test_near_maps_join_and_meet_to_the_whole_grounds(ground):
     # at each point the distinct near maps carry every function and the
@@ -442,9 +442,9 @@ def test_near_maps_join_and_meet_to_the_whole_grounds(ground):
 
 def _scanned(bounds, monkeypatch):
     """The search with one case per pair, as the oracle generates them."""
-    _, check, describe = fsearch.PROPERTIES["operator-lattice-closure"]
+    _, *rest = fsearch.CLAIMS["operator-lattice-closure"]
     with monkeypatch.context() as patch:
-        patch.setitem(fsearch.PROPERTIES, "operator-lattice-closure", (naive_gen_operator_lattice, check, describe))
+        patch.setitem(fsearch.CLAIMS, "operator-lattice-closure", (naive_gen_operator_lattice, *rest))
         return search("operator-lattice-closure", bounds)
 
 

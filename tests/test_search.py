@@ -4,6 +4,7 @@ import sys
 import time
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ import fuzzint.search as fsearch
 from fuzzint.errors import BoundsExceeded, MalformedBundle, UnknownProperty
 from fuzzint.interior import check_interior_axioms, discrete, least
 from fuzzint.search import (
+    CLAIMS,
     SearchBounds,
     bounds_from_env,
     builtin_algebra,
@@ -191,9 +193,22 @@ def test_literal_trivial_clean_only_on_degenerate_ground():
     assert wider.bundle["witness"]["axiom"] == "I1"
 
 
-def test_meet_interchange_clean_on_chains():
-    result = search("meet-interchange")
-    assert result.ok
+BUNDLES = Path(__file__).parent / "data" / "bundles"
+
+
+@pytest.mark.parametrize("name", CLAIMS)
+def test_each_claim_has_its_expected_outcome_at_default_bounds(name, tmp_path):
+    # a claim that must fail writes the committed bundle byte for byte, and
+    # that bundle replays to its own witness
+    out = tmp_path / "bundle.json"
+    result = search(name, SearchBounds(), out=out)
+    expected = CLAIMS[name][3]
+    assert result.status == {"holds": "no-counterexample", "fails": "counterexample"}[expected]
+    if expected == "fails":
+        committed = BUNDLES / f"{name}.json"
+        assert out.read_text() == committed.read_text()
+        bundle = json.loads(committed.read_text())
+        assert replay(bundle, BUNDLES).bundle["witness"] == bundle["witness"]
 
 
 def test_meet_interchange_counterexample_with_join_tensor_diamond():
@@ -493,9 +508,8 @@ def test_no_module_level_caches_after_search():
     search("initiality", SearchBounds(max_carrier=1))
     search("composition-continuous", SearchBounds(max_carrier=1))
     registries = {
-        ("search", "PROPERTIES"),
-        ("search", "HYPOTHESES"),
-        ("cli", "PROPERTIES"),
+        ("search", "CLAIMS"),
+        ("cli", "CLAIMS"),
         ("io", "LOADERS"),
         ("io", "CASE_LOADERS"),
     }

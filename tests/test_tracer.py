@@ -1,8 +1,8 @@
 """The benchmark's tracer against the package: a traced pass of the
 ``morphisms`` workload must run, report its per-layer metrics, and leave
 every operation's exit code, output and bundle as an untraced pass has
-them.  The tracer unpacks ``search.PROPERTIES`` and wraps
-``search.checker_for``, so a change to those breaks it here."""
+them.  The tracer wraps ``search.checker_for`` for its ``search.check``
+spans, so a change to its name or signature breaks it here."""
 
 import json
 import os
