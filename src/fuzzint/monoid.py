@@ -13,6 +13,7 @@ from itertools import product
 from math import gcd
 
 from .errors import (
+    CarrierMismatch,
     CarrierTooLarge,
     DistributivityViolation,
     NoZero,
@@ -23,7 +24,6 @@ from .errors import (
     NotIsotone,
     NotJoinDistributive,
     TopNotIdempotent,
-    UnknownElement,
 )
 from .lattice import DEFAULT_MAX_SIZE, FiniteLattice, chain_lattice, validate_lattice
 from .value import Value
@@ -60,9 +60,7 @@ class GLMonoid(CQML):
     ``validate_gl``, which derives both tables.
 
     ``residuum[a][b]`` is a -> b, the largest x with a (x) x <= b;
-    ``monoid.residuum`` reads it by element names.  ``division_witness[a][b]``
-    records one gamma with a = b (x) gamma for each comparable pair
-    a <= b (and -1 elsewhere), kept for diagnostics.
+    ``monoid.residuum`` reads it by element names.
     """
 
     def __init__(
@@ -70,10 +68,9 @@ class GLMonoid(CQML):
         lattice: FiniteLattice,
         tensor: tuple[tuple[int, ...], ...],
         residuum: tuple[tuple[int, ...], ...],
-        division_witness: tuple[tuple[int, ...], ...],
     ):
         super().__init__(lattice, tensor)
-        self.__dict__.update(residuum=residuum, division_witness=division_witness)
+        self.__dict__.update(residuum=residuum)
 
 
 def validate_cqml(lattice: FiniteLattice, tensor) -> CQML:
@@ -90,7 +87,7 @@ def validate_cqml(lattice: FiniteLattice, tensor) -> CQML:
     for i in range(n):
         for j in range(n):
             if table[i][j] is None:
-                raise UnknownElement(f"tensor undefined at ({lattice.name(i)}, {lattice.name(j)})")
+                raise CarrierMismatch(f"tensor undefined at ({lattice.name(i)}, {lattice.name(j)})")
     _check_isotone(lattice, table)
     if table[lattice.top][lattice.top] != lattice.top:
         raise TopNotIdempotent(lattice.name(table[lattice.top][lattice.top]))
@@ -124,8 +121,11 @@ def validate_gl(cqml: CQML) -> GLMonoid:
     On a finite lattice every nonempty join folds from binary ones, and the
     empty join is the zero law, so a triple scan of binary joins decides
     join-distributivity, as the triple scan behind
-    ``FiniteLattice.distributivity_witness`` decides the frame laws.  The
-    residuation law is verified on every triple before returning.
+    ``FiniteLattice.distributivity_witness`` decides the frame laws.
+    Divisibility is one row test per comparable pair a <= b: a must occur
+    in b's row.  The residuum b -> c is the join of every x with
+    b (x) x <= c; commutativity, the zero law and join-distributivity,
+    which implies isotony, make a (x) b <= c iff a <= b -> c.
     """
     lat = cqml.lattice
     if not lat.distributive:
@@ -153,34 +153,15 @@ def validate_gl(cqml: CQML) -> GLMonoid:
                 if t[a][lat.join2[b][c]] != lat.join2[t[a][b]][t[a][c]]:
                     raise NotJoinDistributive((lat.name(a), (lat.name(b), lat.name(c))))
 
-    witness = [[-1] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            if not lat.leq[a][b]:
-                continue
-            for g in range(n):
-                if t[b][g] == a:
-                    witness[a][b] = g
-                    break
-            else:
+            if lat.leq[a][b] and a not in t[b]:
                 raise NotDivisible((lat.name(a), lat.name(b)))
 
-    residuum = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            residuum[a][b] = lat.join_i(x for x in range(n) if lat.leq[t[a][x]][b])
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if lat.leq[t[a][b]][c] != lat.leq[a][residuum[b][c]]:
-                    raise NotJoinDistributive((lat.name(a), (lat.name(b), lat.name(c))))
-
-    return GLMonoid(
-        lattice=lat,
-        tensor=t,
-        residuum=tuple(tuple(row) for row in residuum),
-        division_witness=tuple(tuple(row) for row in witness),
+    residuum = tuple(
+        tuple(lat.join_i(x for x in range(n) if lat.leq[t[a][x]][b]) for b in range(n)) for a in range(n)
     )
+    return GLMonoid(lattice=lat, tensor=t, residuum=residuum)
 
 
 def residuum(m: GLMonoid, a: str, b: str) -> str:

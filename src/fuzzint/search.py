@@ -16,11 +16,12 @@ counterexample as one at a time.  operator-lattice-closure decides its
 pairs and the whole ground a ground at a time, from each point's
 functions.  The leg searches (composition-continuous, composition-open and
 open-preimage) decide a leg's cases at once: one word test against a
-bound built once per (morphism, target), and only a leg that fails it has
-its cases checked one by one.  A search decides each distinct instance
-once: its ``SearchContext`` memoises the verdicts and bounds the
-generators and checkers read, keyed by exactly the objects each depends
-on.
+bound built once per (morphism, target).  A composition leg that fails it
+yields its cases, which the driver checks and counts one by one; an
+open-preimage leg yields its first failing open set.  A search decides
+each distinct instance once: its ``SearchContext`` memoises the verdicts
+and bounds the generators and checkers read, keyed by exactly the objects
+each depends on.
 """
 
 from __future__ import annotations
@@ -650,30 +651,15 @@ def _onward(ctx: SearchContext, open_mode: bool, mid: InteriorMap) -> list:
     targets) pairs, so a composite's bounds are read by position."""
     onward: dict = {}
     for g2, _, dst in ctx[_legs, open_mode].get(mid, ()):
-        onward.setdefault(g2, []).append(ctx[_position, dst])
+        onward.setdefault(g2, []).append(ctx[_sample, dst.ground].index(dst))
     return list(onward.items())
-
-
-def _position(ctx: SearchContext, imap: InteriorMap) -> int:
-    """The position of a sampled map in its ground's sample."""
-    return ctx[_sample, imap.ground].index(imap)
-
-
-def _first_failing(ctx: SearchContext, cases, check):
-    """The first case that ``check`` fails, counting each one before it as
-    checked; None, with every case counted, when all pass."""
-    for case in cases:
-        if check(case, ctx) is not None:
-            return case
-        ctx.checked += 1
-    return None
 
 
 def _gen_composition(ctx: SearchContext, open_mode: bool):
     """Composable pairs of legs, decided leg by leg: a first leg (g1, src,
     mid) whose source passes ``_onward_bound`` counts its cases, one per
-    leg out of ``mid``, in bulk; else they are checked in order, and the
-    first that fails is yielded."""
+    leg out of ``mid``, in bulk; else its cases are yielded in order, for
+    the driver to check and count one by one."""
     by_source = ctx[_legs, open_mode]
     for legs in by_source.values():
         for g1, src, mid in legs:
@@ -682,14 +668,8 @@ def _gen_composition(ctx: SearchContext, open_mode: bool):
             if passes_bound(src.words[open_mode], ctx[_onward_bound, open_mode, g1, mid]):
                 ctx.checked += len(onward)
                 continue
-            cases = (
-                {"open": open_mode, "first": g1, "second": g2, "interiors": [src, mid, dst]}
-                for g2, _, dst in onward
-            )
-            case = _first_failing(ctx, cases, _check_composition)
-            if case is not None:
-                yield case
-                return
+            for g2, _, dst in onward:
+                yield {"open": open_mode, "first": g1, "second": g2, "interiors": [src, mid, dst]}
 
 
 def _check_composition(case: dict, ctx: SearchContext):

@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_monoid import DIAMOND, diamond_orthogonal_tensor
+from test_monoid import C3, DIAMOND, diamond_orthogonal_tensor
 
 from fuzzint import cli
+from fuzzint import io as fio
+from fuzzint.interior import interior_from_topology
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "data" / "fixtures"
@@ -378,6 +380,36 @@ def test_interior_file_missing_a_row_exits_1(tmp_path):
     }
 
 
+def test_interior_tables_of_an_interior_file_match_its_topologys(tmp_path):
+    topology = fio.load_any(FIXTURES / "c3_topology.json")[1]
+    interior = write(tmp_path, "interior.json", fio.interior_to_json(interior_from_topology(topology)))
+    assert run_cli("tables", interior, "--which", "interior") == (0, (GOLDEN / "tables_interior.txt").read_text())
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["tables", "c3_topology.json", "--which", "residuum"], "residuum tables need a GL-monoid file"),
+        (["tables", "godel3_monoid.json", "--which", "interior"], "interior tables need a topology or interior file"),
+        (["tables", "godel3_monoid.json", "--which", "closure"], "closure tables need a topology file"),
+        (["tables", "c3_topology.json", "--which", "powerset-op"], "powerset-op tables need a morphism file"),
+        (["tables", "diamond_join_topology.json", "--which", "closure"], "closure tables need a GL-monoid ground"),
+        (
+            ["check", "continuity", "identity_morphism.json", "discrete_space.json"],
+            "continuity needs MORPHISM SRC_SPACE DST_SPACE files",
+        ),
+        (["check", "initiality", "two_arm_source.json", "two_arm_source.json"], "initiality needs one SOURCE file"),
+    ],
+    ids=["residuum", "interior", "closure", "powerset-op", "closure-not-gl", "continuity-two-files", "initiality-two-files"],
+)
+def test_wrong_kind_of_input_exits_2(argv, detail):
+    argv = resolve(argv)
+    assert run_cli(*argv) == (2, f"error: cannot parse input: {detail}\n")
+    code, text = run_cli(*argv, "--json")
+    assert code == 2
+    assert json.loads(text) == {"status": "error", "error": "parse-error", "detail": f"cannot parse input: {detail}"}
+
+
 def test_interior_file_failing_the_axioms_exits_1(tmp_path):
     interior = write(tmp_path, "interior.json", {"ground": GODEL3_POINT, "table": EXPANDING})
     code, text = run_cli("validate", interior)
@@ -589,6 +621,82 @@ def test_name_off_the_carrier_exits_1(tmp_path, doc, error, detail):
     assert json.loads(text) == {"status": "error", "error": error, "detail": detail}
 
 
+C2_LATTICE = {"elements": ["0", "1"], "leq": [["0", "1"]], "closure": True}
+C3_LATTICE = {"elements": C3, "leq": [["0", "1/2"], ["1/2", "1"]], "closure": True}
+
+
+@pytest.mark.parametrize(
+    "doc, error, detail",
+    [
+        (
+            {"lattice": C2_LATTICE, "tensor": [["0", "0", "0"], ["0", "1", "0"], ["1", "0", "0"]]},
+            "CarrierMismatch",
+            "carrier mismatch: tensor undefined at (1, 1)",
+        ),
+        ({**MORPHISM_TO_C2, "f": {}}, "CarrierMismatch", "carrier mismatch: point map undefined on ['x']"),
+        ({**MORPHISM_TO_C2, "phi_op": {"1": "1"}}, "CarrierMismatch", "carrier mismatch: phi_op undefined on ['0']"),
+        (
+            {"carrier": ["p1", "p2"], "values": {"p1": "1/2"}, "algebra": {"builtin": "godel", "n": 3}},
+            "CarrierMismatch",
+            "carrier mismatch: no value for points ['p2']",
+        ),
+        ({"elements": [], "leq": []}, "NotAPartialOrder", "relation is not a partial order: nonempty carrier fails at ()"),
+        (
+            {"elements": ["a", "a"], "leq": []},
+            "NotAPartialOrder",
+            "relation is not a partial order: distinct element names fails at (('a', 'a'),)",
+        ),
+        ({"elements": ["a", "b"], "leq": [["a", "z"]], "closure": True}, "UnknownElement", "unknown element 'z'"),
+        (
+            {"elements": ["a", "b", "c"], "leq": [["a", "a"], ["b", "b"], ["c", "c"], ["a", "b"], ["b", "c"]]},
+            "NotAPartialOrder",
+            "relation is not a partial order: transitivity fails at ('a', 'b', 'c')",
+        ),
+        (
+            # 0 (x) 0 = 1 but 1 (x) 0 = 0
+            {"lattice": C2_LATTICE, "tensor": [["0", "0", "1"], ["0", "1", "1"], ["1", "0", "0"], ["1", "1", "1"]]},
+            "NotIsotone",
+            "tensor is not isotone: witness ('0', '1', '0', 'left')",
+        ),
+        (
+            # a (x) b = max(0, a + b - 1/2): (0 (x) 0) (x) 1 = 1/2 but 0 (x) (0 (x) 1) = 0
+            {
+                "lattice": C3_LATTICE,
+                "tensor": [[a, b, C3[min(2, max(0, i + j - 1))]] for i, a in enumerate(C3) for j, b in enumerate(C3)],
+            },
+            "NotAssociative",
+            "tensor is not associative at ('0', '0', '1')",
+        ),
+        (
+            # the join tensor, with top listed before bottom: top is a unit,
+            # so 1 fails the zero law before 0 fails the unit law
+            {"lattice": {**C2_LATTICE, "elements": ["1", "0"]}, "tensor": [[a, b, max(a, b)] for a in "01" for b in "01"]},
+            "NoZero",
+            "bottom is not a zero: 1 (x) bottom = 1",
+        ),
+    ],
+    ids=[
+        "tensor-undefined",
+        "point-map-undefined",
+        "phi-op-undefined",
+        "values-undefined",
+        "empty-lattice",
+        "duplicate-names",
+        "unknown-in-leq",
+        "not-transitive",
+        "not-left-isotone",
+        "not-associative",
+        "no-zero",
+    ],
+)
+def test_an_incomplete_table_or_a_broken_law_exits_1(tmp_path, doc, error, detail):
+    path = write(tmp_path, "input.json", doc)
+    assert run_cli("validate", path) == (1, f"error: {detail}\n")
+    code, text = run_cli("validate", path, "--json")
+    assert code == 1
+    assert json.loads(text) == {"status": "error", "error": error, "detail": detail}
+
+
 GODEL3_PAIR = {"points": ["p1", "p2"], "algebra": {"builtin": "godel", "n": 3}}
 
 
@@ -735,6 +843,9 @@ C2_PAIR = {"points": ["p1", "p2"], "algebra": C2}
 PAIR_DISCRETE = {"ground": C2_PAIR, "table": [[[a, b], [a, b]] for a in "01" for b in "01"]}
 PAIR_IDENTITY = {"dom": C2_PAIR, "cod": C2_PAIR, "f": {"p1": "p1", "p2": "p2"}, "phi_op": {"0": "0", "1": "1"}}
 PAIR_LEAST = {"ground": C2_PAIR, "table": [[[a, b], [a, b] if a + b == "11" else ["0", "0"]] for a in "01" for b in "01"]}
+POINT_DISCRETE = {"ground": C2_POINT, "table": [[[a], [a]] for a in "01"]}
+POINT_TOP = {"carrier": ["p1"], "values": {"p1": "1"}, "algebra": C2}
+OFF_CODOMAIN = "ground mismatch: morphism codomain differs from the target space"
 # a source on one point whose arm starts at two
 OFF_DOMAIN_SOURCE = {"domain": C2_POINT, "arms": [{"morphism": PAIR_IDENTITY, "interior": PAIR_DISCRETE}]}
 OFF_DOMAIN = "ground mismatch: arm morphism does not start at the source domain"
@@ -813,6 +924,19 @@ LEG_WITNESS = "witness {'v': {'p1': '0', 'p2': '1'}, 'lhs': {'p1': '0', 'p2': '1
             "PropertyPreconditionFailed",
             "target interior lacks idempotency: witness {'u': {'p1': '2/3'}}",
         ),
+        ("preservation-fully-productive", {"morphism": PAIR_IDENTITY, "interior": POINT_DISCRETE}, "GroundMismatch", OFF_CODOMAIN),
+        (
+            "open-preimage",
+            {"morphism": PAIR_IDENTITY, "src": PAIR_LEAST, "dst": POINT_DISCRETE, "v": POINT_TOP},
+            "GroundMismatch",
+            OFF_CODOMAIN,
+        ),
+        (
+            "open-preimage",
+            {"morphism": PAIR_IDENTITY, "src": PAIR_LEAST, "dst": PAIR_LEAST, "v": POINT_TOP},
+            "CarrierMismatch",
+            "carrier mismatch: fuzzy set ground differs from the target space",
+        ),
     ],
     ids=[
         "empty-family",
@@ -826,6 +950,9 @@ LEG_WITNESS = "witness {'v': {'p1': '0', 'p2': '1'}, 'lhs': {'p1': '0', 'p2': '1
         "second-leg-not-open",
         "v-not-open",
         "target-not-idempotent",
+        "target-off-the-codomain",
+        "dst-off-the-codomain",
+        "v-off-the-dst-ground",
     ],
 )
 def test_replay_of_a_mismatched_bundle_exits_1(tmp_path, prop, case, error, detail):

@@ -48,19 +48,19 @@ def test_a_clean_leg_search_checks_no_case_one_by_one(prop, monkeypatch):
     # every leg passes its one word test, so no case reaches the checker
     # and no verdict is scanned
     checked = []
-    monkeypatch.setattr(fsearch, "_check_composition", lambda case, ctx: checked.append(case))
-    monkeypatch.setattr(fsearch, "_check_open_preimage", lambda case, ctx: checked.append(case))
+    generate, _, *rest = fsearch.CLAIMS[prop]
+    monkeypatch.setitem(fsearch.CLAIMS, prop, (generate, lambda case, ctx: checked.append(case), *rest))
     monkeypatch.setattr(fcontinuity, "_scan", lambda *args: checked.append(args))
     assert search(prop, LUK).ok
     assert checked == []
 
 
-@pytest.mark.parametrize("open_mode", [False, True], ids=["continuous", "open"])
-def test_an_injected_composite_failure_is_the_oracles_first_counterexample(open_mode, monkeypatch):
-    # the test rejects one (composite, src, dst) taken from the middle of
-    # the oracle's stream, and the onward bound of every first leg with a
-    # composite equal to it into that dst fails, so those legs are checked
-    # case by case
+def _inject_composite_failure(open_mode, monkeypatch):
+    """Make the test reject one (composite, src, dst) taken from the middle
+    of the oracle's stream, and fail the onward bound of every first leg
+    with a composite equal to it into that dst, so those legs are checked
+    case by case.  The property, the oracle's cases and the rejecting
+    test."""
     prop = "composition-open" if open_mode else "composition-continuous"
     cases = list(naive_gen_composition(SearchContext(LUK), open_mode))
     target = cases[len(cases) // 2]
@@ -82,12 +82,40 @@ def test_an_injected_composite_failure_is_the_oracles_first_counterexample(open_
 
     monkeypatch.setattr(fsearch, name, rejecting)
     monkeypatch.setattr(fsearch, "_onward_bound", onward_bound)
+    return prop, cases, rejecting
+
+
+@pytest.mark.parametrize("open_mode", [False, True], ids=["continuous", "open"])
+def test_an_injected_composite_failure_is_the_oracles_first_counterexample(open_mode, monkeypatch):
+    prop, cases, rejecting = _inject_composite_failure(open_mode, monkeypatch)
     result = search(prop, LUK)
     expected = _scanned(prop, LUK, monkeypatch)
     assert (result.status, result.bundle["witness"]) == ("counterexample", {"injected": True})
     assert result == expected
     rejected = [rejecting(compose(case["second"], case["first"]), *case["interiors"][::2]).ok for case in cases]
     assert result.instances == rejected.index(False) + 1 <= len(cases) // 2 + 1
+
+
+@pytest.mark.parametrize(
+    "open_mode, instances, one_by_one", [(False, 4_630, 2_362), (True, 1_748, 1_097)], ids=["continuous", "open"]
+)
+def test_each_case_of_a_failing_leg_is_checked_once(open_mode, instances, one_by_one, monkeypatch):
+    # the cases of the legs that fail their bound reach the checker once
+    # each, the failing one included, wherever the search calls it from
+    prop, _, _ = _inject_composite_failure(open_mode, monkeypatch)
+    calls, real = [], fsearch._check_composition
+
+    def counted(case, ctx):
+        calls.append(case)
+        return real(case, ctx)
+
+    generate, _, *rest = fsearch.CLAIMS[prop]
+    monkeypatch.setattr(fsearch, "_check_composition", counted)
+    monkeypatch.setitem(fsearch.CLAIMS, prop, (generate, counted, *rest))
+    result = search(prop, LUK)
+    assert (result.status, result.bundle["witness"], result.instances) == ("counterexample", {"injected": True}, instances)
+    keys = [(c["first"], c["second"], *c["interiors"]) for c in calls]
+    assert len(keys) == len(set(keys)) == one_by_one
 
 
 def test_an_injected_open_set_failure_is_the_oracles_first_counterexample(monkeypatch):

@@ -10,13 +10,17 @@ import pytest
 
 from conftest import all_value_tuples, leq_values
 import fuzzint.search as fsearch
+from fuzzint import io as fio
 from fuzzint.errors import BoundsExceeded, MalformedBundle, UnknownProperty
-from fuzzint.interior import check_interior_axioms, discrete, least
+from fuzzint.interior import InteriorMap, check_interior_axioms, discrete, least
+from fuzzint.powerset import Ground, GroundMorphism
 from fuzzint.search import (
     CLAIMS,
     SearchBounds,
+    SearchContext,
     bounds_from_env,
     builtin_algebra,
+    checker_for,
     count_interior_maps,
     enumerate_interior_maps,
     grounds_within,
@@ -209,6 +213,32 @@ def test_each_claim_has_its_expected_outcome_at_default_bounds(name, tmp_path):
         assert out.read_text() == committed.read_text()
         bundle = json.loads(committed.read_text())
         assert replay(bundle, BUNDLES).bundle["witness"] == bundle["witness"]
+
+
+def _grounds(value) -> list:
+    """Every ground a case, or a value in it, lies on."""
+    if isinstance(value, Ground):
+        return [value]
+    if isinstance(value, InteriorMap):
+        return [value.ground]
+    if isinstance(value, GroundMorphism):
+        return [value.dom, value.cod]
+    values = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return [g for v in values for g in _grounds(v)]
+
+
+@pytest.mark.parametrize("path", sorted(BUNDLES.glob("*.json")), ids=lambda path: path.stem)
+def test_each_committed_bundle_is_minimal(path):
+    # its case lies on 1 point, the fewest any search generates, and a
+    # source without any one of its arms passes the claim's checker
+    bundle = json.loads(path.read_text())
+    case = fio.case_from_json(bundle["case"], BUNDLES)
+    check = checker_for(bundle["property"], SearchContext(SearchBounds()))
+    assert check(case) == bundle["witness"]
+    assert {len(g.points) for g in _grounds(case)} == {1}
+    arms = case.get("arms", [])
+    for k in range(len(arms)):
+        assert check({**case, "arms": arms[:k] + arms[k + 1:]}) is None
 
 
 def test_meet_interchange_counterexample_with_join_tensor_diamond():

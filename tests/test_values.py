@@ -36,7 +36,7 @@ def _cqml(variant):
 
 def _gl(variant):
     m = builtin_chain(("godel", "lukasiewicz")[variant], 3)
-    return m.lattice, m.tensor, m.residuum, m.division_witness
+    return m.lattice, m.tensor, m.residuum
 
 
 def _morphism(variant):
@@ -59,7 +59,7 @@ def _space(variant):
 CASES = {
     FiniteLattice: (LATTICE_FIELDS, _lattice),
     CQML: (("lattice", "tensor"), _cqml),
-    GLMonoid: (("lattice", "tensor", "residuum", "division_witness"), _gl),
+    GLMonoid: (("lattice", "tensor", "residuum"), _gl),
     Ground: (("points", "algebra"), lambda v: (("p1", "p2")[: v + 1], builtin_chain("godel", 2))),
     FuzzySet: (("ground", "values"), lambda v: (_ground(0), ((0,), (1,))[v])),
     GroundMorphism: (("dom", "cod", "f", "phi_op"), _morphism),
